@@ -62,6 +62,8 @@ def parse_document(text):
         raise DocumentError(
             "parse error at line %d column %d: %s" % (e.lineno, e.colno, e.msg)
         ) from None
+    except RecursionError:
+        raise DocumentError("parse error: document nested too deeply") from None
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     return doc
@@ -140,7 +142,11 @@ def load_dgla(path, allow_invalid=False):
     Unless allow_invalid is set, axiom violations make the load fail.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = parse_document(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise DocumentError("file is not UTF-8 text: %s" % e) from None
+    doc = parse_document(text)
     L = document_to_dgla(doc)
     rep = validate_dgla(L)
     if not rep.ok and not allow_invalid:

@@ -7,7 +7,9 @@ is meaningful.
 
 from fractions import Fraction
 
+from dgla.algebra import ValidationIssue, ValidationReport, koszul_sign
 from dgla.formal import FormalElement
+from dgla.linalg import ZERO
 
 
 def naive_bracket(L, u, v):
@@ -54,3 +56,111 @@ def naive_differential(L, u):
         if any(acc):
             terms[mono] = tuple(acc)
     return FormalElement(u.ring, out_deg, dim, terms)
+
+
+def _scale_combo(c, combo):
+    return {k: c * v for k, v in combo.items()}
+
+
+def _add_combos(*combos):
+    out = {}
+    for combo in combos:
+        for k, v in combo.items():
+            out[k] = out.get(k, ZERO) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def naive_validate(L):
+    """validate_dgla by brute force: every generator pair and ordered triple."""
+    issues = []
+    gens = L.generators
+    names = [g[0] for g in gens]
+    degs = [g[1] for g in gens]
+
+    for gi, combo in sorted(L._d.items()):
+        for gj in sorted(combo):
+            if degs[gj] != degs[gi] + 1:
+                issues.append(ValidationIssue(
+                    "differential-degree",
+                    (names[gi],),
+                    "d(%s) hits %s of degree %d, expected degree %d"
+                    % (names[gi], names[gj], degs[gj], degs[gi] + 1),
+                ))
+
+    for gi in range(len(gens)):
+        dd = L._d_combo(L._d_combo({gi: Fraction(1)}))
+        if dd:
+            issues.append(ValidationIssue(
+                "differential-squared",
+                (names[gi],),
+                "d(d(%s)) = %s, expected 0" % (names[gi], L._combo_str(dd)),
+            ))
+
+    for (gi, gj), combo in sorted(L._bracket.items()):
+        want = degs[gi] + degs[gj]
+        for gk in sorted(combo):
+            if degs[gk] != want:
+                issues.append(ValidationIssue(
+                    "bracket-degree",
+                    (names[gi], names[gj]),
+                    "bracket degree violation at (%s, %s): hits %s of degree %d, "
+                    "expected degree %d" % (names[gi], names[gj], names[gk], degs[gk], want),
+                ))
+
+    n = len(gens)
+    for gi in range(n):
+        for gj in range(gi, n):
+            lhs = L._bracket_combo({gi: Fraction(1)}, {gj: Fraction(1)})
+            rhs = _scale_combo(
+                -koszul_sign(degs[gi], degs[gj]),
+                L._bracket_combo({gj: Fraction(1)}, {gi: Fraction(1)}),
+            )
+            if lhs != rhs:
+                issues.append(ValidationIssue(
+                    "antisymmetry",
+                    (names[gi], names[gj]),
+                    "[%s, %s] = %s but -(-1)^{|x||y|}[%s, %s] = %s"
+                    % (names[gi], names[gj], L._combo_str(lhs),
+                       names[gj], names[gi], L._combo_str(rhs)),
+                ))
+
+    for gi in range(n):
+        for gj in range(n):
+            x = {gi: Fraction(1)}
+            y = {gj: Fraction(1)}
+            lhs = L._d_combo(L._bracket_combo(x, y))
+            rhs = _add_combos(
+                L._bracket_combo(L._d_combo(x), y),
+                _scale_combo(1 if degs[gi] % 2 == 0 else -1,
+                             L._bracket_combo(x, L._d_combo(y))),
+            )
+            if lhs != rhs:
+                issues.append(ValidationIssue(
+                    "leibniz",
+                    (names[gi], names[gj]),
+                    "d[%s, %s] = %s but [dx, y] + (-1)^{|x|}[x, dy] = %s"
+                    % (names[gi], names[gj], L._combo_str(lhs), L._combo_str(rhs)),
+                ))
+
+    for gi in range(n):
+        for gj in range(n):
+            for gk in range(n):
+                x = {gi: Fraction(1)}
+                y = {gj: Fraction(1)}
+                z = {gk: Fraction(1)}
+                total = _add_combos(
+                    _scale_combo(koszul_sign(degs[gi], degs[gk]),
+                                 L._bracket_combo(x, L._bracket_combo(y, z))),
+                    _scale_combo(koszul_sign(degs[gj], degs[gi]),
+                                 L._bracket_combo(y, L._bracket_combo(z, x))),
+                    _scale_combo(koszul_sign(degs[gk], degs[gj]),
+                                 L._bracket_combo(z, L._bracket_combo(x, y))),
+                )
+                if total:
+                    issues.append(ValidationIssue(
+                        "jacobi",
+                        (names[gi], names[gj], names[gk]),
+                        "graded Jacobi sum = %s, expected 0" % L._combo_str(total),
+                    ))
+
+    return ValidationReport(L.name, issues)

@@ -5,6 +5,7 @@ prints a single criterion line, PASS or FAIL, in addition to the usual
 pytest verdict.  Timed criteria build everything inside the timed window.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 from random import Random
@@ -241,12 +242,17 @@ def test_criterion_7_gauge_coherence():
     _report(7, "gauge action coherence", body)
 
 
+SELFTEST_SHA256 = "afabf177c00c6ee278172a4cef1d8294865a18e89aa8627296f2869e12ee806f"
+
+
 def test_criterion_8_selftest_determinism():
     def body():
         a = canonical_json(run_selftest(order=4).to_data())
         b = canonical_json(run_selftest(order=4).to_data())
         assert a == b
         assert b"stages" in a
+        # pinned: a basis or sign change anywhere in the corpus pipeline moves it
+        assert hashlib.sha256(a).hexdigest() == SELFTEST_SHA256
 
     _report(8, "selftest reports are byte-identical", body)
 

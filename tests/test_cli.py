@@ -183,6 +183,22 @@ def test_corrupt_json_exit_two(capsys, tmp_path):
     assert "line" in err
 
 
+def test_non_utf8_file_exit_two(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    code, out, err = run_main(capsys, "validate", str(path))
+    assert code == 2
+    assert "not UTF-8" in err
+
+
+def test_deeply_nested_document_exit_two(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_main(capsys, "validate", str(path))
+    assert code == 2
+    assert "nested too deeply" in err
+
+
 def test_axiom_violation_exit_codes(capsys, tmp_path):
     doc = json.load(open(corpus("E1")))
     doc["bracket"][0]["result"] = [{"gen": "c", "coeff": "1"}]
@@ -272,9 +288,22 @@ def test_selftest_deterministic_bytes():
 
 
 def test_console_script_and_plain_text():
+    # Run the declared console-script entry point the way the wrapper that
+    # pip installs does, so the test needs no installed `dgla` executable.
+    import tomllib
+
+    root = os.path.dirname(CORPUS_DIR)
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["dgla"]
+    module, func = target.split(":")
+    wrapper = ("import sys; sys.argv[0] = 'dgla'; from %s import %s; sys.exit(%s())"
+               % (module, func, func))
+    src = os.path.join(root, "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     out = subprocess.run(
-        ["dgla", "validate", corpus("E0")],
-        capture_output=True, text=True, env=dict(os.environ, NO_COLOR="1"))
+        [sys.executable, "-c", wrapper, "validate", corpus("E0")],
+        capture_output=True, text=True,
+        env=dict(os.environ, NO_COLOR="1", PYTHONPATH=path))
     assert out.returncode == 0
     assert "[PASS] dgla-axioms" in out.stdout
     assert "\x1b[" not in out.stdout

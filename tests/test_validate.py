@@ -1,0 +1,114 @@
+"""validate_dgla against the brute-force naive_validate, report for report."""
+
+from collections import Counter
+from fractions import Fraction
+from random import Random
+
+from dgla import BUILTIN_NAMES, DGLA, antisymmetric_closure, builtin_example, validate_dgla
+from reference import naive_validate
+
+COEFFS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 7))
+
+
+def assert_same_report(L, label):
+    new, old = validate_dgla(L), naive_validate(L)
+    assert new.to_data() == old.to_data(), label
+    assert str(new) == str(old), label
+    return new
+
+
+def test_builtins_match_reference():
+    for name in BUILTIN_NAMES:
+        assert assert_same_report(builtin_example(name), name).ok
+
+
+def _tables(L, keep):
+    """d and bracket of L restricted to the generator names in keep."""
+    d = {x: [(t, c) for t, c in L.differential_of(x) if t in keep] for x in keep}
+    bracket = {}
+    for x, y in L.bracket_pairs():
+        if x in keep and y in keep:
+            bracket[(x, y)] = [(t, c) for t, c in L.bracket_of(x, y) if t in keep]
+    return d, bracket
+
+
+def _corrupt(gens, d, bracket, rng):
+    """One seeded corruption of the tables, in place."""
+    degree = dict(gens)
+    names = [x for x, _ in gens]
+    kind = rng.choice(("bracket", "bracket-degree", "d", "fraction"))
+    c = rng.choice(COEFFS)
+    x, y = rng.choice(names), rng.choice(names)
+    if kind in ("bracket", "bracket-degree"):
+        right = [z for z in names if degree[z] == degree[x] + degree[y]]
+        z = rng.choice(right if right and kind == "bracket" else names)
+        bracket.setdefault((x, y), []).append((z, c))
+        if x != y and rng.random() < 0.5:
+            # keep antisymmetry so the Leibniz and Jacobi sweeps see the entry
+            s = 1 if degree[x] % 2 and degree[y] % 2 else -1
+            bracket.setdefault((y, x), []).append((z, s * c))
+    elif kind == "d":
+        right = [z for z in names if degree[z] == degree[x] + 1]
+        z = rng.choice(right if right and rng.random() < 0.5 else names)
+        d.setdefault(x, []).append((z, c))
+    elif bracket:
+        pair = rng.choice(sorted(bracket))
+        f = rng.choice(COEFFS[3:])
+        for key in {pair, pair[::-1]}:
+            if key in bracket:
+                bracket[key] = [(t, f * v) for t, v in bracket[key]]
+
+
+def corrupted(seed):
+    """A builtin (E2 cut down to 4-8 generators) with 1-3 seeded corruptions."""
+    rng = Random(seed)
+    L = builtin_example(BUILTIN_NAMES[seed % len(BUILTIN_NAMES)])
+    gens = list(L.generators)
+    if len(gens) > 8:
+        gens = sorted(rng.sample(gens, rng.randint(4, 8)), key=L.generators.index)
+    d, bracket = _tables(L, {x for x, _ in gens})
+    for _ in range(rng.randint(1, 3)):
+        _corrupt(gens, d, bracket, rng)
+    return DGLA(gens, d=d, bracket=bracket, name="%s-corrupt%d" % (L.name, seed))
+
+
+def test_seeded_corruptions_match_reference():
+    seen = Counter()
+    for seed in range(300):
+        rep = assert_same_report(corrupted(seed), "seed %d" % seed)
+        seen.update({i.axiom for i in rep.issues} or {"valid"})
+    # every axiom fails somewhere, and some corruptions leave a valid DGLA
+    assert set(seen) == {"differential-degree", "differential-squared",
+                         "bracket-degree", "antisymmetry", "leibniz", "jacobi",
+                         "valid"}, seen
+
+
+def test_full_ce3_with_fractional_pair_matches_reference():
+    L = builtin_example("E2")
+    gens = list(L.generators)
+    d, bracket = _tables(L, {x for x, _ in gens})
+    for seed, f in enumerate(COEFFS[3:]):
+        pair = Random(seed).choice(sorted(bracket))
+        scaled = dict(bracket)
+        scaled[pair] = [(t, f * v) for t, v in bracket[pair]]
+        rep = assert_same_report(DGLA(gens, d=d, bracket=scaled), "E2 %s" % (pair,))
+        assert any(i.axiom == "jacobi" for i in rep.issues)
+
+
+def test_fractional_jacobi_failure_detail():
+    # [e,f] = h/2, [h,e] = 2e/3, [h,f] = -3f/7:
+    # [e,[f,h]] + [f,[h,e]] + [h,[e,f]] = 3h/14 - h/3 + 0 = -5h/42
+    gens = [("e", 0), ("f", 0), ("h", 0)]
+    L = DGLA(gens, bracket=antisymmetric_closure(gens, {
+        ("e", "f"): [("h", Fraction(1, 2))],
+        ("h", "e"): [("e", Fraction(2, 3))],
+        ("h", "f"): [("f", Fraction(-3, 7))],
+    }))
+    rep = assert_same_report(L, "fractional sl2")
+    jacobi = [i for i in rep.issues if i.axiom == "jacobi"]
+    assert [i.witness for i in jacobi] == [
+        ("e", "f", "h"), ("e", "h", "f"), ("f", "e", "h"),
+        ("f", "h", "e"), ("h", "e", "f"), ("h", "f", "e")]
+    assert jacobi[0].detail == "graded Jacobi sum = -5/42*h, expected 0"
+    assert jacobi[1].detail == "graded Jacobi sum = 5/42*h, expected 0"
+    assert len(jacobi) == len(rep.issues)
