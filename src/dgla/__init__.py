@@ -19,7 +19,6 @@ from .algebra import (
     koszul_sign,
     validate_dgla,
 )
-from .backend import kernel_backend
 from .catalog import BUILTIN_NAMES, builtin_example
 from .deform import (
     MCSolution,
@@ -42,7 +41,6 @@ from .hodge import (
     HodgeData,
     check_cartan,
     codifferential,
-    double_projection,
     hodge_data,
     hodge_decompose,
     laplacian,
@@ -91,14 +89,12 @@ __all__ = [
     "complement_basis",
     "compute_homology",
     "contraction_step",
-    "double_projection",
     "gauge_act",
     "gauge_equivalent",
     "gauge_fix",
     "hodge_data",
     "hodge_decompose",
     "image_basis",
-    "kernel_backend",
     "kernel_basis",
     "kur_membership",
     "kuranishi_inverse",

@@ -1,11 +1,11 @@
-"""Pure-python implementation of the hot inner loops.
+"""The two hot inner loops of the series arithmetic, in exact Fractions.
 
-A compiled twin of this module lives in _speedups.pyx; backend.py selects one
-at import time.  Both implement the same exact rational arithmetic and must
-return identical results on identical inputs (tests enforce this), so nothing
-downstream depends on which backend is active.
+bracket_convolve carries every bracket of formal elements (so the whole
+Maurer-Cartan solve) and matvec_terms every graded map applied to one.
+tests/test_kernels.py checks both against plain reference implementations
+in tests/reference.py.
 
-Conventions shared by both backends:
+Conventions:
   * a "terms" map sends an exponent tuple (one entry per ring variable) to a
     dense tuple of Fraction coefficients,
   * a structure table sends (i, j) index pairs to ((k, c), ...) tuples,

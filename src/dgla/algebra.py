@@ -12,7 +12,7 @@ bracket entry touches.  It stays exact, summing Jacobi terms as integers
 over the table scaled by the lcm of its denominators and reporting each
 failing sum as a Fraction.  apply_differential, apply_bracket and
 curvature extend the structure constants to FormalElements, with all series
-arithmetic truncated at the ring order through the kernel backend.
+arithmetic truncated at the ring order by _kernels.bracket_convolve.
 
 Sign conventions (cohomological grading, d of degree +1):
   [x, y] = -(-1)^{|x||y|} [y, x]
@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import groupby
 from math import lcm
 
-from .backend import bracket_convolve
+from ._kernels import bracket_convolve
 from .formal import FormalElement
 from .graded import GradedLinearMap
 from .linalg import Matrix, ZERO

@@ -27,6 +27,7 @@ from .deform import (
 )
 from .docio import DocumentError, load_dgla, parse_element, parse_rational
 from .formal import CoefficientRing, FormalElement
+from .hodge import star_operator
 from .linalg import kernel_basis, vec_add, vec_scale, zero_vec
 from .report import (
     RunReport,
@@ -116,6 +117,8 @@ def _element_arg(L, ring, text, expect_degree, flag):
                     blob = fh.read()
             except OSError as e:
                 raise CliError("%s: cannot read %s: %s" % (flag, text, e)) from None
+            except UnicodeDecodeError as e:
+                raise CliError("%s: %s is not UTF-8 text: %s" % (flag, text, e)) from None
         else:
             raise CliError(
                 "%s: %r is neither inline JSON nor an existing file" % (flag, text)
@@ -228,7 +231,7 @@ def cmd_hodge(args):
     L, _ = _load(args.file, allow_invalid=args.allow_invalid)
     R = _contraction(L)
     checks, witnesses = hodge_checks(L, R)
-    star = R.pi_H + R.differential + R.h
+    star = star_operator(R)
     dh = R.differential + R.h
     data = {
         "star": graded_map_data(star),

@@ -4,10 +4,10 @@ A graded space is described by a dims profile, a mapping degree -> dimension
 (zero dimensions omitted).  A GradedLinearMap keeps one exact Matrix per
 (source degree, target degree) pair that it touches; absent blocks are zero.
 Maps need not be homogeneous, but the ones that are can shift a FormalElement
-degree by degree through the kernel backend.
+degree by degree through _kernels.matvec_terms.
 """
 
-from .backend import matvec_terms
+from ._kernels import matvec_terms
 from .formal import FormalElement
 from .linalg import Matrix
 

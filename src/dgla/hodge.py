@@ -59,17 +59,15 @@ def laplacian(R):
     return lap
 
 
-def double_projection(R):
-    """The projection onto D(B) = B + B* along H (equals the Laplacian)."""
-    return laplacian(R)
-
-
 def hodge_data(R):
+    """The Hodge package of R; the double projection onto D(B) = B + B*
+    along H is the Laplacian itself, so both fields hold one matrix."""
+    lap = laplacian(R)
     return HodgeData(
         star=star_operator(R),
         d_star=codifferential(R),
-        laplacian=laplacian(R),
-        double_projection=double_projection(R),
+        laplacian=lap,
+        double_projection=lap,
     )
 
 

@@ -61,7 +61,7 @@ def hodge_checks(L, R):
     """The Hodge-package identities as (label, pass) pairs plus witnesses."""
     d = R.differential
     h = R.h
-    star = R.pi_H + d + h
+    star = star_operator(R)
     ok_invol = (star @ star) == R.identity
     ok_codiff = (star @ d @ star) == h
     dh = d + h
@@ -82,7 +82,7 @@ def hodge_checks(L, R):
         for k in range(n):
             e = tuple(1 if j == k else 0 for j in range(n))
             vB, vH, vBs = hodge_decompose(R, deg, e)
-            if vec_add(vec_add(vB, vH), vBs) != tuple(map(_frac, e)):
+            if vec_add(vec_add(vB, vH), vBs) != tuple(map(Fraction, e)):
                 ok_decomp = False
             if any(vB) and not split.boundaries[deg].contains(vB):
                 ok_decomp = False
@@ -102,10 +102,6 @@ def hodge_checks(L, R):
         ("cartan-condition", ok_cartan),
     ]
     return checks, witnesses
-
-
-def _frac(x):
-    return Fraction(x)
 
 
 def solver_checks(L, R, order):
@@ -176,10 +172,10 @@ def gauge_checks(L, R, order, flats):
     flat_list = [zero1] + [tau for tau in flats if tau.ring == ring]
 
     if dim0:
-        ones = tuple(_frac(1) for _ in range(dim0))
+        ones = tuple(Fraction(1) for _ in range(dim0))
         a1 = FormalElement(ring, 0, dim0, {(1,): ones})
-        e_first = tuple(_frac(1 if j == 0 else 0) for j in range(dim0))
-        e_last = tuple(_frac(1 if j == dim0 - 1 else 0) for j in range(dim0))
+        e_first = tuple(Fraction(1 if j == 0 else 0) for j in range(dim0))
+        e_last = tuple(Fraction(1 if j == dim0 - 1 else 0) for j in range(dim0))
         a2 = FormalElement(ring, 0, dim0, {(1,): e_first, (2,): e_last})
         for ai, a in enumerate((a1, a2)):
             for fi, A in enumerate(flat_list):
@@ -200,7 +196,7 @@ def gauge_checks(L, R, order, flats):
 
     ok_idem = True
     for k in range(dim1):
-        e = tuple(_frac(1 if j == k else 0) for j in range(dim1))
+        e = tuple(Fraction(1 if j == k else 0) for j in range(dim1))
         v = FormalElement(ring, 1, dim1, {(1,): e})
         fixed = gauge_fix(R, v)
         if gauge_fix(R, fixed) != fixed:

@@ -1,8 +1,8 @@
-"""Naive reference implementations used to cross-check the kernels.
+"""Naive reference implementations used to cross-check the package.
 
-Everything here recomputes results generator-by-generator with no sparsity,
-no structure tables and no truncation tricks, so agreement with the package
-is meaningful.
+Everything here recomputes results from the definitions, generator by
+generator, with no sparsity shortcuts and no truncation tricks, so agreement
+with the package is meaningful.
 """
 
 from fractions import Fraction
@@ -56,6 +56,45 @@ def naive_differential(L, u):
         if any(acc):
             terms[mono] = tuple(acc)
     return FormalElement(u.ring, out_deg, dim, terms)
+
+
+def naive_convolve(uterms, vterms, table, trunc, out_dim):
+    """The bracket convolution by definition: expand every monomial pair,
+    then keep the product monomials of total degree <= trunc.
+
+    Same data conventions as dgla._kernels.bracket_convolve: terms maps send
+    an exponent tuple to a coefficient tuple, table sends (i, j) to
+    ((k, c), ...) with [e_i, e_j] = sum c e_k.
+    """
+    full = {}
+    for m1, v1 in uterms.items():
+        for m2, v2 in vterms.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            acc = full.setdefault(mono, [Fraction(0)] * out_dim)
+            for i in range(len(v1)):
+                for j in range(len(v2)):
+                    for k, c in table.get((i, j), ()):
+                        acc[k] += v1[i] * v2[j] * c
+    return {m: tuple(a) for m, a in full.items()
+            if sum(m) <= trunc and any(a)}
+
+
+def naive_matvec(terms, rows, out_dim):
+    """A sparse matrix applied to every coefficient vector, through the dense
+    matrix it stands for; monomials whose image is zero are dropped."""
+    ncols = max([len(v) for v in terms.values()]
+                + [c + 1 for row in rows for c, _ in row], default=0)
+    dense = [[Fraction(0)] * ncols for _ in range(out_dim)]
+    for r in range(out_dim):
+        for c, coeff in rows[r]:
+            dense[r][c] += coeff
+    out = {}
+    for mono, v in terms.items():
+        w = tuple(sum((dense[r][c] * v[c] for c in range(ncols)), Fraction(0))
+                  for r in range(out_dim))
+        if any(w):
+            out[mono] = w
+    return out
 
 
 def _scale_combo(c, combo):

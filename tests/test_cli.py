@@ -133,6 +133,15 @@ def test_kuranishi_missing_input_file(capsys):
     assert "neither inline JSON nor an existing file" in err
 
 
+def test_kuranishi_non_utf8_input_exit_two(capsys, tmp_path):
+    path = tmp_path / "elem.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_main(
+        capsys, "kuranishi", corpus("E1"), "--input", str(path))
+    assert code == 2
+    assert "--input" in err and "not UTF-8" in err
+
+
 def test_gauge_equiv_e4_witness(capsys):
     code, rep, _ = run_json(
         capsys, "gauge-equiv", corpus("E4"),
@@ -154,6 +163,17 @@ def test_gauge_equiv_no_witness_is_data(capsys):
     data = stage(rep, "gauge-equiv")["data"]
     assert data["equivalent"] is False
     assert data["complete"] is True
+
+
+def test_gauge_equiv_non_utf8_a_exit_two(capsys, tmp_path):
+    path = tmp_path / "a.json"
+    path.write_bytes('{"degree": 1, "terms": {"t": {"x": "\u00e9"}}}'
+                     .encode("latin-1"))
+    code, out, err = run_main(
+        capsys, "gauge-equiv", corpus("E4"),
+        "--a", str(path), "--b", '{"degree": 1, "terms": {}}')
+    assert code == 2
+    assert "--a" in err and "not UTF-8" in err
 
 
 def test_gauge_equiv_rejects_non_flat(capsys):

@@ -1,18 +1,16 @@
 from fractions import Fraction
 from random import Random
 
-from dgla import BUILTIN_NAMES, builtin_example, kernel_backend
-from dgla import _kernels
+from dgla import BUILTIN_NAMES, builtin_example
+from dgla._kernels import bracket_convolve, matvec_terms
 from dgla.formal import CoefficientRing, FormalElement
 
-from reference import naive_bracket, naive_differential
-
-try:
-    from dgla import _speedups
-except ImportError:
-    _speedups = None
-
-BACKENDS = [_kernels] + ([_speedups] if _speedups is not None else [])
+from reference import (
+    naive_bracket,
+    naive_convolve,
+    naive_differential,
+    naive_matvec,
+)
 
 
 def F(*args):
@@ -28,10 +26,6 @@ def random_element(L, ring, deg, rng):
             if any(v):
                 terms[mono] = v
     return FormalElement(ring, deg, n, terms)
-
-
-def test_backend_reports_name():
-    assert kernel_backend() in ("python", "compiled")
 
 
 def test_bracket_matches_naive_reference():
@@ -58,10 +52,9 @@ def test_differential_matches_naive_reference():
                 (name, p)
 
 
-def test_backends_agree_randomized():
-    if _speedups is None:
-        return
+def test_kernels_match_reference_randomized():
     rng = Random(47)
+    nonzero = 0
     for _ in range(60):
         nv = rng.randint(1, 3)
         dim_u, dim_v, out_dim = (rng.randint(1, 5) for _ in range(3))
@@ -85,24 +78,24 @@ def test_backends_agree_randomized():
                     table[(i, j)] = tuple(
                         (rng.randrange(out_dim), F(rng.randint(-3, 3)))
                         for _ in range(rng.randint(1, 2)))
-        a = _kernels.bracket_convolve(u, v, table, trunc, out_dim)
-        b = _speedups.bracket_convolve(u, v, table, trunc, out_dim)
-        assert a == b
+        w = bracket_convolve(u, v, table, trunc, out_dim)
+        assert w == naive_convolve(u, v, table, trunc, out_dim)
+        nonzero += bool(w)
         rows = tuple(
             tuple((c, F(rng.randint(-5, 5), rng.randint(1, 3)))
                   for c in range(dim_u) if rng.random() < 0.6)
             for _ in range(out_dim))
-        assert _kernels.matvec_terms(u, rows, out_dim) == \
-            _speedups.matvec_terms(u, rows, out_dim)
+        assert matvec_terms(u, rows, out_dim) == \
+            naive_matvec(u, rows, out_dim)
+    assert nonzero >= 10  # the comparison is not vacuous
 
 
 def test_truncation_drops_high_monomials():
     u = {(2,): (F(1),)}
     v = {(3,): (F(1),)}
     table = {(0, 0): ((0, F(1)),)}
-    for mod in BACKENDS:
-        assert mod.bracket_convolve(u, v, table, 4, 1) == {}
-        assert mod.bracket_convolve(u, v, table, 5, 1) == {(5,): (F(1),)}
+    assert bracket_convolve(u, v, table, 4, 1) == {}
+    assert bracket_convolve(u, v, table, 5, 1) == {(5,): (F(1),)}
 
 
 def test_zero_results_are_dropped():
@@ -110,6 +103,5 @@ def test_zero_results_are_dropped():
     v = {(1,): (F(1), F(1))}
     # [e0, e1] = +g, [e1, e0] = -g: contributions cancel exactly
     table = {(0, 1): ((0, F(1)),), (1, 0): ((0, F(1)),)}
-    for mod in BACKENDS:
-        assert mod.bracket_convolve(u, v, table, 4, 1) == {}
-        assert mod.matvec_terms(u, ((), ()), 2) == {}
+    assert bracket_convolve(u, v, table, 4, 1) == {}
+    assert matvec_terms(u, ((), ()), 2) == {}
