@@ -38,10 +38,7 @@ from .deform import (
 from .formal import CoefficientRing, FormalElement
 from .graded import GradedLinearMap
 from .hodge import (
-    HodgeData,
     check_cartan,
-    codifferential,
-    hodge_data,
     hodge_decompose,
     laplacian,
     star_operator,
@@ -70,7 +67,6 @@ __all__ = [
     "DGLA",
     "FormalElement",
     "GradedLinearMap",
-    "HodgeData",
     "HomologyData",
     "MCSolution",
     "Matrix",
@@ -85,14 +81,12 @@ __all__ = [
     "build_splitting",
     "builtin_example",
     "check_cartan",
-    "codifferential",
     "complement_basis",
     "compute_homology",
     "contraction_step",
     "gauge_act",
     "gauge_equivalent",
     "gauge_fix",
-    "hodge_data",
     "hodge_decompose",
     "image_basis",
     "kernel_basis",

@@ -27,7 +27,7 @@ from .deform import (
 )
 from .docio import DocumentError, load_dgla, parse_element, parse_rational
 from .formal import CoefficientRing, FormalElement
-from .hodge import star_operator
+from .hodge import hodge_checks, laplacian, star_operator
 from .linalg import kernel_basis, vec_add, vec_scale, zero_vec
 from .report import (
     RunReport,
@@ -37,8 +37,8 @@ from .report import (
     graded_map_data,
     rational_str,
 )
-from .sdr import build_contraction, build_splitting, compute_homology
-from .selftest import hodge_checks, run_selftest, sdr_checks
+from .sdr import build_contraction, build_splitting, compute_homology, sdr_checks
+from .selftest import run_selftest
 
 ORDER_CAP = 16
 
@@ -178,7 +178,10 @@ def cmd_validate(args):
 
 def cmd_homology(args):
     L, _ = _load(args.file, allow_invalid=args.allow_invalid)
-    hom = compute_homology(L)
+    try:
+        hom = compute_homology(L)
+    except ValueError as e:
+        raise CliError("homology: %s" % e) from None
     ok_rank = True
     ok_sub = True
     for deg in L.degrees:
@@ -231,11 +234,9 @@ def cmd_hodge(args):
     L, _ = _load(args.file, allow_invalid=args.allow_invalid)
     R = _contraction(L)
     checks, witnesses = hodge_checks(L, R)
-    star = star_operator(R)
-    dh = R.differential + R.h
     data = {
-        "star": graded_map_data(star),
-        "laplacian": graded_map_data(dh @ dh),
+        "star": graded_map_data(star_operator(R)),
+        "laplacian": graded_map_data(laplacian(R)),
     }
     if witnesses:
         data["cartan_witnesses"] = [list(w) for w in witnesses]

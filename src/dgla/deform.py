@@ -87,6 +87,15 @@ def _normalized(x, order):
     return x
 
 
+def _initial_value(L, x, order):
+    """The IVP precondition shared by both solvers: x normalized, with a
+    cocycle as its order-1 part (otherwise no solution with tau^1 = x^1)."""
+    x = _normalized(x, order)
+    if not L.apply_differential(x.homogeneous_part(1)).is_zero():
+        raise ValueError("the order-1 part of the initial value is not a cocycle")
+    return x
+
+
 def _package(L, R, direction, tau, iterations):
     residual = L.curvature(tau)
     obstruction = R.harmonic_projection(residual)
@@ -101,9 +110,7 @@ def solve_mc_ivp(L, R, x, order=None):
     solves the fixed-point equation, and flatness is reported separately
     through residual and obstruction.
     """
-    x = _normalized(x, order)
-    if not L.apply_differential(x.homogeneous_part(1)).is_zero():
-        raise ValueError("the order-1 part of the initial value is not a cocycle")
+    x = _initial_value(L, x, order)
     tau, iters = _fixed_point(L, R, x)
     return _package(L, R, x, tau, iters)
 
@@ -115,9 +122,7 @@ def solve_by_recursion(L, R, x, order=None):
 
     Cross-checks the fixed-point engine; iterations is the truncation order.
     """
-    x = _normalized(x, order)
-    if not L.apply_differential(x.homogeneous_part(1)).is_zero():
-        raise ValueError("the order-1 part of the initial value is not a cocycle")
+    x = _initial_value(L, x, order)
     N = x.ring.order
     dim2 = L.dim(2)
     parts = {}

@@ -76,6 +76,13 @@ def _str_field(entry, key, where):
     return value
 
 
+def _list_field(doc, key, default=None):
+    value = doc.get(key, default)
+    if not isinstance(value, list):
+        raise DocumentError("%s must be a list" % key)
+    return value
+
+
 def document_to_dgla(doc):
     """Build the DGLA described by a parsed document (no axiom checking)."""
     field = doc.get("field")
@@ -85,11 +92,8 @@ def document_to_dgla(doc):
     if not isinstance(name, str):
         raise DocumentError("name must be a string")
 
-    raw_gens = doc.get("generators")
-    if not isinstance(raw_gens, list):
-        raise DocumentError("generators must be a list")
     generators = []
-    for entry in raw_gens:
+    for entry in _list_field(doc, "generators"):
         if not isinstance(entry, dict):
             raise DocumentError("each generator must be an object")
         gname = _str_field(entry, "name", "generator")
@@ -109,7 +113,7 @@ def document_to_dgla(doc):
         return combo
 
     d = {}
-    for entry in doc.get("d", []):
+    for entry in _list_field(doc, "d", []):
         if not isinstance(entry, dict):
             raise DocumentError("each d entry must be an object")
         src = _str_field(entry, "from", "d entry")
@@ -118,7 +122,7 @@ def document_to_dgla(doc):
         d[src] = parse_combo(entry.get("to"), "d entry for %r" % src)
 
     pairs = {}
-    for entry in doc.get("bracket", []):
+    for entry in _list_field(doc, "bracket", []):
         if not isinstance(entry, dict):
             raise DocumentError("each bracket entry must be an object")
         left = _str_field(entry, "left", "bracket entry")

@@ -1,4 +1,4 @@
-"""The Hodge package attached to a contraction.
+"""The Hodge package attached to a contraction, and its identity checks.
 
 With the splitting g = B + H + B* (B = im d, B* = im h = C) the star
 operator is the unsigned chain-level map
@@ -6,34 +6,17 @@ operator is the unsigned chain-level map
     * = nabla pi + d + h
 
 which swaps B and B* blockwise, fixes H, and squares to the identity.  The
-codifferential is recovered as *d* = h, the Laplacian is (d + h)^2 = dh + hd
-= Id - nabla pi, and the double projection onto D(B) = B + B* is the
-Laplacian itself (projection sign convention: the Laplacian here is a
-projection operator, so its kernel is exactly H).
+codifferential is recovered as *d* = h, and the Laplacian (d + h)^2 =
+dh + hd = Id - nabla pi is a projection whose kernel is exactly H.
+
+star_operator and laplacian only build the matrices; hodge_checks is the one
+place that verifies these identities (plus the decomposition and the Cartan
+condition) and reports each as a named pass/fail check.
 """
 
-from .graded import GradedLinearMap
-from .linalg import vec_sub
+from fractions import Fraction
 
-
-class HodgeData:
-    """star, codifferential, Laplacian and the projection onto B + B*."""
-
-    __slots__ = ("star", "d_star", "laplacian", "double_projection")
-
-    def __init__(self, star, d_star, laplacian, double_projection):
-        self.star = star
-        self.d_star = d_star
-        self.laplacian = laplacian
-        self.double_projection = double_projection
-
-    def j_operator(self):
-        """The restriction of * to D(B) (read-only view): * after the double
-        projection, which is zero on H and swaps B with B*."""
-        return self.star @ self.double_projection
-
-    def __repr__(self):
-        return "HodgeData(star blocks %r)" % (sorted(self.star.blocks),)
+from .linalg import rank, vec_add, vec_is_zero, vec_sub
 
 
 def star_operator(R):
@@ -41,34 +24,10 @@ def star_operator(R):
     return R.pi_H + R.differential + R.h
 
 
-def codifferential(R):
-    """h, after verifying the identity * d * = h exactly."""
-    star = star_operator(R)
-    if star @ R.differential @ star != R.h:
-        raise ValueError("codifferential identity * d * = h failed (convention bug)")
-    return R.h
-
-
 def laplacian(R):
-    """(d + h)^2, verified to equal dh + hd = Id - nabla pi exactly."""
+    """(d + h)^2, which equals dh + hd = Id - nabla pi for a contraction."""
     dh = R.differential + R.h
-    lap = dh @ dh
-    expect = R.identity - R.pi_H
-    if lap != expect:
-        raise ValueError("laplacian identity (d+h)^2 = Id - nabla pi failed")
-    return lap
-
-
-def hodge_data(R):
-    """The Hodge package of R; the double projection onto D(B) = B + B*
-    along H is the Laplacian itself, so both fields hold one matrix."""
-    lap = laplacian(R)
-    return HodgeData(
-        star=star_operator(R),
-        d_star=codifferential(R),
-        laplacian=lap,
-        double_projection=lap,
-    )
+    return dh @ dh
 
 
 def hodge_decompose(R, degree, v):
@@ -112,3 +71,48 @@ def check_cartan(L, R):
                     if Bstar is None or not Bstar.contains(hw):
                         witnesses.append((p, iu, q, iv))
     return not witnesses, witnesses
+
+
+def hodge_checks(L, R):
+    """The seven Hodge-package identities as (label, pass) pairs, plus the
+    Cartan witnesses."""
+    star = star_operator(R)
+    ok_invol = (star @ star) == R.identity
+    ok_codiff = (star @ R.differential @ star) == R.h
+    lap = laplacian(R)
+    ok_lap = lap == R.identity - R.pi_H
+    ok_idem = (lap @ lap) == lap
+
+    ok_kernel = True
+    ok_decomp = True
+    split = R.splitting
+    for deg, n in sorted(split.dims.items()):
+        block = lap.block(deg, deg)
+        if rank(block) != n - split.harmonic[deg].dim:
+            ok_kernel = False
+        for v in split.harmonic[deg].vectors:
+            if not vec_is_zero(block.mul_vec(v)):
+                ok_kernel = False
+        for k in range(n):
+            e = tuple(1 if j == k else 0 for j in range(n))
+            vB, vH, vBs = hodge_decompose(R, deg, e)
+            if vec_add(vec_add(vB, vH), vBs) != tuple(map(Fraction, e)):
+                ok_decomp = False
+            if any(vB) and not split.boundaries[deg].contains(vB):
+                ok_decomp = False
+            if any(vH) and not split.harmonic[deg].contains(vH):
+                ok_decomp = False
+            if any(vBs) and not split.complement[deg].contains(vBs):
+                ok_decomp = False
+
+    ok_cartan, witnesses = check_cartan(L, R)
+    checks = [
+        ("star-involution", ok_invol),
+        ("codifferential-identity", ok_codiff),
+        ("laplacian-identity", ok_lap),
+        ("double-projection-idempotent", ok_idem),
+        ("laplacian-kernel", ok_kernel),
+        ("hodge-decomposition", ok_decomp),
+        ("cartan-condition", ok_cartan),
+    ]
+    return checks, witnesses

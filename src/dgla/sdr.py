@@ -14,7 +14,8 @@ the inclusion nabla of H into g it satisfies, as exact matrix identities,
     (d h + h d) pi_B = pi_B        d h z = z  for z in B
     d v = h v = 0                  for v in H
 
-verify_sdr checks all of them and reports violations instead of raising.
+verify_sdr checks all of them and reports violations instead of raising;
+sdr_checks turns its report into one named pass/fail check per identity.
 """
 
 from .algebra import ValidationIssue, ValidationReport
@@ -244,7 +245,7 @@ def build_contraction(L, S):
 
 
 def verify_sdr(L, R):
-    """Check the seven contraction identities as exact matrix identities."""
+    """Check the eight contraction identities as exact matrix identities."""
     issues = []
     d = L.differential
     h = R.h
@@ -283,3 +284,21 @@ def verify_sdr(L, R):
                       "h v != 0 on harmonic basis vector %d" % k)
 
     return ValidationReport("sdr(%s)" % L.name, issues)
+
+
+SDR_CHECK_LABELS = (
+    "homotopy-identity",
+    "boundary-retraction",
+    "boundary-section",
+    "h-squared",
+    "retract-identity",
+    "side-condition-h-nabla",
+    "side-condition-pi-h",
+    "harmonic-killed",
+)
+
+
+def sdr_checks(L, R):
+    """The eight contraction identities of verify_sdr as (label, pass) pairs."""
+    bad = {issue.axiom for issue in verify_sdr(L, R).issues}
+    return [(label, label not in bad) for label in SDR_CHECK_LABELS]

@@ -1,7 +1,9 @@
 """The corpus invariant suite behind `dgla selftest`.
 
 Runs every exact identity from the contraction, Hodge and deformation layers
-over the built-in examples and reports each as a named pass/fail check.
+over the built-in examples and reports each as a named pass/fail check.  The
+contraction and Hodge checks live beside what they check (sdr.sdr_checks,
+hodge.hodge_checks); the solver and gauge checks are assembled here.
 Everything here is deterministic: fixed corpus order, fixed truncation
 order, fixed gauge elements, so two runs serialize to identical bytes.
 """
@@ -23,85 +25,10 @@ from .deform import (
     universal_solution,
 )
 from .formal import CoefficientRing, FormalElement
-from .hodge import check_cartan, hodge_decompose, star_operator
-from .linalg import kernel_basis, rank, vec_add, vec_is_zero, vec_sub
+from .hodge import hodge_checks
+from .linalg import kernel_basis
 from .report import RunReport, element_data
-from .sdr import build_contraction, build_splitting, verify_sdr
-
-SDR_CHECK_LABELS = (
-    "homotopy-identity",
-    "boundary-retraction",
-    "boundary-section",
-    "h-squared",
-    "retract-identity",
-    "side-condition-h-nabla",
-    "side-condition-pi-h",
-    "harmonic-killed",
-)
-
-HODGE_CHECK_LABELS = (
-    "star-involution",
-    "codifferential-identity",
-    "laplacian-identity",
-    "double-projection-idempotent",
-    "laplacian-kernel",
-    "hodge-decomposition",
-    "cartan-condition",
-)
-
-
-def sdr_checks(L, R):
-    """The seven contraction identities as (label, pass) pairs."""
-    rep = verify_sdr(L, R)
-    bad = {issue.axiom for issue in rep.issues}
-    return [(label, label not in bad) for label in SDR_CHECK_LABELS]
-
-
-def hodge_checks(L, R):
-    """The Hodge-package identities as (label, pass) pairs plus witnesses."""
-    d = R.differential
-    h = R.h
-    star = star_operator(R)
-    ok_invol = (star @ star) == R.identity
-    ok_codiff = (star @ d @ star) == h
-    dh = d + h
-    lap = dh @ dh
-    ok_lap = lap == R.identity - R.pi_H
-    ok_idem = (lap @ lap) == lap
-
-    ok_kernel = True
-    ok_decomp = True
-    split = R.splitting
-    for deg, n in sorted(split.dims.items()):
-        block = lap.block(deg, deg)
-        if rank(block) != n - split.harmonic[deg].dim:
-            ok_kernel = False
-        for v in split.harmonic[deg].vectors:
-            if not vec_is_zero(block.mul_vec(v)):
-                ok_kernel = False
-        for k in range(n):
-            e = tuple(1 if j == k else 0 for j in range(n))
-            vB, vH, vBs = hodge_decompose(R, deg, e)
-            if vec_add(vec_add(vB, vH), vBs) != tuple(map(Fraction, e)):
-                ok_decomp = False
-            if any(vB) and not split.boundaries[deg].contains(vB):
-                ok_decomp = False
-            if any(vH) and not split.harmonic[deg].contains(vH):
-                ok_decomp = False
-            if any(vBs) and not split.complement[deg].contains(vBs):
-                ok_decomp = False
-
-    ok_cartan, witnesses = check_cartan(L, R)
-    checks = [
-        ("star-involution", ok_invol),
-        ("codifferential-identity", ok_codiff),
-        ("laplacian-identity", ok_lap),
-        ("double-projection-idempotent", ok_idem),
-        ("laplacian-kernel", ok_kernel),
-        ("hodge-decomposition", ok_decomp),
-        ("cartan-condition", ok_cartan),
-    ]
-    return checks, witnesses
+from .sdr import build_contraction, build_splitting, sdr_checks
 
 
 def solver_checks(L, R, order):

@@ -15,7 +15,6 @@ from dgla import (
     build_contraction,
     build_splitting,
     builtin_example,
-    codifferential,
     gauge_act,
     gauge_equivalent,
     gauge_fix,
@@ -88,7 +87,7 @@ def test_criterion_2_hodge_suite():
             L, R = _fresh(name)
             star = star_operator(R)
             assert star @ star == R.identity
-            assert codifferential(R) == R.h
+            assert star @ R.differential @ star == R.h
             lap = laplacian(R)
             assert lap == R.differential @ R.h + R.h @ R.differential
             assert lap == R.identity - R.inclusion @ R.projection

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 from dgla.cli import main
-from dgla.report import parse_report
+from dgla.report import canonical_json, parse_report
 
 CORPUS_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "corpus")
 
@@ -63,6 +64,35 @@ def test_sdr_and_hodge_pass(capsys):
         for name in ("E0", "E1", "E2", "E3", "E4"):
             code, rep, _ = run_json(capsys, cmd, corpus(name))
             assert code == 0, (cmd, name)
+
+
+# sha256 of canonical_json(report["stages"]) per corpus file; "input" is left
+# out because it holds the path
+REPORT_STAGES_SHA256 = {
+    "sdr": {
+        "E0": "b9da22c62d03920e293f4e1893e488c7aa0e9700324144a286a22e27bcea66af",
+        "E1": "bea7a77f90cc6ad22bcb9ab6d70a301e348b0d32fd205b346748257338a9cbc3",
+        "E2": "dd9cd934edb71d2c710c30920cb1fb91174b5ca4305fc81d81e9a1977763db55",
+        "E3": "1ea417b99b5f3ac21eefa82859bd2b1d851b8b2c1375ae8429eca3844b0830fb",
+        "E4": "5dec59df59db163ba0c35a9784419946b26ac68da3f5b3d55e6dce6f4b5f7d8a",
+    },
+    "hodge": {
+        "E0": "6354fd32b529b46adfb2fb9e76d8954a87cba2699703b2d4fe3060bf3d8ce043",
+        "E1": "e1248257fd77d19d669894afea70f0b41486534589eb2a38ccf2d4b5171131fd",
+        "E2": "aeafbefb774caa662f435a6678d2cae977d2f22382bd6c71345ff0c825db1056",
+        "E3": "f4cf9a6cc0a417e8a7a54933b7e9c3d7686b9506672751d8d8a4b79a035b3d81",
+        "E4": "6aa327fa0cd84b8415bfbde52c534a1563bd99041153ea6d85d8d4f1ff575f4c",
+    },
+}
+
+
+@pytest.mark.parametrize("cmd, name", [
+    (cmd, name) for cmd, pins in REPORT_STAGES_SHA256.items() for name in pins])
+def test_sdr_and_hodge_report_bytes_pinned(capsys, cmd, name):
+    code, rep, _ = run_json(capsys, cmd, corpus(name))
+    assert code == 0
+    digest = hashlib.sha256(canonical_json(rep["stages"])).hexdigest()
+    assert digest == REPORT_STAGES_SHA256[cmd][name]
 
 
 def test_mc_solve_e1_worked_example(capsys):
@@ -235,6 +265,23 @@ def test_axiom_violation_exit_codes(capsys, tmp_path):
     # unless explicitly allowed
     code, out, err = run_main(capsys, "sdr", str(path), "--allow-invalid")
     assert code == 0
+
+
+def test_homology_non_homogeneous_d_exit_two(capsys, tmp_path):
+    # d x = y with x in degree 0 and y in degree 2: d is not of degree +1
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps({
+        "name": "skew", "field": "Q",
+        "generators": [{"name": "x", "degree": 0}, {"name": "y", "degree": 2}],
+        "d": [{"from": "x", "to": [{"gen": "y", "coeff": "1"}]}],
+        "bracket": [],
+    }))
+    code, out, err = run_main(capsys, "homology", str(path), "--allow-invalid")
+    assert code == 2
+    assert err.startswith("error: homology: ") and "not homogeneous" in err
+    for cmd in ("sdr", "hodge"):
+        code, out, err = run_main(capsys, cmd, str(path), "--allow-invalid")
+        assert code == 2, cmd
 
 
 def test_direction_count_mismatch(capsys):

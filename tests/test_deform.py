@@ -70,12 +70,14 @@ def test_e0_trivial_solution():
     assert sol.iterations == 1
 
 
-def test_non_cocycle_direction_rejected():
+@pytest.mark.parametrize("solver", [solve_mc_ivp, solve_by_recursion],
+                         ids=lambda f: f.__name__)
+def test_non_cocycle_direction_rejected(solver):
     L, R = contraction_for("E1")
     ring = CoefficientRing.single(3)
     c = L.generator_element(ring, "c")
-    with pytest.raises(ValueError):
-        solve_mc_ivp(L, R, c)
+    with pytest.raises(ValueError, match="not a cocycle"):
+        solver(L, R, c)
 
 
 def test_obstructed_direction_still_solved():

@@ -130,6 +130,14 @@ def test_duplicate_entries_rejected():
         document_to_dgla(doc)
 
 
+@pytest.mark.parametrize("key, value", [("d", 5), ("bracket", None)])
+def test_non_list_d_or_bracket_rejected(key, value):
+    doc = doc_e1()
+    doc[key] = value
+    with pytest.raises(DocumentError, match="%s must be a list" % key):
+        document_to_dgla(doc)
+
+
 def test_empty_document_gives_zero_dgla():
     doc = {"name": "zero", "field": "Q", "generators": [], "d": [], "bracket": []}
     L = document_to_dgla(doc)

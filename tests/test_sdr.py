@@ -11,7 +11,7 @@ from dgla import (
 )
 from dgla.graded import GradedLinearMap
 from dgla.linalg import vec
-from dgla.sdr import SDRData
+from dgla.sdr import SDRData, sdr_checks
 
 from conftest import contraction_for
 
@@ -93,6 +93,8 @@ def test_verify_sdr_labels():
     assert "boundary-section" in broken
     assert "homotopy-identity" in broken
     assert broken <= labels
+    # sdr_checks reports exactly the axioms verify_sdr flags, none dropped
+    assert {label for label, ok in sdr_checks(L, bad) if not ok} == broken
 
 
 def test_homotopy_identity_matrices(corpus_case):
