@@ -12,7 +12,9 @@ bracket entry touches.  It stays exact, summing Jacobi terms as integers
 over the table scaled by the lcm of its denominators and reporting each
 failing sum as a Fraction.  apply_differential, apply_bracket and
 curvature extend the structure constants to FormalElements, with all series
-arithmetic truncated at the ring order by _kernels.bracket_convolve.
+arithmetic truncated at the ring order by _kernels.bracket_convolve, which
+walks only the monomial pairs within the order (bucketed by total degree) and
+sums lcm-scaled integers; its results are still exact Fractions.
 
 Sign conventions (cohomological grading, d of degree +1):
   [x, y] = -(-1)^{|x||y|} [y, x]

@@ -77,11 +77,11 @@ def _checked_order(args):
     return n
 
 
-def _contraction(L):
+def _contraction(L, command):
     try:
         return build_contraction(L, build_splitting(L))
     except ValueError as e:
-        raise CliError("sdr: %s" % e) from None
+        raise CliError("%s: %s" % (command, e)) from None
 
 
 def _parse_direction(text, k):
@@ -208,7 +208,7 @@ def cmd_homology(args):
 
 def cmd_sdr(args):
     L, _ = _load(args.file, allow_invalid=args.allow_invalid)
-    R = _contraction(L)
+    R = _contraction(L, args.command)
     S = R.splitting
     r = RunReport(input_info=_input_info(args.file))
     r.add_stage(
@@ -232,7 +232,7 @@ def cmd_sdr(args):
 
 def cmd_hodge(args):
     L, _ = _load(args.file, allow_invalid=args.allow_invalid)
-    R = _contraction(L)
+    R = _contraction(L, args.command)
     checks, witnesses = hodge_checks(L, R)
     data = {
         "star": graded_map_data(star_operator(R)),
@@ -247,7 +247,7 @@ def cmd_hodge(args):
 
 def cmd_mc_solve(args):
     L, _ = _load(args.file, allow_invalid=args.allow_invalid)
-    R = _contraction(L)
+    R = _contraction(L, args.command)
     order = _checked_order(args)
     ring = CoefficientRing(("t",), order)
     x, coeffs = _direction_element(L, R, ring, args.direction)
@@ -266,7 +266,7 @@ def cmd_mc_solve(args):
 
 def cmd_universal(args):
     L, _ = _load(args.file, allow_invalid=args.allow_invalid)
-    R = _contraction(L)
+    R = _contraction(L, args.command)
     order = _checked_order(args)
     try:
         sol = universal_solution(L, R, order)
@@ -286,7 +286,7 @@ def cmd_universal(args):
 
 def cmd_kuranishi(args):
     L, _ = _load(args.file, allow_invalid=args.allow_invalid)
-    R = _contraction(L)
+    R = _contraction(L, args.command)
     order = _checked_order(args)
     ring = CoefficientRing(("t",), order)
     x = _element_arg(L, ring, args.input, 1, "--input")
@@ -313,7 +313,7 @@ def cmd_kuranishi(args):
 
 def cmd_obstruction(args):
     L, _ = _load(args.file, allow_invalid=args.allow_invalid)
-    R = _contraction(L)
+    R = _contraction(L, args.command)
     order = _checked_order(args)
     ring = CoefficientRing(("t",), order)
     x, coeffs = _direction_element(L, R, ring, args.direction)
@@ -341,7 +341,7 @@ def cmd_obstruction(args):
 
 def cmd_gauge_equiv(args):
     L, _ = _load(args.file, allow_invalid=args.allow_invalid)
-    R = _contraction(L)
+    R = _contraction(L, args.command)
     order = _checked_order(args)
     ring = CoefficientRing(("t",), order)
     A = _element_arg(L, ring, args.a, 1, "--a")

@@ -95,6 +95,24 @@ def test_sdr_and_hodge_report_bytes_pinned(capsys, cmd, name):
     assert digest == REPORT_STAGES_SHA256[cmd][name]
 
 
+# sha256 of canonical_json(report["stages"]) of `universal FILE --order 6`
+UNIVERSAL_STAGES_SHA256 = {
+    "E0": "2f4189a1c81f8bd6fd9ba171688e60b37519e236a0058ce247fd8b04db69f8da",
+    "E1": "92b76eed03701c8c48ae1d4a88c87fd5a8c0cbf102dec41bcee8f329a739d999",
+    "E2": "e276c3f2e9b53d84d3cf1703aa892a61855c82029ab7eff0612432bdb024ee5a",
+    "E3": "a2f86c4ae4b6325d0f1056c89709eda468a2224671a18fb192695fc9b9ae150a",
+    "E4": "1964f2cae2cbcc6b750766329c9c9bd2575ee6c62b82d3f90c1cf6f064d49cfe",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIVERSAL_STAGES_SHA256))
+def test_universal_report_bytes_pinned(capsys, name):
+    code, rep, _ = run_json(capsys, "universal", corpus(name), "--order", "6")
+    assert code == 0
+    digest = hashlib.sha256(canonical_json(rep["stages"])).hexdigest()
+    assert digest == UNIVERSAL_STAGES_SHA256[name]
+
+
 def test_mc_solve_e1_worked_example(capsys):
     code, rep, _ = run_json(
         capsys, "mc-solve", corpus("E1"), "--direction", "1", "--order", "3")
@@ -267,8 +285,8 @@ def test_axiom_violation_exit_codes(capsys, tmp_path):
     assert code == 0
 
 
-def test_homology_non_homogeneous_d_exit_two(capsys, tmp_path):
-    # d x = y with x in degree 0 and y in degree 2: d is not of degree +1
+def skew_document(tmp_path):
+    """d x = y with x in degree 0 and y in degree 2: d is not of degree +1."""
     path = tmp_path / "skew.json"
     path.write_text(json.dumps({
         "name": "skew", "field": "Q",
@@ -276,12 +294,28 @@ def test_homology_non_homogeneous_d_exit_two(capsys, tmp_path):
         "d": [{"from": "x", "to": [{"gen": "y", "coeff": "1"}]}],
         "bracket": [],
     }))
+    return path
+
+
+def test_homology_non_homogeneous_d_exit_two(capsys, tmp_path):
+    path = skew_document(tmp_path)
     code, out, err = run_main(capsys, "homology", str(path), "--allow-invalid")
     assert code == 2
     assert err.startswith("error: homology: ") and "not homogeneous" in err
-    for cmd in ("sdr", "hodge"):
-        code, out, err = run_main(capsys, cmd, str(path), "--allow-invalid")
-        assert code == 2, cmd
+
+
+@pytest.mark.parametrize("cmd, extra", [
+    ("sdr", ()),
+    ("hodge", ()),
+    ("universal", ()),
+    ("mc-solve", ("--direction", "1")),
+], ids=["sdr", "hodge", "universal", "mc-solve"])
+def test_contraction_error_names_the_subcommand(capsys, tmp_path, cmd, extra):
+    # the contraction fails; the message names the subcommand that ran
+    path = skew_document(tmp_path)
+    code, out, err = run_main(capsys, cmd, str(path), "--allow-invalid", *extra)
+    assert code == 2
+    assert err.startswith("error: %s: " % cmd) and "not homogeneous" in err
 
 
 def test_direction_count_mismatch(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -5,6 +6,9 @@ import pytest
 
 from dgla import (
     BUILTIN_NAMES,
+    DGLA,
+    build_contraction,
+    build_splitting,
     builtin_example,
     contraction_step,
     kur_membership,
@@ -17,6 +21,7 @@ from dgla import (
     universal_solution,
 )
 from dgla.formal import CoefficientRing, FormalElement
+from dgla.report import canonical_json, element_data
 
 from conftest import contraction_for
 
@@ -211,6 +216,22 @@ def test_universal_solution_pinned():
     assert u3.tau.support() == ((1,),)
     assert u3.obstruction.coefficient((2,)) == (F("1/2"),)
     assert not u3.kur_member()
+
+
+def test_universal_solution_fractional_bytes_pinned():
+    # x1..x4 and c in degree 1, b in degree 2, dc = b, every degree-1
+    # bracket b: h(b) = c feeds the fixed point forever, and tau picks up
+    # denominators up to 16 by order 7
+    gens = [("x%d" % i, 1) for i in range(1, 5)] + [("c", 1), ("b", 2)]
+    ones = [g for g, deg in gens if deg == 1]
+    L = DGLA(gens, d={"c": [("b", 1)]},
+             bracket={(u, v): [("b", 1)] for u in ones for v in ones})
+    R = build_contraction(L, build_splitting(L))
+    tau = universal_solution(L, R, 7).tau
+    assert tau.coefficient((7, 0, 0, 0)) == (0, 0, 0, 0, Fraction(33, 16))
+    digest = hashlib.sha256(canonical_json(element_data(tau))).hexdigest()
+    assert digest == \
+        "36e81b81c9871b8a1cf9c77b012bda872fafebf850c0dd7ff6f6fd1e61d2b7ca"
 
 
 def test_universal_solution_no_harmonic_directions():

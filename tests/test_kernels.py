@@ -1,6 +1,9 @@
 from fractions import Fraction
 from random import Random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from dgla import BUILTIN_NAMES, builtin_example
 from dgla._kernels import bracket_convolve, matvec_terms
 from dgla.formal import CoefficientRing, FormalElement
@@ -105,3 +108,99 @@ def test_zero_results_are_dropped():
     table = {(0, 1): ((0, F(1)),), (1, 0): ((0, F(1)),)}
     assert bracket_convolve(u, v, table, 4, 1) == {}
     assert matvec_terms(u, ((), ()), 2) == {}
+
+
+# Property tests: generated inputs against the plain references.  The
+# coefficient denominators are distinct primes, so the lcm each kernel
+# scales by grows large; a table entry or matrix row may carry every term
+# twice with opposite signs, so whole vectors cancel exactly; every monomial
+# has total degree 0..trunc+1, so pairs land on both sides of the cut.
+
+PRIMES = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def coefficients():
+    return st.builds(Fraction, st.integers(-9, 9), st.sampled_from(PRIMES))
+
+
+@st.composite
+def monomials(draw, nvars, trunc):
+    degree = draw(st.integers(0, trunc + 1))
+    cuts = sorted(draw(st.lists(st.integers(0, degree),
+                                min_size=nvars - 1, max_size=nvars - 1)))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+
+
+@st.composite
+def terms_maps(draw, nvars, trunc, dim):
+    return {draw(monomials(nvars, trunc)):
+            tuple(draw(st.lists(coefficients(), min_size=dim, max_size=dim)))
+            for _ in range(draw(st.integers(0, 5)))}
+
+
+@st.composite
+def entry_lists(draw, width):
+    """((index, coeff), ...), perhaps followed by the same terms negated."""
+    ents = draw(st.lists(st.tuples(st.integers(0, width - 1), coefficients()),
+                         max_size=3))
+    if draw(st.booleans()):
+        ents += [(k, -c) for k, c in ents]
+    return tuple(ents)
+
+
+@st.composite
+def convolve_cases(draw):
+    nvars = draw(st.integers(1, 3))
+    trunc = draw(st.integers(0, 4))
+    dim_u, dim_v, out_dim = (draw(st.integers(1, 4)) for _ in range(3))
+    u = draw(terms_maps(nvars, trunc, dim_u))
+    v = draw(terms_maps(nvars, trunc, dim_v))
+    table = {(i, j): draw(entry_lists(out_dim))
+             for i in range(dim_u) for j in range(dim_v) if draw(st.booleans())}
+    return u, v, table, trunc, out_dim
+
+
+@st.composite
+def matvec_cases(draw):
+    nvars = draw(st.integers(1, 3))
+    dim, out_dim = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    terms = draw(terms_maps(nvars, 3, dim))
+    rows = tuple(draw(entry_lists(dim)) for _ in range(out_dim))
+    return terms, rows, out_dim
+
+
+def assert_fraction_coefficients(terms):
+    for vec in terms.values():
+        assert all(type(c) is Fraction for c in vec), vec
+
+
+# Explicit cases: an empty side or table; a product one past the cut, one
+# exactly at it from either side, one that cancels; and the products (1, 0)
+# and (0, 2) at trunc 2, which must stay two monomials.
+@settings(max_examples=300, deadline=None)
+@given(convolve_cases())
+@example(({}, {(1,): (F(1),)}, {(0, 0): ((0, F(1)),)}, 3, 1))
+@example(({(1,): (F(1),)}, {(1,): (F(1),)}, {}, 3, 1))
+@example(({(0, 2): (F(1, 2),)}, {(1, 0): (F(1, 3),)}, {(0, 0): ((0, F(1, 5)),)}, 2, 1))
+@example(({(0,): (F(1, 7),)}, {(3,): (F(-2, 11),)}, {(0, 0): ((0, F(1, 13)),)}, 3, 1))
+@example(({(3,): (F(1),)}, {(0,): (F(1),)},
+          {(0, 0): ((0, F(1, 3)), (0, F(-1, 3)))}, 3, 1))
+@example(({(0, 0): (F(1),)}, {(1, 0): (F(1),), (0, 2): (F(1),)},
+          {(0, 0): ((0, F(1)),)}, 2, 1))
+def test_bracket_convolve_property(case):
+    u, v, table, trunc, out_dim = case
+    w = bracket_convolve(u, v, table, trunc, out_dim)
+    assert w == naive_convolve(u, v, table, trunc, out_dim)
+    assert_fraction_coefficients(w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matvec_cases())
+@example(({}, (((0, F(1, 2)),),), 1))
+@example(({(1,): (F(1, 3),)}, ((), ()), 2))
+@example(({(1,): (F(1, 3), F(2, 5))}, (((0, F(1, 7)), (0, F(-1, 7))),), 1))
+def test_matvec_terms_property(case):
+    terms, rows, out_dim = case
+    w = matvec_terms(terms, rows, out_dim)
+    assert w == naive_matvec(terms, rows, out_dim)
+    assert_fraction_coefficients(w)
