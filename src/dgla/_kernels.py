@@ -1,51 +1,40 @@
-"""The two hot inner loops of the series arithmetic, exact over the rationals.
+"""The two hot inner loops of the series arithmetic, on integers only.
 
 bracket_convolve carries every bracket of formal elements (so the whole
 Maurer-Cartan solve) and matvec_terms every graded map applied to one.
-Both take and return Fractions, but sum integers inside: each input (the
-u and v series, the structure table, the matrix) is scaled by the lcm of
-its own denominators, the loop multiplies and adds plain ints, and every
-output coefficient is one Fraction(total, common denominator).  This is the
-fraction-free idea of Bareiss elimination; the results are the exact
-Fractions a Fraction loop would give.  bracket_convolve also buckets the v
-monomials by total degree, so it walks only the pairs that survive the
-truncation.  tests/test_kernels.py checks both against plain reference
+Neither touches a Fraction: a FormalElement already stores integer
+numerators over one denominator, and the structure table and the matrix
+rows come scaled by the lcm of their own denominators (integer_table and
+integer_rows, computed once per table or matrix by their owners).  The
+caller knows every denominator, so it alone divides: the bracket of u / Du
+and v / Dv through a table scaled by Dt is the result over Du * Dv * Dt, a
+matrix scaled by Dm applied to v / Dv is the result over Dm * Dv.  This is
+the fraction-free idea of Bareiss elimination.  bracket_convolve also
+buckets the v monomials by total degree, so it walks only the pairs that
+survive the truncation, and puts each u vector of several terms into the
+table once, before its pairs, so a pair costs one pass over the v vector.
+tests/test_kernels.py checks both against plain Fraction reference
 implementations in tests/reference.py.
 
 Conventions:
   * a "terms" map sends an exponent tuple (one entry per ring variable) to a
-    dense tuple of Fraction coefficients,
-  * a structure table sends (i, j) index pairs to ((k, c), ...) tuples,
-  * a sparse matrix is a tuple of rows, each row a ((col, coeff), ...) tuple.
+    dense tuple of int coefficients, none of them all zero,
+  * an integer structure table sends i to {j: ((k, int), ...)}, so that
+    [e_i, e_j] = sum int e_k,
+  * integer matrix rows are ((row, ((col, int), ...)), ...), nonzero rows
+    only, columns ascending.
+Both kernels return a terms map with every all-zero vector dropped.
 """
 
 from bisect import bisect_right
-from fractions import Fraction
 from math import lcm
 from operator import add
 
-_ZERO = Fraction(0)
 
-
-def _common_denominator(coeffs):
-    return lcm(*{c.denominator for c in coeffs})
-
-
-def _scaled_terms(terms):
-    """(D, [(mono, ((index, int), ...)), ...]) with D * terms == the ints."""
-    D = _common_denominator(c for v in terms.values() for c in v)
-    out = []
-    for mono, vec in terms.items():
-        pairs = tuple((i, c.numerator * (D // c.denominator))
-                      for i, c in enumerate(vec) if c)
-        if pairs:
-            out.append((mono, pairs))
-    return D, out
-
-
-def _scaled_table(table):
-    """(D, {i: {j: ((k, int), ...)}}) with D * table == the ints."""
-    D = _common_denominator(c for ents in table.values() for _, c in ents)
+def integer_table(table):
+    """(D, integer table) with D * table == the ints, D the lcm of the
+    denominators; table sends (i, j) to ((k, Fraction), ...)."""
+    D = lcm(*{c.denominator for ents in table.values() for _, c in ents})
     rows = {}
     for (i, j), ents in table.items():
         ints = tuple((k, c.numerator * (D // c.denominator))
@@ -55,8 +44,17 @@ def _scaled_table(table):
     return D, rows
 
 
-def _fractions(acc, D):
-    return tuple([Fraction(a, D) if a else _ZERO for a in acc])
+def integer_rows(rows):
+    """(D, integer rows) with D * rows == the ints, D the lcm of the
+    denominators; rows holds one ((col, Fraction), ...) tuple per row."""
+    D = lcm(*{c.denominator for row in rows for _, c in row})
+    out = []
+    for r, row in enumerate(rows):
+        ints = tuple((col, c.numerator * (D // c.denominator))
+                     for col, c in row if c)
+        if ints:
+            out.append((r, ints))
+    return D, tuple(out)
 
 
 def _packed(mono, base):
@@ -71,8 +69,33 @@ def _packed(mono, base):
     return key
 
 
+def _sparse(vec):
+    return tuple([(i, c) for i, c in enumerate(vec) if c])
+
+
+def _contracted(u, table):
+    """(f, row) with f * row == the sparse vector u = ((i, int), ...) put
+    into the first slot of the table: row is {j: ((k, int), ...)} with
+    [u, e_j] = f * sum int e_k.  A one-term u reuses its table row."""
+    if len(u) == 1:
+        i, f = u[0]
+        return f, table[i]
+    rows = {}
+    for i, ui in u:
+        for j, ents in table[i].items():
+            row = rows.setdefault(j, {})
+            for k, c in ents:
+                row[k] = row.get(k, 0) + ui * c
+    out = {}
+    for j, row in rows.items():
+        ents = tuple([(k, c) for k, c in row.items() if c])
+        if ents:
+            out[j] = ents
+    return 1, out
+
+
 def bracket_convolve(uterms, vterms, table, trunc, out_dim):
-    """Bilinear convolution of two terms maps through a structure table.
+    """Bilinear convolution of two terms maps through an integer table.
 
     Computes sum over monomial pairs of [u_m1, v_m2] * m1*m2, truncating
     every product monomial whose total degree exceeds trunc.  Each u
@@ -80,22 +103,20 @@ def bracket_convolve(uterms, vterms, table, trunc, out_dim):
     products that survive have every exponent at most trunc, so they are
     added as integers packed in base trunc + 1.
     """
-    Du, us = _scaled_terms(uterms)
-    Dv, vs = _scaled_terms(vterms)
-    Dt, rows = _scaled_table(table)
     base = max(trunc, 0) + 1
-    vs = sorted(((sum(m), _packed(m, base), m, v) for m, v in vs),
-                key=lambda entry: entry[0])
+    vs = sorted(((sum(m), _packed(m, base), m, _sparse(v))
+                 for m, v in vterms.items()), key=lambda entry: entry[0])
     vdegs = [entry[0] for entry in vs]
     out = {}    # packed product monomial -> integer accumulator
     monos = {}  # packed product monomial -> exponent tuple
-    for m1, u1 in us:
+    for m1, u1 in uterms.items():
         stop = bisect_right(vdegs, trunc - sum(m1))
         if not stop:
             continue
-        urows = [(ui, rows[i]) for i, ui in u1 if i in rows]
-        if not urows:
+        u = [(i, ui) for i, ui in enumerate(u1) if ui and i in table]
+        if not u:
             continue
+        f, urow = _contracted(u, table)
         k1 = _packed(m1, base)
         for _, k2, m2, v2 in vs[:stop]:
             key = k1 + k2
@@ -103,41 +124,29 @@ def bracket_convolve(uterms, vterms, table, trunc, out_dim):
             if acc is None:
                 acc = out[key] = [0] * out_dim
                 monos[key] = tuple(map(add, m1, m2))
-            for ui, row in urows:
-                for j, vj in v2:
-                    ents = row.get(j)
-                    if ents:
-                        uv = ui * vj
-                        for k, c in ents:
-                            acc[k] += uv * c
-    D = Du * Dv * Dt
-    return {monos[key]: _fractions(acc, D)
-            for key, acc in out.items() if any(acc)}
+            for j, vj in v2:
+                ents = urow.get(j)
+                if ents:
+                    fv = f * vj
+                    for k, c in ents:
+                        acc[k] += fv * c
+    return {monos[key]: tuple(acc) for key, acc in out.items() if any(acc)}
 
 
 def matvec_terms(terms, rows, out_dim):
-    """Apply one sparse matrix to the coefficient vector of every monomial."""
-    Dm = _common_denominator(c for row in rows for _, c in row)
-    irows = []
-    for r, row in enumerate(rows):
-        ints = tuple((col, c.numerator * (Dm // c.denominator))
-                     for col, c in row if c)
-        if ints:
-            irows.append((r, ints))
+    """Apply integer matrix rows to the coefficient vector of every monomial."""
     res = {}
-    if not irows:
+    if not rows:
         return res
-    Dv = _common_denominator(c for v in terms.values() for c in v)
-    D = Dm * Dv
     for mono, vec in terms.items():
         out = [0] * out_dim
-        for r, row in irows:
+        for r, row in rows:
             s = 0
             for col, c in row:
                 vc = vec[col]
                 if vc:
-                    s += c * vc.numerator * (Dv // vc.denominator)
+                    s += c * vc
             out[r] = s
         if any(out):
-            res[mono] = _fractions(out, D)
+            res[mono] = tuple(out)
     return res

@@ -13,8 +13,10 @@ over the table scaled by the lcm of its denominators and reporting each
 failing sum as a Fraction.  apply_differential, apply_bracket and
 curvature extend the structure constants to FormalElements, with all series
 arithmetic truncated at the ring order by _kernels.bracket_convolve, which
-walks only the monomial pairs within the order (bucketed by total degree) and
-sums lcm-scaled integers; its results are still exact Fractions.
+walks only the monomial pairs within the order (bucketed by total degree).
+It reads the elements' integer numerators and the bracket table scaled by
+the lcm Dt of its denominators (cached per degree pair beside the Fraction
+table); apply_bracket puts the result over u.den * v.den * Dt.
 
 Sign conventions (cohomological grading, d of degree +1):
   [x, y] = -(-1)^{|x||y|} [y, x]
@@ -26,7 +28,7 @@ from fractions import Fraction
 from itertools import groupby
 from math import lcm
 
-from ._kernels import bracket_convolve
+from ._kernels import bracket_convolve, integer_table
 from .formal import FormalElement
 from .graded import GradedLinearMap
 from .linalg import Matrix, ZERO
@@ -184,6 +186,7 @@ class DGLA:
 
         self._diff = None
         self._tables = {}
+        self._int_tables = {}
 
     def _lookup(self, name, where):
         gi = self._index.get(str(name))
@@ -192,10 +195,6 @@ class DGLA:
         return gi
 
     # introspection
-
-    @property
-    def total_dim(self):
-        return len(self.generators)
 
     def dim(self, degree):
         return self.dims.get(degree, 0)
@@ -292,10 +291,17 @@ class DGLA:
             self._tables[key] = table
         return table
 
-    # action on formal elements
+    def _integer_table(self, p, q):
+        """(Dt, bracket_table(p, q) scaled by Dt to integers), as
+        _kernels.bracket_convolve reads it; Dt is the lcm of its
+        denominators."""
+        key = (p, q)
+        scaled = self._int_tables.get(key)
+        if scaled is None:
+            scaled = self._int_tables[key] = integer_table(self.bracket_table(p, q))
+        return scaled
 
-    def zero_element(self, ring, degree):
-        return FormalElement.zero(ring, degree, self.dim(degree))
+    # action on formal elements
 
     def generator_element(self, ring, name, mono=None, coeff=1):
         """coeff * (generator) * mono as a FormalElement.
@@ -323,14 +329,13 @@ class DGLA:
             raise ValueError("element dimension does not match its degree")
         out_deg = u.degree + v.degree
         out_dim = self.dim(out_deg)
-        out = FormalElement.zero(u.ring, out_deg, out_dim)
-        if out_dim and u.terms and v.terms:
-            table = self.bracket_table(u.degree, v.degree)
+        if out_dim and u.nums and v.nums:
+            Dt, table = self._integer_table(u.degree, v.degree)
             if table:
-                out.terms = bracket_convolve(
-                    u.terms, v.terms, table, u.ring.order, out_dim
-                )
-        return out
+                nums = bracket_convolve(u.nums, v.nums, table, u.ring.order, out_dim)
+                return FormalElement.from_integers(
+                    u.ring, out_deg, out_dim, u.den * v.den * Dt, nums)
+        return FormalElement.zero(u.ring, out_deg, out_dim)
 
     def curvature(self, A):
         """dA + 1/2 [A, A] for a degree 1 element."""

@@ -205,7 +205,7 @@ def kur_membership(L, R, x, order=None):
     """
     x = _normalized(x, order)
     H1 = R.splitting.harmonic.get(1)
-    for vec in x.homogeneous_part(1).terms.values():
+    for vec in x.homogeneous_part(1).fraction_terms().values():
         if H1 is None or not H1.contains(vec):
             raise ValueError("the order-1 part of x is not harmonic")
     return obstruction(L, R, x).is_zero()
@@ -260,7 +260,7 @@ def gauge_equivalent(L, R, A, Aprime, order=None):
         if diff.is_zero():
             continue
         terms = {}
-        for mono, vec in diff.terms.items():
+        for mono, vec in diff.fraction_terms().items():
             sol = solve_linear(d0, vec)
             if sol is None:
                 return None

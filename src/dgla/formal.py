@@ -4,28 +4,23 @@ A CoefficientRing fixes the deformation variables t1..tk and a truncation
 order N.  Elements live in g tensor m where m is the maximal ideal
 (t1, ..., tk) of Q[[t1..tk]] modulo m^{N+1}: every monomial has total degree
 at least 1 and at most N, and any product landing above N is identically
-zero.  All coefficients are Fraction; nothing is ever rounded.
+zero.  Nothing is ever rounded.
 
 FormalElement is a vector in one graded piece of an algebra whose entries
-are such truncated series, stored sparsely as exponent tuple -> dense
-coefficient tuple.
+are such truncated series.  It is stored fraction-free: one positive
+denominator den for the whole element and, per monomial, a dense tuple of
+integer numerators (exponent tuple -> int tuple), so the coefficient of
+generator i at monomial m is nums[m][i] / den.  The form is canonical (den
+is coprime to the numerators taken together, den is 1 for zero, no vector
+is all zero, no monomial lies above the order), so two elements are equal
+exactly when their (den, nums) are.  Arithmetic runs on the integers and
+ends in one gcd normalisation; every public accessor speaks Fraction.
 """
 
 from fractions import Fraction
-
-from .linalg import ZERO
+from math import gcd, lcm
 
 _ONE = Fraction(1)
-
-
-def mono_degree(mono):
-    """Total degree of an exponent tuple."""
-    return sum(mono)
-
-
-def mono_mul(m1, m2):
-    """Product of two exponent tuples (degrees add)."""
-    return tuple(a + b for a, b in zip(m1, m2))
 
 
 def mono_key(mono):
@@ -143,12 +138,15 @@ class CoefficientRing:
 class FormalElement:
     """A vector in one graded piece, with truncated formal series entries.
 
-    terms maps an exponent tuple to a dense tuple of Fraction coefficients of
-    length dim.  Monomials above the ring's truncation order are identically
-    zero and are silently dropped; degree zero monomials are rejected.
+    Built from terms, a map from exponent tuple to a dense tuple of
+    Fraction-convertible coefficients of length dim.  Every monomial is
+    validated; those above the ring's truncation order are identically zero
+    and are then dropped, degree zero monomials are rejected.  The value is
+    held as integer numerators nums over one denominator den, in the
+    canonical form the module docstring describes.
     """
 
-    __slots__ = ("ring", "degree", "dim", "terms")
+    __slots__ = ("ring", "degree", "dim", "den", "nums")
 
     def __init__(self, ring, degree, dim, terms=None):
         if dim < 0:
@@ -160,14 +158,45 @@ class FormalElement:
         if terms:
             for mono, vec in terms.items():
                 mono = ring.check_mono(mono)
-                if sum(mono) > ring.order:
-                    continue
                 vec = tuple(Fraction(c) for c in vec)
                 if len(vec) != dim:
                     raise ValueError("coefficient vector has wrong length")
-                if any(vec):
+                if sum(mono) <= ring.order and any(vec):
                     clean[mono] = vec
-        self.terms = clean
+        # the lcm of reduced denominators is already coprime to the numerators
+        den = lcm(*{c.denominator for vec in clean.values() for c in vec})
+        self.den = den
+        self.nums = {m: tuple([c.numerator * (den // c.denominator) for c in vec])
+                     for m, vec in clean.items()}
+
+    @classmethod
+    def from_integers(cls, ring, degree, dim, den, nums):
+        """The element nums / den in canonical form.
+
+        den is a positive int; nums maps monomials within the ring's order
+        to int tuples of length dim, none of them all zero.  The common
+        factor of den and every numerator is divided out.
+        """
+        g = den
+        for vec in nums.values():
+            if g == 1:
+                break
+            g = gcd(g, *vec)
+        if g != 1:
+            den //= g
+            nums = {m: tuple([c // g for c in vec]) for m, vec in nums.items()}
+        return cls._canonical(ring, degree, dim, den, nums)
+
+    @classmethod
+    def _canonical(cls, ring, degree, dim, den, nums):
+        """Wrap den and nums that are already in canonical form."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.degree = degree
+        out.dim = dim
+        out.den = den
+        out.nums = nums
+        return out
 
     @classmethod
     def zero(cls, ring, degree, dim):
@@ -176,27 +205,29 @@ class FormalElement:
     @classmethod
     def single(cls, ring, degree, dim, mono, index, coeff=_ONE):
         """coeff * e_index * mono, a one-term element."""
-        vec = [ZERO] * dim
-        vec[index] = Fraction(coeff)
-        return cls(ring, degree, dim, {tuple(mono): tuple(vec)})
+        vec = [0] * dim
+        vec[index] = coeff
+        return cls(ring, degree, dim, {tuple(mono): vec})
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def support(self):
         """Monomials with a nonzero coefficient, in graded lex order."""
-        return tuple(sorted(self.terms, key=mono_key))
+        return tuple(sorted(self.nums, key=mono_key))
+
+    def _fractions(self, vec):
+        den = self.den
+        return tuple([Fraction(c, den) for c in vec])
 
     def coefficient(self, mono):
-        """Dense coefficient tuple at one monomial (zeros if absent)."""
+        """Dense Fraction coefficient tuple at one monomial (zeros if absent)."""
         mono = self.ring.check_mono(mono)
-        return self.terms.get(mono, tuple([ZERO] * self.dim))
+        return self._fractions(self.nums.get(mono, (0,) * self.dim))
 
-    def min_order(self):
-        """Lowest total degree appearing, or None for the zero element."""
-        if not self.terms:
-            return None
-        return min(sum(m) for m in self.terms)
+    def fraction_terms(self):
+        """The value as a map exponent tuple -> dense Fraction tuple."""
+        return {m: self._fractions(vec) for m, vec in self.nums.items()}
 
     def _check_compat(self, other):
         if self.ring != other.ring:
@@ -206,29 +237,35 @@ class FormalElement:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
 
+    def _with(self, den, nums):
+        return FormalElement.from_integers(self.ring, self.degree, self.dim, den, nums)
+
     def __add__(self, other):
         if not isinstance(other, FormalElement):
             return NotImplemented
         self._check_compat(other)
-        terms = dict(self.terms)
-        for mono, vec in other.terms.items():
-            cur = terms.get(mono)
+        den = lcm(self.den, other.den)
+        fa = den // self.den
+        fb = den // other.den
+        nums = ({m: tuple([fa * c for c in vec]) for m, vec in self.nums.items()}
+                if fa != 1 else dict(self.nums))
+        for mono, vec in other.nums.items():
+            if fb != 1:
+                vec = tuple([fb * c for c in vec])
+            cur = nums.get(mono)
             if cur is None:
-                terms[mono] = vec
+                nums[mono] = vec
             else:
-                s = tuple(a + b for a, b in zip(cur, vec))
+                s = tuple([a + b for a, b in zip(cur, vec)])
                 if any(s):
-                    terms[mono] = s
+                    nums[mono] = s
                 else:
-                    del terms[mono]
-        out = FormalElement(self.ring, self.degree, self.dim)
-        out.terms = terms
-        return out
+                    del nums[mono]
+        return self._with(den, nums)
 
     def __neg__(self):
-        out = FormalElement(self.ring, self.degree, self.dim)
-        out.terms = {m: tuple(-c for c in v) for m, v in self.terms.items()}
-        return out
+        nums = {m: tuple([-c for c in vec]) for m, vec in self.nums.items()}
+        return FormalElement._canonical(self.ring, self.degree, self.dim, self.den, nums)
 
     def __sub__(self, other):
         if not isinstance(other, FormalElement):
@@ -237,42 +274,24 @@ class FormalElement:
 
     def scale(self, c):
         c = Fraction(c)
-        out = FormalElement(self.ring, self.degree, self.dim)
-        if c:
-            out.terms = {m: tuple(c * x for x in v) for m, v in self.terms.items()}
-        return out
-
-    def times_mono(self, mono):
-        """Multiply by one monomial, truncating above the ring order."""
-        mono = self.ring.check_mono(mono)
-        out = FormalElement(self.ring, self.degree, self.dim)
-        cap = self.ring.order
-        terms = {}
-        for m, v in self.terms.items():
-            prod = mono_mul(m, mono)
-            if sum(prod) <= cap:
-                terms[prod] = v
-        out.terms = terms
-        return out
-
-    def truncate(self, order):
-        """Drop every monomial of total degree above order."""
-        out = FormalElement(self.ring, self.degree, self.dim)
-        out.terms = {m: v for m, v in self.terms.items() if sum(m) <= order}
-        return out
+        if not c:
+            return FormalElement(self.ring, self.degree, self.dim)
+        p = c.numerator
+        nums = {m: tuple([p * x for x in vec]) for m, vec in self.nums.items()}
+        return self._with(self.den * c.denominator, nums)
 
     def to_order(self, order):
         """The same element over the ring with truncation order `order`."""
         if order == self.ring.order:
             return self
         ring = CoefficientRing(self.ring.variables, order)
-        return FormalElement(ring, self.degree, self.dim, self.terms)
+        nums = {m: vec for m, vec in self.nums.items() if sum(m) <= order}
+        return FormalElement.from_integers(ring, self.degree, self.dim, self.den, nums)
 
     def homogeneous_part(self, order):
         """Keep only the monomials of total degree exactly order."""
-        out = FormalElement(self.ring, self.degree, self.dim)
-        out.terms = {m: v for m, v in self.terms.items() if sum(m) == order}
-        return out
+        return self._with(self.den, {m: vec for m, vec in self.nums.items()
+                                     if sum(m) == order})
 
     def __eq__(self, other):
         if not isinstance(other, FormalElement):
@@ -281,13 +300,15 @@ class FormalElement:
             self.ring == other.ring
             and self.degree == other.degree
             and self.dim == other.dim
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __repr__(self):
         bits = ", ".join(
             "%s: (%s)"
-            % (self.ring.mono_str(m), ", ".join(str(c) for c in self.terms[m]))
+            % (self.ring.mono_str(m),
+               ", ".join(str(c) for c in self._fractions(self.nums[m])))
             for m in self.support()
         )
         return "FormalElement(deg=%d, {%s})" % (self.degree, bits)

@@ -4,10 +4,13 @@ A graded space is described by a dims profile, a mapping degree -> dimension
 (zero dimensions omitted).  A GradedLinearMap keeps one exact Matrix per
 (source degree, target degree) pair that it touches; absent blocks are zero.
 Maps need not be homogeneous, but the ones that are can shift a FormalElement
-degree by degree through _kernels.matvec_terms.
+degree by degree through _kernels.matvec_terms: each block is scaled once
+to integer rows by the lcm Dm of its denominators (cached on the map), the
+kernel applies them to the element's integer numerators, and the result is
+put over elem.den * Dm.
 """
 
-from ._kernels import matvec_terms
+from ._kernels import integer_rows, matvec_terms
 from .formal import FormalElement
 from .linalg import Matrix
 
@@ -27,7 +30,7 @@ def normalize_dims(dims):
 class GradedLinearMap:
     """Blockwise exact linear map between graded spaces."""
 
-    __slots__ = ("src_dims", "dst_dims", "blocks")
+    __slots__ = ("src_dims", "dst_dims", "blocks", "_int_rows")
 
     def __init__(self, src_dims, dst_dims, blocks=None):
         self.src_dims = normalize_dims(src_dims)
@@ -43,6 +46,7 @@ class GradedLinearMap:
                 if not mat.is_zero():
                     clean[(i, j)] = mat
         self.blocks = clean
+        self._int_rows = {}
 
     @classmethod
     def zero(cls, src_dims, dst_dims):
@@ -136,11 +140,17 @@ class GradedLinearMap:
             raise ValueError("element dimension does not match source profile")
         out_deg = elem.degree + shift
         out_dim = self.dst_dims.get(out_deg, 0)
-        out = FormalElement(elem.ring, out_deg, out_dim)
-        if out_dim and elem.terms:
-            rows = self.block(elem.degree, out_deg).sparse_rows()
-            out.terms = matvec_terms(elem.terms, rows, out_dim)
-        return out
+        if out_dim and elem.nums:
+            key = (elem.degree, out_deg)
+            scaled = self._int_rows.get(key)
+            if scaled is None:
+                scaled = self._int_rows[key] = integer_rows(
+                    self.block(*key).sparse_rows())
+            Dm, rows = scaled
+            nums = matvec_terms(elem.nums, rows, out_dim)
+            return FormalElement.from_integers(
+                elem.ring, out_deg, out_dim, elem.den * Dm, nums)
+        return FormalElement(elem.ring, out_deg, out_dim)
 
     def __repr__(self):
         keys = ", ".join("(%d,%d)" % key for key in sorted(self.blocks))

@@ -158,9 +158,6 @@ class Matrix:
         c = Fraction(c)
         return Matrix(self.rows, self.cols, {k: c * v for k, v in self.entries.items()})
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
-
     def is_zero(self) -> bool:
         return not self.entries
 

@@ -29,9 +29,10 @@ def element_data(elem):
     """FormalElement -> "0" or {"degree": d, "terms": {mono: [coeffs]}}."""
     if elem.is_zero():
         return "0"
+    coeffs = elem.fraction_terms()
     terms = {}
-    for mono in sorted(elem.terms, key=mono_key):
-        terms[elem.ring.mono_str(mono)] = vector_data(elem.terms[mono])
+    for mono in sorted(coeffs, key=mono_key):
+        terms[elem.ring.mono_str(mono)] = vector_data(coeffs[mono])
     return {"degree": elem.degree, "terms": terms}
 
 

@@ -12,19 +12,37 @@ from dgla.formal import FormalElement
 from dgla.linalg import ZERO
 
 
-def naive_bracket(L, u, v):
-    """[u, v] by direct expansion over generator pairs."""
-    p, q = u.degree, v.degree
-    out_deg = p + q
-    dim = L.dim(out_deg)
+def fraction_add(s, t):
+    """Sum of two Fraction terms maps (exponent tuple -> coefficient tuple),
+    all-zero vectors dropped."""
+    out = dict(s)
+    for mono, vec in t.items():
+        cur = out.get(mono)
+        out[mono] = vec if cur is None else tuple(a + b for a, b in zip(cur, vec))
+    return {m: v for m, v in out.items() if any(v)}
+
+
+def fraction_scale(c, s):
+    """c times a Fraction terms map, all-zero vectors dropped."""
+    return {m: tuple(c * x for x in v) for m, v in s.items() if c and any(v)}
+
+
+def fraction_select(s, keep):
+    """The monomials of a Fraction terms map that keep(total degree) accepts,
+    all-zero vectors dropped."""
+    return {m: v for m, v in s.items() if keep(sum(m)) and any(v)}
+
+
+def naive_bracket_terms(L, p, s, q, t, order):
+    """[s, t] for Fraction terms maps s in degree p and t in degree q, by
+    direct expansion over monomial and generator pairs, truncated at order."""
+    dim = L.dim(p + q)
     terms = {}
-    for m1 in u.support():
-        for m2 in v.support():
+    for m1, v1 in s.items():
+        for m2, v2 in t.items():
             mono = tuple(a + b for a, b in zip(m1, m2))
-            if sum(mono) > u.ring.order:
+            if sum(mono) > order:
                 continue
-            v1 = u.coefficient(m1)
-            v2 = v.coefficient(m2)
             acc = terms.setdefault(mono, [Fraction(0)] * dim)
             for i, gi in enumerate(L.basis_names(p)):
                 if not v1[i]:
@@ -35,19 +53,24 @@ def naive_bracket(L, u, v):
                     for name, c in L.bracket_of(gi, gj):
                         k = L.basis_position(name)[1]
                         acc[k] += v1[i] * v2[j] * c
-    terms = {m: tuple(a) for m, a in terms.items() if any(a)}
-    return FormalElement(u.ring, out_deg, dim, terms)
+    return {m: tuple(a) for m, a in terms.items() if any(a)}
 
 
-def naive_differential(L, u):
-    """d(u) by direct expansion over generators."""
-    out_deg = u.degree + 1
-    dim = L.dim(out_deg)
+def naive_bracket(L, u, v):
+    """[u, v] by direct expansion over generator pairs."""
+    terms = naive_bracket_terms(L, u.degree, u.fraction_terms(),
+                                v.degree, v.fraction_terms(), u.ring.order)
+    out_deg = u.degree + v.degree
+    return FormalElement(u.ring, out_deg, L.dim(out_deg), terms)
+
+
+def naive_differential_terms(L, p, s):
+    """d(s) for a Fraction terms map s in degree p, generator by generator."""
+    dim = L.dim(p + 1)
     terms = {}
-    for mono in u.support():
-        vec = u.coefficient(mono)
+    for mono, vec in s.items():
         acc = [Fraction(0)] * dim
-        for i, gi in enumerate(L.basis_names(u.degree)):
+        for i, gi in enumerate(L.basis_names(p)):
             if not vec[i]:
                 continue
             for name, c in L.differential_of(gi):
@@ -55,7 +78,13 @@ def naive_differential(L, u):
                 acc[k] += vec[i] * c
         if any(acc):
             terms[mono] = tuple(acc)
-    return FormalElement(u.ring, out_deg, dim, terms)
+    return terms
+
+
+def naive_differential(L, u):
+    """d(u) by direct expansion over generators."""
+    terms = naive_differential_terms(L, u.degree, u.fraction_terms())
+    return FormalElement(u.ring, u.degree + 1, L.dim(u.degree + 1), terms)
 
 
 def naive_convolve(uterms, vterms, table, trunc, out_dim):

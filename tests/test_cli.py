@@ -113,6 +113,37 @@ def test_universal_report_bytes_pinned(capsys, name):
     assert digest == UNIVERSAL_STAGES_SHA256[name]
 
 
+DIRECTION_E2 = ("--direction", "1/2,-1/3,1,0,2/5,0,0,1,-1", "--order", "4")
+
+# sha256 of canonical_json(report["stages"]) of the series subcommands, one
+# run each, all with fractional data
+SERIES_STAGES_SHA256 = [
+    (("mc-solve", "E2") + DIRECTION_E2,
+     "96843b95498e66c27a70972bd5c7bc408f715c553bd7c58bced734fa56ef3087"),
+    (("obstruction", "E2") + DIRECTION_E2,
+     "2a525133bcc522ec8760adec8297a1f4db6fb6f0798d4bcb6f14084ee1e42c16"),
+    (("mc-solve", "E3", "--direction", "2/3", "--order", "5"),
+     "16c559f4bf34a6897691724082d5a14cd1ad7465311271c0c1a7a73514c80c52"),
+    (("mc-solve", "E1", "--direction", "3/7", "--order", "6"),
+     "ec3dffed653817e91bdebdee48bfbfc41b80cd2e67dbc36d4093b05ee9540c8b"),
+    (("kuranishi", "E1", "--inverse", "--order", "6", "--input",
+      '{"degree": 1, "terms": {"t": {"x": "2/3"}, "t^2": {"x": "-1/5"}}}'),
+     "d791af873e84ab565bb9539901758fd2db86a99e4e95c9535ce76f82ddbf7b21"),
+    (("gauge-equiv", "E4", "--order", "5", "--a", '{"degree": 1, "terms": {}}',
+      "--b", '{"degree": 1, "terms": {"t": {"x": "-1/3"}, "t^3": {"x": "5/7"}}}'),
+     "0a65886d59f6ffb546f9fcffd825272c26c077863615b217706c9b616d96d654"),
+]
+
+
+@pytest.mark.parametrize("argv, sha", SERIES_STAGES_SHA256,
+                         ids=["-".join(argv[:2]) for argv, _ in SERIES_STAGES_SHA256])
+def test_series_report_bytes_pinned(capsys, argv, sha):
+    cmd, name, *rest = argv
+    code, rep, _ = run_json(capsys, cmd, corpus(name), *rest)
+    assert code == 0
+    assert hashlib.sha256(canonical_json(rep["stages"])).hexdigest() == sha
+
+
 def test_mc_solve_e1_worked_example(capsys):
     code, rep, _ = run_json(
         capsys, "mc-solve", corpus("E1"), "--direction", "1", "--order", "3")

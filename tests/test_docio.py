@@ -141,7 +141,7 @@ def test_non_list_d_or_bracket_rejected(key, value):
 def test_empty_document_gives_zero_dgla():
     doc = {"name": "zero", "field": "Q", "generators": [], "d": [], "bracket": []}
     L = document_to_dgla(doc)
-    assert L.total_dim == 0
+    assert L.dims == {}
     assert validate_dgla(L).ok
 
 

@@ -1,9 +1,21 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dgla.formal import CoefficientRing, FormalElement, mono_degree, mono_mul
+from dgla.algebra import DGLA
+from dgla.formal import CoefficientRing, FormalElement
+
+from reference import (
+    fraction_add,
+    fraction_scale,
+    fraction_select,
+    naive_bracket_terms,
+    naive_differential_terms,
+)
 
 
 def F(x):
@@ -31,7 +43,7 @@ def test_ring_monomials_count():
 
 def test_ring_monomials_exclude_constants():
     r = CoefficientRing(("t",), 3)
-    assert all(mono_degree(m) >= 1 for m in r.all_monomials())
+    assert all(sum(m) >= 1 for m in r.all_monomials())
     with pytest.raises(ValueError):
         r.check_mono((0,))
 
@@ -51,6 +63,18 @@ def test_element_truncates_on_construction():
     r = CoefficientRing(("t",), 2)
     e = FormalElement(r, 1, 1, {(1,): (F(1),), (3,): (F(5),)})
     assert e.support() == ((1,),)
+
+
+def test_element_validates_monomials_above_the_order():
+    r = CoefficientRing(("t",), 2)
+    with pytest.raises(ValueError, match="wrong length"):
+        FormalElement(r, 1, 2, {(3,): (1,)})
+
+
+def test_element_converts_coefficients_above_the_order():
+    r = CoefficientRing(("t",), 2)
+    with pytest.raises(ValueError):
+        FormalElement(r, 1, 1, {(3,): ("junk",)})
 
 
 def test_element_drops_zero_vectors():
@@ -78,18 +102,9 @@ def test_element_arithmetic():
     assert (a - a).is_zero()
 
 
-def test_element_times_mono_truncates():
-    r = CoefficientRing(("t",), 3)
-    a = FormalElement(r, 1, 1, {(2,): (F(1),), (3,): (F(4),)})
-    shifted = a.times_mono((1,))
-    assert shifted.support() == ((3,),)
-    assert shifted.coefficient((3,)) == (F(1),)
-
-
-def test_element_homogeneous_part_and_min_order():
+def test_element_homogeneous_part():
     r = CoefficientRing(("t1", "t2"), 4)
     a = FormalElement(r, 1, 1, {(1, 0): (F(1),), (1, 1): (F(2),), (0, 3): (F(3),)})
-    assert a.min_order() == 1
     part2 = a.homogeneous_part(2)
     assert part2.support() == ((1, 1),)
     assert a.homogeneous_part(4).is_zero()
@@ -128,11 +143,6 @@ def test_support_graded_lex_order():
     assert a.support() == ((0, 1), (1, 0), (0, 2), (2, 0))
 
 
-def test_mono_mul_and_degree():
-    assert mono_mul((1, 0), (0, 2)) == (1, 2)
-    assert mono_degree((3, 1)) == 4
-
-
 def test_addition_associative_random():
     rng = Random(11)
     r = CoefficientRing(("t1", "t2"), 3)
@@ -150,3 +160,124 @@ def test_addition_associative_random():
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
         assert a + (-a) == FormalElement.zero(r, 1, 2)
+
+
+# The integer representation against plain Fraction terms maps (exponent
+# tuple -> coefficient tuple) computed by tests/reference.py.  Denominators
+# are distinct primes, so sums need a common denominator and leave common
+# factors to divide out; the second operand may negate parts of the first,
+# so whole vectors cancel; monomials of degree order + 1 test the dropping.
+
+RING = CoefficientRing(("t1", "t2"), 3)
+MONOMIALS = RING.all_monomials() + RING.monomials(RING.order + 1)
+PRIMES = (1, 2, 3, 5, 7, 11, 13)
+
+# structure constants with denominators, so the bracket table and the
+# differential are scaled too; apply_bracket and apply_differential need no
+# DGLA axiom, only degree-preserving maps
+FRACTIONAL = DGLA(
+    [("a", 0), ("x", 1), ("y", 1), ("b", 2), ("c", 2)],
+    d={"a": [("x", Fraction(2, 3))], "x": [("b", Fraction(-1, 5))],
+       "y": [("b", Fraction(3, 7)), ("c", Fraction(1, 2))]},
+    bracket={("x", "y"): [("b", Fraction(1, 3)), ("c", Fraction(-2, 5))],
+             ("y", "x"): [("b", Fraction(1, 3)), ("c", Fraction(-2, 5))],
+             ("x", "x"): [("c", Fraction(3, 7))],
+             ("a", "x"): [("y", Fraction(5, 2))],
+             ("x", "a"): [("y", Fraction(-5, 2))],
+             ("a", "y"): [("x", Fraction(-1, 6)), ("y", Fraction(4))],
+             ("y", "a"): [("x", Fraction(1, 6)), ("y", Fraction(-4))]},
+    name="fractional",
+)
+
+
+def fractions():
+    return st.builds(Fraction, st.integers(-6, 6), st.sampled_from(PRIMES))
+
+
+@st.composite
+def fraction_maps(draw, dim):
+    monos = draw(st.lists(st.sampled_from(MONOMIALS), max_size=5, unique=True))
+    return {m: tuple(draw(st.lists(fractions(), min_size=dim, max_size=dim)))
+            for m in monos}
+
+
+@st.composite
+def element_pairs(draw):
+    """Two Fraction terms maps of one degree; parts of the second may be
+    the first negated."""
+    degree = draw(st.sampled_from((0, 1)))
+    dim = FRACTIONAL.dim(degree)
+    s = draw(fraction_maps(dim))
+    t = draw(fraction_maps(dim))
+    for mono in draw(st.lists(st.sampled_from(sorted(s) or [None]), unique=True)):
+        if mono is not None:
+            t[mono] = tuple(-c for c in s[mono])
+    return degree, s, t
+
+
+def assert_canonical(e):
+    assert type(e.den) is int and e.den > 0
+    # gcd(den) == den, so the zero element must have den == 1
+    assert gcd(e.den, *(c for vec in e.nums.values() for c in vec)) == 1
+    for mono, vec in e.nums.items():
+        assert 1 <= sum(mono) <= e.ring.order
+        assert len(vec) == e.dim
+        assert all(type(c) is int for c in vec) and any(vec)
+
+
+def matches(e, terms):
+    """e is canonical and has the value of the Fraction terms map."""
+    assert_canonical(e)
+    assert e.fraction_terms() == terms
+    assert all(type(c) is Fraction for vec in terms.values() for c in vec)
+    return True
+
+
+def cleaned(s, order=RING.order):
+    return fraction_select(s, lambda deg: deg <= order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(element_pairs(), fractions(), st.integers(1, 4))
+@example((1, {(1, 0): (Fraction(1, 6), Fraction(0))},
+          {(1, 0): (Fraction(1, 3), Fraction(0))}), Fraction(1), 2)
+@example((1, {(1, 0): (Fraction(1, 2), Fraction(0)), (1, 1): (Fraction(1), Fraction(0))},
+          {}), Fraction(2), 2)
+def test_arithmetic_matches_fraction_reference(case, c, k):
+    degree, s, t = case
+    dim = FRACTIONAL.dim(degree)
+    x = FormalElement(RING, degree, dim, s)
+    y = FormalElement(RING, degree, dim, t)
+    s, t = cleaned(s), cleaned(t)
+    assert matches(x, s) and matches(y, t)
+    assert matches(x + y, fraction_add(s, t))
+    assert matches(x - y, fraction_add(s, fraction_scale(-1, t)))
+    assert matches(-x, fraction_scale(-1, s))
+    assert matches(x.scale(c), fraction_scale(c, s))
+    assert matches(x.homogeneous_part(k), fraction_select(s, lambda deg: deg == k))
+    low = x.to_order(k)
+    assert low.ring.order == k
+    assert matches(low, cleaned(s, k))
+    assert matches(low.to_order(RING.order), cleaned(s, k))
+    # equal values compare equal however they were built
+    assert (x == y) == (s == t)
+    assert x.scale(3).scale(Fraction(1, 3)) == x
+    assert (x + y) - y == x
+    assert FormalElement(RING, degree, dim, x.fraction_terms()) == x
+    if c:
+        assert x.scale(c).scale(1 / c) == x
+    assert x.homogeneous_part(k) + (x - x.homogeneous_part(k)) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(element_pairs(), element_pairs())
+def test_structure_maps_match_fraction_reference(case1, case2):
+    p, s, _ = case1
+    q, t, _ = case2
+    u = FormalElement(RING, p, FRACTIONAL.dim(p), s)
+    v = FormalElement(RING, q, FRACTIONAL.dim(q), t)
+    s, t = cleaned(s), cleaned(t)
+    assert matches(FRACTIONAL.apply_bracket(u, v),
+                   naive_bracket_terms(FRACTIONAL, p, s, q, t, RING.order))
+    assert matches(FRACTIONAL.apply_differential(u),
+                   naive_differential_terms(FRACTIONAL, p, s))

@@ -1,11 +1,17 @@
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgla import BUILTIN_NAMES, builtin_example
-from dgla._kernels import bracket_convolve, matvec_terms
+from dgla._kernels import (
+    bracket_convolve,
+    integer_rows,
+    integer_table,
+    matvec_terms,
+)
 from dgla.formal import CoefficientRing, FormalElement
 
 from reference import (
@@ -18,6 +24,50 @@ from reference import (
 
 def F(*args):
     return Fraction(*args)
+
+
+def integer_terms(terms):
+    """(D, terms scaled by D to ints), D the lcm of the denominators and
+    all-zero vectors dropped: the form the kernels read."""
+    D = lcm(*{c.denominator for vec in terms.values() for c in vec})
+    return D, {m: tuple(c.numerator * (D // c.denominator) for c in vec)
+               for m, vec in terms.items() if any(vec)}
+
+
+def over(terms, D):
+    """An integer terms map divided by D, back in Fractions."""
+    return {m: tuple(Fraction(c, D) for c in vec) for m, vec in terms.items()}
+
+
+def convolve_fractions(u, v, table, trunc, out_dim):
+    """bracket_convolve on Fraction inputs: scale, convolve, divide."""
+    Du, iu = integer_terms(u)
+    Dv, iv = integer_terms(v)
+    Dt, it = integer_table(table)
+    w = bracket_convolve(iu, iv, it, trunc, out_dim)
+    assert_integer_terms(w)
+    return over(w, Du * Dv * Dt)
+
+
+def matvec_fractions(terms, rows, out_dim):
+    """matvec_terms on Fraction inputs: scale, apply, divide."""
+    Dv, iv = integer_terms(terms)
+    Dm, irows = integer_rows(rows)
+    w = matvec_terms(iv, irows, out_dim)
+    assert_integer_terms(w)
+    return over(w, Dm * Dv)
+
+
+def assert_integer_terms(terms):
+    for vec in terms.values():
+        assert all(type(c) is int for c in vec) and any(vec), vec
+
+
+def assert_fraction_accessors(elem):
+    for mono, vec in elem.fraction_terms().items():
+        assert all(type(c) is Fraction for c in vec), vec
+        assert elem.coefficient(mono) == vec
+        assert all(type(c) is Fraction for c in elem.coefficient(mono))
 
 
 def random_element(L, ring, deg, rng):
@@ -40,8 +90,9 @@ def test_bracket_matches_naive_reference():
             for q in L.degrees:
                 u = random_element(L, ring, p, rng)
                 v = random_element(L, ring, q, rng)
-                assert L.apply_bracket(u, v) == naive_bracket(L, u, v), \
-                    (name, p, q)
+                w = L.apply_bracket(u, v)
+                assert w == naive_bracket(L, u, v), (name, p, q)
+                assert_fraction_accessors(w)
 
 
 def test_differential_matches_naive_reference():
@@ -81,40 +132,52 @@ def test_kernels_match_reference_randomized():
                     table[(i, j)] = tuple(
                         (rng.randrange(out_dim), F(rng.randint(-3, 3)))
                         for _ in range(rng.randint(1, 2)))
-        w = bracket_convolve(u, v, table, trunc, out_dim)
+        w = convolve_fractions(u, v, table, trunc, out_dim)
         assert w == naive_convolve(u, v, table, trunc, out_dim)
         nonzero += bool(w)
         rows = tuple(
             tuple((c, F(rng.randint(-5, 5), rng.randint(1, 3)))
                   for c in range(dim_u) if rng.random() < 0.6)
             for _ in range(out_dim))
-        assert matvec_terms(u, rows, out_dim) == \
+        assert matvec_fractions(u, rows, out_dim) == \
             naive_matvec(u, rows, out_dim)
     assert nonzero >= 10  # the comparison is not vacuous
 
 
 def test_truncation_drops_high_monomials():
-    u = {(2,): (F(1),)}
-    v = {(3,): (F(1),)}
-    table = {(0, 0): ((0, F(1)),)}
+    u = {(2,): (1,)}
+    v = {(3,): (2,)}
+    table = {0: {0: ((0, 3),)}}
     assert bracket_convolve(u, v, table, 4, 1) == {}
-    assert bracket_convolve(u, v, table, 5, 1) == {(5,): (F(1),)}
+    assert bracket_convolve(u, v, table, 5, 1) == {(5,): (6,)}
 
 
 def test_zero_results_are_dropped():
-    u = {(1,): (F(1), F(-1))}
-    v = {(1,): (F(1), F(1))}
-    # [e0, e1] = +g, [e1, e0] = -g: contributions cancel exactly
-    table = {(0, 1): ((0, F(1)),), (1, 0): ((0, F(1)),)}
+    u = {(1,): (1, -1)}
+    v = {(1,): (1, 1)}
+    # [e0, e1] = +g, [e1, e0] = +g: contributions cancel exactly
+    table = {0: {1: ((0, 1),)}, 1: {0: ((0, 1),)}}
     assert bracket_convolve(u, v, table, 4, 1) == {}
-    assert matvec_terms(u, ((), ()), 2) == {}
+    assert matvec_terms(u, (), 2) == {}
+    assert matvec_terms(u, ((0, ((0, 1), (1, 1))),), 1) == {}
 
 
-# Property tests: generated inputs against the plain references.  The
-# coefficient denominators are distinct primes, so the lcm each kernel
-# scales by grows large; a table entry or matrix row may carry every term
-# twice with opposite signs, so whole vectors cancel exactly; every monomial
-# has total degree 0..trunc+1, so pairs land on both sides of the cut.
+def test_integer_forms_of_table_and_rows():
+    half, third = F(1, 2), F(-2, 3)
+    table = {(0, 1): ((0, half), (1, third)), (1, 1): ()}
+    assert integer_table(table) == (6, {0: {1: ((0, 3), (1, -4))}})
+    assert integer_table({}) == (1, {})
+    rows = ((), ((0, half), (2, third)), ((1, F(3)),))
+    assert integer_rows(rows) == (6, ((1, ((0, 3), (2, -4))), (2, ((1, 18),))))
+
+
+# Property tests: generated Fraction inputs, scaled to the kernels' integer
+# form, against the plain references; each result, divided by the product
+# of the scales, must equal the reference exactly.  The coefficient
+# denominators are distinct primes, so the scales grow large; a table entry
+# or matrix row may carry every term twice with opposite signs, so whole
+# vectors cancel exactly; every monomial has total degree 0..trunc+1, so
+# pairs land on both sides of the cut.
 
 PRIMES = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -169,11 +232,6 @@ def matvec_cases(draw):
     return terms, rows, out_dim
 
 
-def assert_fraction_coefficients(terms):
-    for vec in terms.values():
-        assert all(type(c) is Fraction for c in vec), vec
-
-
 # Explicit cases: an empty side or table; a product one past the cut, one
 # exactly at it from either side, one that cancels; and the products (1, 0)
 # and (0, 2) at trunc 2, which must stay two monomials.
@@ -189,9 +247,8 @@ def assert_fraction_coefficients(terms):
           {(0, 0): ((0, F(1)),)}, 2, 1))
 def test_bracket_convolve_property(case):
     u, v, table, trunc, out_dim = case
-    w = bracket_convolve(u, v, table, trunc, out_dim)
-    assert w == naive_convolve(u, v, table, trunc, out_dim)
-    assert_fraction_coefficients(w)
+    assert convolve_fractions(u, v, table, trunc, out_dim) == \
+        naive_convolve(u, v, table, trunc, out_dim)
 
 
 @settings(max_examples=300, deadline=None)
@@ -201,6 +258,5 @@ def test_bracket_convolve_property(case):
 @example(({(1,): (F(1, 3), F(2, 5))}, (((0, F(1, 7)), (0, F(-1, 7))),), 1))
 def test_matvec_terms_property(case):
     terms, rows, out_dim = case
-    w = matvec_terms(terms, rows, out_dim)
-    assert w == naive_matvec(terms, rows, out_dim)
-    assert_fraction_coefficients(w)
+    assert matvec_fractions(terms, rows, out_dim) == \
+        naive_matvec(terms, rows, out_dim)
