@@ -37,12 +37,7 @@ from .deform import (
 )
 from .formal import CoefficientRing, FormalElement
 from .graded import GradedLinearMap
-from .hodge import (
-    check_cartan,
-    hodge_decompose,
-    laplacian,
-    star_operator,
-)
+from .hodge import check_cartan, hodge_decompose
 from .linalg import (
     Matrix,
     SubspaceBasis,
@@ -52,12 +47,10 @@ from .linalg import (
     solve_linear,
 )
 from .sdr import (
-    HomologyData,
     SDRData,
     Splitting,
     build_contraction,
     build_splitting,
-    compute_homology,
     verify_sdr,
 )
 
@@ -67,7 +60,6 @@ __all__ = [
     "DGLA",
     "FormalElement",
     "GradedLinearMap",
-    "HomologyData",
     "MCSolution",
     "Matrix",
     "SDRData",
@@ -82,7 +74,6 @@ __all__ = [
     "builtin_example",
     "check_cartan",
     "complement_basis",
-    "compute_homology",
     "contraction_step",
     "gauge_act",
     "gauge_equivalent",
@@ -93,13 +84,11 @@ __all__ = [
     "kur_membership",
     "kuranishi_inverse",
     "kuranishi_map",
-    "laplacian",
     "mc_residual",
     "obstruction",
     "solve_by_recursion",
     "solve_linear",
     "solve_mc_ivp",
-    "star_operator",
     "universal_solution",
     "validate_dgla",
     "verify_sdr",

@@ -25,9 +25,9 @@ from .deform import (
     solve_mc_ivp,
     universal_solution,
 )
-from .docio import DocumentError, load_dgla, parse_element, parse_rational
+from .docio import DocumentError, parse_dgla, parse_element, parse_rational
 from .formal import CoefficientRing, FormalElement
-from .hodge import hodge_checks, laplacian, star_operator
+from .hodge import hodge_checks
 from .linalg import kernel_basis, vec_add, vec_scale, zero_vec
 from .report import (
     RunReport,
@@ -37,7 +37,7 @@ from .report import (
     graded_map_data,
     rational_str,
 )
-from .sdr import build_contraction, build_splitting, compute_homology, sdr_checks
+from .sdr import build_contraction, build_splitting, sdr_checks
 from .selftest import run_selftest
 
 ORDER_CAP = 16
@@ -47,22 +47,19 @@ class CliError(Exception):
     """Bad input or usage; maps to exit code 2."""
 
 
-def _input_info(path):
+def _load(path, allow_invalid=False):
+    """Read the file once; returns (DGLA, ValidationReport, input info), the
+    sha256 in the input info being that of the very bytes parsed."""
     try:
         with open(path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-    except OSError as e:
-        raise CliError("cannot read %s: %s" % (path, e)) from None
-    return {"path": path, "sha256": digest}
-
-
-def _load(path, allow_invalid=False):
-    try:
-        return load_dgla(path, allow_invalid=allow_invalid)
+            raw = fh.read()
     except OSError as e:
         raise CliError("load: cannot read %s: %s" % (path, e)) from None
+    try:
+        L, rep = parse_dgla(raw, allow_invalid=allow_invalid)
     except DocumentError as e:
         raise CliError("load: %s" % e) from None
+    return L, rep, {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
 
 
 def _checked_order(args):
@@ -162,8 +159,8 @@ def _solution_checks(L, R, sol, rec, order):
 
 
 def cmd_validate(args):
-    L, rep = _load(args.file, allow_invalid=True)
-    r = RunReport(input_info=_input_info(args.file))
+    L, rep, info = _load(args.file, allow_invalid=True)
+    r = RunReport(input_info=info)
     r.add_stage(
         "validate",
         data={
@@ -177,29 +174,29 @@ def cmd_validate(args):
 
 
 def cmd_homology(args):
-    L, _ = _load(args.file, allow_invalid=args.allow_invalid)
+    L, _, info = _load(args.file, allow_invalid=args.allow_invalid)
     try:
-        hom = compute_homology(L)
+        S = build_splitting(L)
     except ValueError as e:
         raise CliError("homology: %s" % e) from None
     ok_rank = True
     ok_sub = True
     for deg in L.degrees:
-        b_next = hom.boundaries[deg + 1].dim if deg + 1 in hom.boundaries else 0
-        if hom.cycles[deg].dim + b_next != L.dim(deg):
+        b_next = S.boundaries[deg + 1].dim if deg + 1 in S.boundaries else 0
+        if S.cycles[deg].dim + b_next != L.dim(deg):
             ok_rank = False
-        for b in hom.boundaries[deg].vectors:
-            if not hom.cycles[deg].contains(b):
+        for b in S.boundaries[deg].vectors:
+            if not S.cycles[deg].contains(b):
                 ok_sub = False
-    r = RunReport(input_info=_input_info(args.file))
+    r = RunReport(input_info=info)
     r.add_stage(
         "homology",
         data={
             "dims": _dims_data(L),
-            "betti": {str(d): hom.betti[d] for d in sorted(hom.betti)},
-            "cycles": {str(d): basis_data(hom.cycles[d]) for d in L.degrees},
-            "boundaries": {str(d): basis_data(hom.boundaries[d]) for d in L.degrees},
-            "harmonic": {str(d): basis_data(hom.harmonic[d]) for d in L.degrees},
+            "betti": {str(d): b for d, b in sorted(S.betti().items())},
+            "cycles": {str(d): basis_data(S.cycles[d]) for d in L.degrees},
+            "boundaries": {str(d): basis_data(S.boundaries[d]) for d in L.degrees},
+            "harmonic": {str(d): basis_data(S.harmonic[d]) for d in L.degrees},
         },
         checks=[("rank-nullity", ok_rank), ("boundaries-are-cycles", ok_sub)],
     )
@@ -207,10 +204,10 @@ def cmd_homology(args):
 
 
 def cmd_sdr(args):
-    L, _ = _load(args.file, allow_invalid=args.allow_invalid)
+    L, _, info = _load(args.file, allow_invalid=args.allow_invalid)
     R = _contraction(L, args.command)
     S = R.splitting
-    r = RunReport(input_info=_input_info(args.file))
+    r = RunReport(input_info=info)
     r.add_stage(
         "sdr",
         data={
@@ -231,22 +228,22 @@ def cmd_sdr(args):
 
 
 def cmd_hodge(args):
-    L, _ = _load(args.file, allow_invalid=args.allow_invalid)
+    L, _, info = _load(args.file, allow_invalid=args.allow_invalid)
     R = _contraction(L, args.command)
     checks, witnesses = hodge_checks(L, R)
     data = {
-        "star": graded_map_data(star_operator(R)),
-        "laplacian": graded_map_data(laplacian(R)),
+        "star": graded_map_data(R.star),
+        "laplacian": graded_map_data(R.laplacian),
     }
     if witnesses:
         data["cartan_witnesses"] = [list(w) for w in witnesses]
-    r = RunReport(input_info=_input_info(args.file))
+    r = RunReport(input_info=info)
     r.add_stage("hodge", data=data, checks=checks)
     return r
 
 
 def cmd_mc_solve(args):
-    L, _ = _load(args.file, allow_invalid=args.allow_invalid)
+    L, _, info = _load(args.file, allow_invalid=args.allow_invalid)
     R = _contraction(L, args.command)
     order = _checked_order(args)
     ring = CoefficientRing(("t",), order)
@@ -258,14 +255,14 @@ def cmd_mc_solve(args):
         raise CliError("mc-solve: %s" % e) from None
     data = _solution_data(sol, ring)
     data["direction"] = [rational_str(c) for c in coeffs]
-    r = RunReport(input_info=_input_info(args.file),
+    r = RunReport(input_info=info,
                   options={"order": order, "variables": ["t"]})
     r.add_stage("mc-solve", data=data, checks=_solution_checks(L, R, sol, rec, order))
     return r
 
 
 def cmd_universal(args):
-    L, _ = _load(args.file, allow_invalid=args.allow_invalid)
+    L, _, info = _load(args.file, allow_invalid=args.allow_invalid)
     R = _contraction(L, args.command)
     order = _checked_order(args)
     try:
@@ -277,7 +274,7 @@ def cmd_universal(args):
     data = _solution_data(sol, ring)
     H1 = R.splitting.harmonic.get(1)
     data["h1_dim"] = H1.dim if H1 is not None else 0
-    r = RunReport(input_info=_input_info(args.file),
+    r = RunReport(input_info=info,
                   options={"order": order, "variables": list(ring.variables)})
     r.add_stage("universal", data=data,
                 checks=_solution_checks(L, R, sol, rec, order))
@@ -285,7 +282,7 @@ def cmd_universal(args):
 
 
 def cmd_kuranishi(args):
-    L, _ = _load(args.file, allow_invalid=args.allow_invalid)
+    L, _, info = _load(args.file, allow_invalid=args.allow_invalid)
     R = _contraction(L, args.command)
     order = _checked_order(args)
     ring = CoefficientRing(("t",), order)
@@ -301,7 +298,7 @@ def cmd_kuranishi(args):
             mode = "forward"
     except ValueError as e:
         raise CliError("kuranishi: %s" % e) from None
-    r = RunReport(input_info=_input_info(args.file),
+    r = RunReport(input_info=info,
                   options={"order": order, "variables": ["t"]})
     r.add_stage(
         "kuranishi",
@@ -312,7 +309,7 @@ def cmd_kuranishi(args):
 
 
 def cmd_obstruction(args):
-    L, _ = _load(args.file, allow_invalid=args.allow_invalid)
+    L, _, info = _load(args.file, allow_invalid=args.allow_invalid)
     R = _contraction(L, args.command)
     order = _checked_order(args)
     ring = CoefficientRing(("t",), order)
@@ -323,7 +320,7 @@ def cmd_obstruction(args):
     except ValueError as e:
         raise CliError("obstruction: %s" % e) from None
     coherent = ob == sol.obstruction
-    r = RunReport(input_info=_input_info(args.file),
+    r = RunReport(input_info=info,
                   options={"order": order, "variables": ["t"]})
     r.add_stage(
         "obstruction",
@@ -340,7 +337,7 @@ def cmd_obstruction(args):
 
 
 def cmd_gauge_equiv(args):
-    L, _ = _load(args.file, allow_invalid=args.allow_invalid)
+    L, _, info = _load(args.file, allow_invalid=args.allow_invalid)
     R = _contraction(L, args.command)
     order = _checked_order(args)
     ring = CoefficientRing(("t",), order)
@@ -367,7 +364,7 @@ def cmd_gauge_equiv(args):
         if not complete:
             note += " (decision incomplete: d has a kernel in degree 0)"
         data["note"] = note
-    r = RunReport(input_info=_input_info(args.file),
+    r = RunReport(input_info=info,
                   options={"order": order, "variables": ["t"]})
     r.add_stage("gauge-equiv", data=data, checks=checks)
     return r

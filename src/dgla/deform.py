@@ -80,20 +80,12 @@ def _check_degree_one(x):
         raise ValueError("expected a degree 1 element, got degree %d" % x.degree)
 
 
-def _normalized(x, order):
-    _check_degree_one(x)
-    if order is not None:
-        x = x.to_order(order)
-    return x
-
-
-def _initial_value(L, x, order):
-    """The IVP precondition shared by both solvers: x normalized, with a
+def _check_initial_value(L, x):
+    """The IVP precondition shared by both solvers: x of degree 1, with a
     cocycle as its order-1 part (otherwise no solution with tau^1 = x^1)."""
-    x = _normalized(x, order)
+    _check_degree_one(x)
     if not L.apply_differential(x.homogeneous_part(1)).is_zero():
         raise ValueError("the order-1 part of the initial value is not a cocycle")
-    return x
 
 
 def _package(L, R, direction, tau, iterations):
@@ -102,7 +94,7 @@ def _package(L, R, direction, tau, iterations):
     return MCSolution(direction, tau, residual, obstruction, iterations)
 
 
-def solve_mc_ivp(L, R, x, order=None):
+def solve_mc_ivp(L, R, x):
     """Solve d tau + 1/2 [tau, tau] = 0 with tau = x - 1/2 h[tau, tau].
 
     The order-1 part of x must be a cocycle (otherwise no solution with
@@ -110,19 +102,19 @@ def solve_mc_ivp(L, R, x, order=None):
     solves the fixed-point equation, and flatness is reported separately
     through residual and obstruction.
     """
-    x = _initial_value(L, x, order)
+    _check_initial_value(L, x)
     tau, iters = _fixed_point(L, R, x)
     return _package(L, R, x, tau, iters)
 
 
-def solve_by_recursion(L, R, x, order=None):
+def solve_by_recursion(L, R, x):
     """The same solution assembled order by order:
 
         tau^b = x^b - 1/2 h ( sum_{i+j=b} [tau^i, tau^j] ).
 
     Cross-checks the fixed-point engine; iterations is the truncation order.
     """
-    x = _initial_value(L, x, order)
+    _check_initial_value(L, x)
     N = x.ring.order
     dim2 = L.dim(2)
     parts = {}
@@ -177,33 +169,33 @@ def kuranishi_map(L, R, y):
     return y + R.contract(L.apply_bracket(y, y)).scale(HALF)
 
 
-def kuranishi_inverse(L, R, x, order=None):
+def kuranishi_inverse(L, R, x):
     """The fixed point of y -> x - 1/2 h[y, y]; F(result) = x exactly.
 
     Identical engine to solve_mc_ivp but without the cocycle precondition.
     """
-    x = _normalized(x, order)
+    _check_degree_one(x)
     tau, _ = _fixed_point(L, R, x)
     return tau
 
 
-def obstruction(L, R, x, order=None):
+def obstruction(L, R, x):
     """The harmonic part of 1/2 [F^{-1}(x), F^{-1}(x)], order by order.
 
     Lands in the span of the harmonic degree-2 representatives; equals the
     harmonic part of the residual of the solved IVP.
     """
-    tau = kuranishi_inverse(L, R, x, order)
+    tau = kuranishi_inverse(L, R, x)
     return R.harmonic_projection(L.apply_bracket(tau, tau).scale(HALF))
 
 
-def kur_membership(L, R, x, order=None):
+def kur_membership(L, R, x):
     """Whether the obstruction of x vanishes identically (mod m^{N+1}).
 
     Requires the order-1 part of x to lie in the span of the harmonic
     degree-1 representatives.
     """
-    x = _normalized(x, order)
+    _check_degree_one(x)
     H1 = R.splitting.harmonic.get(1)
     for vec in x.homogeneous_part(1).fraction_terms().values():
         if H1 is None or not H1.contains(vec):
@@ -234,7 +226,7 @@ def gauge_act(L, a, A):
     return out
 
 
-def gauge_equivalent(L, R, A, Aprime, order=None):
+def gauge_equivalent(L, R, A, Aprime):
     """A degree-0 witness a with exp(a) . A = Aprime, or None.
 
     Both inputs must be flat.  Solved order by order: at order b the unknown
@@ -243,8 +235,8 @@ def gauge_equivalent(L, R, A, Aprime, order=None):
     Returning None means no witness exists under that zero-free-component
     rule (sound, not complete, when d has a kernel in degree 0).
     """
-    A = _normalized(A, order)
-    Aprime = _normalized(Aprime, order)
+    _check_degree_one(A)
+    _check_degree_one(Aprime)
     if A.ring != Aprime.ring:
         raise ValueError("ring mismatch")
     if not mc_residual(L, A).is_zero():

@@ -140,22 +140,27 @@ def document_to_dgla(doc):
         raise DocumentError(str(e)) from None
 
 
-def load_dgla(path, allow_invalid=False):
-    """Load and validate a DGLA file; returns (DGLA, ValidationReport).
+def parse_dgla(raw, allow_invalid=False):
+    """Parse and validate the bytes of a DGLA file; returns (DGLA,
+    ValidationReport).
 
-    Unless allow_invalid is set, axiom violations make the load fail.
+    Unless allow_invalid is set, axiom violations make the parse fail.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as e:
-            raise DocumentError("file is not UTF-8 text: %s" % e) from None
-    doc = parse_document(text)
-    L = document_to_dgla(doc)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DocumentError("file is not UTF-8 text: %s" % e) from None
+    L = document_to_dgla(parse_document(text))
     rep = validate_dgla(L)
     if not rep.ok and not allow_invalid:
         raise DocumentError(str(rep))
     return L, rep
+
+
+def load_dgla(path, allow_invalid=False):
+    """Read, parse and validate a DGLA file; returns (DGLA, ValidationReport)."""
+    with open(path, "rb") as fh:
+        return parse_dgla(fh.read(), allow_invalid=allow_invalid)
 
 
 def dgla_to_document(L):

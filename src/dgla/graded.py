@@ -49,10 +49,6 @@ class GradedLinearMap:
         self._int_rows = {}
 
     @classmethod
-    def zero(cls, src_dims, dst_dims):
-        return cls(src_dims, dst_dims)
-
-    @classmethod
     def identity(cls, dims):
         dims = normalize_dims(dims)
         blocks = {(d, d): Matrix.identity(n) for d, n in dims.items()}
@@ -64,10 +60,6 @@ class GradedLinearMap:
         if mat is not None:
             return mat
         return Matrix.zero(self.dst_dims.get(j, 0), self.src_dims.get(i, 0))
-
-    def shifts(self):
-        """Sorted set of degree shifts j - i over the nonzero blocks."""
-        return sorted({j - i for (i, j) in self.blocks})
 
     def is_homogeneous(self, shift):
         return all(j - i == shift for (i, j) in self.blocks)

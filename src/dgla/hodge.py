@@ -9,25 +9,15 @@ which swaps B and B* blockwise, fixes H, and squares to the identity.  The
 codifferential is recovered as *d* = h, and the Laplacian (d + h)^2 =
 dh + hd = Id - nabla pi is a projection whose kernel is exactly H.
 
-star_operator and laplacian only build the matrices; hodge_checks is the one
-place that verifies these identities (plus the decomposition and the Cartan
+The star and the Laplacian are built once per contraction, as the cached
+SDRData properties R.star and R.laplacian; hodge_checks is the one place
+that verifies these identities (plus the decomposition and the Cartan
 condition) and reports each as a named pass/fail check.
 """
 
 from fractions import Fraction
 
 from .linalg import rank, vec_add, vec_is_zero, vec_sub
-
-
-def star_operator(R):
-    """nabla pi + d + h as one graded map (an involution)."""
-    return R.pi_H + R.differential + R.h
-
-
-def laplacian(R):
-    """(d + h)^2, which equals dh + hd = Id - nabla pi for a contraction."""
-    dh = R.differential + R.h
-    return dh @ dh
 
 
 def hodge_decompose(R, degree, v):
@@ -76,10 +66,10 @@ def check_cartan(L, R):
 def hodge_checks(L, R):
     """The seven Hodge-package identities as (label, pass) pairs, plus the
     Cartan witnesses."""
-    star = star_operator(R)
+    star = R.star
     ok_invol = (star @ star) == R.identity
     ok_codiff = (star @ R.differential @ star) == R.h
-    lap = laplacian(R)
+    lap = R.laplacian
     ok_lap = lap == R.identity - R.pi_H
     ok_idem = (lap @ lap) == lap
 

@@ -6,8 +6,10 @@ exact; equality everywhere means literal equality of rationals, never
 closeness.  Every object is treated as immutable after construction, so
 everything here is safe to share between threads.
 
-Basis choices (kernel vectors, image columns, complements) follow fixed
-deterministic rules so that downstream constructions are reproducible
+Every elimination goes through one routine, rref_rows: rank, solve_linear,
+invert and the three basis choices (kernel vectors, image columns,
+complements) each read one reduced echelon form.  The basis choices follow
+fixed deterministic rules so that downstream constructions are reproducible
 byte-for-byte: see kernel_basis, image_basis and complement_basis.
 """
 
@@ -315,39 +317,15 @@ def image_basis(A: Matrix) -> SubspaceBasis:
     return SubspaceBasis(A.rows, [A.column(j) for j in pivots], check=False)
 
 
-class _Echelon:
-    """Incremental rank tracker: feed vectors, learn which ones add rank."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows = []  # reduced rows, one pivot each
-        self.pivots = []
-
-    def try_add(self, v) -> bool:
-        w = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if w[p]:
-                f = w[p]
-                for j in range(self.ncols):
-                    if row[j]:
-                        w[j] -= f * row[j]
-        p = next((j for j in range(self.ncols) if w[j]), None)
-        if p is None:
-            return False
-        inv = ONE / w[p]
-        if inv != ONE:
-            w = [inv * x for x in w]
-        self.rows.append(w)
-        self.pivots.append(p)
-        return True
-
-
 def complement_basis(S: SubspaceBasis, inside: SubspaceBasis | None = None) -> SubspaceBasis:
     """Deterministic complement T with span(S) + span(T) = span(inside), direct.
 
-    Candidates are taken greedily in order: the vectors of `inside`, or the
-    standard basis when `inside` is None (the full space); each candidate that
-    increases the rank is kept.  Raises if span(S) is not inside span(inside).
+    Candidates are the vectors of `inside`, or the standard basis when
+    `inside` is None (the full space).  T is the candidates at the pivot
+    columns past S of one rref of the columns (S | candidates): a pivot
+    column is exactly a vector outside the span of those before it, so this
+    is the greedy rule that keeps each candidate in order if it increases the
+    rank.  Raises if S is dependent or span(S) is not inside span(inside).
     """
     n = S.ambient_dim
     if inside is None:
@@ -356,24 +334,17 @@ def complement_basis(S: SubspaceBasis, inside: SubspaceBasis | None = None) -> S
     else:
         if inside.ambient_dim != n:
             raise ValueError("ambient dimension mismatch")
-        for s in S.vectors:
-            if not inside.contains(s):
-                raise ValueError("S is not contained in the span of `inside`")
         candidates = list(inside.vectors)
         target = inside.dim
-    ech = _Echelon(n)
-    for s in S.vectors:
-        if not ech.try_add(s):
-            raise ValueError("S is not linearly independent")
-    chosen = []
-    for cand in candidates:
-        if len(S.vectors) + len(chosen) == target:
-            break
-        if ech.try_add(cand):
-            chosen.append(cand)
-    if len(S.vectors) + len(chosen) != target:
-        raise ValueError("candidates failed to span the target space")
-    return SubspaceBasis(n, chosen, check=False)
+    k = S.dim
+    cols = list(S.vectors) + candidates
+    rows = [[col[i] for col in cols] for i in range(n)]
+    pivots = rref_rows(rows, len(cols))[1]
+    if pivots[:k] != list(range(k)):
+        raise ValueError("S is not linearly independent")
+    if len(pivots) != target:
+        raise ValueError("S is not contained in the span of `inside`")
+    return SubspaceBasis(n, [cols[j] for j in pivots[k:]], check=False)
 
 
 def invert(M: Matrix) -> Matrix:

@@ -1,9 +1,10 @@
-"""Homology, the splitting g^i = B^i + H^i + C^i, and the contraction h.
+"""The splitting g^i = B^i + H^i + C^i, the contraction h, and its checks.
 
-Per degree i the splitting is three bases: boundaries B^i = im d^{i-1},
-harmonic representatives H^i with B^i + H^i = Z^i = ker d^i, and a complement
-C^i of Z^i in g^i, all chosen by the deterministic greedy rule of
-complement_basis so that every derived map is reproducible byte for byte.
+Per degree i build_splitting chooses four bases: cycles Z^i = ker d^i,
+boundaries B^i = im d^{i-1}, harmonic representatives H^i with
+B^i + H^i = Z^i, and a complement C^i of Z^i in g^i.  H and C come from the
+greedy rule of complement_basis, so every derived map is reproducible byte
+for byte.
 
 The contraction h of degree -1 projects onto B along H + C, then inverts d
 from C back onto B.  Together with the projection pi onto H-coordinates and
@@ -14,47 +15,34 @@ the inclusion nabla of H into g it satisfies, as exact matrix identities,
     (d h + h d) pi_B = pi_B        d h z = z  for z in B
     d v = h v = 0                  for v in H
 
-verify_sdr checks all of them and reports violations instead of raising;
-sdr_checks turns its report into one named pass/fail check per identity.
+SDRData holds these maps and builds the derived ones once, on first use:
+pi_H = nabla pi, the Hodge star and the Laplacian (see hodge.py).
+verify_sdr checks all the identities and reports violations instead of
+raising; sdr_checks turns its report into one named pass/fail check each.
 """
+
+from functools import cached_property
 
 from .algebra import ValidationIssue, ValidationReport
 from .graded import GradedLinearMap
 from .linalg import (
     Matrix,
-    SubspaceBasis,
     complement_basis,
     image_basis,
     invert,
     kernel_basis,
-    solve_linear,
     vec_is_zero,
 )
 
 
-class HomologyData:
-    """Per-degree cycle, boundary and harmonic-representative bases."""
-
-    __slots__ = ("cycles", "boundaries", "harmonic", "betti")
-
-    def __init__(self, cycles, boundaries, harmonic):
-        self.cycles = dict(cycles)
-        self.boundaries = dict(boundaries)
-        self.harmonic = dict(harmonic)
-        self.betti = {deg: basis.dim for deg, basis in self.harmonic.items()}
-
-    def __repr__(self):
-        bits = ", ".join("b_%d=%d" % (d, self.betti[d]) for d in sorted(self.betti))
-        return "HomologyData(%s)" % (bits or "empty")
-
-
 class Splitting:
-    """The three-way decomposition g^i = B^i + H^i + C^i per degree."""
+    """The decomposition g^i = B^i + H^i + C^i per degree, with Z^i = B^i + H^i."""
 
-    __slots__ = ("dims", "boundaries", "harmonic", "complement")
+    __slots__ = ("dims", "cycles", "boundaries", "harmonic", "complement")
 
-    def __init__(self, dims, boundaries, harmonic, complement):
+    def __init__(self, dims, cycles, boundaries, harmonic, complement):
         self.dims = dict(dims)
+        self.cycles = dict(cycles)
         self.boundaries = dict(boundaries)
         self.harmonic = dict(harmonic)
         self.complement = dict(complement)
@@ -90,28 +78,29 @@ def _d_block(L, i):
     return L.differential.block(i, i + 1)
 
 
-def compute_homology(L):
-    """Cycles Z, boundaries B and harmonic representatives H per degree."""
+def build_splitting(L):
+    """Cycles Z, boundaries B, harmonic H and complement C per degree.
+
+    H is the greedy complement of B inside Z, and C the greedy complement
+    of Z inside g^i.  Raises if some boundary is not a cycle (d d != 0).
+    """
     cycles = {}
     boundaries = {}
     harmonic = {}
+    complement = {}
     for deg in L.degrees:
         Z = kernel_basis(_d_block(L, deg))
         B = image_basis(_d_block(L, deg - 1))
-        H = complement_basis(B, inside=Z)
+        try:
+            harmonic[deg] = complement_basis(B, inside=Z)
+        except ValueError:
+            raise ValueError(
+                "the boundaries in degree %d are not cycles (d d != 0)" % deg
+            ) from None
         cycles[deg] = Z
         boundaries[deg] = B
-        harmonic[deg] = H
-    return HomologyData(cycles, boundaries, harmonic)
-
-
-def build_splitting(L):
-    """Extend homology bases by a greedy complement C of Z inside each g^i."""
-    hom = compute_homology(L)
-    complement = {}
-    for deg in L.degrees:
-        complement[deg] = complement_basis(hom.cycles[deg])
-    return Splitting(L.dims, hom.boundaries, hom.harmonic, complement)
+        complement[deg] = complement_basis(Z)
+    return Splitting(L.dims, cycles, boundaries, harmonic, complement)
 
 
 class SDRData:
@@ -120,10 +109,8 @@ class SDRData:
     h: GradedLinearMap of degree -1 on g; pi: g -> H-coordinates;
     nabla: H-coordinates -> g; pi_B: the projection of g onto B along H + C;
     differential: d carried along so the Hodge layer needs no extra inputs.
+    The derived maps pi_H, star and laplacian are built once, on first use.
     """
-
-    __slots__ = ("splitting", "h", "projection", "inclusion", "pi_B",
-                 "differential", "_pi_H", "_identity")
 
     def __init__(self, splitting, h, projection, inclusion, pi_B, differential):
         self.splitting = splitting
@@ -132,32 +119,34 @@ class SDRData:
         self.inclusion = inclusion
         self.pi_B = pi_B
         self.differential = differential
-        self._pi_H = None
-        self._identity = None
 
     @property
     def dims(self):
         return self.splitting.dims
 
-    @property
+    @cached_property
     def pi_H(self):
         """nabla pi as an endomorphism of g: projection onto H along B + C."""
-        if self._pi_H is None:
-            self._pi_H = self.inclusion @ self.projection
-        return self._pi_H
+        return self.inclusion @ self.projection
 
-    @property
+    @cached_property
     def identity(self):
-        if self._identity is None:
-            self._identity = GradedLinearMap.identity(self.dims)
-        return self._identity
+        return GradedLinearMap.identity(self.dims)
+
+    @cached_property
+    def star(self):
+        """The Hodge star nabla pi + d + h (an involution)."""
+        return self.pi_H + self.differential + self.h
+
+    @cached_property
+    def laplacian(self):
+        """(d + h)^2, which equals dh + hd = Id - nabla pi for a contraction."""
+        dh = self.differential + self.h
+        return dh @ dh
 
     def contract(self, v):
         """h applied to a FormalElement (degree drops by 1)."""
         return self.h.apply_element(v, -1)
-
-    def differential_of(self, v):
-        return self.differential.apply_element(v, 1)
 
     def harmonic_projection(self, v):
         """nabla pi applied to a FormalElement (lands in span H, same degree)."""
@@ -180,8 +169,9 @@ def build_contraction(L, S):
 
     Blockwise: in degree i the columns (B | H | C) form an invertible basis
     change P; the top rows of P^{-1} give B-coordinates, the middle rows give
-    H-coordinates.  h on degree i solves d(c) = z in the complement one
-    degree down for every boundary basis vector z.
+    H-coordinates.  d maps the complement C one degree down isomorphically
+    onto B, so with coordsB the B-coordinate rows, h on degree i is
+    C (coordsB d C)^{-1} coordsB: one inverse per degree.
     """
     h_blocks = {}
     pi_blocks = {}
@@ -212,26 +202,22 @@ def build_contraction(L, S):
             )
             piB_blocks[(deg, deg)] = B.matrix() @ coordsB
 
-            # invert d from the complement one degree down onto these boundaries
             Cprev = S.complement.get(deg - 1)
             if Cprev is None or Cprev.dim == 0:
                 raise ValueError(
                     "boundaries in degree %d but no complement in degree %d"
                     % (deg, deg - 1)
                 )
-            dC = _d_block(L, deg - 1) @ Cprev.matrix()
-            pre_cols = []
-            for z in B.vectors:
-                u = solve_linear(dC, z)
-                if u is None:
-                    raise ValueError(
-                        "d restricted to the complement does not reach a boundary "
-                        "in degree %d (splitting inconsistency)" % deg
-                    )
-                pre_cols.append(Cprev.matrix().mul_vec(u))
-            h_blocks[(deg, deg - 1)] = Matrix.from_columns(
-                S.dims.get(deg - 1, 0), pre_cols
-            ) @ coordsB
+            Cmat = Cprev.matrix()
+            dC = coordsB @ _d_block(L, deg - 1) @ Cmat
+            try:
+                dC_inv = invert(dC)
+            except ValueError:
+                raise ValueError(
+                    "d restricted to the complement is not onto the boundaries "
+                    "in degree %d (splitting inconsistency)" % deg
+                ) from None
+            h_blocks[(deg, deg - 1)] = Cmat @ dC_inv @ coordsB
 
     gdims = S.dims
     return SDRData(
@@ -259,7 +245,7 @@ def verify_sdr(L, R):
         if not ok:
             issues.append(ValidationIssue(label, witness, detail))
 
-    check(homotopy == I - (nabla @ pi), "homotopy-identity", (),
+    check(homotopy == I - R.pi_H, "homotopy-identity", (),
           "dh + hd differs from Id - nabla pi")
     check(homotopy @ piB == piB, "boundary-retraction", (),
           "(dh + hd) pi_B differs from pi_B")

@@ -232,3 +232,52 @@ def naive_validate(L):
                     ))
 
     return ValidationReport(L.name, issues)
+
+
+class _Echelon:
+    """Incremental rank tracker: feed vectors, learn which ones add rank."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.rows = []  # reduced rows, one pivot each
+        self.pivots = []
+
+    def try_add(self, v):
+        w = list(v)
+        for row, p in zip(self.rows, self.pivots):
+            if w[p]:
+                f = w[p]
+                for j in range(self.ncols):
+                    if row[j]:
+                        w[j] -= f * row[j]
+        p = next((j for j in range(self.ncols) if w[j]), None)
+        if p is None:
+            return False
+        inv = Fraction(1) / w[p]
+        w = [inv * x for x in w]
+        self.rows.append(w)
+        self.pivots.append(p)
+        return True
+
+
+def greedy_complement(n, S, inside=None):
+    """complement_basis by its definition: walk the candidates (the vectors
+    of `inside`, or the standard basis of k^n when it is None) in order and
+    keep each one that raises the rank of S plus the vectors kept so far.
+
+    Raises ValueError if S is dependent or not inside span(inside).
+    """
+    if inside is None:
+        candidates = [tuple(Fraction(int(i == j)) for i in range(n))
+                      for j in range(n)]
+    else:
+        span = _Echelon(n)
+        for v in inside:
+            span.try_add(v)
+        if any(span.try_add(s) for s in S):
+            raise ValueError("S is not contained in the span of `inside`")
+        candidates = list(inside)
+    ech = _Echelon(n)
+    if not all(ech.try_add(s) for s in S):
+        raise ValueError("S is not linearly independent")
+    return [c for c in candidates if ech.try_add(c)]

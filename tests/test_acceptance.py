@@ -20,12 +20,10 @@ from dgla import (
     gauge_fix,
     hodge_decompose,
     kuranishi_map,
-    laplacian,
     mc_residual,
     obstruction,
     solve_by_recursion,
     solve_mc_ivp,
-    star_operator,
     universal_solution,
     verify_sdr,
 )
@@ -85,10 +83,10 @@ def test_criterion_2_hodge_suite():
         t0 = time.perf_counter()
         for name in BUILTIN_NAMES:
             L, R = _fresh(name)
-            star = star_operator(R)
+            star = R.star
             assert star @ star == R.identity
             assert star @ R.differential @ star == R.h
-            lap = laplacian(R)
+            lap = R.laplacian
             assert lap == R.differential @ R.h + R.h @ R.differential
             assert lap == R.identity - R.inclusion @ R.projection
             for deg in L.degrees:

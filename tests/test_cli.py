@@ -66,8 +66,8 @@ def test_sdr_and_hodge_pass(capsys):
             assert code == 0, (cmd, name)
 
 
-# sha256 of canonical_json(report["stages"]) per corpus file; "input" is left
-# out because it holds the path
+# sha256 of canonical_json(report["stages"]) per subcommand and corpus file;
+# "input" is left out because it holds the path
 REPORT_STAGES_SHA256 = {
     "sdr": {
         "E0": "b9da22c62d03920e293f4e1893e488c7aa0e9700324144a286a22e27bcea66af",
@@ -75,6 +75,13 @@ REPORT_STAGES_SHA256 = {
         "E2": "dd9cd934edb71d2c710c30920cb1fb91174b5ca4305fc81d81e9a1977763db55",
         "E3": "1ea417b99b5f3ac21eefa82859bd2b1d851b8b2c1375ae8429eca3844b0830fb",
         "E4": "5dec59df59db163ba0c35a9784419946b26ac68da3f5b3d55e6dce6f4b5f7d8a",
+    },
+    "homology": {
+        "E0": "56112540f94341c79ef8387eed846f9060a4d7a95ba221961789257ffd198c73",
+        "E1": "28e4d109bb3d3890aa801fa9038f8baa2daf8ffea7c948fe3e43a7c627778084",
+        "E2": "57244dbb8e42a69986727100dcdd982faab9ff90fdaac901f151ad9645d76c3e",
+        "E3": "31af89dc07a736a8675192b7671e88ce345bed7a18d8e56df2c211c54698c568",
+        "E4": "02d8c9a5b60523f3dacf45bbec2cbde0a831b85427916d9369356647f209a5e7",
     },
     "hodge": {
         "E0": "6354fd32b529b46adfb2fb9e76d8954a87cba2699703b2d4fe3060bf3d8ce043",
@@ -347,6 +354,45 @@ def test_contraction_error_names_the_subcommand(capsys, tmp_path, cmd, extra):
     code, out, err = run_main(capsys, cmd, str(path), "--allow-invalid", *extra)
     assert code == 2
     assert err.startswith("error: %s: " % cmd) and "not homogeneous" in err
+
+
+@pytest.mark.parametrize("cmd", ["homology", "sdr"])
+def test_d_squared_nonzero_names_the_degree(capsys, tmp_path, cmd):
+    # a(0) -> b(1) -> c(2) with d a = b, d b = c: the boundary b is no cycle
+    path = tmp_path / "dd.json"
+    path.write_text(json.dumps({
+        "name": "dd", "field": "Q",
+        "generators": [{"name": "a", "degree": 0}, {"name": "b", "degree": 1},
+                       {"name": "c", "degree": 2}],
+        "d": [{"from": "a", "to": [{"gen": "b", "coeff": "1"}]},
+              {"from": "b", "to": [{"gen": "c", "coeff": "1"}]}],
+        "bracket": [],
+    }))
+    code, out, err = run_main(capsys, cmd, str(path), "--allow-invalid")
+    assert code == 2
+    assert err == ("error: %s: the boundaries in degree 1 are not cycles "
+                   "(d d != 0)\n" % cmd)
+
+
+def test_input_file_is_opened_once(capsys, monkeypatch):
+    # the reported sha256 must describe the very bytes that were parsed
+    import builtins
+
+    path = corpus("E1")
+    real_open = builtins.open
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        if file == path:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, rep, _ = run_json(capsys, "sdr", path)
+    assert code == 0
+    assert opened == [path]
+    with real_open(path, "rb") as fh:
+        assert rep["input"]["sha256"] == hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_direction_count_mismatch(capsys):

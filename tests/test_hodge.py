@@ -1,11 +1,6 @@
 from fractions import Fraction
 
-from dgla import (
-    check_cartan,
-    hodge_decompose,
-    laplacian,
-    star_operator,
-)
+from dgla import check_cartan, hodge_decompose
 from dgla.graded import GradedLinearMap
 from dgla.hodge import hodge_checks
 from dgla.linalg import vec, vec_add, zero_vec
@@ -20,7 +15,7 @@ def F(x):
 
 def test_star_pinned_values_e1():
     L, R = contraction_for("E1")
-    star = star_operator(R)
+    star = R.star
     # basis order in degree 1 is (x, c): *(x) = x, *(c) = b, *(b) = c
     assert star.block(1, 1).column(0) == vec(1, 0)
     assert star.block(1, 2).column(1) == vec(1)
@@ -29,25 +24,25 @@ def test_star_pinned_values_e1():
 
 def test_star_identity_on_e0():
     L, R = contraction_for("E0")
-    star = star_operator(R)
+    star = R.star
     assert star == GradedLinearMap.identity({1: 2})
 
 
 def test_star_involution(corpus_case):
     L, R = corpus_case
-    star = star_operator(R)
+    star = R.star
     assert star @ star == R.identity
 
 
 def test_codifferential_is_h(corpus_case):
     L, R = corpus_case
-    star = star_operator(R)
+    star = R.star
     assert star @ R.differential @ star == R.h
 
 
 def test_codifferential_pinned_path_e1():
     L, R = contraction_for("E1")
-    star = star_operator(R)
+    star = R.star
     d = R.differential
     sds = star @ d @ star
     # (*d*)(b) = *(d(c)) = *(b) = c and (*d*)(x) = 0
@@ -58,19 +53,19 @@ def test_codifferential_pinned_path_e1():
 
 def test_laplacian_pinned_values():
     L, R = contraction_for("E1")
-    lap = laplacian(R)
+    lap = R.laplacian
     # Delta(x) = 0, Delta(c) = c, Delta(b) = b
     assert lap.block(1, 1).column(0) == vec(0, 0)
     assert lap.block(1, 1).column(1) == vec(0, 1)
     assert lap.block(2, 2).column(0) == vec(1)
     for name in ("E0", "E3"):
         _, R = contraction_for(name)
-        assert laplacian(R).is_zero()
+        assert R.laplacian.is_zero()
 
 
 def test_laplacian_identities(corpus_case):
     L, R = corpus_case
-    lap = laplacian(R)
+    lap = R.laplacian
     dh = R.differential @ R.h + R.h @ R.differential
     assert lap == dh
     assert lap == R.identity - R.inclusion @ R.projection
@@ -80,7 +75,7 @@ def test_laplacian_identities(corpus_case):
 
 def test_laplacian_kernel_is_harmonic(corpus_case):
     L, R = corpus_case
-    lap = laplacian(R)
+    lap = R.laplacian
     for deg in L.degrees:
         block = lap.block(deg, deg)
         H = R.splitting.harmonic[deg]

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dgla.linalg import (
     Matrix,
@@ -14,6 +16,8 @@ from dgla.linalg import (
     solve_linear,
     vec,
 )
+
+from reference import greedy_complement
 
 
 def F(x):
@@ -93,6 +97,50 @@ def test_complement_containment_violation():
     S = SubspaceBasis(3, [vec(0, 1, 0)])
     with pytest.raises(ValueError):
         complement_basis(S, inside)
+
+
+def _small_vectors(n, max_size):
+    entry = st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1, 1, 2, 3)))
+    return st.lists(st.tuples(*[entry] * n), max_size=max_size)
+
+
+@st.composite
+def complement_cases(draw):
+    """(n, S, inside) with inside independent or None; S is a few small
+    combinations of inside (or of anything) plus perhaps a stray vector, so
+    dependent S and S outside inside both come up."""
+    n = draw(st.integers(0, 4))
+    inside = None
+    if draw(st.booleans()):
+        # the independent vectors of a random list, kept greedily
+        inside = greedy_complement(n, [], draw(_small_vectors(n, n)))
+    span = inside if inside is not None else draw(_small_vectors(n, n))
+    S = []
+    for _ in range(draw(st.integers(0, len(span)))):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(span),
+                               max_size=len(span)))
+        S.append(tuple(sum((c * v[i] for c, v in zip(coeffs, span)), Fraction(0))
+                       for i in range(n)))
+    S += draw(_small_vectors(n, 1))
+    return n, S, inside
+
+
+@settings(max_examples=300, deadline=None)
+@given(complement_cases())
+@example((2, [vec(1, 1), vec(2, 2)], None))
+@example((3, [vec(0, 1, 0)], [vec(1, 0, 0)]))
+@example((3, [vec(1, 1, 0)], [vec(1, 0, 0), vec(0, 1, 0)]))
+def test_complement_matches_greedy_reference(case):
+    n, S, inside = case
+    Sb = SubspaceBasis(n, S, check=False)
+    ib = None if inside is None else SubspaceBasis(n, inside)
+    try:
+        want = greedy_complement(n, S, inside)
+    except ValueError:
+        with pytest.raises(ValueError):
+            complement_basis(Sb, ib)
+        return
+    assert list(complement_basis(Sb, ib).vectors) == want
 
 
 def _random_matrix(rng, rows, cols, density=0.5):

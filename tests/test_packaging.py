@@ -17,3 +17,9 @@ def test_package_holds_only_python_sources():
                                              PACKAGE_DIR))
     assert stray == []
     assert os.path.isfile(os.path.join(PACKAGE_DIR, "_kernels.py"))
+
+
+def test_public_names_resolve():
+    assert len(dgla.__all__) == len(set(dgla.__all__))
+    missing = [name for name in dgla.__all__ if not hasattr(dgla, name)]
+    assert missing == []

@@ -6,7 +6,6 @@ from dgla import (
     build_contraction,
     build_splitting,
     builtin_example,
-    compute_homology,
     verify_sdr,
 )
 from dgla.graded import GradedLinearMap
@@ -21,16 +20,17 @@ def F(x):
 
 
 def test_homology_pinned_values():
-    hom = compute_homology(builtin_example("E1"))
-    # H^1 = span{x}, H^2 = 0
-    assert hom.betti == {1: 1, 2: 0}
-    assert hom.harmonic[1].vectors == (vec(1, 0),)
-    assert hom.harmonic[2].vectors == ()
-    assert hom.boundaries[2].vectors == (vec(1),)
-    hom0 = compute_homology(builtin_example("E0"))
-    assert hom0.harmonic[1].vectors == (vec(1, 0), vec(0, 1))
-    hom3 = compute_homology(builtin_example("E3"))
-    assert hom3.betti == {1: 1, 2: 1}
+    S = build_splitting(builtin_example("E1"))
+    # Z^1 = span{x}, H^1 = span{x}, H^2 = 0
+    assert S.betti() == {1: 1, 2: 0}
+    assert S.cycles[1].vectors == (vec(1, 0),)
+    assert S.harmonic[1].vectors == (vec(1, 0),)
+    assert S.harmonic[2].vectors == ()
+    assert S.boundaries[2].vectors == (vec(1),)
+    S0 = build_splitting(builtin_example("E0"))
+    assert S0.harmonic[1].vectors == (vec(1, 0), vec(0, 1))
+    S3 = build_splitting(builtin_example("E3"))
+    assert S3.betti() == {1: 1, 2: 1}
 
 
 def test_splitting_pinned_complements():
