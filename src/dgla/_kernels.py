@@ -1,7 +1,8 @@
-"""The two hot inner loops of the series arithmetic, on integers only.
+"""The hot inner loops of the series arithmetic, on integers only.
 
-bracket_convolve carries every bracket of formal elements (so the whole
-Maurer-Cartan solve) and matvec_terms every graded map applied to one.
+bracket_convolve and self_convolve carry every bracket of formal elements
+(so the whole Maurer-Cartan solve) and matvec_terms every graded map
+applied to one.
 Neither touches a Fraction: a FormalElement already stores integer
 numerators over one denominator, and the structure table and the matrix
 rows come scaled by the lcm of their own denominators (integer_table and
@@ -13,7 +14,20 @@ the fraction-free idea of Bareiss elimination.  bracket_convolve also
 buckets the v monomials by total degree, so it walks only the pairs that
 survive the truncation, and puts each u vector of several terms into the
 table once, before its pairs, so a pair costs one pass over the v vector.
-tests/test_kernels.py checks both against plain Fraction reference
+
+self_convolve is the self-bracket [y, y].  The pairs (m1, m2) and (m2, m1)
+land on the same product monomial with [y_m1, y_m2] + [y_m2, y_m1], which
+is y_m1 put through T + T^t against y_m2 (symmetric_table, an integer table
+at the same scale Dt as T).  So it walks the degree-sorted monomials once
+over unordered pairs p <= q within the truncation: the diagonal pair
+through T, each other pair once through T + T^t, about half the pairs of
+bracket_convolve(y, y).  Nothing assumes antisymmetry, so the sum, and the
+result over the same denominator, is the same exact rational for any
+table: one set up through the Python API with [e_i, e_j] but no
+[e_j, e_i], or the self-bracket of an even-degree element.  Both kernels
+add their pairs in one shared loop (_convolve).  bracket_convolve through
+T + T^t is the bracket sum [u, v] + [v, u] of two elements of one degree.
+tests/test_kernels.py checks every kernel against plain Fraction reference
 implementations in tests/reference.py.
 
 Conventions:
@@ -94,31 +108,47 @@ def _contracted(u, table):
     return 1, out
 
 
-def bracket_convolve(uterms, vterms, table, trunc, out_dim):
-    """Bilinear convolution of two terms maps through an integer table.
+def symmetric_table(table):
+    """The integer table T + T^t of an integer table T: [e_i, e_j] + [e_j, e_i]
+    for every pair, at the same scale as T, all-zero entries dropped."""
+    out = {}
+    for i, row in table.items():
+        for j, ents in row.items():
+            if i in out.get(j, ()):
+                continue  # summed already, from the mirror pair (j, i)
+            mirror = ents if i == j else table.get(j, {}).get(i, ())
+            acc = {}
+            for k, c in ents + mirror:
+                acc[k] = acc.get(k, 0) + c
+            ents = tuple([(k, c) for k, c in acc.items() if c])
+            if ents:
+                out.setdefault(i, {})[j] = ents
+                out.setdefault(j, {})[i] = ents
+    return out
 
-    Computes sum over monomial pairs of [u_m1, v_m2] * m1*m2, truncating
-    every product monomial whose total degree exceeds trunc.  Each u
-    monomial walks only the v monomials of low enough total degree; the
-    products that survive have every exponent at most trunc, so they are
-    added as integers packed in base trunc + 1.
-    """
-    base = max(trunc, 0) + 1
-    vs = sorted(((sum(m), _packed(m, base), m, _sparse(v))
-                 for m, v in vterms.items()), key=lambda entry: entry[0])
-    vdegs = [entry[0] for entry in vs]
+
+def _by_degree(terms, base):
+    """The monomials of a terms map as (total degree, packed key, exponent
+    tuple, sparse vector), in ascending total degree, with the degrees."""
+    entries = sorted(((sum(m), _packed(m, base), m, _sparse(vec))
+                      for m, vec in terms.items()), key=lambda entry: entry[0])
+    return entries, [entry[0] for entry in entries]
+
+
+def _convolve(rows, out_dim):
+    """The pair loop both kernels share.  rows yields (m1, k1, u, table, vs):
+    a monomial m1 with packed key k1 and sparse vector u = ((i, int), ...),
+    the table to put u through, and the (_, k2, m2, v2) entries of
+    _by_degree to pair it with.  Returns sum [u, v2] * m1*m2 over every row
+    and pair, added as integers under the packed product key k1 + k2."""
     out = {}    # packed product monomial -> integer accumulator
     monos = {}  # packed product monomial -> exponent tuple
-    for m1, u1 in uterms.items():
-        stop = bisect_right(vdegs, trunc - sum(m1))
-        if not stop:
-            continue
-        u = [(i, ui) for i, ui in enumerate(u1) if ui and i in table]
-        if not u:
+    for m1, k1, u, table, vs in rows:
+        u = [(i, ui) for i, ui in u if i in table]
+        if not u or not vs:
             continue
         f, urow = _contracted(u, table)
-        k1 = _packed(m1, base)
-        for _, k2, m2, v2 in vs[:stop]:
+        for _, k2, m2, v2 in vs:
             key = k1 + k2
             acc = out.get(key)
             if acc is None:
@@ -131,6 +161,51 @@ def bracket_convolve(uterms, vterms, table, trunc, out_dim):
                     for k, c in ents:
                         acc[k] += fv * c
     return {monos[key]: tuple(acc) for key, acc in out.items() if any(acc)}
+
+
+def bracket_convolve(uterms, vterms, table, trunc, out_dim):
+    """Bilinear convolution of two terms maps through an integer table.
+
+    Computes sum over monomial pairs of [u_m1, v_m2] * m1*m2, truncating
+    every product monomial whose total degree exceeds trunc.  Each u
+    monomial walks only the v monomials of low enough total degree; the
+    products that survive have every exponent at most trunc, so they are
+    added as integers packed in base trunc + 1.
+    """
+    base = max(trunc, 0) + 1
+    vs, vdegs = _by_degree(vterms, base)
+
+    def rows():
+        for m1, u1 in uterms.items():
+            stop = bisect_right(vdegs, trunc - sum(m1))
+            if stop:
+                yield m1, _packed(m1, base), _sparse(u1), table, vs[:stop]
+
+    return _convolve(rows(), out_dim)
+
+
+def self_convolve(terms, table, sym, trunc, out_dim):
+    """bracket_convolve(terms, terms, table, trunc, out_dim), each unordered
+    monomial pair walked once.
+
+    sym is symmetric_table(table).  The pair (m1, m1) goes through table;
+    a pair m1 != m2 contributes [y_m1, y_m2] + [y_m2, y_m1] to m1*m2, which
+    is y_m1 put through table + table^t against y_m2, so it goes through sym
+    once.  Monomials are walked in ascending total degree, each against
+    itself and the later ones within the truncation, and the walk ends at
+    the first monomial with no partner left.
+    """
+    ys, degs = _by_degree(terms, max(trunc, 0) + 1)
+
+    def rows():
+        for p, (deg, k1, m1, y1) in enumerate(ys):
+            stop = bisect_right(degs, trunc - deg)
+            if stop <= p:
+                return
+            yield m1, k1, y1, table, ys[p:p + 1]
+            yield m1, k1, y1, sym, ys[p + 1:stop]
+
+    return _convolve(rows(), out_dim)
 
 
 def matvec_terms(terms, rows, out_dim):

@@ -16,7 +16,9 @@ arithmetic truncated at the ring order by _kernels.bracket_convolve, which
 walks only the monomial pairs within the order (bucketed by total degree).
 It reads the elements' integer numerators and the bracket table scaled by
 the lcm Dt of its denominators (cached per degree pair beside the Fraction
-table); apply_bracket puts the result over u.den * v.den * Dt.
+table); apply_bracket puts the result over u.den * v.den * Dt.  A
+self-bracket [y, y] goes through _kernels.self_convolve instead, which
+walks each unordered monomial pair once through T + T^t (cached beside T).
 
 Sign conventions (cohomological grading, d of degree +1):
   [x, y] = -(-1)^{|x||y|} [y, x]
@@ -28,7 +30,12 @@ from fractions import Fraction
 from itertools import groupby
 from math import lcm
 
-from ._kernels import bracket_convolve, integer_table
+from ._kernels import (
+    bracket_convolve,
+    integer_table,
+    self_convolve,
+    symmetric_table,
+)
 from .formal import FormalElement
 from .graded import GradedLinearMap
 from .linalg import Matrix, ZERO
@@ -301,6 +308,16 @@ class DGLA:
             scaled = self._int_tables[key] = integer_table(self.bracket_table(p, q))
         return scaled
 
+    def _symmetric_table(self, p):
+        """_integer_table(p, p)[1] plus its transpose, over the same Dt;
+        cached in _int_tables beside it, under the key ("sym", p)."""
+        key = ("sym", p)
+        sym = self._int_tables.get(key)
+        if sym is None:
+            sym = self._int_tables[key] = symmetric_table(
+                self._integer_table(p, p)[1])
+        return sym
+
     # action on formal elements
 
     def generator_element(self, ring, name, mono=None, coeff=1):
@@ -322,7 +339,22 @@ class DGLA:
         return self.differential.apply_element(v, 1)
 
     def apply_bracket(self, u, v):
-        """[u, v], the bilinear extension over monomials, truncated."""
+        """[u, v], the bilinear extension over monomials, truncated.
+
+        A self-bracket (u is v) walks each unordered monomial pair once
+        (_kernels.self_convolve); the result is the same exact element.
+        """
+        return self._convolved(u, v, both=False)
+
+    def _bracket_sum(self, u, v):
+        """[u, v] + [v, u] for u, v of one degree: one kernel call through
+        the integer table T + T^t (the same scale as T)."""
+        if u.degree != v.degree:
+            raise ValueError("the bracket sum needs elements of one degree")
+        return self._convolved(u, v, both=True)
+
+    def _convolved(self, u, v, both):
+        """[u, v], or [u, v] + [v, u] when both, over u.den * v.den * Dt."""
         if u.ring != v.ring:
             raise ValueError("ring mismatch")
         if self.dim(u.degree) != u.dim or self.dim(v.degree) != v.dim:
@@ -332,7 +364,17 @@ class DGLA:
         if out_dim and u.nums and v.nums:
             Dt, table = self._integer_table(u.degree, v.degree)
             if table:
-                nums = bracket_convolve(u.nums, v.nums, table, u.ring.order, out_dim)
+                trunc = u.ring.order
+                if both:
+                    nums = bracket_convolve(u.nums, v.nums,
+                                            self._symmetric_table(u.degree),
+                                            trunc, out_dim)
+                elif u is v:
+                    nums = self_convolve(u.nums, table,
+                                         self._symmetric_table(u.degree),
+                                         trunc, out_dim)
+                else:
+                    nums = bracket_convolve(u.nums, v.nums, table, trunc, out_dim)
                 return FormalElement.from_integers(
                     u.ring, out_deg, out_dim, u.den * v.den * Dt, nums)
         return FormalElement.zero(u.ring, out_deg, out_dim)

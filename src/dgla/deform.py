@@ -110,8 +110,12 @@ def solve_mc_ivp(L, R, x):
 def solve_by_recursion(L, R, x):
     """The same solution assembled order by order:
 
-        tau^b = x^b - 1/2 h ( sum_{i+j=b} [tau^i, tau^j] ).
+        tau^b = x^b - 1/2 h ( sum_{i+j=b} [tau^i, tau^j] )
+              = x^b - 1/2 h ( [tau^{b/2}, tau^{b/2}]
+                              + sum_{i<j, i+j=b} ([tau^i, tau^j] + [tau^j, tau^i]) ),
 
+    the first term for even b only: one self-bracket and one bracket sum
+    per unordered pair (DGLA._bracket_sum, one pass through T + T^t).
     Cross-checks the fixed-point engine; iterations is the truncation order.
     """
     _check_initial_value(L, x)
@@ -120,11 +124,14 @@ def solve_by_recursion(L, R, x):
     parts = {}
     for b in range(1, N + 1):
         acc = FormalElement.zero(x.ring, 2, dim2)
-        for i in range(1, b):
+        for i in range(1, (b + 1) // 2):
             u = parts.get(i)
             v = parts.get(b - i)
             if u is not None and v is not None:
-                acc = acc + L.apply_bracket(u, v)
+                acc = acc + L._bracket_sum(u, v)
+        half = parts.get(b // 2) if b % 2 == 0 else None
+        if half is not None:
+            acc = acc + L.apply_bracket(half, half)
         tau_b = x.homogeneous_part(b) - R.contract(acc).scale(HALF)
         if not tau_b.is_zero():
             parts[b] = tau_b

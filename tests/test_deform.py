@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+import dgla.algebra
 from dgla import (
     BUILTIN_NAMES,
     DGLA,
@@ -24,6 +25,7 @@ from dgla.formal import CoefficientRing, FormalElement
 from dgla.report import canonical_json, element_data
 
 from conftest import contraction_for
+from reference import naive_bracket
 
 
 def F(x):
@@ -321,3 +323,68 @@ def test_solver_over_two_variable_ring():
     assert sol.tau.coefficient((1, 1)) == (F(0), F(-2))
     assert sol.tau.coefficient((0, 2)) == (F(0), F(-2))
     assert kuranishi_map(L, R, sol.tau) == x
+
+
+# Self-brackets on tables only the Python API reaches: docio refuses a
+# bracket that breaks graded antisymmetry, but DGLA(...) takes any table.
+
+def one_sided_dgla():
+    """[x, y] without [y, x], [x, x] and [c, x] unequal to their mirrors, a
+    degree-0 self-bracket [a, a] = b; dc = z, so h(z) = c feeds the fixed
+    point while w stays harmonic."""
+    return DGLA(
+        [("a", 0), ("b", 0), ("x", 1), ("y", 1), ("c", 1), ("z", 2), ("w", 2)],
+        d={"c": [("z", 1)]},
+        bracket={("x", "y"): [("z", 1)],
+                 ("x", "x"): [("z", 1), ("w", Fraction(1, 3))],
+                 ("y", "c"): [("w", 1)], ("c", "x"): [("z", 2)],
+                 ("a", "a"): [("b", 1)], ("a", "b"): [("a", 1)],
+                 ("b", "a"): [("b", Fraction(1, 2))]},
+        name="one-sided")
+
+
+def random_element(L, ring, deg, rng):
+    n = L.dim(deg)
+    terms = {}
+    for mono in ring.all_monomials():
+        vec = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+                    for _ in range(n))
+        if rng.random() < 0.6 and any(vec):
+            terms[mono] = vec
+    return FormalElement(ring, deg, n, terms)
+
+
+def test_self_bracket_exact_on_one_sided_table():
+    L = one_sided_dgla()
+    rng = Random(53)
+    ring = CoefficientRing(("s", "t"), 4)
+    for deg in (0, 1):
+        for _ in range(5):
+            y = random_element(L, ring, deg, rng)
+            assert L.apply_bracket(y, y) == naive_bracket(L, y, y), deg
+
+
+def test_recursion_agrees_on_one_sided_table():
+    L = one_sided_dgla()
+    R = build_contraction(L, build_splitting(L))
+    sol = universal_solution(L, R, 5)
+    assert solve_by_recursion(L, R, sol.direction).tau == sol.tau
+    # both pins computed with the ordered-pair kernel
+    assert sol.iterations == 5
+    digest = hashlib.sha256(canonical_json(element_data(sol.tau))).hexdigest()
+    assert digest == \
+        "bf925815d3f7b446a7216b651f222f5b2da848cf1200f83f6851dbb1bab8c766"
+
+
+def test_curvature_takes_the_self_path(monkeypatch):
+    L = one_sided_dgla()
+    R = build_contraction(L, build_splitting(L))
+    tau = universal_solution(L, R, 5).tau
+    want = L.apply_differential(tau) + \
+        naive_bracket(L, tau, tau).scale(Fraction(1, 2))
+
+    def refuse(*args):
+        raise AssertionError("a self-bracket reached bracket_convolve")
+
+    monkeypatch.setattr(dgla.algebra, "bracket_convolve", refuse)
+    assert L.curvature(tau) == want

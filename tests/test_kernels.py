@@ -11,10 +11,13 @@ from dgla._kernels import (
     integer_rows,
     integer_table,
     matvec_terms,
+    self_convolve,
+    symmetric_table,
 )
 from dgla.formal import CoefficientRing, FormalElement
 
 from reference import (
+    fraction_add,
     naive_bracket,
     naive_convolve,
     naive_differential,
@@ -45,6 +48,25 @@ def convolve_fractions(u, v, table, trunc, out_dim):
     Dv, iv = integer_terms(v)
     Dt, it = integer_table(table)
     w = bracket_convolve(iu, iv, it, trunc, out_dim)
+    assert_integer_terms(w)
+    return over(w, Du * Dv * Dt)
+
+
+def self_convolve_fractions(terms, table, trunc, out_dim):
+    """self_convolve on Fraction inputs: scale, convolve, divide."""
+    D, it = integer_terms(terms)
+    Dt, itable = integer_table(table)
+    w = self_convolve(it, itable, symmetric_table(itable), trunc, out_dim)
+    assert_integer_terms(w)
+    return over(w, D * D * Dt)
+
+
+def bracket_sum_fractions(u, v, table, trunc, out_dim):
+    """bracket_convolve through symmetric_table on Fraction inputs."""
+    Du, iu = integer_terms(u)
+    Dv, iv = integer_terms(v)
+    Dt, itable = integer_table(table)
+    w = bracket_convolve(iu, iv, symmetric_table(itable), trunc, out_dim)
     assert_integer_terms(w)
     return over(w, Du * Dv * Dt)
 
@@ -162,6 +184,27 @@ def test_zero_results_are_dropped():
     assert matvec_terms(u, ((0, ((0, 1), (1, 1))),), 1) == {}
 
 
+def test_symmetric_table_adds_the_transpose():
+    # [e0, e1] one-sided, [e1, e1] on the diagonal, [e0, e2] + [e2, e0] = 0
+    table = {0: {1: ((0, 3),), 2: ((1, 2),)}, 1: {1: ((1, 5),)},
+             2: {0: ((1, -2),)}}
+    assert symmetric_table(table) == {
+        0: {1: ((0, 3),)}, 1: {0: ((0, 3),), 1: ((1, 10),)}}
+    assert symmetric_table({}) == {}
+
+
+def test_self_convolve_walks_each_unordered_pair_once():
+    # three monomials of degree 1, 1 and 2 at trunc 3: the pairs within the
+    # cut are (a, a), (a, b), (a, c), (b, b), (b, c); each off-diagonal
+    # pair is counted twice, through T + T^t
+    terms = {(1, 0): (1,), (0, 1): (2,), (2, 0): (5,)}
+    table = {0: {0: ((0, 1),)}}
+    assert self_convolve(terms, table, symmetric_table(table), 3, 1) == {
+        (2, 0): (1,), (1, 1): (4,), (3, 0): (10,), (0, 2): (4,),
+        (2, 1): (20,)}
+    assert self_convolve({}, table, symmetric_table(table), 3, 1) == {}
+
+
 def test_integer_forms_of_table_and_rows():
     half, third = F(1, 2), F(-2, 3)
     table = {(0, 1): ((0, half), (1, third)), (1, 1): ()}
@@ -249,6 +292,62 @@ def test_bracket_convolve_property(case):
     u, v, table, trunc, out_dim = case
     assert convolve_fractions(u, v, table, trunc, out_dim) == \
         naive_convolve(u, v, table, trunc, out_dim)
+
+
+@st.composite
+def square_cases(draw, nmaps):
+    """nmaps terms maps of one dimension and a square table (one degree
+    against itself), then trunc and out_dim; the table may set [e_i, e_j]
+    without [e_j, e_i], or both and unequal."""
+    nvars = draw(st.integers(1, 3))
+    trunc = draw(st.integers(0, 4))
+    dim, out_dim = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    maps = tuple(draw(terms_maps(nvars, trunc, dim)) for _ in range(nmaps))
+    table = {(i, j): draw(entry_lists(out_dim))
+             for i in range(dim) for j in range(dim) if draw(st.booleans())}
+    return maps + (table, trunc, out_dim)
+
+
+# Explicit cases: an empty and a single-monomial map; a one-sided entry on a
+# pair at the cut; monomials at trunc and trunc + 1 beside a constant one;
+# an antisymmetric table (an even-degree self-bracket, so zero); and
+# denominators whose lcm exceeds 10^4 (101 * 103 * 107).
+@settings(max_examples=300, deadline=None)
+@given(square_cases(1))
+@example(({}, {(0, 0): ((0, F(1)),)}, 3, 1))
+@example(({(1,): (F(1, 3), F(2))}, {(0, 1): ((0, F(1, 5)),)}, 2, 1))
+@example(({(1, 0): (F(1), F(0)), (0, 1): (F(0), F(1))},
+          {(0, 1): ((0, F(1)),)}, 2, 1))
+@example(({(0, 0): (F(1, 2),), (0, 3): (F(1, 3),), (2, 2): (F(1, 5),)},
+          {(0, 0): ((0, F(1, 7)),)}, 3, 1))
+@example(({(1,): (F(1), F(2)), (2,): (F(3), F(-1))},
+          {(0, 1): ((0, F(1)),), (1, 0): ((0, F(-1)),)}, 4, 1))
+@example(({(1,): (F(1, 101), F(2, 103)), (2,): (F(-3, 107), F(1))},
+          {(0, 1): ((0, F(1, 101)),), (1, 0): ((1, F(5, 103)),),
+           (1, 1): ((0, F(1, 107)),)}, 4, 2))
+def test_self_convolve_property(case):
+    terms, table, trunc, out_dim = case
+    assert self_convolve_fractions(terms, table, trunc, out_dim) == \
+        naive_convolve(terms, terms, table, trunc, out_dim)
+
+
+# Explicit cases: an empty side; one-sided [e0, e1] with both orders of the
+# pair present; products at and past the cut; denominators whose lcm
+# exceeds 10^4.
+@settings(max_examples=300, deadline=None)
+@given(square_cases(2))
+@example(({}, {(1,): (F(1),)}, {(0, 0): ((0, F(1)),)}, 3, 1))
+@example(({(1,): (F(1), F(0))}, {(1,): (F(0), F(1))},
+          {(0, 1): ((0, F(1, 3)),)}, 2, 1))
+@example(({(0,): (F(1, 7),), (4,): (F(1),)}, {(3,): (F(-2, 11),)},
+          {(0, 0): ((0, F(1, 13)),)}, 3, 1))
+@example(({(1, 1): (F(1, 101), F(2, 103))}, {(2, 0): (F(-3, 107), F(1))},
+          {(0, 1): ((0, F(1, 101)),), (1, 0): ((1, F(5, 103)),)}, 4, 2))
+def test_bracket_sum_property(case):
+    u, v, table, trunc, out_dim = case
+    assert bracket_sum_fractions(u, v, table, trunc, out_dim) == fraction_add(
+        naive_convolve(u, v, table, trunc, out_dim),
+        naive_convolve(v, u, table, trunc, out_dim))
 
 
 @settings(max_examples=300, deadline=None)
