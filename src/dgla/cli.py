@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import os
 import sys
+from contextlib import contextmanager
 
 from . import __version__
 from .deform import (
@@ -28,7 +29,7 @@ from .deform import (
 from .docio import DocumentError, parse_dgla, parse_element, parse_rational
 from .formal import CoefficientRing, FormalElement
 from .hodge import hodge_checks
-from .linalg import kernel_basis, vec_add, vec_scale, zero_vec
+from .linalg import vec_add, vec_scale, zero_vec
 from .report import (
     RunReport,
     basis_data,
@@ -62,6 +63,15 @@ def _load(path, allow_invalid=False):
     return L, rep, {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
 
 
+@contextmanager
+def _input_error(command):
+    """Report a ValueError raised in the block as bad input to `command`."""
+    try:
+        yield
+    except ValueError as e:
+        raise CliError("%s: %s" % (command, e)) from None
+
+
 def _checked_order(args):
     n = args.order
     if n < 1:
@@ -75,10 +85,8 @@ def _checked_order(args):
 
 
 def _contraction(L, command):
-    try:
+    with _input_error(command):
         return build_contraction(L, build_splitting(L))
-    except ValueError as e:
-        raise CliError("%s: %s" % (command, e)) from None
 
 
 def _parse_direction(text, k):
@@ -175,19 +183,17 @@ def cmd_validate(args):
 
 def cmd_homology(args):
     L, _, info = _load(args.file, allow_invalid=args.allow_invalid)
-    try:
+    with _input_error("homology"):
         S = build_splitting(L)
-    except ValueError as e:
-        raise CliError("homology: %s" % e) from None
     ok_rank = True
     ok_sub = True
     for deg in L.degrees:
         b_next = S.boundaries[deg + 1].dim if deg + 1 in S.boundaries else 0
         if S.cycles[deg].dim + b_next != L.dim(deg):
             ok_rank = False
-        for b in S.boundaries[deg].vectors:
-            if not S.cycles[deg].contains(b):
-                ok_sub = False
+        dB = L.differential.block(deg, deg + 1) @ S.boundaries[deg].matrix()
+        if not dB.is_zero():
+            ok_sub = False
     r = RunReport(input_info=info)
     r.add_stage(
         "homology",
@@ -230,7 +236,8 @@ def cmd_sdr(args):
 def cmd_hodge(args):
     L, _, info = _load(args.file, allow_invalid=args.allow_invalid)
     R = _contraction(L, args.command)
-    checks, witnesses = hodge_checks(L, R)
+    with _input_error("hodge"):
+        checks, witnesses = hodge_checks(L, R)
     data = {
         "star": graded_map_data(R.star),
         "laplacian": graded_map_data(R.laplacian),
@@ -248,11 +255,9 @@ def cmd_mc_solve(args):
     order = _checked_order(args)
     ring = CoefficientRing(("t",), order)
     x, coeffs = _direction_element(L, R, ring, args.direction)
-    try:
+    with _input_error("mc-solve"):
         sol = solve_mc_ivp(L, R, x)
         rec = solve_by_recursion(L, R, x)
-    except ValueError as e:
-        raise CliError("mc-solve: %s" % e) from None
     data = _solution_data(sol, ring)
     data["direction"] = [rational_str(c) for c in coeffs]
     r = RunReport(input_info=info,
@@ -265,11 +270,9 @@ def cmd_universal(args):
     L, _, info = _load(args.file, allow_invalid=args.allow_invalid)
     R = _contraction(L, args.command)
     order = _checked_order(args)
-    try:
+    with _input_error("universal"):
         sol = universal_solution(L, R, order)
         rec = solve_by_recursion(L, R, sol.direction)
-    except ValueError as e:
-        raise CliError("universal: %s" % e) from None
     ring = sol.tau.ring
     data = _solution_data(sol, ring)
     H1 = R.splitting.harmonic.get(1)
@@ -287,7 +290,7 @@ def cmd_kuranishi(args):
     order = _checked_order(args)
     ring = CoefficientRing(("t",), order)
     x = _element_arg(L, ring, args.input, 1, "--input")
-    try:
+    with _input_error("kuranishi"):
         if args.inverse:
             result = kuranishi_inverse(L, R, x)
             ok = kuranishi_map(L, R, result) == x
@@ -296,8 +299,6 @@ def cmd_kuranishi(args):
             result = kuranishi_map(L, R, x)
             ok = kuranishi_inverse(L, R, result) == x
             mode = "forward"
-    except ValueError as e:
-        raise CliError("kuranishi: %s" % e) from None
     r = RunReport(input_info=info,
                   options={"order": order, "variables": ["t"]})
     r.add_stage(
@@ -314,11 +315,9 @@ def cmd_obstruction(args):
     order = _checked_order(args)
     ring = CoefficientRing(("t",), order)
     x, coeffs = _direction_element(L, R, ring, args.direction)
-    try:
+    with _input_error("obstruction"):
         ob = obstruction(L, R, x)
         sol = solve_mc_ivp(L, R, x)
-    except ValueError as e:
-        raise CliError("obstruction: %s" % e) from None
     coherent = ob == sol.obstruction
     r = RunReport(input_info=info,
                   options={"order": order, "variables": ["t"]})
@@ -343,15 +342,14 @@ def cmd_gauge_equiv(args):
     ring = CoefficientRing(("t",), order)
     A = _element_arg(L, ring, args.a, 1, "--a")
     Ap = _element_arg(L, ring, args.b, 1, "--b")
-    if not mc_residual(L, A).is_zero():
-        raise CliError("gauge-equiv: --a is not flat (nonzero mc residual)")
-    if not mc_residual(L, Ap).is_zero():
-        raise CliError("gauge-equiv: --b is not flat (nonzero mc residual)")
-    try:
+    with _input_error("gauge-equiv"):
+        if not mc_residual(L, A).is_zero():
+            raise CliError("gauge-equiv: --a is not flat (nonzero mc residual)")
+        if not mc_residual(L, Ap).is_zero():
+            raise CliError("gauge-equiv: --b is not flat (nonzero mc residual)")
         witness = gauge_equivalent(L, R, A, Ap)
-    except ValueError as e:
-        raise CliError("gauge-equiv: %s" % e) from None
-    complete = kernel_basis(L.differential.block(0, 1)).dim == 0
+    Z0 = R.splitting.cycles.get(0)
+    complete = Z0 is None or Z0.dim == 0
     data = {"a": element_data(A), "b": element_data(Ap), "complete": complete}
     checks = []
     if witness is not None:

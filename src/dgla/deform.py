@@ -200,13 +200,12 @@ def kur_membership(L, R, x):
     """Whether the obstruction of x vanishes identically (mod m^{N+1}).
 
     Requires the order-1 part of x to lie in the span of the harmonic
-    degree-1 representatives.
+    degree-1 representatives, that is, to be fixed by nabla pi.
     """
     _check_degree_one(x)
-    H1 = R.splitting.harmonic.get(1)
-    for vec in x.homogeneous_part(1).fraction_terms().values():
-        if H1 is None or not H1.contains(vec):
-            raise ValueError("the order-1 part of x is not harmonic")
+    x1 = x.homogeneous_part(1)
+    if R.harmonic_projection(x1) != x1:
+        raise ValueError("the order-1 part of x is not harmonic")
     return obstruction(L, R, x).is_zero()
 
 

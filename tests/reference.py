@@ -9,7 +9,8 @@ from fractions import Fraction
 
 from dgla.algebra import ValidationIssue, ValidationReport, koszul_sign
 from dgla.formal import FormalElement
-from dgla.linalg import ZERO
+from dgla.hodge import hodge_decompose
+from dgla.linalg import ZERO, rank, vec_add, vec_is_zero
 
 
 def fraction_add(s, t):
@@ -281,3 +282,73 @@ def greedy_complement(n, S, inside=None):
     if not all(ech.try_add(s) for s in S):
         raise ValueError("S is not linearly independent")
     return [c for c in candidates if ech.try_add(c)]
+
+
+def reference_cartan(L, R):
+    """check_cartan by membership: h[u, v] in span(C) by one linear solve
+    per nonzero h[u, v] (SubspaceBasis.contains), with no use of R's
+    projections."""
+    witnesses = []
+    harmonic = R.splitting.harmonic
+    complement = R.splitting.complement
+    degrees = sorted(harmonic)
+    for p in degrees:
+        for q in degrees:
+            if not L.dim(p + q):
+                continue
+            for iu, u in enumerate(harmonic[p].vectors):
+                for iv, v in enumerate(harmonic[q].vectors):
+                    w = L.bracket_vectors(p, u, q, v)
+                    hw = R.h.block(p + q, p + q - 1).mul_vec(w)
+                    if not any(hw):
+                        continue
+                    Bstar = complement.get(p + q - 1)
+                    if Bstar is None or not Bstar.contains(hw):
+                        witnesses.append((p, iu, q, iv))
+    return not witnesses, witnesses
+
+
+def reference_hodge_checks(L, R):
+    """hodge_checks with the decomposition and Cartan condition decided by
+    membership: every standard basis vector is split by hodge_decompose and
+    each part is tested against B, H and C with one linear solve apiece."""
+    star = R.star
+    ok_invol = (star @ star) == R.identity
+    ok_codiff = (star @ R.differential @ star) == R.h
+    lap = R.laplacian
+    ok_lap = lap == R.identity - R.pi_H
+    ok_idem = (lap @ lap) == lap
+
+    ok_kernel = True
+    ok_decomp = True
+    split = R.splitting
+    for deg, n in sorted(split.dims.items()):
+        block = lap.block(deg, deg)
+        if rank(block) != n - split.harmonic[deg].dim:
+            ok_kernel = False
+        for v in split.harmonic[deg].vectors:
+            if not vec_is_zero(block.mul_vec(v)):
+                ok_kernel = False
+        for k in range(n):
+            e = tuple(Fraction(int(j == k)) for j in range(n))
+            vB, vH, vBs = hodge_decompose(R, deg, e)
+            if vec_add(vec_add(vB, vH), vBs) != e:
+                ok_decomp = False
+            if any(vB) and not split.boundaries[deg].contains(vB):
+                ok_decomp = False
+            if any(vH) and not split.harmonic[deg].contains(vH):
+                ok_decomp = False
+            if any(vBs) and not split.complement[deg].contains(vBs):
+                ok_decomp = False
+
+    ok_cartan, witnesses = reference_cartan(L, R)
+    checks = [
+        ("star-involution", ok_invol),
+        ("codifferential-identity", ok_codiff),
+        ("laplacian-identity", ok_lap),
+        ("double-projection-idempotent", ok_idem),
+        ("laplacian-kernel", ok_kernel),
+        ("hodge-decomposition", ok_decomp),
+        ("cartan-condition", ok_cartan),
+    ]
+    return checks, witnesses

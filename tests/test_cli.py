@@ -356,6 +356,35 @@ def test_contraction_error_names_the_subcommand(capsys, tmp_path, cmd, extra):
     assert err.startswith("error: %s: " % cmd) and "not homogeneous" in err
 
 
+ONE_X = '{"degree": 1, "terms": {"t": {"x": "1"}}}'
+
+
+@pytest.mark.parametrize("cmd, extra", [
+    ("hodge", ()),
+    ("gauge-equiv", ("--order", "3", "--a", ONE_X, "--b", ONE_X)),
+    ("universal", ()),
+    ("mc-solve", ("--direction", "1")),
+    ("obstruction", ("--direction", "1")),
+    ("kuranishi", ("--input", ONE_X)),
+], ids=["hodge", "gauge-equiv", "universal", "mc-solve", "obstruction",
+        "kuranishi"])
+def test_bracket_leaving_its_degree_exit_two(capsys, tmp_path, cmd, extra):
+    # x in degree 1 with [x, x] = x: loads under --allow-invalid, then the
+    # first bracket evaluation refuses it as bad input
+    path = tmp_path / "degree.json"
+    path.write_text(json.dumps({
+        "name": "degree", "field": "Q",
+        "generators": [{"name": "x", "degree": 1}, {"name": "b", "degree": 2}],
+        "d": [],
+        "bracket": [{"left": "x", "right": "x",
+                     "result": [{"gen": "x", "coeff": "1"}]}],
+    }))
+    code, out, err = run_main(capsys, cmd, str(path), "--allow-invalid", *extra)
+    assert code == 2
+    assert err.startswith("error: %s: bracket [x, x] does not preserve total "
+                          "degree" % cmd)
+
+
 @pytest.mark.parametrize("cmd", ["homology", "sdr"])
 def test_d_squared_nonzero_names_the_degree(capsys, tmp_path, cmd):
     # a(0) -> b(1) -> c(2) with d a = b, d b = c: the boundary b is no cycle

@@ -309,6 +309,13 @@ def test_kur_membership():
     # direction with a component outside span(H^1) is rejected
     with pytest.raises(ValueError):
         kur_membership(L, R, L.generator_element(ring, "c"))
+    with pytest.raises(ValueError):
+        kur_membership(L, R, L.generator_element(ring, "x")
+                       + L.generator_element(ring, "c"))
+    # a boundary is a cocycle but not harmonic
+    L4, R4 = contraction_for("E4")
+    with pytest.raises(ValueError):
+        kur_membership(L4, R4, L4.generator_element(ring, "x"))
 
 
 def test_solver_over_two_variable_ring():

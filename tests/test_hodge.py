@@ -1,12 +1,15 @@
 from fractions import Fraction
 
-from dgla import check_cartan, hodge_decompose
+import pytest
+
+from dgla import DGLA, check_cartan, hodge_decompose, validate_dgla
 from dgla.graded import GradedLinearMap
 from dgla.hodge import hodge_checks
-from dgla.linalg import vec, vec_add, zero_vec
-from dgla.sdr import SDRData
+from dgla.linalg import Matrix, SubspaceBasis, vec, vec_add, zero_vec
+from dgla.sdr import SDRData, Splitting, build_contraction, build_splitting
 
 from conftest import contraction_for
+from reference import reference_hodge_checks
 
 
 def F(x):
@@ -146,3 +149,117 @@ def test_hodge_checks_flag_broken_convention():
     checks, _ = hodge_checks(L, bad)
     failed = {label for label, ok in checks if not ok}
     assert {"codifferential-identity", "laplacian-identity"} <= failed
+
+
+# hodge_checks against the membership-by-solve reference
+
+
+def chain_case():
+    """d a = b, d c = e and [x, x] = e: degree 1 holds a boundary b, a
+    harmonic x and a complement c = h e at once."""
+    L = DGLA([("a", 0), ("x", 1), ("b", 1), ("c", 1), ("e", 2)],
+             d={"a": [("b", 1)], "c": [("e", 1)]},
+             bracket={("x", "x"): [("e", 1)]}, name="chain")
+    assert validate_dgla(L).ok
+    return L, build_contraction(L, build_splitting(L))
+
+
+def case(name):
+    return chain_case() if name == "chain" else contraction_for(name)
+
+
+def perturbed(R, **maps):
+    fields = dict(splitting=R.splitting, h=R.h, projection=R.projection,
+                  inclusion=R.inclusion, pi_B=R.pi_B,
+                  differential=R.differential)
+    fields.update(maps)
+    return SDRData(**fields)
+
+
+def shifted_complement(R, degree, shift):
+    """R over a splitting whose first degree-`degree` complement vector is
+    moved by `shift`; every map of R is kept."""
+    S = R.splitting
+    C = list(S.complement[degree].vectors)
+    C[0] = vec_add(C[0], shift)
+    complement = dict(S.complement)
+    complement[degree] = SubspaceBasis(S.dims[degree], C)
+    return perturbed(R, splitting=Splitting(
+        S.dims, S.cycles, S.boundaries, S.harmonic, complement))
+
+
+PERTURBATIONS = {
+    "none": lambda R: R,
+    "h*3": lambda R: perturbed(R, h=R.h.scale(F(3))),
+    "pi_B*2": lambda R: perturbed(R, pi_B=R.pi_B.scale(F(2))),
+    "pi_B=0": lambda R: perturbed(R, pi_B=GradedLinearMap(R.dims, R.dims)),
+    "projection*2": lambda R: perturbed(R, projection=R.projection.scale(F(2))),
+}
+
+
+def compare_with_reference(L, R):
+    """Both check lists; they agree exactly once the decomposition passes,
+    and otherwise the new one fails the decomposition too."""
+    new, new_w = hodge_checks(L, R)
+    old, old_w = reference_hodge_checks(L, R)
+    assert [label for label, _ in new] == [label for label, _ in old]
+    if dict(old)["hodge-decomposition"]:
+        assert (new, new_w) == (old, old_w)
+    else:
+        assert not dict(new)["hodge-decomposition"]
+        assert new[:5] == old[:5]
+    return ({label for label, ok in new if not ok},
+            {label for label, ok in old if not ok})
+
+
+@pytest.mark.parametrize("perturbation", sorted(PERTURBATIONS))
+@pytest.mark.parametrize("name", ["E0", "E1", "E2", "E3", "E4", "chain"])
+def test_hodge_checks_match_reference(name, perturbation):
+    L, R = case(name)
+    failed_new, failed_old = compare_with_reference(L, PERTURBATIONS[perturbation](R))
+    assert failed_new == failed_old
+
+
+def test_hodge_checks_match_reference_on_cartan_failure():
+    # h e = c + x leaves B*: both flag the Cartan pair (x, x)
+    L, R = chain_case()
+    assert L.basis_names(1) == ("x", "b", "c")
+    into_H = Matrix.from_columns(3, [vec(1, 0, 0)])
+    bad = perturbed(R, h=R.h + GradedLinearMap(R.dims, R.dims, {(2, 1): into_H}))
+    failed_new, failed_old = compare_with_reference(L, bad)
+    assert failed_new == failed_old == {
+        "star-involution", "laplacian-identity", "cartan-condition"}
+    assert hodge_checks(L, bad)[1] == [(1, 0, 1, 0)]
+
+
+@pytest.mark.parametrize("name, shift", [
+    ("E1", vec(1, 0)),          # c + x: shifted by the harmonic x
+    ("chain", vec(1, 0, 0)),    # c + x
+    ("chain", vec(0, 1, 0)),    # c + b: shifted by the boundary b
+], ids=["E1-harmonic", "chain-harmonic", "chain-boundary"])
+def test_hodge_checks_shifted_complement(name, shift):
+    # pi_B and pi_H still project along the old complement, so both flag
+    # the decomposition.  The reference also flags the Cartan condition,
+    # since h[x, x] = c left the new span; the new check reads membership
+    # off R's projections, which still see c as a complement vector.
+    L, R = case(name)
+    failed_new, failed_old = compare_with_reference(L, shifted_complement(R, 1, shift))
+    assert failed_new == {"hodge-decomposition"}
+    assert failed_old == {"hodge-decomposition", "cartan-condition"}
+
+
+def test_hodge_checks_singular_basis_change():
+    # B^1 = (b, 2b) and C^1 = (): pi_B and pi_H still fix B and H column by
+    # column, and only the rank of P = (B | H | C) shows that c is missing
+    L, R = chain_case()
+    S = R.splitting
+    b = S.boundaries[1].vectors[0]
+    boundaries = dict(S.boundaries)
+    boundaries[1] = SubspaceBasis(3, [b, tuple(2 * t for t in b)], check=False)
+    complement = dict(S.complement)
+    complement[1] = SubspaceBasis(3, [])
+    bad = perturbed(R, splitting=Splitting(
+        S.dims, S.cycles, boundaries, S.harmonic, complement))
+    failed_new, failed_old = compare_with_reference(L, bad)
+    assert failed_new == {"hodge-decomposition"}
+    assert failed_old == {"hodge-decomposition", "cartan-condition"}
