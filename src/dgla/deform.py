@@ -6,7 +6,10 @@ Everything runs over a truncated coefficient ring, so the fixed-point map
     C_x(y) = x - 1/2 h[y, y]
 
 is a contraction in the m-adic filtration and stabilizes exactly within the
-truncation order.  Convention (fixed once, used everywhere): the Maurer-
+truncation order.  The iteration carries S = [y, y] along with the iterate:
+y_n and y_{n+1} agree through order n, so each step brackets only the
+change delta, and the final S gives the residual d tau + 1/2 S without a
+second bracket of tau.  Convention (fixed once, used everywhere): the Maurer-
 Cartan equation is d tau + 1/2 [tau, tau] = 0, the corrective term carries
 -1/2 h, and the Kuranishi map is F(y) = y + 1/2 h[y, y], so that F and the
 fixed point tau_x of C_x are exact mutual inverses order by order.
@@ -31,9 +34,10 @@ class MCSolution:
     """A solved Maurer-Cartan initial value problem.
 
     direction is the initial value x, tau the fixed point of C_x, residual
-    the curvature d tau + 1/2 [tau, tau], obstruction its harmonic part, and
-    iterations the index of the first fixed iterate (for the order-by-order
-    recursion: the truncation order).
+    the curvature d tau + 1/2 [tau, tau] (built from the [tau, tau] the
+    solver already holds), obstruction its harmonic part, and iterations
+    the index of the first fixed iterate (for the order-by-order recursion:
+    the truncation order).
     """
 
     __slots__ = ("direction", "tau", "residual", "obstruction", "iterations")
@@ -62,14 +66,27 @@ def contraction_step(L, R, x, y):
 
 
 def _fixed_point(L, R, x):
-    """Iterate y_1 = x, y_{n+1} = C_x(y_n) until exact stabilization."""
+    """Iterate y_1 = x, y_{n+1} = C_x(y_n) until exact stabilization.
+
+    Returns (tau, n, S): the first fixed iterate y_n, its index n and
+    S = [tau, tau].  S_n = [y_n, y_n] is carried along: by linearity of h
+    the step is delta = y_{n+1} - y_n = -1/2 h(S_n - S_{n-1}) (S_0 = 0),
+    and S_{n+1} = S_n + ([y_n, delta] + [delta, y_n]) + [delta, delta], the
+    middle term one pass through T + T^t (DGLA._bracket_sum), so nothing
+    assumes antisymmetry.  delta has no terms below order n + 1, so a step
+    walks only the pairs that can still land within the truncation.  The
+    loop stops at delta = 0, which is exactly the test C_x(y_n) == y_n.
+    """
     y = x
+    S = step = L.apply_bracket(x, x)
     n = 1
     while True:
-        nxt = contraction_step(L, R, x, y)
-        if nxt == y:
-            return y, n
-        y = nxt
+        delta = R.contract(step).scale(-HALF)
+        if delta.is_zero():
+            return y, n, S
+        step = L._bracket_sum(y, delta) + L.apply_bracket(delta, delta)
+        y = y + delta
+        S = S + step
         n += 1
         if n > x.ring.order + 1:
             raise RuntimeError("fixed point not reached within the truncation order")
@@ -88,8 +105,9 @@ def _check_initial_value(L, x):
         raise ValueError("the order-1 part of the initial value is not a cocycle")
 
 
-def _package(L, R, direction, tau, iterations):
-    residual = L.curvature(tau)
+def _package(L, R, direction, tau, iterations, S):
+    """The MCSolution of tau, given S = [tau, tau] from its solver."""
+    residual = L.apply_differential(tau) + S.scale(HALF)
     obstruction = R.harmonic_projection(residual)
     return MCSolution(direction, tau, residual, obstruction, iterations)
 
@@ -103,8 +121,8 @@ def solve_mc_ivp(L, R, x):
     through residual and obstruction.
     """
     _check_initial_value(L, x)
-    tau, iters = _fixed_point(L, R, x)
-    return _package(L, R, x, tau, iters)
+    tau, iters, S = _fixed_point(L, R, x)
+    return _package(L, R, x, tau, iters, S)
 
 
 def solve_by_recursion(L, R, x):
@@ -115,12 +133,15 @@ def solve_by_recursion(L, R, x):
                               + sum_{i<j, i+j=b} ([tau^i, tau^j] + [tau^j, tau^i]) ),
 
     the first term for even b only: one self-bracket and one bracket sum
-    per unordered pair (DGLA._bracket_sum, one pass through T + T^t).
-    Cross-checks the fixed-point engine; iterations is the truncation order.
+    per unordered pair (DGLA._bracket_sum, one pass through T + T^t).  The
+    bracketed sum is the order-b part of [tau, tau]; summed over b it is
+    S = [tau, tau], and the residual is d tau + 1/2 S.  Cross-checks the
+    fixed-point engine; iterations is the truncation order.
     """
     _check_initial_value(L, x)
     N = x.ring.order
     dim2 = L.dim(2)
+    S = FormalElement.zero(x.ring, 2, dim2)
     parts = {}
     for b in range(1, N + 1):
         acc = FormalElement.zero(x.ring, 2, dim2)
@@ -132,13 +153,14 @@ def solve_by_recursion(L, R, x):
         half = parts.get(b // 2) if b % 2 == 0 else None
         if half is not None:
             acc = acc + L.apply_bracket(half, half)
+        S = S + acc
         tau_b = x.homogeneous_part(b) - R.contract(acc).scale(HALF)
         if not tau_b.is_zero():
             parts[b] = tau_b
     tau = FormalElement.zero(x.ring, 1, L.dim(1))
     for b in sorted(parts):
         tau = tau + parts[b]
-    return _package(L, R, x, tau, N)
+    return _package(L, R, x, tau, N, S)
 
 
 def universal_solution(L, R, order):
@@ -182,8 +204,7 @@ def kuranishi_inverse(L, R, x):
     Identical engine to solve_mc_ivp but without the cocycle precondition.
     """
     _check_degree_one(x)
-    tau, _ = _fixed_point(L, R, x)
-    return tau
+    return _fixed_point(L, R, x)[0]
 
 
 def obstruction(L, R, x):
@@ -254,7 +275,9 @@ def gauge_equivalent(L, R, A, Aprime):
     d0 = L.differential.block(0, 1)
     a = FormalElement.zero(ring, 0, dim0)
     for b in range(1, ring.order + 1):
-        diff = (gauge_act(L, a, A) - Aprime).homogeneous_part(b)
+        # truncation is a ring map, so the order-b part is seen mod m^{b+1}
+        diff = (gauge_act(L, a.to_order(b), A.to_order(b))
+                - Aprime.to_order(b)).homogeneous_part(b)
         if diff.is_zero():
             continue
         terms = {}

@@ -65,6 +65,23 @@ def naive_bracket(L, u, v):
     return FormalElement(u.ring, out_deg, L.dim(out_deg), terms)
 
 
+def reference_fixed_point(L, R, x):
+    """(tau, n): iterate y_1 = x, y_{n+1} = x - 1/2 h[y_n, y_n] at the full
+    truncation order, bracketing the whole iterate by direct expansion at
+    every step, until y_{n+1} == y_n; n is the index of that first fixed
+    iterate."""
+    y = x
+    n = 1
+    while True:
+        nxt = x - R.contract(naive_bracket(L, y, y)).scale(Fraction(1, 2))
+        if nxt == y:
+            return y, n
+        y = nxt
+        n += 1
+        if n > x.ring.order + 1:
+            raise RuntimeError("fixed point not reached within the truncation order")
+
+
 def naive_differential_terms(L, p, s):
     """d(s) for a Fraction terms map s in degree p, generator by generator."""
     dim = L.dim(p + 1)

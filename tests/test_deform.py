@@ -1,8 +1,11 @@
 import hashlib
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dgla.algebra
 from dgla import (
@@ -21,11 +24,12 @@ from dgla import (
     solve_mc_ivp,
     universal_solution,
 )
+from dgla.deform import _fixed_point
 from dgla.formal import CoefficientRing, FormalElement
 from dgla.report import canonical_json, element_data
 
 from conftest import contraction_for
-from reference import naive_bracket
+from reference import naive_bracket, reference_fixed_point
 
 
 def F(x):
@@ -395,3 +399,80 @@ def test_curvature_takes_the_self_path(monkeypatch):
 
     monkeypatch.setattr(dgla.algebra, "bracket_convolve", refuse)
     assert L.curvature(tau) == want
+
+
+def feedback_dgla():
+    """x1, x2, c in degree 1, b in degree 2, dc = b, every degree-1 bracket
+    b: h(b) = c and [c, c] = b, so the fixed-point step delta brackets with
+    itself within the truncation (on the corpus and the one-sided table
+    [delta, delta] is zero)."""
+    gens = [("x1", 1), ("x2", 1), ("c", 1), ("b", 2)]
+    ones = [g for g, deg in gens if deg == 1]
+    return DGLA(gens, d={"c": [("b", 1)]},
+                bracket={(u, v): [("b", 1)] for u in ones for v in ones},
+                name="feedback")
+
+
+EXTRA_CASES = {"feedback": feedback_dgla, "one-sided": one_sided_dgla}
+CASE_NAMES = tuple(EXTRA_CASES) + BUILTIN_NAMES
+
+
+@lru_cache(maxsize=None)
+def case_contraction(name):
+    if name not in EXTRA_CASES:
+        return contraction_for(name)
+    L = EXTRA_CASES[name]()
+    return L, build_contraction(L, build_splitting(L))
+
+
+def t_ring(nvars, order):
+    return CoefficientRing(tuple("t%d" % (i + 1) for i in range(nvars)), order)
+
+
+# The carried S = [y, y] of the fixed point against the full-order iteration
+# with every bracket expanded by hand.  x is any degree-1 element with parts
+# at several orders (kuranishi_inverse takes non-cocycles too); the one-sided
+# table is where [y, delta] + [delta, y] and 2[y, delta] differ, the
+# feedback DGLA where [delta, delta] is not zero.
+@st.composite
+def fixed_point_cases(draw):
+    name = draw(st.sampled_from(CASE_NAMES))
+    L, _ = case_contraction(name)
+    nvars = draw(st.integers(1, 2))
+    order = draw(st.integers(1, 5))
+    ring = t_ring(nvars, order)
+    coeff = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 5))
+    terms = {}
+    for mono in ring.all_monomials():
+        if draw(st.booleans()):
+            terms[mono] = tuple(draw(coeff) for _ in range(L.dim(1)))
+    return name, nvars, order, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixed_point_cases())
+@example(("E1", 1, 5, {(1,): (1, 0), (2,): (0, 1), (4,): (1, 1)}))
+@example(("one-sided", 1, 5, {(1,): (1, 1, 0), (2,): (0, 1, 1)}))
+@example(("one-sided", 2, 4, {(1, 0): (1, 0, 0), (0, 1): (0, 1, 0),
+                              (1, 1): (0, 0, 1)}))
+@example(("feedback", 1, 5, {(1,): (1, 0, 0), (3,): (0, 1, 0)}))
+def test_fixed_point_carries_the_self_bracket(case):
+    name, nvars, order, terms = case
+    L, R = case_contraction(name)
+    x = FormalElement(t_ring(nvars, order), 1, L.dim(1), terms)
+    tau, n, S = _fixed_point(L, R, x)
+    assert (tau, n) == reference_fixed_point(L, R, x)
+    assert S == naive_bracket(L, tau, tau)
+
+
+# The solvers build the residual from the [tau, tau] they carry; an
+# independent full bracket of tau must give the same residual and obstruction.
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_residual_is_the_curvature_of_tau(name):
+    L, R = case_contraction(name)
+    for N in range(1, 8):
+        sol = universal_solution(L, R, N)
+        for s in (sol, solve_by_recursion(L, R, sol.direction)):
+            curv = L.curvature(s.tau)
+            assert s.residual == curv, (name, N)
+            assert s.obstruction == R.harmonic_projection(curv), (name, N)
