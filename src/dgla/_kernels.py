@@ -27,6 +27,9 @@ table: one set up through the Python API with [e_i, e_j] but no
 [e_j, e_i], or the self-bracket of an even-degree element.  Both kernels
 add their pairs in one shared loop (_convolve).  bracket_convolve through
 T + T^t is the bracket sum [u, v] + [v, u] of two elements of one degree.
+bracket_vector is the same bracket on plain coefficient vectors (one
+generator-pair sweep, no series), for DGLA.bracket_vectors and the Cartan
+test of the Hodge package.
 tests/test_kernels.py checks every kernel against plain Fraction reference
 implementations in tests/reference.py.
 
@@ -69,6 +72,28 @@ def integer_rows(rows):
         if ints:
             out.append((r, ints))
     return D, tuple(out)
+
+
+def integer_vector(v):
+    """(D, ints) with D * v == ints, D the lcm of the denominators of v."""
+    D = lcm(*{c.denominator for c in v})
+    return D, [c.numerator * (D // c.denominator) for c in v]
+
+
+def bracket_vector(u, v, table, out_dim):
+    """[u, v] for integer vectors u, v through an integer table: the list of
+    out_dim integer coefficients, at the scale of u times v times the table."""
+    out = [0] * out_dim
+    for i, row in table.items():
+        ci = u[i]
+        if ci:
+            for j, ents in row.items():
+                cj = v[j]
+                if cj:
+                    f = ci * cj
+                    for k, c in ents:
+                        out[k] += f * c
+    return out
 
 
 def _packed(mono, base):

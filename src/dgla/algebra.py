@@ -8,9 +8,13 @@ validate_dgla checks every axiom (degrees, d squared, graded antisymmetry,
 graded Jacobi, graded Leibniz) and reports violations with witnessing
 generators instead of raising.  Its cost scales with the nonzero structure
 constants: it visits only the generator pairs and triples that some d or
-bracket entry touches.  It stays exact, summing Jacobi terms as integers
-over the table scaled by the lcm of its denominators and reporting each
-failing sum as a Fraction.  apply_differential, apply_bracket and
+bracket entry touches.  It stays exact and Fraction-free where the work
+is: one index of the bracket table scaled by the lcm of its denominators
+serves both Leibniz (one integer accumulator, with d scaled the same way)
+and Jacobi, which sums each cyclic orbit of triples once, since the signed
+cyclic sum is the same three terms for all three rotations.  Only a
+failing pair or orbit is turned back into Fractions for its report line.
+apply_differential, apply_bracket and
 curvature extend the structure constants to FormalElements, with all series
 arithmetic truncated at the ring order by _kernels.bracket_convolve, which
 walks only the monomial pairs within the order (bucketed by total degree).
@@ -27,12 +31,13 @@ Sign conventions (cohomological grading, d of degree +1):
 """
 
 from fractions import Fraction
-from itertools import groupby
 from math import lcm
 
 from ._kernels import (
     bracket_convolve,
+    bracket_vector,
     integer_table,
+    integer_vector,
     self_convolve,
     symmetric_table,
 )
@@ -60,22 +65,17 @@ def antisymmetric_closure(generators, pairs):
     degree = {name: int(d) for name, d in generators}
     full = {}
     for (x, y), ents in pairs.items():
-        full[(x, y)] = tuple((g, Fraction(c)) for g, c in ents)
+        full[(x, y)] = tuple((g, c if type(c) is Fraction else Fraction(c))
+                             for g, c in ents)
     for (x, y), ents in list(full.items()):
         if x == y:
             continue
         if x not in degree or y not in degree:
             raise ValueError("bracket references unknown generator in (%r, %r)" % (x, y))
         s = -koszul_sign(degree[x], degree[y])
-        flipped = {}
-        for g, c in ents:
-            flipped[g] = flipped.get(g, ZERO) + s * c
-        flipped = {g: c for g, c in flipped.items() if c}
+        flipped = _summed((g, s * c) for g, c in ents)
         if (y, x) in full:
-            given = {}
-            for g, c in full[(y, x)]:
-                given[g] = given.get(g, ZERO) + c
-            given = {g: c for g, c in given.items() if c}
+            given = _summed(full[(y, x)])
             if given != flipped:
                 raise ValueError(
                     "bracket pair (%s, %s) inconsistent with antisymmetry of (%s, %s)"
@@ -84,6 +84,16 @@ def antisymmetric_closure(generators, pairs):
         else:
             full[(y, x)] = tuple(sorted(flipped.items()))
     return full
+
+
+def _summed(ents):
+    """The (key, Fraction) terms summed per key, zero sums dropped.  A key
+    seen once keeps its term as given; only a repeat is added."""
+    out = {}
+    for k, c in ents:
+        prev = out.get(k)
+        out[k] = c if prev is None else prev + c
+    return {k: c for k, c in out.items() if c}
 
 
 class ValidationIssue:
@@ -167,13 +177,7 @@ class DGLA:
         self._d = {}
         for gname, ents in (d or {}).items():
             gi = self._lookup(gname, "differential")
-            combo = {}
-            for tname, c in ents:
-                gj = self._lookup(tname, "differential")
-                c = Fraction(c)
-                if c:
-                    combo[gj] = combo.get(gj, ZERO) + c
-            combo = {k: v for k, v in combo.items() if v}
+            combo = self._combo_from(ents, "differential")
             if combo:
                 self._d[gi] = combo
 
@@ -181,19 +185,24 @@ class DGLA:
         for (xname, yname), ents in (bracket or {}).items():
             gi = self._lookup(xname, "bracket")
             gj = self._lookup(yname, "bracket")
-            combo = {}
-            for tname, c in ents:
-                gk = self._lookup(tname, "bracket")
-                c = Fraction(c)
-                if c:
-                    combo[gk] = combo.get(gk, ZERO) + c
-            combo = {k: v for k, v in combo.items() if v}
+            combo = self._combo_from(ents, "bracket")
             if combo:
                 self._bracket[(gi, gj)] = combo
 
         self._diff = None
         self._tables = {}
         self._int_tables = {}
+
+    def _combo_from(self, ents, where):
+        """(name, coeff) entries as {generator index: nonzero Fraction}."""
+        terms = []
+        for tname, c in ents:
+            gk = self._lookup(tname, where)
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
+                terms.append((gk, c))
+        return _summed(terms)
 
     def _lookup(self, name, where):
         gi = self._index.get(str(name))
@@ -386,18 +395,20 @@ class DGLA:
         return self.apply_differential(A) + self.apply_bracket(A, A).scale(HALF)
 
     def bracket_vectors(self, p, u, q, v):
-        """[u, v] for plain coefficient vectors u in g^p, v in g^q."""
+        """[u, v] for plain coefficient vectors u in g^p, v in g^q, exactly.
+
+        u and v are scaled to integers and bracketed through the integer
+        table (_kernels.bracket_vector); the result is divided once.
+        """
         out_dim = self.dim(p + q)
-        out = [ZERO] * out_dim
-        if out_dim:
-            for (i, j), ents in self.bracket_table(p, q).items():
-                ci = u[i]
-                cj = v[j]
-                if ci and cj:
-                    f = ci * cj
-                    for k, c in ents:
-                        out[k] += f * c
-        return tuple(out)
+        if not out_dim:
+            return ()
+        Dt, table = self._integer_table(p, q)
+        Du, ui = integer_vector(u)
+        Dv, vi = integer_vector(v)
+        den = Du * Dv * Dt
+        return tuple([Fraction(c, den) if c else ZERO
+                      for c in bracket_vector(ui, vi, table, out_dim)])
 
     # axiom checking (combination arithmetic over global generator indices)
 
@@ -441,8 +452,12 @@ def validate_dgla(L):
 
     Work follows the nonzero structure constants: antisymmetry, Leibniz and
     Jacobi visit only the generator tuples some bracket or d entry touches,
-    since every other tuple gives 0 = 0.  Issues come out in the order of a
-    plain sweep over all pairs and ordered triples.
+    since every other tuple gives 0 = 0.  Leibniz and Jacobi run on
+    integers, through one index of the bracket table scaled by the lcm of
+    its denominators (_integer_index), and only a failing tuple is turned
+    back into Fractions for its report line.  Jacobi sums each cyclic orbit
+    of triples once.  Issues come out in the order of a plain sweep over all
+    pairs and ordered triples.
     """
     issues = []
     gens = L.generators
@@ -480,9 +495,23 @@ def validate_dgla(L):
                 ))
 
     _check_antisymmetry(L, names, degs, issues)
-    _check_leibniz(L, names, degs, issues)
-    _check_jacobi(L, names, degs, issues)
+    index = _integer_index(L)
+    _check_leibniz(L, names, degs, index, issues)
+    _check_jacobi(L, names, degs, index, issues)
     return ValidationReport(L.name, issues)
+
+
+def _integer_index(L):
+    """(D, rows): the bracket table scaled by the lcm D of its denominators,
+    over global generator indices.  rows[x] lists (y, ents) for each key
+    (x, y), where ents is ((k, int), ...) with D [x, y] = sum int g_k."""
+    bracket = L._bracket
+    D = lcm(*{v.denominator for combo in bracket.values() for v in combo.values()})
+    rows = [[] for _ in L.generators]
+    for (gx, gy), combo in bracket.items():
+        rows[gx].append((gy, tuple([(gk, v.numerator * (D // v.denominator))
+                                    for gk, v in combo.items()])))
+    return D, rows
 
 
 def _check_antisymmetry(L, names, degs, issues):
@@ -503,68 +532,100 @@ def _check_antisymmetry(L, names, degs, issues):
             ))
 
 
-def _check_leibniz(L, names, degs, issues):
-    """d[x, y] = [dx, y] + (-1)^{|x|}[x, dy] on pairs where a side can be nonzero.
+def _check_leibniz(L, names, degs, index, issues):
+    """d[x, y] = [dx, y] + (-1)^{|x|}[x, dy] on every pair, in integers.
 
-    d[x, y] needs (x, y) in the table, [dx, y] a key (k, y) with k in supp dx,
-    [x, dy] a key (x, k) with k in supp dy; d_inverse maps k to those x, y.
+    d is scaled by the lcm Dd of its denominators and the bracket by its
+    own D (index), so each term, one d entry times one bracket entry, is an
+    integer multiple of 1/(Dd D).  Per x, one (y, m) -> int accumulator
+    takes d[x, y] - [dx, y] - (-1)^{|x|}[x, dy] from its three sources:
+    the keys (x, y) put through d, the keys (k, y) with k in supp dx, and
+    the keys (x, k) with k in supp dy (d_inverse maps k to those y).  A
+    pair fails exactly when some m is left nonzero; only those pairs are
+    rebuilt as Fraction combinations for the report.
     """
-    bracket = L._bracket
+    _, rows = index
+    Dd = lcm(*{v.denominator for combo in L._d.values() for v in combo.values()})
+    d = {}
     d_inverse = {}
     for gi, combo in L._d.items():
-        for gk in combo:
-            d_inverse.setdefault(gk, []).append(gi)
-    pairs = set(bracket)
-    for gx, gy in bracket:
-        pairs.update((gi, gy) for gi in d_inverse.get(gx, ()))
-        pairs.update((gx, gj) for gj in d_inverse.get(gy, ()))
+        ents = d[gi] = tuple([(gj, v.numerator * (Dd // v.denominator))
+                              for gj, v in combo.items()])
+        for gk, e in ents:
+            d_inverse.setdefault(gk, []).append((gi, e))
+
+    bracket = L._bracket
     one = Fraction(1)
-    for gi, gj in sorted(pairs):
-        lhs = L._d_combo(bracket.get((gi, gj), {}))
-        rhs = L._bracket_combo(L._d.get(gi, {}), {gj: one})
-        s = 1 if degs[gi] % 2 == 0 else -1
-        for gk, v in L._bracket_combo({gi: one}, L._d.get(gj, {})).items():
-            rhs[gk] = rhs.get(gk, ZERO) + s * v
-        rhs = {k: v for k, v in rhs.items() if v}
-        if lhs != rhs:
+    for gx, row in enumerate(rows):
+        acc = {}
+        s = 1 if degs[gx] % 2 == 0 else -1
+        for gk, ents in row:            # the key (x, k)
+            for gj, c in ents:          # d[x, k]
+                for m, e in d.get(gj, ()):
+                    key = (gk, m)
+                    acc[key] = acc.get(key, 0) + c * e
+            for gy, e in d_inverse.get(gk, ()):  # -(-1)^{|x|}[x, dy], k in supp dy
+                f = -s * e
+                for m, c in ents:
+                    key = (gy, m)
+                    acc[key] = acc.get(key, 0) + f * c
+        for gk, e in d.get(gx, ()):     # -[dx, y] through the keys (k, y)
+            for gy, ents in rows[gk]:
+                for m, c in ents:
+                    key = (gy, m)
+                    acc[key] = acc.get(key, 0) - e * c
+
+        for gy in sorted({y for (y, _), t in acc.items() if t}):
+            lhs = L._d_combo(bracket.get((gx, gy), {}))
+            rhs = L._bracket_combo(L._d.get(gx, {}), {gy: one})
+            for gk, v in L._bracket_combo({gx: one}, L._d.get(gy, {})).items():
+                rhs[gk] = rhs.get(gk, ZERO) + s * v
+            rhs = {k: v for k, v in rhs.items() if v}
             issues.append(ValidationIssue(
                 "leibniz",
-                (names[gi], names[gj]),
+                (names[gx], names[gy]),
                 "d[%s, %s] = %s but [dx, y] + (-1)^{|x|}[x, dy] = %s"
-                % (names[gi], names[gj], L._combo_str(lhs), L._combo_str(rhs)),
+                % (names[gx], names[gy], L._combo_str(lhs), L._combo_str(rhs)),
             ))
 
 
-def _check_jacobi(L, names, degs, issues):
+def _check_jacobi(L, names, degs, index, issues):
     """Graded Jacobi on every ordered triple (a, b, c) a nonzero term touches.
 
-    The table is scaled by the lcm D of its denominators, so each term (a
-    product of two entries) is an integer multiple of 1/D^2 and a triple
-    fails exactly when its integer total is nonzero.  Triples are streamed
-    per first generator a, accumulating
-        s(a,c)[a,[b,c]] + s(b,a)[b,[c,a]] + s(c,b)[c,[a,b]]
-    into a flat (b, c, m) -> int map.  Three indexes of the table reach the
-    terms: rows[x] lists the keys (x, k), cols[k] the keys (y, k), and
-    hits[k] the keys (b, c) whose bracket has a k component.
+    The Koszul-signed sum
+        J(a, b, c) = s(a,c)[a,[b,c]] + s(b,a)[b,[c,a]] + s(c,b)[c,[a,b]]
+    is the same three terms for (a, b, c), (b, c, a) and (c, a, b), with no
+    use of antisymmetry, so each cyclic orbit is summed once, at the
+    rotation that is lexicographically least; it starts with a = min(a, b,
+    c).  The sweep runs a from the last generator down and grows two
+    indexes of the table (D, rows from index) to hold only keys whose
+    generators are >= a: cols_ge[k] the keys (x, k) with x >= a, and hits[k]
+    the keys (b, c) with b, c >= a whose bracket has a k component.  Each
+    term (a product of two scaled entries) is an integer multiple of 1/D^2,
+    accumulated per a into a (b, c, m) -> int map, so a triple fails
+    exactly when its integer total is nonzero.  A failing orbit reports each
+    distinct rotation with the same sum, and the issues are sorted back
+    into plain-sweep order.
     """
-    D = 1
-    for combo in L._bracket.values():
-        for v in combo.values():
-            D = lcm(D, v.denominator)
+    D, rows = index
     n = len(names)
-    rows = [[] for _ in range(n)]
-    cols = [[] for _ in range(n)]
-    hits = [[] for _ in range(n)]
-    for (gx, gy), combo in L._bracket.items():
-        ents = tuple((gk, v.numerator * (D // v.denominator)) for gk, v in combo.items())
-        rows[gx].append((gy, ents))
-        cols[gy].append((gx, ents))
-        for gk, v in ents:
-            hits[gk].append((gx, gy, v))
     odd = [deg % 2 == 1 for deg in degs]
+    cols_ge = [[] for _ in range(n)]
+    hits = [[] for _ in range(n)]
     D2 = D * D
+    failing = []
 
-    for a in range(n):
+    for a in range(n - 1, -1, -1):
+        for y, ents in rows[a]:
+            cols_ge[y].append((a, ents))
+            if y >= a:
+                for k, v in ents:
+                    hits[k].append((a, y, v))
+        for x, ents in cols_ge[a]:
+            if x > a:
+                for k, v in ents:
+                    hits[k].append((x, a, v))
+
         acc = {}
         # s(a,c)[a,[b,c]]: [b,c] hits k, then outer = [a,k]
         for k, outer in rows[a]:
@@ -574,26 +635,34 @@ def _check_jacobi(L, names, degs, issues):
                     key = (b, c, m)
                     acc[key] = acc.get(key, 0) + f * v
         # s(b,a)[b,[c,a]]: inner = [c,a] hits k, then outer = [b,k]
-        for c, inner in cols[a]:
+        for c, inner in cols_ge[a]:
             for k, ck in inner:
-                for b, outer in cols[k]:
+                for b, outer in cols_ge[k]:
                     f = -ck if odd[b] and odd[a] else ck
                     for m, v in outer:
                         key = (b, c, m)
                         acc[key] = acc.get(key, 0) + f * v
         # s(c,b)[c,[a,b]]: inner = [a,b] hits k, then outer = [c,k]
         for b, inner in rows[a]:
+            if b < a:
+                continue
             for k, ck in inner:
-                for c, outer in cols[k]:
+                for c, outer in cols_ge[k]:
                     f = -ck if odd[c] and odd[b] else ck
                     for m, v in outer:
                         key = (b, c, m)
                         acc[key] = acc.get(key, 0) + f * v
-        failing = sorted(key for key, t in acc.items() if t)
-        for (b, c), group in groupby(failing, key=lambda key: key[:2]):
-            total = {m: Fraction(acc[(b, c, m)], D2) for _, _, m in group}
-            issues.append(ValidationIssue(
-                "jacobi",
-                (names[a], names[b], names[c]),
-                "graded Jacobi sum = %s, expected 0" % L._combo_str(total),
-            ))
+
+        sums = {}
+        for (b, c, m), t in acc.items():
+            # (a, b, a) with b > a is the rotation of (a, a, b)
+            if t and (c != a or b == a):
+                sums.setdefault((b, c), {})[m] = Fraction(t, D2)
+        for (b, c), total in sums.items():
+            detail = "graded Jacobi sum = %s, expected 0" % L._combo_str(total)
+            for triple in {(a, b, c), (b, c, a), (c, a, b)}:
+                failing.append((triple, detail))
+
+    failing.sort()
+    for (a, b, c), detail in failing:
+        issues.append(ValidationIssue("jacobi", (names[a], names[b], names[c]), detail))

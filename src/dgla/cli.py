@@ -4,7 +4,8 @@ Subcommands: validate, homology, sdr, hodge, mc-solve, universal, kuranishi,
 obstruction, gauge-equiv, selftest.  Reports come out as human-readable text
 or canonical JSON (--format json), which is byte-identical across runs of
 the same input.  Exit codes: 0 all checks pass, 1 a mathematical check
-failed, 2 input or usage error.  Computational findings (an obstructed
+failed, 2 input or usage error, 3 internal error (one line on stderr; the
+traceback too with --debug).  Computational findings (an obstructed
 direction, a missing gauge witness) are data, not failures.
 """
 
@@ -12,6 +13,7 @@ import argparse
 import hashlib
 import os
 import sys
+import traceback
 from contextlib import contextmanager
 
 from . import __version__
@@ -381,6 +383,8 @@ def _build_parser():
         "obstructions and gauge equivalence over truncated formal series.",
     )
     parser.add_argument("--version", action="version", version="dgla " + __version__)
+    parser.add_argument("--debug", action="store_true",
+                        help="print the traceback of an internal error (exit code 3)")
 
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text",
@@ -457,16 +461,23 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report = args.handler(args)
+        color = (
+            args.format == "text"
+            and sys.stdout.isatty()
+            and not os.environ.get("NO_COLOR")
+        )
+        sys.stdout.buffer.write(emit_report(report, args.format, color=color))
+        sys.stdout.buffer.flush()
     except CliError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    color = (
-        args.format == "text"
-        and sys.stdout.isatty()
-        and not os.environ.get("NO_COLOR")
-    )
-    sys.stdout.buffer.write(emit_report(report, args.format, color=color))
-    sys.stdout.buffer.flush()
+    except Exception as e:
+        if args.debug:
+            traceback.print_exc()
+        print("internal error: %s"
+              % " ".join(("%s: %s" % (type(e).__name__, e)).split()),
+              file=sys.stderr)
+        return 3
     return 0 if report.all_pass() else 1
 
 

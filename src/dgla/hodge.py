@@ -15,9 +15,13 @@ that verifies these identities (plus the decomposition and the Cartan
 condition) and reports each as a named pass/fail check.
 Membership in B* = C is read off R's own projections, as the kernel of
 pi_B + pi_H, never by a solve per vector; hodge-decomposition proves that
-pi_B and pi_H are the projections of g = B + H + C that this needs.
+pi_B and pi_H are the projections of g = B + H + C that this needs.  The
+Cartan condition is tested in integers: (pi_B + pi_H) h is built once per
+target degree and scaled to integers, and each pair of harmonic reps is
+bracketed through the integer table of the DGLA.
 """
 
+from ._kernels import bracket_vector, integer_rows, integer_vector
 from .linalg import Matrix, rank, vec_is_zero, vec_sub, zero_vec
 
 
@@ -45,23 +49,37 @@ def check_cartan(L, R):
     pi_B and pi_H are the splitting's projections: hodge_checks proves that
     in the same call, and build_contraction always makes them so.
 
+    The test runs in integers.  The block (pi_B + pi_H) h into degree k is
+    built once per k and scaled by the lcm of its denominators, each
+    harmonic rep by the lcm of its own, and u, v are bracketed through the
+    integer table of L (_kernels.bracket_vector).  Scaling by positive
+    constants does not change whether the result is zero.
+
     Returns (ok, witnesses); each witness is (degree_u, index_u, degree_v,
     index_v) for a failing pair.
     """
     witnesses = []
     harmonic = R.splitting.harmonic
     degrees = sorted(harmonic)
+    reps = {p: [integer_vector(u)[1] for u in harmonic[p].vectors]
+            for p in degrees}
+    blocks = {}
     for p in degrees:
         for q in degrees:
-            if not L.dim(p + q):
+            out_dim = L.dim(p + q)
+            if not out_dim:
                 continue
             k = p + q - 1
-            keep = R.pi_B.block(k, k) + R.pi_H.block(k, k)
-            block = keep @ R.h.block(k + 1, k)
-            for iu, u in enumerate(harmonic[p].vectors):
-                for iv, v in enumerate(harmonic[q].vectors):
-                    w = L.bracket_vectors(p, u, q, v)
-                    if any(block.mul_vec(w)):
+            rows = blocks.get(k)
+            if rows is None:
+                keep = R.pi_B.block(k, k) + R.pi_H.block(k, k)
+                rows = blocks[k] = integer_rows(
+                    (keep @ R.h.block(k + 1, k)).sparse_rows())[1]
+            table = L._integer_table(p, q)[1]
+            for iu, u in enumerate(reps[p]):
+                for iv, v in enumerate(reps[q]):
+                    w = bracket_vector(u, v, table, out_dim)
+                    if any(sum([c * w[j] for j, c in row]) for _, row in rows):
                         witnesses.append((p, iu, q, iv))
     return not witnesses, witnesses
 

@@ -516,6 +516,24 @@ def test_console_script_and_plain_text():
     assert "\x1b[" not in out.stdout
 
 
+@pytest.mark.parametrize("debug", [False, True])
+def test_internal_error_exit_three(capsys, monkeypatch, debug):
+    import dgla.cli as cli
+
+    def broken(args):
+        raise RuntimeError("no such\nstage")
+
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    argv = ["--debug"] * debug + ["validate", corpus("E0")]
+    code, out, err = run_main(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines()[-1] == "internal error: RuntimeError: no such stage"
+    assert ("Traceback" in err) == debug
+    if not debug:
+        assert len(err.splitlines()) == 1
+
+
 def test_unknown_subcommand_usage_error():
     out = subprocess.run(
         [sys.executable, "-m", "dgla.cli", "frobnicate"],

@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from dgla import DGLA, check_cartan, hodge_decompose, validate_dgla
+from dgla import DGLA, antisymmetric_closure, check_cartan, hodge_decompose, validate_dgla
 from dgla.graded import GradedLinearMap
 from dgla.hodge import hodge_checks
 from dgla.linalg import Matrix, SubspaceBasis, vec, vec_add, zero_vec
 from dgla.sdr import SDRData, Splitting, build_contraction, build_splitting
 
 from conftest import contraction_for
-from reference import reference_hodge_checks
+from reference import reference_cartan, reference_hodge_checks
 
 
 def F(x):
@@ -263,3 +263,49 @@ def test_hodge_checks_singular_basis_change():
     failed_new, failed_old = compare_with_reference(L, bad)
     assert failed_new == {"hodge-decomposition"}
     assert failed_old == {"hodge-decomposition", "cartan-condition"}
+
+
+def fractional_case():
+    """d a = 3/2 b, d c = 2/5 e, [x, x] = -5/3 e, [x, y] = 3/4 e, over a
+    hand-built splitting whose harmonic reps x + b/2, y - 2b/3 and
+    complement b/5 + 5c/2 are fractional."""
+    gens = [("a", 0), ("x", 1), ("y", 1), ("b", 1), ("c", 1), ("e", 2)]
+    L = DGLA(gens, d={"a": [("b", F(3) / 2)], "c": [("e", F(2) / 5)]},
+             bracket=antisymmetric_closure(gens, {
+                 ("x", "x"): [("e", F(-5) / 3)],
+                 ("x", "y"): [("e", F(3) / 4)],
+             }), name="fractional")
+    assert validate_dgla(L).ok
+    assert L.basis_names(1) == ("x", "y", "b", "c")
+    half, third = F(1) / 2, F(1) / 3
+    S = Splitting(
+        L.dims,
+        cycles={0: SubspaceBasis(1, []),
+                1: SubspaceBasis(4, [vec(1, 0, 0, 0), vec(0, 1, 0, 0), vec(0, 0, 1, 0)]),
+                2: SubspaceBasis(1, [vec(1)])},
+        boundaries={0: SubspaceBasis(1, []),
+                    1: SubspaceBasis(4, [vec(0, 0, 3 * half, 0)]),
+                    2: SubspaceBasis(1, [vec(F(2) / 5)])},
+        harmonic={0: SubspaceBasis(1, []),
+                  1: SubspaceBasis(4, [vec(1, 0, half, 0), vec(0, 1, -2 * third, 0)]),
+                  2: SubspaceBasis(1, [])},
+        complement={0: SubspaceBasis(1, [vec(1)]),
+                    1: SubspaceBasis(4, [vec(0, 0, F(1) / 5, 5 * half)]),
+                    2: SubspaceBasis(1, [])},
+    )
+    return L, build_contraction(L, S)
+
+
+def test_check_cartan_matches_reference_on_fractional_data():
+    L, R = fractional_case()
+    assert check_cartan(L, R) == reference_cartan(L, R) == (True, [])
+
+
+def test_check_cartan_matches_reference_on_fractional_failure():
+    # h e gains x/3 + b/6 = (x + b/2)/3, a harmonic rep: every pair whose
+    # bracket has an e component leaves B*; [y - 2b/3, y - 2b/3] = 0 stays
+    L, R = fractional_case()
+    into_H = Matrix.from_columns(4, [vec(F(1) / 3, 0, F(1) / 6, 0)])
+    bad = perturbed(R, h=R.h + GradedLinearMap(R.dims, R.dims, {(2, 1): into_H}))
+    assert check_cartan(L, bad) == reference_cartan(L, bad) == (
+        False, [(1, 0, 1, 0), (1, 0, 1, 1), (1, 1, 1, 0)])

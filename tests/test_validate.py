@@ -112,3 +112,57 @@ def test_fractional_jacobi_failure_detail():
     assert jacobi[0].detail == "graded Jacobi sum = -5/42*h, expected 0"
     assert jacobi[1].detail == "graded Jacobi sum = 5/42*h, expected 0"
     assert len(jacobi) == len(rep.issues)
+
+
+def test_fractional_leibniz_failure_on_odd_x_detail():
+    # d x = 2/3 z, d y = 1/4 z, [x, y] = 1/2 z, [z, y] = 3/5 w, [x, z] = 5/7 w:
+    # d[x, y] = 0 but [dx, y] - [x, dy] = 2/5 w - 5/28 w = 31/140 w, and
+    # d[x, x] = 0 but [dx, x] - [x, dx] = 2/3 (-5/7 - 5/7) w = -20/21 w;
+    # d u = 0 and [u, z] = 2/9 w, so (u, x) and (u, y) fail through
+    # -[u, dy] alone: -4/27 w and -1/18 w
+    gens = [("x", 1), ("y", 1), ("u", 1), ("z", 2), ("w", 3)]
+    L = DGLA(gens, d={"x": [("z", Fraction(2, 3))], "y": [("z", Fraction(1, 4))]},
+             bracket=antisymmetric_closure(gens, {
+                 ("x", "y"): [("z", Fraction(1, 2))],
+                 ("z", "y"): [("w", Fraction(3, 5))],
+                 ("x", "z"): [("w", Fraction(5, 7))],
+                 ("u", "z"): [("w", Fraction(2, 9))],
+             }))
+    rep = assert_same_report(L, "fractional leibniz")
+    leibniz = [i for i in rep.issues if i.axiom == "leibniz"]
+    assert [(i.witness, i.detail.split(" = ")[-1]) for i in leibniz] == [
+        (("x", "x"), "-20/21*w"), (("x", "y"), "31/140*w"),
+        (("x", "u"), "-4/27*w"), (("y", "x"), "31/140*w"),
+        (("y", "y"), "3/10*w"), (("y", "u"), "-1/18*w"),
+        (("u", "x"), "-4/27*w"), (("u", "y"), "-1/18*w")]
+    assert leibniz[1].detail == (
+        "d[x, y] = 0 but [dx, y] + (-1)^{|x|}[x, dy] = 31/140*w")
+
+
+def test_jacobi_failure_on_repeated_odd_generator():
+    # [a, a] = c and [b, c] = e over odd a, b: J(a, a, b) = -[b, [a, a]] = -e,
+    # one cyclic orbit reported at all three of its rotations
+    gens = [("a", 1), ("b", 1), ("c", 2), ("e", 3)]
+    L = DGLA(gens, bracket=antisymmetric_closure(gens, {
+        ("a", "a"): [("c", 1)],
+        ("b", "c"): [("e", 1)],
+    }))
+    rep = assert_same_report(L, "repeated odd generator")
+    assert [i.axiom for i in rep.issues] == ["jacobi"] * 3
+    assert [i.witness for i in rep.issues] == [
+        ("a", "a", "b"), ("a", "b", "a"), ("b", "a", "a")]
+    assert {i.detail for i in rep.issues} == {"graded Jacobi sum = -e, expected 0"}
+
+
+def test_antisymmetry_and_jacobi_failing_at_once():
+    # sl2 with [f, e] = h instead of -h: both orders are given, so no
+    # closure; antisymmetry fails at (e, f) and Jacobi on triples through it
+    gens = [("e", 0), ("f", 0), ("h", 0)]
+    L = DGLA(gens, bracket={
+        ("e", "f"): [("h", 1)], ("f", "e"): [("h", 1)],
+        ("h", "e"): [("e", 2)], ("e", "h"): [("e", -2)],
+        ("h", "f"): [("f", -2)], ("f", "h"): [("f", 2)],
+    })
+    rep = assert_same_report(L, "sl2 with a symmetric [e, f]")
+    assert {i.axiom for i in rep.issues} == {"antisymmetry", "jacobi"}
+    assert [i.witness for i in rep.issues if i.axiom == "antisymmetry"] == [("e", "f")]
