@@ -1,19 +1,30 @@
 """The hot inner loops of the series arithmetic, on integers only.
 
-bracket_convolve and self_convolve carry every bracket of formal elements
-(so the whole Maurer-Cartan solve) and matvec_terms every graded map
-applied to one.
-Neither touches a Fraction: a FormalElement already stores integer
+bracket_convolve, self_convolve and bracket_sums carry every bracket of
+formal elements (so the whole Maurer-Cartan solve) and matvec_terms every
+graded map applied to one.
+None touches a Fraction: a FormalElement already stores integer
 numerators over one denominator, and the structure table and the matrix
 rows come scaled by the lcm of their own denominators (integer_table and
 integer_rows, computed once per table or matrix by their owners).  The
 caller knows every denominator, so it alone divides: the bracket of u / Du
 and v / Dv through a table scaled by Dt is the result over Du * Dv * Dt, a
 matrix scaled by Dm applied to v / Dv is the result over Dm * Dv.  This is
-the fraction-free idea of Bareiss elimination.  bracket_convolve also
-buckets the v monomials by total degree, so it walks only the pairs that
-survive the truncation, and puts each u vector of several terms into the
-table once, before its pairs, so a pair costs one pass over the v vector.
+the fraction-free idea of Bareiss elimination.
+
+The brackets read a kernel-ready layout of each series, a KernelView, that
+a FormalElement builds once and keeps.  It buckets the monomials by total
+degree and lays a bucket out only when a truncation can pair it: each
+monomial as (total degree, packed key, sparse vector), the packed key being
+its exponents as the digits of one integer (Packing, one per ring), and the
+same coefficients again by generator, in columns cut by total degree.  A
+row of the pair loop (_convolve) puts one monomial's vector into the table
+once and then walks, for each generator j it reaches, column j of the
+partner straight: a j that reaches one output costs one multiply-add per
+pair, added as an integer under the packed product key k1 + k2.  Every
+row of a call shares that one accumulator, so bracket_sums adds several
+brackets, each scaled to a common denominator by an integer, in one pass:
+a Maurer-Cartan step, or one order of the recursion, is one kernel call.
 
 self_convolve is the self-bracket [y, y].  The pairs (m1, m2) and (m2, m1)
 land on the same product monomial with [y_m1, y_m2] + [y_m2, y_m1], which
@@ -24,8 +35,7 @@ through T, each other pair once through T + T^t, about half the pairs of
 bracket_convolve(y, y).  Nothing assumes antisymmetry, so the sum, and the
 result over the same denominator, is the same exact rational for any
 table: one set up through the Python API with [e_i, e_j] but no
-[e_j, e_i], or the self-bracket of an even-degree element.  Both kernels
-add their pairs in one shared loop (_convolve).  bracket_convolve through
+[e_j, e_i], or the self-bracket of an even-degree element.  A pair through
 T + T^t is the bracket sum [u, v] + [v, u] of two elements of one degree.
 bracket_vector is the same bracket on plain coefficient vectors (one
 generator-pair sweep, no series), for DGLA.bracket_vectors and the Cartan
@@ -35,17 +45,20 @@ implementations in tests/reference.py.
 
 Conventions:
   * a "terms" map sends an exponent tuple (one entry per ring variable) to a
-    dense tuple of int coefficients, none of them all zero,
+    dense tuple of int coefficients, none of them all zero; a KernelView is
+    read as the terms map it lays out,
   * an integer structure table sends i to {j: ((k, int), ...)}, so that
     [e_i, e_j] = sum int e_k,
   * integer matrix rows are ((row, ((col, int), ...)), ...), nonzero rows
     only, columns ascending.
-Both kernels return a terms map with every all-zero vector dropped.
+Every kernel returns a terms map with every all-zero vector dropped.
 """
 
 from bisect import bisect_right
+from collections import defaultdict
+from collections.abc import Mapping
+from itertools import chain, compress
 from math import lcm
-from operator import add
 
 
 def integer_table(table):
@@ -96,26 +109,56 @@ def bracket_vector(u, v, table, out_dim):
     return out
 
 
-def _packed(mono, base):
-    """The exponent tuple as the digits of one integer in the given base.
+class Packing:
+    """Exponent tuples packed as the digits of one integer in base, both
+    ways, filled on demand: key(mono) is (total degree, packed key) and
+    monos(keys) the inverse map.  Adding two packed keys packs the product as
+    long as no exponent of the product reaches base (Kronecker
+    substitution).  A CoefficientRing owns one, so each of its monomials is
+    packed once."""
 
-    Adding two packed monomials packs their product as long as no exponent
-    of the product reaches base (Kronecker substitution).
-    """
-    key = 0
-    for e in mono:
-        key = key * base + e
-    return key
+    __slots__ = ("base", "nvars", "keys", "_monos")
 
+    def __init__(self, base):
+        self.base = base
+        self.nvars = None
+        self.keys = {}
+        self._monos = {}
 
-def _sparse(vec):
-    return tuple([(i, c) for i, c in enumerate(vec) if c])
+    def key(self, mono):
+        dk = self.keys.get(mono)
+        if dk is None:
+            key = 0
+            for e in mono:
+                key = key * self.base + e
+            dk = self.keys[mono] = (sum(mono), key)
+            if dk[0] < self.base:  # every exponent below base: key is unique
+                self._monos[key] = mono
+            self.nvars = len(mono)
+        return dk
+
+    def monos(self, keys):
+        """The map packed key -> exponent tuple, holding every key of keys
+        (a set-like view of packed keys)."""
+        monos = self._monos
+        for key in keys - monos.keys():
+            digits = []
+            k = key
+            for _ in range(self.nvars):
+                k, e = divmod(k, self.base)
+                digits.append(e)
+            monos[key] = tuple(reversed(digits))
+        return monos
 
 
 def _contracted(u, table):
     """(f, row) with f * row == the sparse vector u = ((i, int), ...) put
-    into the first slot of the table: row is {j: ((k, int), ...)} with
-    [u, e_j] = f * sum int e_k.  A one-term u reuses its table row."""
+    into the first slot of the table, row being {j: ((k, int), ...)} with
+    [u, e_j] = f * sum int e_k; None if no i of u is in the table.  A
+    one-term u reuses its table row."""
+    u = [(i, ui) for i, ui in u if i in table]
+    if not u:
+        return None
     if len(u) == 1:
         i, f = u[0]
         return f, table[i]
@@ -152,39 +195,174 @@ def symmetric_table(table):
     return out
 
 
-def _by_degree(terms, base):
-    """The monomials of a terms map as (total degree, packed key, exponent
-    tuple, sparse vector), in ascending total degree, with the degrees."""
-    entries = sorted(((sum(m), _packed(m, base), m, _sparse(vec))
-                      for m, vec in terms.items()), key=lambda entry: entry[0])
-    return entries, [entry[0] for entry in entries]
+class KernelView(Mapping):
+    """A terms map laid out for the pair loop, one total degree at a time.
+
+    upto(deg) lays out every monomial of total degree at most deg and
+    returns (entries, degs): one (total degree, packed key, sparse vector)
+    per monomial, in ascending total degree (ties in the map's own order),
+    and their degrees.  cols holds the same coefficients by generator:
+    cols[j] = (kv, ends), kv the (packed key, coefficient) of every laid-out
+    monomial whose vector has a nonzero j-th entry, in entry order, and
+    ends[d] the number of them of total degree at most d.  So a pair loop
+    walks one generator's coefficients straight, cut at a degree by one
+    index.  The monomials are bucketed by total degree up front, but a
+    bucket is laid out only when first asked for, and then kept: a bracket
+    within a truncation never reads the monomials that can find no partner.
+    Keys come from packing (one per ring, so a monomial is packed once).  A
+    FormalElement keeps its view (FormalElement.view), so an element
+    bracketed several times is laid out once.  As a Mapping it reads as the
+    terms map it lays out.
+    """
+
+    __slots__ = ("terms", "packing", "low", "entries", "degs", "cols",
+                 "_buckets")
+
+    def __init__(self, terms, packing):
+        self.terms = terms
+        self.packing = packing
+        keys = packing.keys
+        buckets = {}
+        for m in terms:
+            dk = keys.get(m) or packing.key(m)
+            buckets.setdefault(dk[0], []).append((dk[1], m))
+        self._buckets = sorted(buckets.items(), reverse=True)
+        self.low = self._buckets[-1][0] if buckets else None
+        self.entries = []
+        self.degs = []
+        self.cols = {}
+
+    def upto(self, deg):
+        buckets = self._buckets
+        entries, degs, cols, terms = self.entries, self.degs, self.cols, self.terms
+        while buckets and buckets[-1][0] <= deg:
+            d, monos = buckets.pop()
+            for kv, ends in cols.values():  # the degrees below d with no bucket
+                ends += [len(kv)] * (d - len(ends))
+            for key, m in monos:
+                vec = terms[m]
+                u = tuple(compress(enumerate(vec), vec))
+                for j, c in u:
+                    col = cols.get(j)
+                    if col is None:
+                        col = cols[j] = ([], [0] * d)
+                    col[0].append((key, c))
+                entries.append((d, key, u))
+            for kv, ends in cols.values():
+                ends.append(len(kv))
+            degs += [d] * len(monos)
+        return entries, degs
+
+    def __getitem__(self, mono):
+        return self.terms[mono]
+
+    def __iter__(self):
+        return iter(self.terms)
+
+    def __len__(self):
+        return len(self.terms)
 
 
-def _convolve(rows, out_dim):
-    """The pair loop both kernels share.  rows yields (m1, k1, u, table, vs):
-    a monomial m1 with packed key k1 and sparse vector u = ((i, int), ...),
-    the table to put u through, and the (_, k2, m2, v2) entries of
-    _by_degree to pair it with.  Returns sum [u, v2] * m1*m2 over every row
-    and pair, added as integers under the packed product key k1 + k2."""
-    out = {}    # packed product monomial -> integer accumulator
-    monos = {}  # packed product monomial -> exponent tuple
-    for m1, k1, u, table, vs in rows:
-        u = [(i, ui) for i, ui in u if i in table]
-        if not u or not vs:
-            continue
-        f, urow = _contracted(u, table)
-        for _, k2, m2, v2 in vs:
-            key = k1 + k2
-            acc = out.get(key)
-            if acc is None:
-                acc = out[key] = [0] * out_dim
-                monos[key] = tuple(map(add, m1, m2))
-            for j, vj in v2:
+def _laid_out(terms, trunc):
+    """terms as a KernelView packed in base trunc + 1 (itself if it is one)."""
+    base = max(trunc, 0) + 1
+    if type(terms) is KernelView and terms.packing.base == base:
+        return terms
+    return KernelView(terms, Packing(base))
+
+
+def _cross_rows(u, v, table, trunc, s):
+    """The rows of s * [u, v] for _convolve: each monomial of the view u
+    against every monomial of v within trunc of it."""
+    if not u.terms or not v.terms:
+        return
+    v.upto(trunc - u.low)
+    udegs = u.upto(trunc - v.low)[1]
+    n = bisect_right(udegs, trunc - v.low)
+    for d, k1, u1 in u.entries[:n]:
+        yield k1, _contracted(u1, table), s, v.cols, None, trunc - d
+
+
+def _self_rows(y, sym, trunc, s):
+    """The rows of s * [y, y] for _convolve without the diagonal pairs
+    (_diagonal_rows): each monomial through sym against the later ones
+    within trunc of it, so each unordered pair once.  The start of each
+    column is the count of the monomials already walked, kept in one dict
+    that each row shares and the next updates."""
+    if not y.terms:
+        return
+    ys, degs = y.upto(trunc - y.low)
+    n = bisect_right(degs, trunc // 2)
+    walked = dict.fromkeys(y.cols, 0)
+    for d, k1, u in ys[:n]:
+        for j, _ in u:
+            walked[j] += 1
+        yield k1, _contracted(u, sym), s, y.cols, walked, trunc - d
+
+
+def _diagonal_rows(y, table, trunc, s):
+    """The pairs (m, m) of s * [y, y] within trunc, each through table:
+    (2 * packed key, row, s, sparse vector) for _convolve."""
+    if not y.terms:
+        return
+    ys, degs = y.upto(trunc - y.low)
+    n = bisect_right(degs, trunc // 2)
+    for _, k1, u in ys[:n]:
+        yield k1 + k1, _contracted(u, table), s, u
+
+
+def _convolve(rows, diagonal, out_dim, packing):
+    """The one pair loop of every kernel.
+
+    rows yields (k1, urow, s, cols, lo, lim): the packed key k1 of a
+    monomial, its vector put into a table (_contracted: (f, row), or None),
+    an integer scale s, and the columns of the view it pairs with
+    (KernelView.cols), from column index lo[j] (0 if lo is None) through
+    the monomials of total degree at most lim.  For every generator j the
+    row reaches, those coefficients of column j are added under the packed
+    product keys k1 + k2, a j that reaches one output as one multiply-add
+    per pair.  diagonal yields (key, urow, s, v) for a monomial paired with
+    itself: urow against its own sparse vector v, under key.  Every row
+    shares one accumulator.  Returns sum s * [u_m1, v_m2] * m1*m2 over every
+    pair as a terms map, monomials unpacked through packing.monos.
+    """
+    out = defaultdict(([0] * out_dim).copy)  # packed product key -> ints
+    for key, urow, s, v in diagonal:
+        if urow is not None:
+            f, urow = urow
+            acc = out[key]
+            for j, vj in v:
                 ents = urow.get(j)
                 if ents:
+                    fv = f * s * vj
+                    for k, c in ents:
+                        acc[k] += fv * c
+    for k1, urow, s, cols, lo, lim in rows:
+        if urow is None:
+            continue
+        f, urow = urow
+        f *= s
+        for j, ents in urow.items():
+            col = cols.get(j)
+            if col is None:
+                continue
+            kv, ends = col
+            a = lo[j] if lo else 0
+            b = ends[lim] if lim < len(ends) else len(kv)
+            if a >= b:
+                continue
+            if len(ents) == 1:
+                (k, c), = ents
+                fc = f * c
+                for k2, vj in kv[a:b]:
+                    out[k1 + k2][k] += fc * vj
+            else:
+                for k2, vj in kv[a:b]:
+                    acc = out[k1 + k2]
                     fv = f * vj
                     for k, c in ents:
                         acc[k] += fv * c
+    monos = packing.monos(out.keys())
     return {monos[key]: tuple(acc) for key, acc in out.items() if any(acc)}
 
 
@@ -195,18 +373,13 @@ def bracket_convolve(uterms, vterms, table, trunc, out_dim):
     every product monomial whose total degree exceeds trunc.  Each u
     monomial walks only the v monomials of low enough total degree; the
     products that survive have every exponent at most trunc, so they are
-    added as integers packed in base trunc + 1.
+    added as integers packed in base trunc + 1.  A KernelView in that base
+    is read as it stands; any other terms map is laid out first.
     """
-    base = max(trunc, 0) + 1
-    vs, vdegs = _by_degree(vterms, base)
-
-    def rows():
-        for m1, u1 in uterms.items():
-            stop = bisect_right(vdegs, trunc - sum(m1))
-            if stop:
-                yield m1, _packed(m1, base), _sparse(u1), table, vs[:stop]
-
-    return _convolve(rows(), out_dim)
+    u = _laid_out(uterms, trunc)
+    v = _laid_out(vterms, trunc)
+    return _convolve(_cross_rows(u, v, table, trunc, 1), (), out_dim,
+                     u.packing)
 
 
 def self_convolve(terms, table, sym, trunc, out_dim):
@@ -220,17 +393,29 @@ def self_convolve(terms, table, sym, trunc, out_dim):
     itself and the later ones within the truncation, and the walk ends at
     the first monomial with no partner left.
     """
-    ys, degs = _by_degree(terms, max(trunc, 0) + 1)
+    return bracket_sums((), ((terms, 1),), table, sym, trunc, out_dim)
 
-    def rows():
-        for p, (deg, k1, m1, y1) in enumerate(ys):
-            stop = bisect_right(degs, trunc - deg)
-            if stop <= p:
-                return
-            yield m1, k1, y1, table, ys[p:p + 1]
-            yield m1, k1, y1, sym, ys[p + 1:stop]
 
-    return _convolve(rows(), out_dim)
+def bracket_sums(pairs, squares, table, sym, trunc, out_dim):
+    """sum s * ([u, v] + [v, u]) over the (u, v, s) of pairs plus
+    sum s * [y, y] over the (y, s) of squares, in one accumulation.
+
+    u, v and y are terms maps of one degree, s integer scales (the caller
+    puts every bracket over one common denominator with them), table the
+    integer table of that degree with itself and sym symmetric_table(table).
+    Each pair is one pass through sym, each square walks its unordered
+    pairs once, as in self_convolve.
+    """
+    pairs = [(_laid_out(u, trunc), _laid_out(v, trunc), s) for u, v, s in pairs]
+    squares = [(_laid_out(y, trunc), s) for y, s in squares]
+    if not pairs and not squares:
+        return {}
+    rows = [_cross_rows(u, v, sym, trunc, s) for u, v, s in pairs]
+    rows += [_self_rows(y, sym, trunc, s) for y, s in squares]
+    diagonal = [_diagonal_rows(y, table, trunc, s) for y, s in squares]
+    packing = (pairs[0][0] if pairs else squares[0][0]).packing
+    return _convolve(chain.from_iterable(rows), chain.from_iterable(diagonal),
+                     out_dim, packing)
 
 
 def matvec_terms(terms, rows, out_dim):

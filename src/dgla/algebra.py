@@ -18,11 +18,15 @@ apply_differential, apply_bracket and
 curvature extend the structure constants to FormalElements, with all series
 arithmetic truncated at the ring order by _kernels.bracket_convolve, which
 walks only the monomial pairs within the order (bucketed by total degree).
-It reads the elements' integer numerators and the bracket table scaled by
-the lcm Dt of its denominators (cached per degree pair beside the Fraction
-table); apply_bracket puts the result over u.den * v.den * Dt.  A
+It reads the elements' kernel views (FormalElement.view) and the bracket
+table scaled by the lcm Dt of its denominators (cached per degree pair
+beside the Fraction table, each built from its own bucket of bracket
+keys); apply_bracket puts the result over u.den * v.den * Dt.  A
 self-bracket [y, y] goes through _kernels.self_convolve instead, which
 walks each unordered monomial pair once through T + T^t (cached beside T).
+_bracket_sums adds several bracket sums and self-brackets of one degree
+in one kernel pass over a common denominator, for the Maurer-Cartan
+solvers.
 
 Sign conventions (cohomological grading, d of degree +1):
   [x, y] = -(-1)^{|x||y|} [y, x]
@@ -35,6 +39,7 @@ from math import lcm
 
 from ._kernels import (
     bracket_convolve,
+    bracket_sums,
     bracket_vector,
     integer_table,
     integer_vector,
@@ -191,6 +196,7 @@ class DGLA:
 
         self._diff = None
         self._tables = {}
+        self._pair_keys = None
         self._int_tables = {}
 
     def _combo_from(self, ents, where):
@@ -282,18 +288,23 @@ class DGLA:
         return self._diff
 
     def bracket_table(self, p, q):
-        """Structure table for g^p x g^q -> g^{p+q} in degree-local positions."""
+        """Structure table for g^p x g^q -> g^{p+q} in degree-local positions.
+
+        The first call buckets every bracket key by its degree pair in one
+        pass; each table is then built from its own bucket, once.
+        """
         key = (p, q)
         table = self._tables.get(key)
         if table is None:
+            if self._pair_keys is None:
+                self._pair_keys = {}
+                for ij in self._bracket:
+                    pair = (self._pos[ij[0]][0], self._pos[ij[1]][0])
+                    self._pair_keys.setdefault(pair, []).append(ij)
             table = {}
-            for (gi, gj), combo in self._bracket.items():
-                if self._pos[gi][0] != p or self._pos[gj][0] != q:
-                    continue
-                ipos = self._pos[gi][1]
-                jpos = self._pos[gj][1]
+            for gi, gj in self._pair_keys.get(key, ()):
                 ents = []
-                for gk, c in sorted(combo.items()):
+                for gk, c in sorted(self._bracket[(gi, gj)].items()):
                     tdeg, tpos = self._pos[gk]
                     if tdeg != p + q:
                         raise ValueError(
@@ -302,8 +313,7 @@ class DGLA:
                             % (self.generators[gi][0], self.generators[gj][0])
                         )
                     ents.append((tpos, c))
-                if ents:
-                    table[(ipos, jpos)] = tuple(ents)
+                table[(self._pos[gi][1], self._pos[gj][1])] = tuple(ents)
             self._tables[key] = table
         return table
 
@@ -352,41 +362,63 @@ class DGLA:
 
         A self-bracket (u is v) walks each unordered monomial pair once
         (_kernels.self_convolve); the result is the same exact element.
+        Both kernels read the elements' kernel views and put the result over
+        u.den * v.den * Dt.
         """
-        return self._convolved(u, v, both=False)
-
-    def _bracket_sum(self, u, v):
-        """[u, v] + [v, u] for u, v of one degree: one kernel call through
-        the integer table T + T^t (the same scale as T)."""
-        if u.degree != v.degree:
-            raise ValueError("the bracket sum needs elements of one degree")
-        return self._convolved(u, v, both=True)
-
-    def _convolved(self, u, v, both):
-        """[u, v], or [u, v] + [v, u] when both, over u.den * v.den * Dt."""
-        if u.ring != v.ring:
-            raise ValueError("ring mismatch")
-        if self.dim(u.degree) != u.dim or self.dim(v.degree) != v.dim:
-            raise ValueError("element dimension does not match its degree")
+        self._check_elements((u, v), u.ring)
         out_deg = u.degree + v.degree
         out_dim = self.dim(out_deg)
         if out_dim and u.nums and v.nums:
             Dt, table = self._integer_table(u.degree, v.degree)
             if table:
                 trunc = u.ring.order
-                if both:
-                    nums = bracket_convolve(u.nums, v.nums,
-                                            self._symmetric_table(u.degree),
-                                            trunc, out_dim)
-                elif u is v:
-                    nums = self_convolve(u.nums, table,
+                if u is v:
+                    nums = self_convolve(u.view(), table,
                                          self._symmetric_table(u.degree),
                                          trunc, out_dim)
                 else:
-                    nums = bracket_convolve(u.nums, v.nums, table, trunc, out_dim)
+                    nums = bracket_convolve(u.view(), v.view(), table, trunc,
+                                            out_dim)
                 return FormalElement.from_integers(
                     u.ring, out_deg, out_dim, u.den * v.den * Dt, nums)
         return FormalElement.zero(u.ring, out_deg, out_dim)
+
+    def _bracket_sums(self, ring, degree, pairs, squares):
+        """sum ([u, v] + [v, u]) over the (u, v) of pairs plus sum [y, y]
+        over the y of squares, for elements of one degree over ring.
+
+        One kernel pass (_kernels.bracket_sums) adds every bracket into one
+        integer accumulator, over the common denominator D * Dt with D the
+        lcm of the u.den * v.den and y.den ** 2: each bracket is scaled by
+        D over its own denominator.  Nothing assumes antisymmetry.
+        """
+        elems = [e for pair in pairs for e in pair] + list(squares)
+        if any(e.degree != degree for e in elems):
+            raise ValueError("the bracket sums need elements of degree %d" % degree)
+        self._check_elements(elems, ring)
+        pairs = [(u, v) for u, v in pairs if u.nums and v.nums]
+        squares = [y for y in squares if y.nums]
+        out_deg = 2 * degree
+        out_dim = self.dim(out_deg)
+        if out_dim and (pairs or squares):
+            Dt, table = self._integer_table(degree, degree)
+            if table:
+                D = lcm(*[u.den * v.den for u, v in pairs],
+                        *[y.den ** 2 for y in squares])
+                nums = bracket_sums(
+                    [(u.view(), v.view(), D // (u.den * v.den)) for u, v in pairs],
+                    [(y.view(), D // y.den ** 2) for y in squares],
+                    table, self._symmetric_table(degree), ring.order, out_dim)
+                return FormalElement.from_integers(ring, out_deg, out_dim,
+                                                   D * Dt, nums)
+        return FormalElement.zero(ring, out_deg, out_dim)
+
+    def _check_elements(self, elems, ring):
+        """Every element over ring, with the dimension of its degree."""
+        if any(e.ring != ring for e in elems):
+            raise ValueError("ring mismatch")
+        if any(self.dim(e.degree) != e.dim for e in elems):
+            raise ValueError("element dimension does not match its degree")
 
     def curvature(self, A):
         """dA + 1/2 [A, A] for a degree 1 element."""

@@ -69,24 +69,27 @@ def _fixed_point(L, R, x):
     """Iterate y_1 = x, y_{n+1} = C_x(y_n) until exact stabilization.
 
     Returns (tau, n, S): the first fixed iterate y_n, its index n and
-    S = [tau, tau].  S_n = [y_n, y_n] is carried along: by linearity of h
-    the step is delta = y_{n+1} - y_n = -1/2 h(S_n - S_{n-1}) (S_0 = 0),
-    and S_{n+1} = S_n + ([y_n, delta] + [delta, y_n]) + [delta, delta], the
-    middle term one pass through T + T^t (DGLA._bracket_sum), so nothing
-    assumes antisymmetry.  delta has no terms below order n + 1, so a step
-    walks only the pairs that can still land within the truncation.  The
-    loop stops at delta = 0, which is exactly the test C_x(y_n) == y_n.
+    S = [tau, tau].  S_n = [y_n, y_n] is never bracketed whole: by linearity
+    of h the step is delta = y_{n+1} - y_n = -1/2 h(S_n - S_{n-1})
+    (S_0 = 0), and S_{n+1} - S_n = ([y_n, delta] + [delta, y_n])
+    + [delta, delta] is one kernel pass over one denominator
+    (DGLA._bracket_sums), so nothing assumes antisymmetry.  The changes are
+    summed into S once, at the end.  delta has no terms below order n + 1,
+    so a step walks only the pairs that can still land within the
+    truncation.  The loop stops at delta = 0, which is exactly the test
+    C_x(y_n) == y_n.
     """
     y = x
-    S = step = L.apply_bracket(x, x)
+    step = L.apply_bracket(x, x)
+    steps = [step]  # S_n is their sum, taken once at the end
     n = 1
     while True:
         delta = R.contract(step).scale(-HALF)
         if delta.is_zero():
-            return y, n, S
-        step = L._bracket_sum(y, delta) + L.apply_bracket(delta, delta)
+            return y, n, FormalElement.summed(x.ring, 2, L.dim(2), steps)
+        step = L._bracket_sums(x.ring, 1, [(y, delta)], [delta])
+        steps.append(step)
         y = y + delta
-        S = S + step
         n += 1
         if n > x.ring.order + 1:
             raise RuntimeError("fixed point not reached within the truncation order")
@@ -125,42 +128,44 @@ def solve_mc_ivp(L, R, x):
     return _package(L, R, x, tau, iters, S)
 
 
-def solve_by_recursion(L, R, x):
-    """The same solution assembled order by order:
+def _recursion(L, R, x):
+    """(tau, S): the fixed point tau of C_x assembled order by order, and
+    S = [tau, tau].
 
         tau^b = x^b - 1/2 h ( sum_{i+j=b} [tau^i, tau^j] )
               = x^b - 1/2 h ( [tau^{b/2}, tau^{b/2}]
                               + sum_{i<j, i+j=b} ([tau^i, tau^j] + [tau^j, tau^i]) ),
 
-    the first term for even b only: one self-bracket and one bracket sum
-    per unordered pair (DGLA._bracket_sum, one pass through T + T^t).  The
-    bracketed sum is the order-b part of [tau, tau]; summed over b it is
-    S = [tau, tau], and the residual is d tau + 1/2 S.  Cross-checks the
-    fixed-point engine; iterations is the truncation order.
+    the first term for even b only: the order-b sum is one kernel pass over
+    one denominator (DGLA._bracket_sums).  Summed over b it is
+    S = [tau, tau].  The order-b part of C_x(tau) depends on tau below order
+    b only, so this is the fixed point of C_x for any degree 1 x, with no
+    cocycle condition.  tau and S are each summed from their homogeneous
+    parts in one pass.
     """
-    _check_initial_value(L, x)
-    N = x.ring.order
-    dim2 = L.dim(2)
-    S = FormalElement.zero(x.ring, 2, dim2)
+    ring = x.ring
     parts = {}
-    for b in range(1, N + 1):
-        acc = FormalElement.zero(x.ring, 2, dim2)
-        for i in range(1, (b + 1) // 2):
-            u = parts.get(i)
-            v = parts.get(b - i)
-            if u is not None and v is not None:
-                acc = acc + L._bracket_sum(u, v)
-        half = parts.get(b // 2) if b % 2 == 0 else None
-        if half is not None:
-            acc = acc + L.apply_bracket(half, half)
-        S = S + acc
+    sums = []
+    for b in range(1, ring.order + 1):
+        pairs = [(parts[i], parts[b - i]) for i in range(1, (b + 1) // 2)
+                 if i in parts and b - i in parts]
+        squares = [parts[b // 2]] if b % 2 == 0 and b // 2 in parts else []
+        acc = L._bracket_sums(ring, 1, pairs, squares)
+        sums.append(acc)
         tau_b = x.homogeneous_part(b) - R.contract(acc).scale(HALF)
         if not tau_b.is_zero():
             parts[b] = tau_b
-    tau = FormalElement.zero(x.ring, 1, L.dim(1))
-    for b in sorted(parts):
-        tau = tau + parts[b]
-    return _package(L, R, x, tau, N, S)
+    tau = FormalElement.summed(ring, 1, L.dim(1), parts.values())
+    return tau, FormalElement.summed(ring, 2, L.dim(2), sums)
+
+
+def solve_by_recursion(L, R, x):
+    """The solution of solve_mc_ivp assembled order by order (_recursion),
+    with the residual d tau + 1/2 S from its S = [tau, tau].  Cross-checks
+    the fixed-point engine; iterations is the truncation order."""
+    _check_initial_value(L, x)
+    tau, S = _recursion(L, R, x)
+    return _package(L, R, x, tau, x.ring.order, S)
 
 
 def universal_solution(L, R, order):
@@ -201,20 +206,23 @@ def kuranishi_map(L, R, y):
 def kuranishi_inverse(L, R, x):
     """The fixed point of y -> x - 1/2 h[y, y]; F(result) = x exactly.
 
-    Identical engine to solve_mc_ivp but without the cocycle precondition.
+    Assembled order by order (the recursion of solve_by_recursion), which
+    needs no cocycle precondition.
     """
     _check_degree_one(x)
-    return _fixed_point(L, R, x)[0]
+    return _recursion(L, R, x)[0]
 
 
 def obstruction(L, R, x):
     """The harmonic part of 1/2 [F^{-1}(x), F^{-1}(x)], order by order.
 
     Lands in the span of the harmonic degree-2 representatives; equals the
-    harmonic part of the residual of the solved IVP.
+    harmonic part of the residual of the solved IVP.  [F^{-1}(x), F^{-1}(x)]
+    is the S the recursion builds along with F^{-1}(x).
     """
-    tau = kuranishi_inverse(L, R, x)
-    return R.harmonic_projection(L.apply_bracket(tau, tau).scale(HALF))
+    _check_degree_one(x)
+    S = _recursion(L, R, x)[1]
+    return R.harmonic_projection(S.scale(HALF))
 
 
 def kur_membership(L, R, x):

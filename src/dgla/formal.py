@@ -15,10 +15,18 @@ is coprime to the numerators taken together, den is 1 for zero, no vector
 is all zero, no monomial lies above the order), so two elements are equal
 exactly when their (den, nums) are.  Arithmetic runs on the integers and
 ends in one gcd normalisation; every public accessor speaks Fraction.
+FormalElement.summed adds any number of elements in one pass, one rescale
+per part.  For the brackets, an element also keeps the kernel-ready layout
+of nums (view(), a _kernels.KernelView), built on first use with the
+monomial keys its ring packs once (CoefficientRing.packing); elements are
+never changed in place, so the layout stays valid.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
+
+from ._kernels import KernelView, Packing
 
 _ONE = Fraction(1)
 
@@ -31,7 +39,7 @@ def mono_key(mono):
 class CoefficientRing:
     """The quotient m / m^{N+1} of the ideal m = (t1..tk) in Q[[t1..tk]]."""
 
-    __slots__ = ("variables", "order")
+    __slots__ = ("variables", "order", "packing")
 
     def __init__(self, variables, order):
         variables = tuple(str(v) for v in variables)
@@ -47,6 +55,7 @@ class CoefficientRing:
             raise ValueError("truncation order must be at least 1")
         self.variables = variables
         self.order = order
+        self.packing = Packing(order + 1)  # the monomial keys of view()
 
     @classmethod
     def single(cls, order, name="t"):
@@ -146,7 +155,7 @@ class FormalElement:
     canonical form the module docstring describes.
     """
 
-    __slots__ = ("ring", "degree", "dim", "den", "nums")
+    __slots__ = ("ring", "degree", "dim", "den", "nums", "_view")
 
     def __init__(self, ring, degree, dim, terms=None):
         if dim < 0:
@@ -168,6 +177,7 @@ class FormalElement:
         self.den = den
         self.nums = {m: tuple([c.numerator * (den // c.denominator) for c in vec])
                      for m, vec in clean.items()}
+        self._view = None
 
     @classmethod
     def from_integers(cls, ring, degree, dim, den, nums):
@@ -196,7 +206,44 @@ class FormalElement:
         out.dim = dim
         out.den = den
         out.nums = nums
+        out._view = None
         return out
+
+    @classmethod
+    def summed(cls, ring, degree, dim, parts):
+        """The sum of the parts (elements over ring, of degree and dim) in
+        one pass: each part is rescaled once to the lcm of their
+        denominators, the first one copied as it stands when it needs no
+        rescaling, and the total is normalised once."""
+        parts = list(parts)
+        for part in parts:
+            if part.ring != ring:
+                raise ValueError("ring mismatch")
+            if part.degree != degree:
+                raise ValueError("graded degree mismatch")
+            if part.dim != dim:
+                raise ValueError("dimension mismatch")
+        parts = [part for part in parts if part.nums]
+        den = lcm(*(part.den for part in parts))
+        nums = {}
+        for part in parts:
+            f = den // part.den
+            if not nums and f == 1:
+                nums = dict(part.nums)
+                continue
+            for mono, vec in part.nums.items():
+                if f != 1:
+                    vec = tuple([f * c for c in vec])
+                cur = nums.get(mono)
+                if cur is None:
+                    nums[mono] = vec
+                else:
+                    vec = tuple(map(add, cur, vec))
+                    if any(vec):
+                        nums[mono] = vec
+                    else:
+                        del nums[mono]
+        return cls.from_integers(ring, degree, dim, den, nums)
 
     @classmethod
     def zero(cls, ring, degree, dim):
@@ -211,6 +258,14 @@ class FormalElement:
 
     def is_zero(self):
         return not self.nums
+
+    def view(self):
+        """nums laid out for the series kernels (a _kernels.KernelView,
+        packed in base order + 1), built on first use and kept."""
+        view = self._view
+        if view is None:
+            view = self._view = KernelView(self.nums, self.ring.packing)
+        return view
 
     def support(self):
         """Monomials with a nonzero coefficient, in graded lex order."""
@@ -229,39 +284,13 @@ class FormalElement:
         """The value as a map exponent tuple -> dense Fraction tuple."""
         return {m: self._fractions(vec) for m, vec in self.nums.items()}
 
-    def _check_compat(self, other):
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch")
-        if self.degree != other.degree:
-            raise ValueError("graded degree mismatch")
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-
     def _with(self, den, nums):
         return FormalElement.from_integers(self.ring, self.degree, self.dim, den, nums)
 
     def __add__(self, other):
         if not isinstance(other, FormalElement):
             return NotImplemented
-        self._check_compat(other)
-        den = lcm(self.den, other.den)
-        fa = den // self.den
-        fb = den // other.den
-        nums = ({m: tuple([fa * c for c in vec]) for m, vec in self.nums.items()}
-                if fa != 1 else dict(self.nums))
-        for mono, vec in other.nums.items():
-            if fb != 1:
-                vec = tuple([fb * c for c in vec])
-            cur = nums.get(mono)
-            if cur is None:
-                nums[mono] = vec
-            else:
-                s = tuple([a + b for a, b in zip(cur, vec)])
-                if any(s):
-                    nums[mono] = s
-                else:
-                    del nums[mono]
-        return self._with(den, nums)
+        return FormalElement.summed(self.ring, self.degree, self.dim, (self, other))
 
     def __neg__(self):
         nums = {m: tuple([-c for c in vec]) for m, vec in self.nums.items()}

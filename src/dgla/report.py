@@ -8,8 +8,7 @@ same report always serializes to byte-identical output; parse(emit(r)) == r.
 
 import json
 from fractions import Fraction
-
-from .formal import mono_key
+from math import gcd
 
 
 def rational_str(c):
@@ -25,15 +24,27 @@ def basis_data(basis):
     return [vector_data(v) for v in basis.vectors]
 
 
+def _ratio_str(p, q):
+    """rational_str(Fraction(p, q)) for ints p and q > 0, without the
+    Fraction: lowest terms by one gcd, then "p/q", "p" or "0"."""
+    if not p:
+        return "0"
+    g = gcd(p, q)
+    if g == q:
+        return str(p // q)
+    return "%d/%d" % (p // g, q // g)
+
+
 def element_data(elem):
-    """FormalElement -> "0" or {"degree": d, "terms": {mono: [coeffs]}}."""
+    """FormalElement -> "0" or {"degree": d, "terms": {mono: [coeffs]}},
+    each coefficient rendered from the element's integers num / den."""
     if elem.is_zero():
         return "0"
-    coeffs = elem.fraction_terms()
-    terms = {}
-    for mono in sorted(coeffs, key=mono_key):
-        terms[elem.ring.mono_str(mono)] = vector_data(coeffs[mono])
-    return {"degree": elem.degree, "terms": terms}
+    den = elem.den
+    mono_str = elem.ring.mono_str
+    return {"degree": elem.degree,
+            "terms": {mono_str(mono): [_ratio_str(c, den) for c in elem.nums[mono]]
+                      for mono in elem.support()}}
 
 
 def matrix_data(mat):

@@ -8,7 +8,7 @@ with the package is meaningful.
 from fractions import Fraction
 
 from dgla.algebra import ValidationIssue, ValidationReport, koszul_sign
-from dgla.formal import FormalElement
+from dgla.formal import FormalElement, mono_key
 from dgla.hodge import hodge_decompose
 from dgla.linalg import ZERO, rank, vec_add, vec_is_zero
 
@@ -80,6 +80,17 @@ def reference_fixed_point(L, R, x):
         n += 1
         if n > x.ring.order + 1:
             raise RuntimeError("fixed point not reached within the truncation order")
+
+
+def reference_element_data(elem):
+    """report.element_data through Fractions: every coefficient rendered as
+    str(Fraction), monomials in graded lexicographic order."""
+    if elem.is_zero():
+        return "0"
+    coeffs = elem.fraction_terms()
+    return {"degree": elem.degree,
+            "terms": {elem.ring.mono_str(m): [str(Fraction(c)) for c in coeffs[m]]
+                      for m in sorted(coeffs, key=mono_key)}}
 
 
 def naive_differential_terms(L, p, s):

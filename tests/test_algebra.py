@@ -80,6 +80,43 @@ def test_corrupted_bracket_degree_witness():
     assert "(x, x)" in issues["bracket-degree"].detail
 
 
+def scanned_table(L, p, q):
+    """bracket_table(p, q) by a scan of every bracket pair."""
+    table = {}
+    for x, y in L.bracket_pairs():
+        (dx, ix), (dy, iy) = L.basis_position(x), L.basis_position(y)
+        if (dx, dy) == (p, q):
+            table[(ix, iy)] = tuple((L.basis_position(z)[1], c)
+                                    for z, c in L.bracket_of(x, y))
+    return table
+
+
+def test_bracket_tables_match_a_scan_per_degree_pair():
+    for name in BUILTIN_NAMES:
+        L = builtin_example(name)
+        for p in L.degrees:
+            for q in L.degrees:
+                assert L.bracket_table(p, q) == scanned_table(L, p, q), (name, p, q)
+
+
+def test_bracket_table_order_follows_the_stored_keys():
+    L = DGLA([("x", 1), ("y", 1), ("a", 0), ("b", 2)],
+             bracket={("y", "x"): [("b", 2)], ("a", "y"): [("y", 1)],
+                      ("x", "x"): [("b", 1)], ("x", "y"): [("b", 2)]})
+    assert list(L.bracket_table(1, 1)) == [(1, 0), (0, 0), (0, 1)]
+    assert L.bracket_table(0, 1) == {(0, 1): ((1, F(1)),)}
+    assert L.bracket_table(2, 2) == {}
+
+
+def test_a_bracket_leaving_its_degree_fails_only_its_own_table():
+    L = DGLA([("x", 1), ("c", 1), ("b", 2), ("a", 0)],
+             bracket={("x", "x"): [("c", 1)], ("a", "x"): [("x", 1)]})
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"bracket \[x, x\] does not preserve"):
+            L.bracket_table(1, 1)
+    assert L.bracket_table(0, 1) == {(0, 0): ((0, F(1)),)}
+
+
 def test_leibniz_violation_detected():
     # dx = 0, [x, x] = b, db = w: then d[x, x] = w while
     # [dx, x] - [x, dx] = 0, so Leibniz fails at (x, x)

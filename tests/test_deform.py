@@ -465,6 +465,24 @@ def test_fixed_point_carries_the_self_bracket(case):
     assert S == naive_bracket(L, tau, tau)
 
 
+# kuranishi_inverse and obstruction run the order-by-order recursion, which
+# needs no cocycle condition: on any x it reaches the fixed point of C_x, and
+# the obstruction is read off the [tau, tau] that the recursion carries.
+@settings(max_examples=100, deadline=None)
+@given(fixed_point_cases())
+@example(("feedback", 1, 5, {(1,): (1, 0, 0), (3,): (0, 1, 0)}))
+@example(("one-sided", 2, 4, {(1, 0): (1, 0, 0), (0, 1): (0, 1, 0),
+                              (1, 1): (0, 0, 1)}))
+def test_recursion_paths_match_the_fixed_point(case):
+    name, nvars, order, terms = case
+    L, R = case_contraction(name)
+    x = FormalElement(t_ring(nvars, order), 1, L.dim(1), terms)
+    tau = reference_fixed_point(L, R, x)[0]
+    assert kuranishi_inverse(L, R, x) == tau
+    assert obstruction(L, R, x) == R.harmonic_projection(
+        naive_bracket(L, tau, tau).scale(Fraction(1, 2)))
+
+
 # The solvers build the residual from the [tau, tau] they carry; an
 # independent full bracket of tau must give the same residual and obstruction.
 @pytest.mark.parametrize("name", CASE_NAMES)

@@ -269,6 +269,34 @@ def test_arithmetic_matches_fraction_reference(case, c, k):
     assert x.homogeneous_part(k) + (x - x.homogeneous_part(k)) == x
 
 
+@settings(max_examples=60, deadline=None)
+@given(element_pairs(), element_pairs())
+@example((1, {(1, 0): (Fraction(1, 2), Fraction(0))}, {(1, 0): (Fraction(-1, 2), Fraction(0))}),
+         (1, {}, {(0, 1): (Fraction(1, 3), Fraction(1))}))
+def test_summed_matches_fraction_reference(case1, case2):
+    """The n-ary sum, with overlapping, cancelling and empty parts."""
+    degree, s, t = case1
+    dim = FRACTIONAL.dim(degree)
+    parts = [s, t]
+    if case2[0] == degree:
+        parts += [case2[1], case2[2]]
+    elems = [FormalElement(RING, degree, dim, p) for p in parts]
+    want = {}
+    for p in parts:
+        want = fraction_add(want, cleaned(p))
+    assert matches(FormalElement.summed(RING, degree, dim, elems), want)
+    assert matches(FormalElement.summed(RING, degree, dim, []), {})
+
+
+def test_summed_rejects_incompatible_parts():
+    r = CoefficientRing(("t",), 3)
+    a = FormalElement(r, 1, 1, {(1,): (F(1),)})
+    for bad in (FormalElement(CoefficientRing(("t",), 4), 1, 1),
+                FormalElement(r, 2, 1), FormalElement(r, 1, 2)):
+        with pytest.raises(ValueError):
+            FormalElement.summed(r, 1, 1, [a, bad])
+
+
 @settings(max_examples=200, deadline=None)
 @given(element_pairs(), element_pairs())
 def test_structure_maps_match_fraction_reference(case1, case2):

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from dgla import BUILTIN_NAMES, builtin_example
 from dgla._kernels import (
+    KernelView,
+    Packing,
     bracket_convolve,
+    bracket_sums,
     integer_rows,
     integer_table,
     matvec_terms,
@@ -18,6 +21,7 @@ from dgla.formal import CoefficientRing, FormalElement
 
 from reference import (
     fraction_add,
+    fraction_scale,
     naive_bracket,
     naive_convolve,
     naive_differential,
@@ -348,6 +352,37 @@ def test_bracket_sum_property(case):
     assert bracket_sum_fractions(u, v, table, trunc, out_dim) == fraction_add(
         naive_convolve(u, v, table, trunc, out_dim),
         naive_convolve(v, u, table, trunc, out_dim))
+
+
+# Each view is shared between several brackets of the one accumulation, so
+# a view laid out partly by one bracket is extended by the next.
+@settings(max_examples=80, deadline=None)
+@given(square_cases(3), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+@example(({(1,): (F(1, 2),)}, {(2,): (F(1, 3),)}, {(1,): (F(1),), (3,): (F(2),)},
+          {(0, 0): ((0, F(1)),)}, 4, 1), [1, 1, 1, 1])
+@example(({(1, 0): (F(1), F(0))}, {(0, 1): (F(0), F(1))}, {},
+          {(0, 1): ((0, F(1, 3)),), (1, 1): ((0, F(1)),)}, 2, 1), [2, -1, 1, 3])
+def test_bracket_sums_property(case, scales):
+    a, b, c, table, trunc, out_dim = case
+    s1, s2, s3, s4 = scales
+    Dt, it = integer_table(table)
+    (Da, ia), (Db, ib), (Dc, ic) = (integer_terms(m) for m in (a, b, c))
+    packing = Packing(max(trunc, 0) + 1)
+    va, vb, vc = (KernelView(m, packing) for m in (ia, ib, ic))
+    w = bracket_sums([(va, vb, s1), (vb, vc, s2)], [(vc, s3), (va, s4)],
+                     it, symmetric_table(it), trunc, out_dim)
+    assert_integer_terms(w)
+
+    def both(u, v):
+        return fraction_add(naive_convolve(u, v, table, trunc, out_dim),
+                            naive_convolve(v, u, table, trunc, out_dim))
+
+    want = {}
+    for f, part in ((s1 * Da * Db, both(a, b)), (s2 * Db * Dc, both(b, c)),
+                    (s3 * Dc * Dc, naive_convolve(c, c, table, trunc, out_dim)),
+                    (s4 * Da * Da, naive_convolve(a, a, table, trunc, out_dim))):
+        want = fraction_add(want, fraction_scale(f * Dt, part))
+    assert over(w, 1) == want
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,9 @@
 from fractions import Fraction
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dgla.algebra import DGLA
 from dgla.formal import CoefficientRing, FormalElement
 from dgla.report import (
     RunReport,
@@ -9,6 +13,8 @@ from dgla.report import (
     parse_report,
     rational_str,
 )
+
+from reference import reference_element_data
 
 
 def F(x):
@@ -26,6 +32,41 @@ def test_element_data_zero_and_terms():
     assert element_data(FormalElement.zero(ring, 1, 2)) == "0"
     e = FormalElement(ring, 1, 2, {(2,): (F(0), F("-1/2"))})
     assert element_data(e) == {"degree": 1, "terms": {"t^2": ["0", "-1/2"]}}
+
+
+RING = CoefficientRing(("t1", "t2"), 3)
+MONOMIALS = RING.all_monomials()
+# a degree 1 x degree 1 -> degree 2 bracket with fractional constants
+QUAD = DGLA([("x", 1), ("y", 1), ("b", 2), ("e", 2)],
+            bracket={("x", "x"): [("b", Fraction(1, 2))],
+                     ("x", "y"): [("b", Fraction(-2, 3)), ("e", 3)],
+                     ("y", "x"): [("b", Fraction(-2, 3)), ("e", 3)],
+                     ("y", "y"): [("e", Fraction(-5, 7))]},
+            name="quad")
+
+
+@st.composite
+def elements(draw):
+    """A degree 1 element of QUAD over RING: integer-only (den 1) or
+    fractional coefficients, negative numerators and zero slots."""
+    whole = draw(st.booleans())
+    den = st.just(1) if whole else st.sampled_from((1, 2, 3, 6, 9))
+    coeff = st.builds(Fraction, st.integers(-9, 9), den)
+    monos = draw(st.lists(st.sampled_from(MONOMIALS), max_size=6, unique=True))
+    return FormalElement(RING, 1, 2, {m: (draw(coeff), draw(coeff)) for m in monos})
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements(), elements(), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6)))
+@example(FormalElement(RING, 1, 2, {(1, 0): (Fraction(-4), Fraction(0))}),
+         FormalElement(RING, 1, 2, {(0, 1): (Fraction(0), Fraction(3, 2))}),
+         Fraction(-1))
+def test_element_data_renders_the_integers_as_fractions(x, y, c):
+    produced = [x, y, x + y, x - x, x - y, x.scale(c), y.scale(Fraction(1, 6)),
+                QUAD.apply_bracket(x, y), QUAD.apply_bracket(x, x),
+                QUAD._bracket_sums(RING, 1, [(x, y)], [y])]
+    for e in produced:
+        assert element_data(e) == reference_element_data(e)
 
 
 def test_empty_report_canonical_form():
