@@ -19,19 +19,27 @@ monomial as (total degree, packed key, sparse vector), the packed key being
 its exponents as the digits of one integer (Packing, one per ring), and the
 same coefficients again by generator, in columns cut by total degree.  A
 row of the pair loop (_convolve) puts one monomial's vector into the table
-once and then walks, for each generator j it reaches, column j of the
-partner straight: a j that reaches one output costs one multiply-add per
-pair, added as an integer under the packed product key k1 + k2.  Every
-row of a call shares that one accumulator, so bracket_sums adds several
-brackets, each scaled to a common denominator by an integer, in one pass:
-a Maurer-Cartan step, or one order of the recursion, is one kernel call.
+(its contracted row) and then walks, for each generator j it reaches,
+column j of the partner straight: a j that reaches one output costs one
+multiply-add per pair, added as an integer under the packed product key
+k1 + k2.  The view of the left element of a bracket keeps the contracted
+row of each laid-out monomial per integer table (KernelView.rows), so an
+element bracketed again through the same table, such as each part of a
+gauge element in the gauge series or of tau in the recursion, is
+contracted once.  Every row of a call shares that one accumulator, so
+bracket_sums adds several brackets, each scaled to a common denominator
+by an integer, in one pass: a Maurer-Cartan step, or one order of the
+recursion, is one kernel call.
 
 self_convolve is the self-bracket [y, y].  The pairs (m1, m2) and (m2, m1)
 land on the same product monomial with [y_m1, y_m2] + [y_m2, y_m1], which
 is y_m1 put through T + T^t against y_m2 (symmetric_table, an integer table
 at the same scale Dt as T).  So it walks the degree-sorted monomials once
-over unordered pairs p <= q within the truncation: the diagonal pair
-through T, each other pair once through T + T^t, about half the pairs of
+over unordered pairs p <= q within the truncation, each monomial
+contracted once, through T + T^t, for its row of the walk (which keeps
+nothing): as sym(u, u) = 2 T(u, u), the diagonal pair goes at scale 1 and
+each other pair at 2, which makes every accumulated integer even and twice
+the sum, halved once at the end.  That is about half the pairs of
 bracket_convolve(y, y).  Nothing assumes antisymmetry, so the sum, and the
 result over the same denominator, is the same exact rational for any
 table: one set up through the Python API with [e_i, e_j] but no
@@ -216,7 +224,7 @@ class KernelView(Mapping):
     """
 
     __slots__ = ("terms", "packing", "low", "entries", "degs", "cols",
-                 "_buckets")
+                 "_buckets", "_rows")
 
     def __init__(self, terms, packing):
         self.terms = terms
@@ -231,6 +239,7 @@ class KernelView(Mapping):
         self.entries = []
         self.degs = []
         self.cols = {}
+        self._rows = {}
 
     def upto(self, deg):
         buckets = self._buckets
@@ -252,6 +261,19 @@ class KernelView(Mapping):
                 ends.append(len(kv))
             degs += [d] * len(monos)
         return entries, degs
+
+    def rows(self, table, n):
+        """The first n laid-out monomials put into the integer table
+        (_contracted), each contracted once per table and kept.  They are
+        keyed by the table's identity, and the table is held with them, so
+        that identity is never reused for another table."""
+        held = self._rows.get(id(table))
+        if held is None:
+            held = self._rows[id(table)] = (table, [])
+        rows = held[1]
+        if len(rows) < n:
+            rows += [_contracted(u, table) for _, _, u in self.entries[len(rows):n]]
+        return rows
 
     def __getitem__(self, mono):
         return self.terms[mono]
@@ -279,16 +301,16 @@ def _cross_rows(u, v, table, trunc, s):
     v.upto(trunc - u.low)
     udegs = u.upto(trunc - v.low)[1]
     n = bisect_right(udegs, trunc - v.low)
-    for d, k1, u1 in u.entries[:n]:
-        yield k1, _contracted(u1, table), s, v.cols, None, trunc - d
+    for (d, k1, _), row in zip(u.entries[:n], u.rows(table, n)):
+        yield k1, row, s, v.cols, None, trunc - d, None
 
 
 def _self_rows(y, sym, trunc, s):
-    """The rows of s * [y, y] for _convolve without the diagonal pairs
-    (_diagonal_rows): each monomial through sym against the later ones
-    within trunc of it, so each unordered pair once.  The start of each
-    column is the count of the monomials already walked, kept in one dict
-    that each row shares and the next updates."""
+    """The rows of 2s * [y, y] for _convolve: each monomial through sym
+    once, against itself at scale s (sym(u, u) = 2 T(u, u)) and against the
+    later ones within trunc of it at 2s, so each unordered pair once.  The
+    start of each column is the count of the monomials already walked, kept
+    in one dict that each row shares and the next updates."""
     if not y.terms:
         return
     ys, degs = y.upto(trunc - y.low)
@@ -297,50 +319,39 @@ def _self_rows(y, sym, trunc, s):
     for d, k1, u in ys[:n]:
         for j, _ in u:
             walked[j] += 1
-        yield k1, _contracted(u, sym), s, y.cols, walked, trunc - d
+        yield k1, _contracted(u, sym), 2 * s, y.cols, walked, trunc - d, (u, s)
 
 
-def _diagonal_rows(y, table, trunc, s):
-    """The pairs (m, m) of s * [y, y] within trunc, each through table:
-    (2 * packed key, row, s, sparse vector) for _convolve."""
-    if not y.terms:
-        return
-    ys, degs = y.upto(trunc - y.low)
-    n = bisect_right(degs, trunc // 2)
-    for _, k1, u in ys[:n]:
-        yield k1 + k1, _contracted(u, table), s, u
-
-
-def _convolve(rows, diagonal, out_dim, packing):
+def _convolve(rows, out_dim, packing):
     """The one pair loop of every kernel.
 
-    rows yields (k1, urow, s, cols, lo, lim): the packed key k1 of a
+    rows yields (k1, urow, s, cols, lo, lim, own): the packed key k1 of a
     monomial, its vector put into a table (_contracted: (f, row), or None),
     an integer scale s, and the columns of the view it pairs with
     (KernelView.cols), from column index lo[j] (0 if lo is None) through
     the monomials of total degree at most lim.  For every generator j the
     row reaches, those coefficients of column j are added under the packed
     product keys k1 + k2, a j that reaches one output as one multiply-add
-    per pair.  diagonal yields (key, urow, s, v) for a monomial paired with
-    itself: urow against its own sparse vector v, under key.  Every row
-    shares one accumulator.  Returns sum s * [u_m1, v_m2] * m1*m2 over every
-    pair as a terms map, monomials unpacked through packing.monos.
+    per pair.  own is None, or (v, so) for the monomial paired with itself:
+    urow against its own sparse vector v at scale so, under the key 2 * k1.
+    Every row shares one accumulator.  Returns sum s * [u_m1, v_m2] * m1*m2
+    over every pair as a terms map, monomials unpacked through
+    packing.monos.
     """
     out = defaultdict(([0] * out_dim).copy)  # packed product key -> ints
-    for key, urow, s, v in diagonal:
-        if urow is not None:
-            f, urow = urow
-            acc = out[key]
-            for j, vj in v:
-                ents = urow.get(j)
-                if ents:
-                    fv = f * s * vj
-                    for k, c in ents:
-                        acc[k] += fv * c
-    for k1, urow, s, cols, lo, lim in rows:
+    for k1, urow, s, cols, lo, lim, own in rows:
         if urow is None:
             continue
         f, urow = urow
+        if own is not None:
+            v, so = own
+            acc = out[k1 + k1]
+            for j, vj in v:
+                ents = urow.get(j)
+                if ents:
+                    fv = f * so * vj
+                    for k, c in ents:
+                        acc[k] += fv * c
         f *= s
         for j, ents in urow.items():
             col = cols.get(j)
@@ -378,20 +389,21 @@ def bracket_convolve(uterms, vterms, table, trunc, out_dim):
     """
     u = _laid_out(uterms, trunc)
     v = _laid_out(vterms, trunc)
-    return _convolve(_cross_rows(u, v, table, trunc, 1), (), out_dim,
-                     u.packing)
+    return _convolve(_cross_rows(u, v, table, trunc, 1), out_dim, u.packing)
 
 
 def self_convolve(terms, table, sym, trunc, out_dim):
     """bracket_convolve(terms, terms, table, trunc, out_dim), each unordered
     monomial pair walked once.
 
-    sym is symmetric_table(table).  The pair (m1, m1) goes through table;
-    a pair m1 != m2 contributes [y_m1, y_m2] + [y_m2, y_m1] to m1*m2, which
-    is y_m1 put through table + table^t against y_m2, so it goes through sym
-    once.  Monomials are walked in ascending total degree, each against
-    itself and the later ones within the truncation, and the walk ends at
-    the first monomial with no partner left.
+    sym is symmetric_table(table).  A pair m1 != m2 contributes
+    [y_m1, y_m2] + [y_m2, y_m1] to m1*m2, which is y_m1 put through
+    table + table^t against y_m2, so it goes through sym once; the pair
+    (m1, m1) goes through sym too, sym(y_m1, y_m1) being twice
+    [y_m1, y_m1] (bracket_sums halves the total).  Monomials are walked in
+    ascending total degree, each against itself and the later ones within
+    the truncation, and the walk ends at the first monomial with no partner
+    left.
     """
     return bracket_sums((), ((terms, 1),), table, sym, trunc, out_dim)
 
@@ -402,20 +414,22 @@ def bracket_sums(pairs, squares, table, sym, trunc, out_dim):
 
     u, v and y are terms maps of one degree, s integer scales (the caller
     puts every bracket over one common denominator with them), table the
-    integer table of that degree with itself and sym symmetric_table(table).
-    Each pair is one pass through sym, each square walks its unordered
-    pairs once, as in self_convolve.
+    integer table T of that degree with itself and sym symmetric_table(T).
+    Only sym is read, each monomial of a view contracted through it once:
+    a pair is one pass, a square walks its unordered pairs once, as in
+    self_convolve, its diagonal at scale s (sym(u, u) = 2 T(u, u)) and every
+    other pair at 2s.  So the sum is accumulated twice over, every integer
+    of it even, and halved once at the end.
     """
     pairs = [(_laid_out(u, trunc), _laid_out(v, trunc), s) for u, v, s in pairs]
     squares = [(_laid_out(y, trunc), s) for y, s in squares]
     if not pairs and not squares:
         return {}
-    rows = [_cross_rows(u, v, sym, trunc, s) for u, v, s in pairs]
+    rows = [_cross_rows(u, v, sym, trunc, 2 * s) for u, v, s in pairs]
     rows += [_self_rows(y, sym, trunc, s) for y, s in squares]
-    diagonal = [_diagonal_rows(y, table, trunc, s) for y, s in squares]
     packing = (pairs[0][0] if pairs else squares[0][0]).packing
-    return _convolve(chain.from_iterable(rows), chain.from_iterable(diagonal),
-                     out_dim, packing)
+    twice = _convolve(chain.from_iterable(rows), out_dim, packing)
+    return {m: tuple([c // 2 for c in vec]) for m, vec in twice.items()}
 
 
 def matvec_terms(terms, rows, out_dim):

@@ -18,11 +18,11 @@ from contextlib import contextmanager
 
 from . import __version__
 from .deform import (
+    NotFlatError,
     gauge_act,
     gauge_equivalent,
     kuranishi_inverse,
     kuranishi_map,
-    mc_residual,
     obstruction,
     solve_by_recursion,
     solve_mc_ivp,
@@ -345,11 +345,11 @@ def cmd_gauge_equiv(args):
     A = _element_arg(L, ring, args.a, 1, "--a")
     Ap = _element_arg(L, ring, args.b, 1, "--b")
     with _input_error("gauge-equiv"):
-        if not mc_residual(L, A).is_zero():
-            raise CliError("gauge-equiv: --a is not flat (nonzero mc residual)")
-        if not mc_residual(L, Ap).is_zero():
-            raise CliError("gauge-equiv: --b is not flat (nonzero mc residual)")
-        witness = gauge_equivalent(L, R, A, Ap)
+        try:
+            witness = gauge_equivalent(L, R, A, Ap)
+        except NotFlatError as e:
+            raise CliError("gauge-equiv: %s is not flat (nonzero mc residual)"
+                           % ("--a", "--b")[e.index]) from None
     Z0 = R.splitting.cycles.get(0)
     complete = Z0 is None or Z0.dim == 0
     data = {"a": element_data(A), "b": element_data(Ap), "complete": complete}

@@ -19,11 +19,16 @@ element type already enforces); exp(a) acts on a degree-1 element A by
 
     exp(a) . A = A + sum_{n >= 0} ad_a^n / (n+1)! ([a, A] - da),
 
-a finite sum because ad_a raises the monomial order.
+a finite sum because ad_a raises the monomial order.  One evaluator,
+_gauge_series, sums it order by order for both gauge_act and
+gauge_equivalent: the order-b part reads only the homogeneous parts of a,
+A and of the terms ad_a^n (...) already fixed below order b, and a_b enters
+it only through -d a_b.  So gauge_equivalent solves each a_b from the
+order-b part of that same pass against the target, and the witness search
+costs one evaluation of the series.
 """
 
 from fractions import Fraction
-from math import factorial
 
 from .algebra import HALF
 from .formal import CoefficientRing, FormalElement
@@ -243,51 +248,105 @@ def _check_gauge(a):
         raise ValueError("gauge elements have degree 0, got degree %d" % a.degree)
 
 
+class NotFlatError(ValueError):
+    """A gauge_equivalent input that is not flat: index 0 is A, 1 Aprime."""
+
+    def __init__(self, index):
+        self.index = index
+        super().__init__("gauge_equivalent requires flat inputs: %s is not flat"
+                         % ("A", "Aprime")[index])
+
+
+def _gauge_series(L, A, part):
+    """exp(a) . A order by order, for the gauge element a with parts
+    a_b = part(b, known).
+
+    With c_1 = [a, A] - da and c_k = [a, c_{k-1}], the order-b parts are
+
+        c_1[b] = sum_{i<b} [a_i, A_{b-i}] - d a_b,
+        c_k[b] = sum_{i+j=b} [a_i, c_{k-1}[j]]      (k = 2..b),
+        (exp(a) . A)_b = A_b + sum_k c_k[b] / k!,
+
+    so order b reads only parts fixed below it, and k runs all the way to b:
+    c_k[b] can vanish while c_{k+1} at a later order does not.  Each
+    c_k[b] / k! is kept as [a, c_{k-1} / (k-1)!] / k, the 1/k going into its
+    denominator.  a_b enters order b only through -d a_b, so part is asked
+    for a_b (a degree-0 element, homogeneous of order b, zero allowed) once
+    the rest of the order is known: known is a list of elements that sum to
+    (exp(a) . A)_b + d a_b.  part may return None to stop, and then the
+    series returns None; otherwise it returns elements that sum to
+    exp(a) . A.
+    """
+    ring = A.ring
+    dim1 = A.dim
+    A_parts = {b: A.homogeneous_part(b) for b in range(1, ring.order + 1)}
+    a = {}  # i -> a_i, nonzero parts only, all below the current order
+    c = {}  # (k, b) -> c_k[b] / k!, nonzero parts only
+    pieces = [A]
+    for b in range(1, ring.order + 1):
+        first = [L.apply_bracket(a[i], A_parts[b - i]) for i in a]
+        higher = []
+        for k in range(2, b + 1):
+            terms = [L.apply_bracket(a[i], c[k - 1, b - i])
+                     for i in a if (k - 1, b - i) in c]
+            if terms:
+                ck = FormalElement.summed(ring, 1, dim1, terms).scale(
+                    Fraction(1, k))
+                if not ck.is_zero():
+                    c[k, b] = ck
+                    higher.append(ck)
+        a_b = part(b, [A_parts[b]] + first + higher)
+        if a_b is None:
+            return None
+        if not a_b.is_zero():
+            a[b] = a_b
+            first.append(-L.apply_differential(a_b))
+        c1 = FormalElement.summed(ring, 1, dim1, first)
+        if not c1.is_zero():
+            c[1, b] = c1
+        pieces += [c1] + higher
+    return pieces
+
+
 def gauge_act(L, a, A):
-    """exp(a) . A for a degree-0 gauge element a and degree-1 element A."""
+    """exp(a) . A for a degree-0 gauge element a and degree-1 element A,
+    summed order by order (_gauge_series)."""
     _check_gauge(a)
     _check_degree_one(A)
     if a.ring != A.ring:
         raise ValueError("ring mismatch")
-    cur = L.apply_bracket(a, A) - L.apply_differential(a)
-    out = A
-    k = 1
-    while not cur.is_zero():
-        out = out + cur.scale(Fraction(1, factorial(k)))
-        cur = L.apply_bracket(a, cur)
-        k += 1
-        if k > a.ring.order + 2:
-            raise RuntimeError("gauge action series failed to terminate")
-    return out
+    pieces = _gauge_series(L, A, lambda b, known: a.homogeneous_part(b))
+    return FormalElement.summed(A.ring, 1, A.dim, pieces)
 
 
 def gauge_equivalent(L, R, A, Aprime):
     """A degree-0 witness a with exp(a) . A = Aprime, or None.
 
-    Both inputs must be flat.  Solved order by order: at order b the unknown
-    a_b enters only through -d(a_b), so each monomial coefficient is one
-    linear solve against d: g^0 -> g^1, with free components set to zero.
-    Returning None means no witness exists under that zero-free-component
-    rule (sound, not complete, when d has a kernel in degree 0).
+    Both inputs must be flat (NotFlatError, a ValueError, names the one
+    that is not).  Solved in one pass of the gauge series (_gauge_series):
+    at order b the unknown a_b enters only through -d a_b, so once the rest
+    of order b is known, each monomial coefficient of a_b is one linear
+    solve against d: g^0 -> g^1, with free components set to zero, and
+    -d a_b then completes c_1 at order b.  The witness is verified by
+    acting with it once more.  Returning None means no witness exists
+    under that zero-free-component rule (sound, not complete, when d has a
+    kernel in degree 0).
     """
     _check_degree_one(A)
     _check_degree_one(Aprime)
     if A.ring != Aprime.ring:
         raise ValueError("ring mismatch")
-    if not mc_residual(L, A).is_zero():
-        raise ValueError("gauge_equivalent requires flat inputs: A is not flat")
-    if not mc_residual(L, Aprime).is_zero():
-        raise ValueError("gauge_equivalent requires flat inputs: Aprime is not flat")
+    for index, B in enumerate((A, Aprime)):
+        if not mc_residual(L, B).is_zero():
+            raise NotFlatError(index)
     ring = A.ring
     dim0 = L.dim(0)
     d0 = L.differential.block(0, 1)
-    a = FormalElement.zero(ring, 0, dim0)
-    for b in range(1, ring.order + 1):
-        # truncation is a ring map, so the order-b part is seen mod m^{b+1}
-        diff = (gauge_act(L, a.to_order(b), A.to_order(b))
-                - Aprime.to_order(b)).homogeneous_part(b)
-        if diff.is_zero():
-            continue
+    parts = []
+
+    def solve(b, known):
+        diff = FormalElement.summed(ring, 1, A.dim,
+                                    known + [-Aprime.homogeneous_part(b)])
         terms = {}
         for mono, vec in diff.fraction_terms().items():
             sol = solve_linear(d0, vec)
@@ -295,8 +354,12 @@ def gauge_equivalent(L, R, A, Aprime):
                 return None
             if any(sol):
                 terms[mono] = sol
-        if terms:
-            a = a + FormalElement(ring, 0, dim0, terms)
+        parts.append(FormalElement(ring, 0, dim0, terms))
+        return parts[-1]
+
+    if _gauge_series(L, A, solve) is None:
+        return None
+    a = FormalElement.summed(ring, 0, dim0, parts)
     if gauge_act(L, a, A) != Aprime:
         return None
     return a

@@ -302,11 +302,14 @@ class FormalElement:
         return self + (-other)
 
     def scale(self, c):
+        """c times self; a unit fraction 1/q only multiplies den by q."""
         c = Fraction(c)
         if not c:
             return FormalElement(self.ring, self.degree, self.dim)
         p = c.numerator
-        nums = {m: tuple([p * x for x in vec]) for m, vec in self.nums.items()}
+        nums = self.nums
+        if p != 1:
+            nums = {m: tuple([p * x for x in vec]) for m, vec in nums.items()}
         return self._with(self.den * c.denominator, nums)
 
     def to_order(self, order):

@@ -6,6 +6,7 @@ with the package is meaningful.
 """
 
 from fractions import Fraction
+from math import factorial
 
 from dgla.algebra import ValidationIssue, ValidationReport, koszul_sign
 from dgla.formal import FormalElement, mono_key
@@ -80,6 +81,27 @@ def reference_fixed_point(L, R, x):
         n += 1
         if n > x.ring.order + 1:
             raise RuntimeError("fixed point not reached within the truncation order")
+
+
+def reference_gauge_act(L, a, A):
+    """exp(a) . A = A + sum_{n >= 0} ad_a^n / (n+1)! ([a, A] - da), on the
+    whole series at the full truncation order: every bracket and d by
+    direct expansion on Fraction terms maps, the terms summed until ad_a^n
+    vanishes (it raises the order, so within order + 1 terms)."""
+    order = a.ring.order
+    s = a.fraction_terms()
+    cur = fraction_add(
+        naive_bracket_terms(L, 0, s, 1, A.fraction_terms(), order),
+        fraction_scale(Fraction(-1), naive_differential_terms(L, 0, s)))
+    out = A.fraction_terms()
+    k = 1
+    while cur:
+        out = fraction_add(out, fraction_scale(Fraction(1, factorial(k)), cur))
+        cur = naive_bracket_terms(L, 0, s, 1, cur, order)
+        k += 1
+        if k > order + 2:
+            raise RuntimeError("gauge action series failed to terminate")
+    return FormalElement(A.ring, 1, A.dim, out)
 
 
 def reference_element_data(elem):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import dgla.algebra
 from dgla.cli import main
 from dgla.report import canonical_json, parse_report
 
@@ -269,6 +270,32 @@ def test_gauge_equiv_rejects_non_flat(capsys):
         "--b", '{"degree": 1, "terms": {}}')
     assert code == 2
     assert "not flat" in err
+
+
+def test_gauge_equiv_rejects_non_flat_b(capsys):
+    code, out, err = run_main(
+        capsys, "gauge-equiv", corpus("E3"),
+        "--a", '{"degree": 1, "terms": {}}',
+        "--b", '{"degree": 1, "terms": {"t": {"x": "1"}}}')
+    assert code == 2
+    assert "--b is not flat" in err
+
+
+def test_gauge_equiv_curvature_once_per_input(capsys, monkeypatch):
+    calls = []
+    curvature = dgla.algebra.DGLA.curvature
+
+    def counted(self, A):
+        calls.append(A)
+        return curvature(self, A)
+
+    monkeypatch.setattr(dgla.algebra.DGLA, "curvature", counted)
+    code, rep, _ = run_json(
+        capsys, "gauge-equiv", corpus("E4"),
+        "--a", '{"degree": 1, "terms": {}}',
+        "--b", '{"degree": 1, "terms": {"t": {"x": "-1"}}}')
+    assert code == 0
+    assert len(calls) == 2
 
 
 def test_decimal_coefficient_rejected(capsys, tmp_path):

@@ -1,20 +1,28 @@
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 import pytest
 
 from dgla import (
+    DGLA,
+    antisymmetric_closure,
+    build_contraction,
+    build_splitting,
     builtin_example,
     gauge_act,
     gauge_equivalent,
     gauge_fix,
     kuranishi_map,
     mc_residual,
+    solve_linear,
     solve_mc_ivp,
+    validate_dgla,
 )
 from dgla.formal import CoefficientRing, FormalElement
 
 from conftest import contraction_for
+from reference import reference_gauge_act
 
 
 def F(x):
@@ -203,3 +211,119 @@ def test_kuranishi_shadow_of_gauge_fix():
             assert mc_residual(L, A).is_zero()
             shadow = kuranishi_map(L, R, gauge_fix(R, A))
             assert R.boundary_projection(shadow).is_zero(), name
+
+
+@lru_cache(maxsize=None)
+def twisted_e2():
+    """E2 twisted by mu = m12_3 + m23_1 - m13_2, the bracket of so(3) on
+    k^3: mu is Maurer-Cartan (d = 0 and [mu, mu] = 0), so the same bracket
+    with d_mu = [mu, -] is a DGLA.  Unlike E0..E4 it has both a nonzero d on
+    g^0 and a nonzero bracket g^0 x g^1 -> g^1."""
+    E2 = builtin_example("E2")
+    mu = [F(0)] * E2.dim(1)
+    for name, c in (("m12_3", 1), ("m23_1", 1), ("m13_2", -1)):
+        mu[E2.basis_names(1).index(name)] = F(c)
+    d = {}
+    for p in E2.degrees:
+        for pos, name in enumerate(E2.basis_names(p)):
+            e = [F(0)] * E2.dim(p)
+            e[pos] = F(1)
+            image = E2.bracket_vectors(1, mu, p, e)
+            ents = [(n, c) for n, c in zip(E2.basis_names(p + 1), image) if c]
+            if ents:
+                d[name] = ents
+    bracket = {pair: E2.bracket_of(*pair) for pair in E2.bracket_pairs()}
+    L = DGLA(E2.generators, d=d, bracket=bracket, name="E2_mu")
+    return L, build_contraction(L, build_splitting(L))
+
+
+def test_twisted_e2_is_a_dgla_with_gauge_terms():
+    L, _ = twisted_e2()
+    assert validate_dgla(L).ok
+    assert L.dims == {0: 9, 1: 9, 2: 3}
+    assert sum(L.degree_of(x) == 0 and L.degree_of(y) == 1
+               for x, y in L.bracket_pairs()) == 45
+    assert L.differential.block(0, 1).entries
+
+
+def free_zero_gauge_element(L, ring, monos, rng):
+    """A degree-0 element whose coefficient at each monomial is the
+    solution of d0 x = d0 v that solve_linear gives (free components 0)."""
+    d0 = L.differential.block(0, 1)
+    terms = {}
+    for mono in monos:
+        dv = d0.mul_vec([F(rng.randint(-2, 2)) for _ in range(L.dim(0))])
+        if any(dv):
+            terms[mono] = solve_linear(d0, dv)
+    return FormalElement(ring, 0, L.dim(0), terms)
+
+
+@pytest.mark.parametrize("a_orders,nonzero_A", [
+    ((1,), False),
+    ((1, 2, 3, 4), False),
+    ((1, 2, 3, 4), True),
+], ids=["a-order-1", "a-every-order", "a-every-order-nonzero-A"])
+def test_gauge_act_matches_reference_twisted_e2(a_orders, nonzero_A):
+    L, _ = twisted_e2()
+    ring = CoefficientRing(("t1", "t2"), 4)
+    rng = Random(41)
+
+    def random_element(degree, monos):
+        return FormalElement(ring, degree, L.dim(degree), {
+            m: [F(rng.randint(-2, 2)) for _ in range(L.dim(degree))]
+            for m in monos})
+
+    a = random_element(0, [m for m in ring.all_monomials()
+                           if sum(m) in a_orders])
+    A = random_element(1, ring.all_monomials() if nonzero_A else ())
+    acted = gauge_act(L, a, A)
+    assert acted == reference_gauge_act(L, a, A)
+    assert len(acted.nums) == len(ring.all_monomials())
+
+
+def test_gauge_equivalent_returns_seeded_witness_twisted_e2():
+    L, R = twisted_e2()
+    ring = CoefficientRing(("t1", "t2"), 4)
+    zero = FormalElement.zero(ring, 1, L.dim(1))
+    for seed in range(3):
+        a = free_zero_gauge_element(L, ring, ring.all_monomials(), Random(seed))
+        assert {sum(m) for m in a.nums} == {1, 2, 3, 4}
+        moved = gauge_act(L, a, zero)
+        assert mc_residual(L, moved).is_zero()
+        assert gauge_equivalent(L, R, zero, moved) == a
+
+
+def test_gauge_equivalent_names_the_input_that_is_not_flat():
+    L, R = contraction_for("E3")
+    ring = CoefficientRing.single(3)
+    x = L.generator_element(ring, "x")
+    zero = FormalElement.zero(ring, 1, 1)
+    with pytest.raises(ValueError, match="Aprime is not flat"):
+        gauge_equivalent(L, R, zero, x)
+    with pytest.raises(ValueError, match=" A is not flat"):
+        gauge_equivalent(L, R, x, zero)
+
+
+@lru_cache(maxsize=None)
+def d8_case():
+    """a in degree 0, x in degree 1, d = 0, [a, x] = x, at order 3: A = t x
+    and B = exp(t a) . A = t x + t^2 x + 1/2 t^3 x."""
+    gens = [("a", 0), ("x", 1)]
+    L = DGLA(gens, bracket=antisymmetric_closure(gens, {("a", "x"): [("x", 1)]}),
+             name="D8")
+    R = build_contraction(L, build_splitting(L))
+    ring = CoefficientRing.single(3)
+    A = L.generator_element(ring, "x")
+    B = FormalElement(ring, 1, 1, {(1,): (1,), (2,): (1,), (3,): (F("1/2"),)})
+    return L, R, L.generator_element(ring, "a"), A, B
+
+
+def test_d8_gauge_act_pinned():
+    L, _, a, A, B = d8_case()
+    assert gauge_act(L, a, A) == B
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP D8")
+def test_d8_gauge_equivalent_finds_the_witness():
+    L, R, _, A, B = d8_case()
+    assert gauge_equivalent(L, R, A, B) is not None

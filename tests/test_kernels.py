@@ -385,6 +385,31 @@ def test_bracket_sums_property(case, scales):
     assert over(w, 1) == want
 
 
+# A view keeps the contracted rows of each table apart (KernelView.rows):
+# the same two views go through T, then T + T^t, then both again, with a
+# self-bracket of the left one in between.
+@settings(max_examples=80, deadline=None)
+@given(square_cases(2))
+@example(({(1,): (F(1), F(2))}, {(1,): (F(3), F(1))},
+          {(0, 1): ((0, F(1)),), (1, 0): ((1, F(2)),)}, 2, 2))
+def test_view_rows_kept_per_table(case):
+    u, v, table, trunc, out_dim = case
+    Dt, it = integer_table(table)
+    sym = symmetric_table(it)
+    (Du, iu), (Dv, iv) = integer_terms(u), integer_terms(v)
+    packing = Packing(max(trunc, 0) + 1)
+    vu, vv = KernelView(iu, packing), KernelView(iv, packing)
+    uv = naive_convolve(u, v, table, trunc, out_dim)
+    both = fraction_add(uv, naive_convolve(v, u, table, trunc, out_dim))
+    for _ in range(2):
+        assert over(bracket_convolve(vu, vv, it, trunc, out_dim),
+                    Du * Dv * Dt) == uv
+        assert over(bracket_convolve(vu, vv, sym, trunc, out_dim),
+                    Du * Dv * Dt) == both
+        assert over(self_convolve(vu, it, sym, trunc, out_dim),
+                    Du * Du * Dt) == naive_convolve(u, u, table, trunc, out_dim)
+
+
 @settings(max_examples=300, deadline=None)
 @given(matvec_cases())
 @example(({}, (((0, F(1, 2)),),), 1))
