@@ -4,9 +4,9 @@ bracket_convolve, self_convolve and bracket_sums carry every bracket of
 formal elements (so the whole Maurer-Cartan solve) and matvec_terms every
 graded map applied to one.
 None touches a Fraction: a FormalElement already stores integer
-numerators over one denominator, and the structure table and the matrix
-rows come scaled by the lcm of their own denominators (integer_table and
-integer_rows, computed once per table or matrix by their owners).  The
+numerators over one denominator, a Matrix its numerators over one
+denominator (Matrix.integer_rows), and the structure table comes scaled
+by the lcm of its denominators (integer_table, once per table).  The
 caller knows every denominator, so it alone divides: the bracket of u / Du
 and v / Dv through a table scaled by Dt is the result over Du * Dv * Dt, a
 matrix scaled by Dm applied to v / Dv is the result over Dm * Dv.  This is
@@ -80,19 +80,6 @@ def integer_table(table):
         if ints:
             rows.setdefault(i, {})[j] = ints
     return D, rows
-
-
-def integer_rows(rows):
-    """(D, integer rows) with D * rows == the ints, D the lcm of the
-    denominators; rows holds one ((col, Fraction), ...) tuple per row."""
-    D = lcm(*{c.denominator for row in rows for _, c in row})
-    out = []
-    for r, row in enumerate(rows):
-        ints = tuple((col, c.numerator * (D // c.denominator))
-                     for col, c in row if c)
-        if ints:
-            out.append((r, ints))
-    return D, tuple(out)
 
 
 def integer_vector(v):
@@ -322,7 +309,7 @@ def _self_rows(y, sym, trunc, s):
         yield k1, _contracted(u, sym), 2 * s, y.cols, walked, trunc - d, (u, s)
 
 
-def _convolve(rows, out_dim, packing):
+def _convolve(rows, out_dim, packing, half=False):
     """The one pair loop of every kernel.
 
     rows yields (k1, urow, s, cols, lo, lim, own): the packed key k1 of a
@@ -336,7 +323,7 @@ def _convolve(rows, out_dim, packing):
     urow against its own sparse vector v at scale so, under the key 2 * k1.
     Every row shares one accumulator.  Returns sum s * [u_m1, v_m2] * m1*m2
     over every pair as a terms map, monomials unpacked through
-    packing.monos.
+    packing.monos, each integer halved on the way out if half is set.
     """
     out = defaultdict(([0] * out_dim).copy)  # packed product key -> ints
     for k1, urow, s, cols, lo, lim, own in rows:
@@ -374,6 +361,9 @@ def _convolve(rows, out_dim, packing):
                     for k, c in ents:
                         acc[k] += fv * c
     monos = packing.monos(out.keys())
+    if half:
+        return {monos[key]: tuple([c // 2 for c in acc])
+                for key, acc in out.items() if any(acc)}
     return {monos[key]: tuple(acc) for key, acc in out.items() if any(acc)}
 
 
@@ -392,11 +382,11 @@ def bracket_convolve(uterms, vterms, table, trunc, out_dim):
     return _convolve(_cross_rows(u, v, table, trunc, 1), out_dim, u.packing)
 
 
-def self_convolve(terms, table, sym, trunc, out_dim):
+def self_convolve(terms, sym, trunc, out_dim):
     """bracket_convolve(terms, terms, table, trunc, out_dim), each unordered
     monomial pair walked once.
 
-    sym is symmetric_table(table).  A pair m1 != m2 contributes
+    sym is symmetric_table(table), the one table read.  A pair m1 != m2 contributes
     [y_m1, y_m2] + [y_m2, y_m1] to m1*m2, which is y_m1 put through
     table + table^t against y_m2, so it goes through sym once; the pair
     (m1, m1) goes through sym too, sym(y_m1, y_m1) being twice
@@ -405,21 +395,21 @@ def self_convolve(terms, table, sym, trunc, out_dim):
     the truncation, and the walk ends at the first monomial with no partner
     left.
     """
-    return bracket_sums((), ((terms, 1),), table, sym, trunc, out_dim)
+    return bracket_sums((), ((terms, 1),), sym, trunc, out_dim)
 
 
-def bracket_sums(pairs, squares, table, sym, trunc, out_dim):
+def bracket_sums(pairs, squares, sym, trunc, out_dim):
     """sum s * ([u, v] + [v, u]) over the (u, v, s) of pairs plus
     sum s * [y, y] over the (y, s) of squares, in one accumulation.
 
     u, v and y are terms maps of one degree, s integer scales (the caller
-    puts every bracket over one common denominator with them), table the
-    integer table T of that degree with itself and sym symmetric_table(T).
-    Only sym is read, each monomial of a view contracted through it once:
+    puts every bracket over one common denominator with them) and sym
+    symmetric_table(T) for the integer table T of that degree with itself.
+    Each monomial of a view is contracted through sym once:
     a pair is one pass, a square walks its unordered pairs once, as in
     self_convolve, its diagonal at scale s (sym(u, u) = 2 T(u, u)) and every
     other pair at 2s.  So the sum is accumulated twice over, every integer
-    of it even, and halved once at the end.
+    of it even, and halved as it leaves the pair loop.
     """
     pairs = [(_laid_out(u, trunc), _laid_out(v, trunc), s) for u, v, s in pairs]
     squares = [(_laid_out(y, trunc), s) for y, s in squares]
@@ -428,8 +418,7 @@ def bracket_sums(pairs, squares, table, sym, trunc, out_dim):
     rows = [_cross_rows(u, v, sym, trunc, 2 * s) for u, v, s in pairs]
     rows += [_self_rows(y, sym, trunc, s) for y, s in squares]
     packing = (pairs[0][0] if pairs else squares[0][0]).packing
-    twice = _convolve(chain.from_iterable(rows), out_dim, packing)
-    return {m: tuple([c // 2 for c in vec]) for m, vec in twice.items()}
+    return _convolve(chain.from_iterable(rows), out_dim, packing, half=True)
 
 
 def matvec_terms(terms, rows, out_dim):

@@ -10,8 +10,9 @@ generators instead of raising.  Its cost scales with the nonzero structure
 constants: it visits only the generator pairs and triples that some d or
 bracket entry touches.  It stays exact and Fraction-free where the work
 is: one index of the bracket table scaled by the lcm of its denominators
-serves both Leibniz (one integer accumulator, with d scaled the same way)
-and Jacobi, which sums each cyclic orbit of triples once, since the signed
+serves antisymmetry (the integers of (x, y) against those of (y, x)),
+Leibniz (one integer accumulator, with d scaled the same way) and
+Jacobi, which sums each cyclic orbit of triples once, since the signed
 cyclic sum is the same three terms for all three rotations.  Only a
 failing pair or orbit is turned back into Fractions for its report line.
 apply_differential, apply_bracket and
@@ -328,13 +329,13 @@ class DGLA:
         return scaled
 
     def _symmetric_table(self, p):
-        """_integer_table(p, p)[1] plus its transpose, over the same Dt;
-        cached in _int_tables beside it, under the key ("sym", p)."""
+        """(Dt, _integer_table(p, p)[1] plus its transpose), over the same
+        Dt; cached in _int_tables beside it, under the key ("sym", p)."""
         key = ("sym", p)
         sym = self._int_tables.get(key)
         if sym is None:
-            sym = self._int_tables[key] = symmetric_table(
-                self._integer_table(p, p)[1])
+            Dt, table = self._integer_table(p, p)
+            sym = self._int_tables[key] = (Dt, symmetric_table(table))
         return sym
 
     # action on formal elements
@@ -369,16 +370,15 @@ class DGLA:
         out_deg = u.degree + v.degree
         out_dim = self.dim(out_deg)
         if out_dim and u.nums and v.nums:
-            Dt, table = self._integer_table(u.degree, v.degree)
-            if table:
-                trunc = u.ring.order
-                if u is v:
-                    nums = self_convolve(u.view(), table,
-                                         self._symmetric_table(u.degree),
-                                         trunc, out_dim)
-                else:
-                    nums = bracket_convolve(u.view(), v.view(), table, trunc,
-                                            out_dim)
+            trunc = u.ring.order
+            if u is v:
+                Dt, sym = self._symmetric_table(u.degree)
+                nums = sym and self_convolve(u.view(), sym, trunc, out_dim)
+            else:
+                Dt, table = self._integer_table(u.degree, v.degree)
+                nums = table and bracket_convolve(u.view(), v.view(), table,
+                                                  trunc, out_dim)
+            if nums:
                 return FormalElement.from_integers(
                     u.ring, out_deg, out_dim, u.den * v.den * Dt, nums)
         return FormalElement.zero(u.ring, out_deg, out_dim)
@@ -401,14 +401,14 @@ class DGLA:
         out_deg = 2 * degree
         out_dim = self.dim(out_deg)
         if out_dim and (pairs or squares):
-            Dt, table = self._integer_table(degree, degree)
-            if table:
+            Dt, sym = self._symmetric_table(degree)
+            if sym:
                 D = lcm(*[u.den * v.den for u, v in pairs],
                         *[y.den ** 2 for y in squares])
                 nums = bracket_sums(
                     [(u.view(), v.view(), D // (u.den * v.den)) for u, v in pairs],
                     [(y.view(), D // y.den ** 2) for y in squares],
-                    table, self._symmetric_table(degree), ring.order, out_dim)
+                    sym, ring.order, out_dim)
                 return FormalElement.from_integers(ring, out_deg, out_dim,
                                                    D * Dt, nums)
         return FormalElement.zero(ring, out_deg, out_dim)
@@ -484,8 +484,8 @@ def validate_dgla(L):
 
     Work follows the nonzero structure constants: antisymmetry, Leibniz and
     Jacobi visit only the generator tuples some bracket or d entry touches,
-    since every other tuple gives 0 = 0.  Leibniz and Jacobi run on
-    integers, through one index of the bracket table scaled by the lcm of
+    since every other tuple gives 0 = 0.  Antisymmetry, Leibniz and Jacobi
+    run on integers, through one index of the bracket table scaled by the lcm of
     its denominators (_integer_index), and only a failing tuple is turned
     back into Fractions for its report line.  Jacobi sums each cyclic orbit
     of triples once.  Issues come out in the order of a plain sweep over all
@@ -526,8 +526,8 @@ def validate_dgla(L):
                     "expected degree %d" % (names[gi], names[gj], names[gk], degs[gk], want),
                 ))
 
-    _check_antisymmetry(L, names, degs, issues)
     index = _integer_index(L)
+    _check_antisymmetry(L, names, degs, index, issues)
     _check_leibniz(L, names, degs, index, issues)
     _check_jacobi(L, names, degs, index, issues)
     return ValidationReport(L.name, issues)
@@ -546,15 +546,17 @@ def _integer_index(L):
     return D, rows
 
 
-def _check_antisymmetry(L, names, degs, issues):
-    """[x, y] = -(-1)^{|x||y|}[y, x] on pairs x <= y with a bracket entry."""
+def _check_antisymmetry(L, names, degs, index, issues):
+    """[x, y] = -(-1)^{|x||y|}[y, x] on pairs x <= y with a bracket entry,
+    compared on the integer entries of index (one scale for the whole
+    table); only a failing pair is rebuilt in Fractions for its report."""
+    keyed = {(gx, gy): dict(ents) for gx, row in enumerate(index[1]) for gy, ents in row}
     bracket = L._bracket
-    pairs = sorted({(i, j) if i <= j else (j, i) for i, j in bracket})
-    for gi, gj in pairs:
-        lhs = bracket.get((gi, gj), {})
+    for gi, gj in sorted({(i, j) if i <= j else (j, i) for i, j in keyed}):
         s = -koszul_sign(degs[gi], degs[gj])
-        rhs = {k: s * v for k, v in bracket.get((gj, gi), {}).items()}
-        if lhs != rhs:
+        if keyed.get((gi, gj), {}) != {k: s * v for k, v in keyed.get((gj, gi), {}).items()}:
+            lhs = bracket.get((gi, gj), {})
+            rhs = {k: s * v for k, v in bracket.get((gj, gi), {}).items()}
             issues.append(ValidationIssue(
                 "antisymmetry",
                 (names[gi], names[gj]),

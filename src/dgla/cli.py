@@ -31,7 +31,6 @@ from .deform import (
 from .docio import DocumentError, parse_dgla, parse_element, parse_rational
 from .formal import CoefficientRing, FormalElement
 from .hodge import hodge_checks
-from .linalg import vec_add, vec_scale, zero_vec
 from .report import (
     RunReport,
     basis_data,
@@ -106,11 +105,8 @@ def _parse_direction(text, k):
 
 def _direction_element(L, R, ring, text):
     H1 = R.splitting.harmonic.get(1)
-    k = H1.dim if H1 is not None else 0
-    coeffs = _parse_direction(text, k)
-    vec = zero_vec(L.dim(1))
-    for c, eta in zip(coeffs, H1.vectors if H1 is not None else ()):
-        vec = vec_add(vec, vec_scale(c, eta))
+    coeffs = _parse_direction(text, H1.dim if H1 is not None else 0)
+    vec = H1.matrix().mul_vec(coeffs) if H1 is not None else ()  # sum c_i eta_i
     terms = {(1,): vec} if any(vec) else {}
     return FormalElement(ring, 1, L.dim(1), terms), coeffs
 

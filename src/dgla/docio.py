@@ -43,10 +43,10 @@ def parse_rational(value):
         text = value.strip()
         if not _RATIONAL_RE.match(text):
             raise DocumentError("exact rationals only (got %r)" % (value,))
-        frac = text.split("/")
-        if len(frac) == 2 and int(frac[1]) == 0:
+        p, _, q = text.partition("/")
+        if q and int(q) == 0:
             raise DocumentError("zero denominator in %r" % (value,))
-        return Fraction(text)
+        return Fraction(int(p), int(q or 1))
     raise DocumentError("exact rationals only (got %r)" % (value,))
 
 

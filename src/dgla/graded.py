@@ -3,14 +3,15 @@
 A graded space is described by a dims profile, a mapping degree -> dimension
 (zero dimensions omitted).  A GradedLinearMap keeps one exact Matrix per
 (source degree, target degree) pair that it touches; absent blocks are zero.
-Maps need not be homogeneous, but the ones that are can shift a FormalElement
-degree by degree through _kernels.matvec_terms: each block is scaled once
-to integer rows by the lcm Dm of its denominators (cached on the map), the
-kernel applies them to the element's integer numerators, and the result is
-put over elem.den * Dm.
+Every block already holds integer numerators over one denominator Dm, so
+composition, sums and equality of maps run on integers.  Maps need not be
+homogeneous, but the ones that are can shift a FormalElement degree by
+degree through _kernels.matvec_terms: the kernel applies a block's integer
+rows (Matrix.integer_rows, cached on the map) to the element's integer
+numerators, and the result is put over elem.den * Dm.
 """
 
-from ._kernels import integer_rows, matvec_terms
+from ._kernels import matvec_terms
 from .formal import FormalElement
 from .linalg import Matrix
 
@@ -136,8 +137,7 @@ class GradedLinearMap:
             key = (elem.degree, out_deg)
             scaled = self._int_rows.get(key)
             if scaled is None:
-                scaled = self._int_rows[key] = integer_rows(
-                    self.block(*key).sparse_rows())
+                scaled = self._int_rows[key] = self.block(*key).integer_rows()
             Dm, rows = scaled
             nums = matvec_terms(elem.nums, rows, out_dim)
             return FormalElement.from_integers(

@@ -15,14 +15,15 @@ that verifies these identities (plus the decomposition and the Cartan
 condition) and reports each as a named pass/fail check.
 Membership in B* = C is read off R's own projections, as the kernel of
 pi_B + pi_H, never by a solve per vector; hodge-decomposition proves that
-pi_B and pi_H are the projections of g = B + H + C that this needs.  The
-Cartan condition is tested in integers: (pi_B + pi_H) h is built once per
-target degree and scaled to integers, and each pair of harmonic reps is
-bracketed through the integer table of the DGLA.
+pi_B and pi_H are the projections of g = B + H + C that this needs.  Every
+check runs in integers, on the integer matrices of linalg: the ones on
+basis vectors as one matrix identity on their columns, and the Cartan
+condition by bracketing the harmonic reps through the integer table of
+the DGLA.
 """
 
-from ._kernels import bracket_vector, integer_rows, integer_vector
-from .linalg import Matrix, rank, vec_is_zero, vec_sub, zero_vec
+from ._kernels import bracket_vector
+from .linalg import column_matrix, rank, vec_sub
 
 
 def hodge_decompose(R, degree, v):
@@ -49,11 +50,11 @@ def check_cartan(L, R):
     pi_B and pi_H are the splitting's projections: hodge_checks proves that
     in the same call, and build_contraction always makes them so.
 
-    The test runs in integers.  The block (pi_B + pi_H) h into degree k is
-    built once per k and scaled by the lcm of its denominators, each
-    harmonic rep by the lcm of its own, and u, v are bracketed through the
-    integer table of L (_kernels.bracket_vector).  Scaling by positive
-    constants does not change whether the result is zero.
+    The block (pi_B + pi_H) h into degree k is built once per k and read as
+    integer rows, each harmonic rep as its numerators (SubspaceBasis.ints),
+    and u, v are bracketed through the integer table of L
+    (_kernels.bracket_vector): positive scales do not change whether the
+    result is zero.
 
     Returns (ok, witnesses); each witness is (degree_u, index_u, degree_v,
     index_v) for a failing pair.
@@ -61,8 +62,7 @@ def check_cartan(L, R):
     witnesses = []
     harmonic = R.splitting.harmonic
     degrees = sorted(harmonic)
-    reps = {p: [integer_vector(u)[1] for u in harmonic[p].vectors]
-            for p in degrees}
+    reps = {p: [nums for _, nums in harmonic[p].ints] for p in degrees}
     blocks = {}
     for p in degrees:
         for q in degrees:
@@ -73,8 +73,7 @@ def check_cartan(L, R):
             rows = blocks.get(k)
             if rows is None:
                 keep = R.pi_B.block(k, k) + R.pi_H.block(k, k)
-                rows = blocks[k] = integer_rows(
-                    (keep @ R.h.block(k + 1, k)).sparse_rows())[1]
+                rows = blocks[k] = (keep @ R.h.block(k + 1, k)).integer_rows()[1]
             table = L._integer_table(p, q)[1]
             for iu, u in enumerate(reps[p]):
                 for iv, v in enumerate(reps[q]):
@@ -100,20 +99,18 @@ def hodge_checks(L, R):
     split = R.splitting
     for deg, n in sorted(split.dims.items()):
         block = lap.block(deg, deg)
-        if rank(block) != n - split.harmonic[deg].dim:
+        if (rank(block) != n - split.harmonic[deg].dim
+                or not (block @ split.harmonic[deg].matrix()).is_zero()):
             ok_kernel = False
-        for v in split.harmonic[deg].vectors:
-            if not vec_is_zero(block.mul_vec(v)):
-                ok_kernel = False
-        B, H, C = (split.boundaries[deg].vectors, split.harmonic[deg].vectors,
-                   split.complement[deg].vectors)
-        P = Matrix.from_columns(n, B + H + C)
-        zero = (zero_vec(n),)
+        B, H, C = (split.boundaries[deg].ints, split.harmonic[deg].ints,
+                   split.complement[deg].ints)
+        P = column_matrix(n, B + H + C)
+        zero = ((1, (0,) * n),)
         if (rank(P) != n
                 or R.pi_B.block(deg, deg) @ P
-                != Matrix.from_columns(n, B + zero * (len(H) + len(C)))
+                != column_matrix(n, B + zero * (len(H) + len(C)))
                 or R.pi_H.block(deg, deg) @ P
-                != Matrix.from_columns(n, zero * len(B) + H + zero * len(C))):
+                != column_matrix(n, zero * len(B) + H + zero * len(C))):
             ok_decomp = False
 
     ok_cartan, witnesses = check_cartan(L, R)

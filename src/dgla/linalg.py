@@ -1,21 +1,27 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals, computed in integers.
 
-Vectors are tuples of Fraction, matrices are sparse dict-of-keys maps from
-(row, col) to Fraction.  Absent entries are exactly zero.  All arithmetic is
-exact; equality everywhere means literal equality of rationals, never
-closeness.  Every object is treated as immutable after construction, so
-everything here is safe to share between threads.
+Vectors are tuples of Fraction.  A Matrix stores integer numerators nums,
+{(row, col): nonzero int}, over one positive denominator den in canonical
+form (gcd(den, every numerator) = 1), as a FormalElement does, so products,
+sums, scaling and equality run on plain integers; entry, column,
+dense_rows, mul_vec and solve_linear hand out Fractions.  Every object is
+treated as immutable after construction, so everything here is safe to
+share between threads.
 
-Every elimination goes through one routine, rref_rows: rank, solve_linear,
-invert and the three basis choices (kernel vectors, image columns,
-complements) each read one reduced echelon form.  The basis choices follow
-fixed deterministic rules so that downstream constructions are reproducible
-byte-for-byte: see kernel_basis, image_basis and complement_basis.
+Every elimination goes through one routine, rref_rows, fraction-free on
+sparse integer rows: rank, solve_linear, invert and the three basis
+choices (kernel vectors, image columns, complements) each read one echelon
+form, and only kernel_basis, solve_linear and invert divide by its pivots.
+The basis choices follow fixed deterministic rules so that downstream
+constructions are reproducible byte-for-byte.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+from ._kernels import integer_vector
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -26,45 +32,53 @@ def vec(*entries) -> tuple:
     return tuple(Fraction(e) for e in entries)
 
 
-def zero_vec(n: int) -> tuple:
-    return (ZERO,) * n
-
-
-def vec_is_zero(v) -> bool:
-    return not any(v)
-
-
-def vec_add(u, v) -> tuple:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vec_sub(u, v) -> tuple:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vec_scale(c, v) -> tuple:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
+def _fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _lowest(den: int, nums) -> tuple:
+    """The vector nums / den (den != 0) as (den > 0, nums) in lowest terms."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return den // g, tuple([x // g for x in nums])
 
 
 class Matrix:
-    """A rows x cols matrix over Fraction with sparse storage."""
+    """A rows x cols matrix over the rationals: nums / den, canonical."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "den", "nums")
 
     def __init__(self, rows: int, cols: int, entries=None):
+        """entries maps (row, col) to anything Fraction accepts."""
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        self.rows = rows
-        self.cols = cols
-        clean = {}
-        for (i, j), val in (entries or {}).items():
+        entries = {k: _fraction(v) for k, v in (entries or {}).items()}
+        for i, j in entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry index ({i},{j}) outside {rows}x{cols}")
-            val = Fraction(val)
-            if val:
-                clean[(i, j)] = val
-        self.entries = clean
+        # lowest-terms numerators over the lcm of the denominators: canonical
+        den = lcm(*{v.denominator for v in entries.values()})
+        self.rows, self.cols, self.den = rows, cols, den
+        self.nums = {k: v.numerator * (den // v.denominator)
+                     for k, v in entries.items() if v}
+
+    @classmethod
+    def from_integers(cls, rows: int, cols: int, den: int, nums) -> "Matrix":
+        """The matrix nums / den for ints den > 0 and nums {(row, col): int}
+        (zeros allowed), made canonical by one gcd pass."""
+        nums = {k: v for k, v in nums.items() if v}
+        g = gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {k: v // g for k, v in nums.items()}
+        mat = cls.__new__(cls)
+        mat.rows, mat.cols, mat.den, mat.nums = rows, cols, den, nums
+        return mat
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
@@ -72,83 +86,83 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, {(i, i): ONE for i in range(n)})
+        return cls.from_integers(n, n, 1, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def from_rows(cls, rowdata) -> "Matrix":
         rowdata = [list(r) for r in rowdata]
         cols = len(rowdata[0]) if rowdata else 0
-        entries = {}
-        for i, row in enumerate(rowdata):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, val in enumerate(row):
-                if val:
-                    entries[(i, j)] = Fraction(val)
-        return cls(len(rowdata), cols, entries)
+        if any(len(row) != cols for row in rowdata):
+            raise ValueError("ragged rows")
+        return cls(len(rowdata), cols, {(i, j): val for i, row in enumerate(rowdata)
+                                        for j, val in enumerate(row)})
 
     @classmethod
     def from_columns(cls, rows: int, columns) -> "Matrix":
         """Matrix whose j-th column is columns[j] (each of length `rows`)."""
-        entries = {}
         columns = list(columns)
-        for j, col in enumerate(columns):
-            if len(col) != rows:
-                raise ValueError("column length mismatch")
-            for i, val in enumerate(col):
-                if val:
-                    entries[(i, j)] = Fraction(val)
-        return cls(rows, len(columns), entries)
+        if any(len(col) != rows for col in columns):
+            raise ValueError("column length mismatch")
+        return cls(rows, len(columns), {(i, j): val for j, col in enumerate(columns)
+                                        for i, val in enumerate(col)})
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), ZERO)
+        n = self.nums.get((i, j))
+        return Fraction(n, self.den) if n else ZERO
 
     def column(self, j: int) -> tuple:
-        return tuple(self.entries.get((i, j), ZERO) for i in range(self.rows))
+        return tuple(self.entry(i, j) for i in range(self.rows))
 
     def dense_rows(self) -> list:
-        out = [[ZERO] * self.cols for _ in range(self.rows)]
-        for (i, j), val in self.entries.items():
-            out[i][j] = val
+        return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
+
+    def integer_rows(self) -> tuple:
+        """(den, rows): the numerators as the kernels read matrix rows,
+        ((row, ((col, int), ...)), ...), nonzero rows only, ascending."""
+        rows = {}
+        for (i, j), n in sorted(self.nums.items()):
+            rows.setdefault(i, []).append((j, n))
+        return self.den, tuple([(i, tuple(row)) for i, row in rows.items()])
+
+    def row_maps(self) -> list:
+        """The numerators as rref_rows reads them: one {col: int} per row."""
+        out = [{} for _ in range(self.rows)]
+        for (i, j), n in self.nums.items():
+            out[i][j] = n
         return out
 
-    def sparse_rows(self) -> tuple:
-        """Row-major form ((col, coeff), ...) per row, columns ascending."""
-        buckets = [[] for _ in range(self.rows)]
-        for (i, j), val in sorted(self.entries.items()):
-            buckets[i].append((j, val))
-        return tuple(tuple(b) for b in buckets)
+    def row_range(self, start: int, stop: int) -> "Matrix":
+        """The rows start .. stop - 1 as a matrix of their own."""
+        return Matrix.from_integers(stop - start, self.cols, self.den, {
+            (i - start, j): n for (i, j), n in self.nums.items() if start <= i < stop})
 
     def mul_vec(self, v) -> tuple:
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        out = [ZERO] * self.rows
-        for (i, j), val in self.entries.items():
-            vj = v[j]
-            if vj:
-                out[i] += val * vj
-        return tuple(out)
+        return (self @ column_matrix(self.cols, [integer_vector(v)])).column(0)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("composition dimension mismatch")
         by_row = {}
-        for (i, k), val in other.entries.items():
-            by_row.setdefault(i, []).append((k, val))
+        for (i, k), n in other.nums.items():
+            by_row.setdefault(i, []).append((k, n))
         acc = {}
-        for (i, j), val in self.entries.items():
-            for k, oval in by_row.get(j, ()):
+        for (i, j), n in self.nums.items():
+            for k, m in by_row.get(j, ()):
                 key = (i, k)
-                acc[key] = acc.get(key, ZERO) + val * oval
-        return Matrix(self.rows, other.cols, acc)
+                acc[key] = acc.get(key, 0) + n * m
+        return Matrix.from_integers(self.rows, other.cols, self.den * other.den, acc)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        acc = dict(self.entries)
-        for key, val in other.entries.items():
-            acc[key] = acc.get(key, ZERO) + val
-        return Matrix(self.rows, self.cols, acc)
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        acc = {k: f * n for k, n in self.nums.items()}
+        for k, n in other.nums.items():
+            acc[k] = acc.get(k, 0) + g * n
+        return Matrix.from_integers(self.rows, self.cols, den, acc)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + other.scale(-1)
@@ -157,53 +171,75 @@ class Matrix:
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        c = Fraction(c)
-        return Matrix(self.rows, self.cols, {k: c * v for k, v in self.entries.items()})
+        c = _fraction(c)
+        return Matrix.from_integers(self.rows, self.cols, self.den * c.denominator,
+                                    {k: c.numerator * n for k, n in self.nums.items()})
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.nums
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return isinstance(other, Matrix) and (self.rows, self.cols, self.den, self.nums) \
+            == (other.rows, other.cols, other.den, other.nums)
 
     def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
+        return f"Matrix({self.rows}x{self.cols}, {len(self.nums)} nonzero)"
 
 
-def rref_rows(rowdata, ncols: int):
-    """Reduced row echelon form of dense rows; returns (rows, pivot_cols).
+def column_matrix(rows: int, ints) -> Matrix:
+    """The matrix whose j-th column is ints[j] = (den, nums), the vector
+    nums / den of length `rows` (SubspaceBasis.ints)."""
+    den = lcm(*[d for d, _ in ints])
+    nums = {}
+    for j, (d, col) in enumerate(ints):
+        f = den // d
+        for i, x in enumerate(col):
+            if x:
+                nums[(i, j)] = f * x
+    return Matrix.from_integers(rows, len(ints), den, nums)
 
-    Pivot choice is the first row (top to bottom) with a nonzero entry in the
-    current column, which keeps the result deterministic.
+
+def _primitive(row) -> dict:
+    """A sparse integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
+
+
+def rref_rows(rows, ncols: int):
+    """Reduced row echelon form of sparse integer rows, fraction-free;
+    returns (rows, pivot_cols).
+
+    rows lists one {col: nonzero int} map per row (left as it is).  The
+    pivot of each column is the first row, top to bottom from the current
+    rank on, with a nonzero entry there, which keeps the result
+    deterministic.  The pivot row P, with entry a there, is made primitive,
+    and every other row R with an entry b there becomes the primitive part
+    of (a R - b P) / gcd(a, b).  So each result row is a nonzero integer
+    multiple of that row of the rational reduced echelon form, which is
+    the row over its entry in its pivot column.
     """
-    R = [list(row) for row in rowdata]
+    R = list(rows)
     pivots = []
     r = 0
     nrows = len(R)
     for c in range(ncols):
-        p = None
-        for i in range(r, nrows):
-            if R[i][c]:
-                p = i
-                break
+        p = next((i for i in range(r, nrows) if c in R[i]), None)
         if p is None:
             continue
-        R[r], R[p] = R[p], R[r]
-        inv = ONE / R[r][c]
-        if inv != ONE:
-            R[r] = [inv * x for x in R[r]]
-        for i in range(nrows):
-            if i != r and R[i][c]:
-                f = R[i][c]
-                Ri, Rr = R[i], R[r]
-                for j in range(c, ncols):
-                    if Rr[j]:
-                        Ri[j] -= f * Rr[j]
+        P = _primitive(R[p])
+        R[p] = R[r]
+        R[r] = P
+        a = P[c]
+        for i, Ri in enumerate(R):
+            b = Ri.get(c)
+            if b is None or i == r:
+                continue
+            g = gcd(a, b)
+            fa, fb = a // g, b // g
+            new = {j: fa * x for j, x in Ri.items()}
+            for j, x in P.items():
+                new[j] = new.get(j, 0) - fb * x
+            R[i] = _primitive({j: x for j, x in new.items() if x})
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -212,7 +248,7 @@ def rref_rows(rowdata, ncols: int):
 
 
 def rank(A: Matrix) -> int:
-    return len(rref_rows(A.dense_rows(), A.cols)[1])
+    return len(rref_rows(A.row_maps(), A.cols)[1])
 
 
 def solve_linear(A: Matrix, b):
@@ -223,52 +259,68 @@ def solve_linear(A: Matrix, b):
     """
     if len(b) != A.rows:
         raise ValueError(f"rhs length {len(b)} != rows {A.rows}")
-    aug = A.dense_rows()
-    for i, row in enumerate(aug):
-        row.append(Fraction(b[i]))
-    R, pivots = rref_rows(aug, A.cols + 1)
-    if pivots and pivots[-1] == A.cols:
+    # A = N / den and b = bi / Db: A x = b iff N x' = bi for x' = x Db / den
+    Db, bi = integer_vector([_fraction(x) for x in b])
+    n = A.cols
+    aug = A.row_maps()
+    for row, x in zip(aug, bi):
+        if x:
+            row[n] = x
+    R, pivots = rref_rows(aug, n + 1)
+    if pivots and pivots[-1] == n:
         return None
-    x = [ZERO] * A.cols
-    for k, p in enumerate(pivots):
-        x[p] = R[k][A.cols]
+    x = [ZERO] * n
+    for row, p in zip(R, pivots):
+        if n in row:
+            x[p] = Fraction(row[n] * A.den, row[p] * Db)
     return tuple(x)
 
 
 class SubspaceBasis:
-    """An ordered, linearly independent family of vectors in k^ambient_dim."""
+    """An ordered, linearly independent family of vectors in k^ambient_dim,
+    held as ints[k] = (den, nums), the vector nums / den in lowest terms;
+    vectors hands them out as tuples of Fraction."""
 
-    __slots__ = ("ambient_dim", "vectors")
+    __slots__ = ("ambient_dim", "ints")
 
     def __init__(self, ambient_dim: int, vectors, check: bool = True):
+        vectors = [tuple([_fraction(x) for x in v]) for v in vectors]
+        if any(len(v) != ambient_dim for v in vectors):
+            raise ValueError("vector length != ambient dimension")
         self.ambient_dim = ambient_dim
-        vecs = []
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length != ambient dimension")
-            vecs.append(tuple(Fraction(x) for x in v))
-        self.vectors = tuple(vecs)
-        if check and self.vectors:
-            if len(rref_rows([list(v) for v in self.vectors], ambient_dim)[1]) != len(vecs):
-                raise ValueError("vectors are linearly dependent")
+        self.ints = tuple([(d, tuple(nums)) for d, nums in map(integer_vector, vectors)])
+        if check and vectors and rank(self.matrix()) != len(vectors):
+            raise ValueError("vectors are linearly dependent")
+
+    @classmethod
+    def from_integers(cls, ambient_dim: int, ints) -> "SubspaceBasis":
+        """A basis of vectors already in lowest-terms (den, nums) form, unchecked."""
+        basis = cls.__new__(cls)
+        basis.ambient_dim, basis.ints = ambient_dim, tuple(ints)
+        return basis
+
+    @property
+    def vectors(self) -> tuple:
+        return tuple(tuple([Fraction(x, d) if x else ZERO for x in nums])
+                     for d, nums in self.ints)
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.ints)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.ints)
 
     def __iter__(self):
         return iter(self.vectors)
 
     def matrix(self) -> Matrix:
         """Matrix whose columns are the basis vectors."""
-        return Matrix.from_columns(self.ambient_dim, self.vectors)
+        return column_matrix(self.ambient_dim, self.ints)
 
     def coordinates_of(self, v):
         """Coordinates of v in this basis, or None if v is outside the span."""
-        if not self.vectors:
+        if not self.ints:
             return None if any(v) else ()
         return solve_linear(self.matrix(), v)
 
@@ -276,45 +328,42 @@ class SubspaceBasis:
         return self.coordinates_of(v) is not None
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SubspaceBasis)
-            and self.ambient_dim == other.ambient_dim
-            and self.vectors == other.vectors
-        )
+        return isinstance(other, SubspaceBasis) and \
+            (self.ambient_dim, self.ints) == (other.ambient_dim, other.ints)
 
     def __repr__(self) -> str:
-        return f"SubspaceBasis(dim {len(self.vectors)} in k^{self.ambient_dim})"
+        return f"SubspaceBasis(dim {len(self.ints)} in k^{self.ambient_dim})"
 
 
 def kernel_basis(A: Matrix) -> SubspaceBasis:
     """Echelon-derived basis of ker(A).
 
     One vector per free column, free columns in increasing order; each vector
-    is scaled so its first nonzero coordinate is 1.
+    is scaled so its first nonzero coordinate is 1.  With L the lcm of the
+    pivot entries, free column f gives the integers L e_f - sum over pivot
+    rows of row[f] L / row[p] e_p, put over their leading entry.
     """
-    R, pivots = rref_rows(A.dense_rows(), A.cols)
+    R, pivots = rref_rows(A.row_maps(), A.cols)
+    L = lcm(*[row[p] for row, p in zip(R, pivots)])
     pivot_set = set(pivots)
     out = []
     for f in range(A.cols):
         if f in pivot_set:
             continue
-        v = [ZERO] * A.cols
-        v[f] = ONE
-        for k, p in enumerate(pivots):
-            if p < f and R[k][f]:
-                v[p] = -R[k][f]
-        lead = next(x for x in v if x)
-        if lead != ONE:
-            inv = ONE / lead
-            v = [inv * x for x in v]
-        out.append(tuple(v))
-    return SubspaceBasis(A.cols, out, check=False)
+        v = [0] * A.cols
+        v[f] = L
+        for row, p in zip(R, pivots):
+            if f in row:
+                v[p] = -row[f] * (L // row[p])
+        out.append(_lowest(next(x for x in v if x), v))
+    return SubspaceBasis.from_integers(A.cols, out)
 
 
 def image_basis(A: Matrix) -> SubspaceBasis:
     """Basis of the column space: the original columns at the pivot indices."""
-    pivots = rref_rows(A.dense_rows(), A.cols)[1]
-    return SubspaceBasis(A.rows, [A.column(j) for j in pivots], check=False)
+    pivots = rref_rows(A.row_maps(), A.cols)[1]
+    return SubspaceBasis.from_integers(A.rows, [
+        _lowest(A.den, [A.nums.get((i, j), 0) for i in range(A.rows)]) for j in pivots])
 
 
 def complement_basis(S: SubspaceBasis, inside: SubspaceBasis | None = None) -> SubspaceBasis:
@@ -329,39 +378,43 @@ def complement_basis(S: SubspaceBasis, inside: SubspaceBasis | None = None) -> S
     """
     n = S.ambient_dim
     if inside is None:
-        candidates = [tuple(ONE if i == j else ZERO for i in range(n)) for j in range(n)]
+        candidates = [(1, tuple([int(i == j) for i in range(n)])) for j in range(n)]
         target = n
     else:
         if inside.ambient_dim != n:
             raise ValueError("ambient dimension mismatch")
-        candidates = list(inside.vectors)
+        candidates = list(inside.ints)
         target = inside.dim
     k = S.dim
-    cols = list(S.vectors) + candidates
-    rows = [[col[i] for col in cols] for i in range(n)]
-    pivots = rref_rows(rows, len(cols))[1]
+    cols = list(S.ints) + candidates
+    pivots = rref_rows(column_matrix(n, cols).row_maps(), len(cols))[1]
     if pivots[:k] != list(range(k)):
         raise ValueError("S is not linearly independent")
     if len(pivots) != target:
         raise ValueError("S is not contained in the span of `inside`")
-    return SubspaceBasis(n, [cols[j] for j in pivots[k:]], check=False)
+    return SubspaceBasis.from_integers(n, [cols[j] for j in pivots[k:]])
 
 
 def invert(M: Matrix) -> Matrix:
-    """Exact inverse of a square matrix; raises ValueError if singular."""
+    """Exact inverse of a square matrix; raises ValueError if singular.
+
+    With M = N / den, one rref of (N | Id) leaves row k of N^{-1} as the
+    right half of row k over its pivot entry; M^{-1} = den N^{-1}.
+    """
     if M.rows != M.cols:
         raise ValueError("only square matrices are invertible")
     n = M.rows
-    aug = M.dense_rows()
+    aug = M.row_maps()
     for i, row in enumerate(aug):
-        row.extend(ONE if j == i else ZERO for j in range(n))
+        row[n + i] = 1
     R, pivots = rref_rows(aug, 2 * n)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            val = R[i][n + j]
-            if val:
-                entries[(i, j)] = val
-    return Matrix(n, n, entries)
+    L = lcm(*[R[k][k] for k in range(n)])
+    nums = {}
+    for k, row in enumerate(R):
+        f = M.den * (L // row[k])
+        for j, x in row.items():
+            if j >= n:
+                nums[(k, j - n)] = f * x
+    return Matrix.from_integers(n, n, L, nums)

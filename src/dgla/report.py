@@ -16,12 +16,9 @@ def rational_str(c):
     return str(Fraction(c))
 
 
-def vector_data(v):
-    return [rational_str(c) for c in v]
-
-
 def basis_data(basis):
-    return [vector_data(v) for v in basis.vectors]
+    """Each basis vector rendered from its integer form nums / den."""
+    return [[_ratio_str(c, den) for c in nums] for den, nums in basis.ints]
 
 
 def _ratio_str(p, q):
@@ -48,8 +45,11 @@ def element_data(elem):
 
 
 def matrix_data(mat):
-    """Dense row-major string form (small blocks only)."""
-    return [[rational_str(c) for c in row] for row in mat.dense_rows()]
+    """Dense row-major string form (small blocks only), each cell rendered
+    from the matrix's integers num / den."""
+    nums, den = mat.nums, mat.den
+    return [[_ratio_str(nums.get((i, j), 0), den) for j in range(mat.cols)]
+            for i in range(mat.rows)]
 
 
 def graded_map_data(gmap):

@@ -11,7 +11,16 @@ from math import factorial
 from dgla.algebra import ValidationIssue, ValidationReport, koszul_sign
 from dgla.formal import FormalElement, mono_key
 from dgla.hodge import hodge_decompose
-from dgla.linalg import ZERO, rank, vec_add, vec_is_zero
+from dgla.linalg import ONE, ZERO, rank
+
+
+def zero_vec(n):
+    return (ZERO,) * n
+
+
+def vec_add(u, v):
+    """The sum of two Fraction vectors of one length."""
+    return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def fraction_add(s, t):
@@ -377,7 +386,7 @@ def reference_hodge_checks(L, R):
         if rank(block) != n - split.harmonic[deg].dim:
             ok_kernel = False
         for v in split.harmonic[deg].vectors:
-            if not vec_is_zero(block.mul_vec(v)):
+            if any(block.mul_vec(v)):
                 ok_kernel = False
         for k in range(n):
             e = tuple(Fraction(int(j == k)) for j in range(n))
@@ -402,3 +411,90 @@ def reference_hodge_checks(L, R):
         ("cartan-condition", ok_cartan),
     ]
     return checks, witnesses
+
+
+# The Fraction linear algebra of dgla.linalg before it moved to integers,
+# kept as oracles: dense rows of Fractions, one Gauss-Jordan elimination.
+
+def fraction_rref(rowdata, ncols):
+    """Reduced row echelon form of dense Fraction rows; (rows, pivot_cols).
+    The pivot is the first row, top to bottom, with a nonzero entry in the
+    current column; each pivot row is scaled to a leading 1."""
+    R = [list(row) for row in rowdata]
+    pivots = []
+    r = 0
+    nrows = len(R)
+    for c in range(ncols):
+        p = next((i for i in range(r, nrows) if R[i][c]), None)
+        if p is None:
+            continue
+        R[r], R[p] = R[p], R[r]
+        inv = ONE / R[r][c]
+        R[r] = [inv * x for x in R[r]]
+        for i in range(nrows):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return R, pivots
+
+
+def fraction_kernel(A):
+    """kernel_basis(A).vectors: one vector per free column, ascending, each
+    with its first nonzero coordinate 1."""
+    R, pivots = fraction_rref(A.dense_rows(), A.cols)
+    out = []
+    for f in range(A.cols):
+        if f in pivots:
+            continue
+        v = [ZERO] * A.cols
+        v[f] = ONE
+        for k, p in enumerate(pivots):
+            if p < f and R[k][f]:
+                v[p] = -R[k][f]
+        lead = next(x for x in v if x)
+        out.append(tuple(x / lead for x in v))
+    return out
+
+
+def fraction_image(A):
+    """image_basis(A).vectors: the columns of A at the pivot columns."""
+    pivots = fraction_rref(A.dense_rows(), A.cols)[1]
+    return [A.column(j) for j in pivots]
+
+
+def fraction_complement(n, S, inside=None):
+    """complement_basis by one rref of the columns (S | candidates)."""
+    if inside is None:
+        candidates = [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
+    else:
+        candidates = list(inside)
+    cols = list(S) + candidates
+    pivots = fraction_rref([[col[i] for col in cols] for i in range(n)], len(cols))[1]
+    if pivots[:len(S)] != list(range(len(S))):
+        raise ValueError("S is not linearly independent")
+    if len(pivots) != (n if inside is None else len(inside)):
+        raise ValueError("S is not contained in the span of `inside`")
+    return [cols[j] for j in pivots[len(S):]]
+
+
+def fraction_invert(A):
+    """The inverse of a square matrix as dense Fraction rows, by one rref
+    of (A | Id); raises ValueError if A is singular."""
+    n = A.rows
+    aug = [row + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(A.dense_rows())]
+    R, pivots = fraction_rref(aug, 2 * n)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in R]
+
+
+def fraction_matmul(A, B):
+    """A @ B as dense Fraction rows, entry by entry."""
+    a, b = A.dense_rows(), B.dense_rows()
+    return [[sum((a[i][k] * b[k][j] for k in range(A.cols)), ZERO)
+             for j in range(B.cols)] for i in range(A.rows)]

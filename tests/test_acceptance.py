@@ -28,11 +28,12 @@ from dgla import (
     verify_sdr,
 )
 from dgla.formal import CoefficientRing, FormalElement
-from dgla.linalg import rank, vec_add, zero_vec
+from dgla.linalg import rank
 from dgla.report import canonical_json
 from dgla.selftest import run_selftest
 
 from conftest import contraction_for
+from reference import vec_add, zero_vec
 from test_catalog import _jacobiator, _mu_of_pairs
 
 

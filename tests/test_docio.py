@@ -169,3 +169,19 @@ def test_parse_element_validation():
         parse_element(L, ring, {"degree": 2, "terms": {}}, expect_degree=1)
     with pytest.raises(DocumentError):
         parse_element(L, ring, {"degree": 1, "terms": {"t": ["1", "0.5"]}})
+
+
+@pytest.mark.parametrize("text", [
+    "+3", "-0/5", "007/010", " 3 ", "-12/18", "٣/٤", "+१२/०१"])
+def test_parse_rational_matches_fraction_of_text(text):
+    # the integers of the matched text, not Fraction(text), build the value
+    got = parse_rational(text)
+    assert type(got) is Fraction and got == Fraction(text)
+
+
+@pytest.mark.parametrize("text", [
+    "1/0", "007/000", "٣/٠", "0.5", "1/-2", "1e3", "", "/3", "3/", "1_000",
+    "3 /4", "0x10"])
+def test_parse_rational_rejections_kept(text):
+    with pytest.raises(DocumentError):
+        parse_rational(text)

@@ -5,11 +5,11 @@ import pytest
 from dgla import DGLA, antisymmetric_closure, check_cartan, hodge_decompose, validate_dgla
 from dgla.graded import GradedLinearMap
 from dgla.hodge import hodge_checks
-from dgla.linalg import Matrix, SubspaceBasis, vec, vec_add, zero_vec
+from dgla.linalg import Matrix, SubspaceBasis, vec
 from dgla.sdr import SDRData, Splitting, build_contraction, build_splitting
 
 from conftest import contraction_for
-from reference import reference_cartan, reference_hodge_checks
+from reference import reference_cartan, reference_hodge_checks, vec_add, zero_vec
 
 
 def F(x):

@@ -11,13 +11,13 @@ from dgla._kernels import (
     Packing,
     bracket_convolve,
     bracket_sums,
-    integer_rows,
     integer_table,
     matvec_terms,
     self_convolve,
     symmetric_table,
 )
 from dgla.formal import CoefficientRing, FormalElement
+from dgla.linalg import Matrix
 
 from reference import (
     fraction_add,
@@ -60,7 +60,7 @@ def self_convolve_fractions(terms, table, trunc, out_dim):
     """self_convolve on Fraction inputs: scale, convolve, divide."""
     D, it = integer_terms(terms)
     Dt, itable = integer_table(table)
-    w = self_convolve(it, itable, symmetric_table(itable), trunc, out_dim)
+    w = self_convolve(it, symmetric_table(itable), trunc, out_dim)
     assert_integer_terms(w)
     return over(w, D * D * Dt)
 
@@ -76,9 +76,15 @@ def bracket_sum_fractions(u, v, table, trunc, out_dim):
 
 
 def matvec_fractions(terms, rows, out_dim):
-    """matvec_terms on Fraction inputs: scale, apply, divide."""
+    """matvec_terms on Fraction inputs: scale, apply the integer rows of
+    the Matrix the rows stand for (a repeated column summed), divide."""
     Dv, iv = integer_terms(terms)
-    Dm, irows = integer_rows(rows)
+    entries = {}
+    for r, row in enumerate(rows):
+        for c, coeff in row:
+            entries[(r, c)] = entries.get((r, c), 0) + coeff
+    ncols = max([c + 1 for _, c in entries], default=0)
+    Dm, irows = Matrix(len(rows), ncols, entries).integer_rows()
     w = matvec_terms(iv, irows, out_dim)
     assert_integer_terms(w)
     return over(w, Dm * Dv)
@@ -203,10 +209,10 @@ def test_self_convolve_walks_each_unordered_pair_once():
     # pair is counted twice, through T + T^t
     terms = {(1, 0): (1,), (0, 1): (2,), (2, 0): (5,)}
     table = {0: {0: ((0, 1),)}}
-    assert self_convolve(terms, table, symmetric_table(table), 3, 1) == {
+    assert self_convolve(terms, symmetric_table(table), 3, 1) == {
         (2, 0): (1,), (1, 1): (4,), (3, 0): (10,), (0, 2): (4,),
         (2, 1): (20,)}
-    assert self_convolve({}, table, symmetric_table(table), 3, 1) == {}
+    assert self_convolve({}, symmetric_table(table), 3, 1) == {}
 
 
 def test_integer_forms_of_table_and_rows():
@@ -214,8 +220,8 @@ def test_integer_forms_of_table_and_rows():
     table = {(0, 1): ((0, half), (1, third)), (1, 1): ()}
     assert integer_table(table) == (6, {0: {1: ((0, 3), (1, -4))}})
     assert integer_table({}) == (1, {})
-    rows = ((), ((0, half), (2, third)), ((1, F(3)),))
-    assert integer_rows(rows) == (6, ((1, ((0, 3), (2, -4))), (2, ((1, 18),))))
+    rows = Matrix(3, 3, {(1, 0): half, (1, 2): third, (2, 1): F(3)})
+    assert rows.integer_rows() == (6, ((1, ((0, 3), (2, -4))), (2, ((1, 18),))))
 
 
 # Property tests: generated Fraction inputs, scaled to the kernels' integer
@@ -370,7 +376,7 @@ def test_bracket_sums_property(case, scales):
     packing = Packing(max(trunc, 0) + 1)
     va, vb, vc = (KernelView(m, packing) for m in (ia, ib, ic))
     w = bracket_sums([(va, vb, s1), (vb, vc, s2)], [(vc, s3), (va, s4)],
-                     it, symmetric_table(it), trunc, out_dim)
+                     symmetric_table(it), trunc, out_dim)
     assert_integer_terms(w)
 
     def both(u, v):
@@ -406,7 +412,7 @@ def test_view_rows_kept_per_table(case):
                     Du * Dv * Dt) == uv
         assert over(bracket_convolve(vu, vv, sym, trunc, out_dim),
                     Du * Dv * Dt) == both
-        assert over(self_convolve(vu, it, sym, trunc, out_dim),
+        assert over(self_convolve(vu, sym, trunc, out_dim),
                     Du * Du * Dt) == naive_convolve(u, u, table, trunc, out_dim)
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 from random import Random
 
 import pytest
@@ -13,11 +14,21 @@ from dgla.linalg import (
     invert,
     kernel_basis,
     rank,
+    rref_rows,
     solve_linear,
     vec,
 )
+from dgla.report import matrix_data
 
-from reference import greedy_complement
+from reference import (
+    fraction_complement,
+    fraction_image,
+    fraction_invert,
+    fraction_kernel,
+    fraction_matmul,
+    fraction_rref,
+    greedy_complement,
+)
 
 
 def F(x):
@@ -177,10 +188,9 @@ def test_solve_agrees_with_membership_oracle():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         A = _random_matrix(rng, rows, cols)
         b = tuple(Fraction(rng.randint(-3, 3)) for _ in range(rows))
-        aug = Matrix(rows, cols + 1, dict(A.entries))
-        for i, x in enumerate(b):
-            if x:
-                aug.entries[(i, cols)] = x
+        entries = {(i, j): A.entry(i, j) for i in range(rows) for j in range(cols)}
+        entries.update({(i, cols): x for i, x in enumerate(b)})
+        aug = Matrix(rows, cols + 1, entries)
         solvable = rank(aug) == rank(A)
         x = solve_linear(A, b)
         assert (x is not None) == solvable
@@ -223,3 +233,101 @@ def test_coordinates_of():
     empty = SubspaceBasis(2, [])
     assert empty.coordinates_of(vec(0, 0)) == ()
     assert empty.coordinates_of(vec(1, 0)) is None
+
+
+# The integer linear algebra against the Fraction oracles of reference.py:
+# random fractional matrices with signed entries, rows that are
+# combinations of earlier rows (rank deficiency), empty shapes, and in a
+# third of the cases denominators near 2^40 to 2^61.
+
+SMALL_DENS = (1, 2, 3, 7)
+LARGE_DENS = (2**61 - 1, 10**12 + 39, 3**30, 1)
+
+
+def _oracle_matrix(rng, rows, cols, dens):
+    dense = []
+    for i in range(rows):
+        if i >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(range(i), 2)
+            ca, cb = (Fraction(rng.randint(-3, 3), rng.choice(dens)) for _ in "ab")
+            dense.append([ca * x + cb * y for x, y in zip(dense[a], dense[b])])
+        else:
+            dense.append([Fraction(rng.randint(-9, 9), rng.choice(dens))
+                          if rng.random() < 0.6 else Fraction(0)
+                          for _ in range(cols)])
+    return Matrix(rows, cols, {(i, j): x for i, row in enumerate(dense)
+                               for j, x in enumerate(row)}), dense
+
+
+def _oracle_cases(seed, count, square=False):
+    rng = Random(seed)
+    for k in range(count):
+        rows = rng.randint(0, 6)
+        cols = rows if square else rng.randint(0, 6)
+        yield rng, _oracle_matrix(rng, rows, cols,
+                                  LARGE_DENS if k % 3 == 0 else SMALL_DENS)
+
+
+def test_matrix_is_canonical_and_renders_like_fraction():
+    for _, (A, dense) in _oracle_cases(19, 150):
+        assert A.dense_rows() == dense
+        assert A.den == lcm(*{x.denominator for row in dense for x in row})
+        assert gcd(A.den, *A.nums.values()) == 1 and all(A.nums.values())
+        assert matrix_data(A) == [[str(x) for x in row] for row in dense]
+        assert A == Matrix.from_integers(A.rows, A.cols, 6 * A.den,
+                                         {k: 6 * n for k, n in A.nums.items()})
+
+
+def test_rref_rows_matches_fraction_oracle():
+    for _, (A, dense) in _oracle_cases(23, 150):
+        rows = A.row_maps()
+        before = [dict(row) for row in rows]
+        R, pivots = rref_rows(rows, A.cols)
+        want, want_pivots = fraction_rref(dense, A.cols)
+        assert rows == before and pivots == want_pivots
+        for k, row in enumerate(R):
+            if k < len(pivots):
+                assert all(type(x) is int for x in row.values())
+                assert gcd(*row.values()) == 1
+                lead = row[pivots[k]]
+                assert [Fraction(row.get(j, 0), lead) for j in range(A.cols)] == want[k]
+            else:
+                assert not row and not any(want[k])
+
+
+def test_bases_match_fraction_oracle():
+    for rng, (A, _) in _oracle_cases(29, 150):
+        Z = kernel_basis(A)
+        assert list(Z.vectors) == fraction_kernel(A)
+        assert SubspaceBasis(A.cols, Z.vectors) == Z
+        B = image_basis(A)
+        assert list(B.vectors) == fraction_image(A)
+        assert list(complement_basis(B).vectors) == fraction_complement(A.rows, B.vectors)
+        # S: a few combinations of the kernel vectors, complemented inside it
+        combos = [tuple(sum((rng.randint(-2, 2) * x for x in xs), Fraction(0))
+                        for xs in zip(*Z.vectors))
+                  for _ in range(rng.randint(0, Z.dim))] if Z.dim else []
+        S = SubspaceBasis(A.cols, combos, check=False)
+        try:
+            want = fraction_complement(A.cols, S.vectors, Z.vectors)
+        except ValueError:
+            with pytest.raises(ValueError):
+                complement_basis(S, Z)
+        else:
+            assert list(complement_basis(S, Z).vectors) == want
+
+
+def test_invert_and_product_match_fraction_oracle():
+    for rng, (A, _) in _oracle_cases(31, 150, square=True):
+        try:
+            want = fraction_invert(A)
+        except ValueError:
+            with pytest.raises(ValueError):
+                invert(A)
+        else:
+            assert invert(A).dense_rows() == want
+        B = _oracle_matrix(rng, A.cols, rng.randint(0, 5), LARGE_DENS)[0]
+        assert (A @ B).dense_rows() == fraction_matmul(A, B)
+        assert (A @ B) == Matrix(A.rows, B.cols, {
+            (i, j): x for i, row in enumerate(fraction_matmul(A, B))
+            for j, x in enumerate(row)})

@@ -166,3 +166,20 @@ def test_antisymmetry_and_jacobi_failing_at_once():
     rep = assert_same_report(L, "sl2 with a symmetric [e, f]")
     assert {i.axiom for i in rep.issues} == {"antisymmetry", "jacobi"}
     assert [i.witness for i in rep.issues if i.axiom == "antisymmetry"] == [("e", "f")]
+
+
+def test_one_sided_fractional_antisymmetry_failure():
+    # [x, y] = 2/3 z is given without [y, x]; [y, z] = -3/7 x against a
+    # mirror [z, y] = 3/14 x; [x, z] = 1/2 y with its correct mirror.  The
+    # sweep compares integers over the lcm 42 of all the denominators.
+    gens = [("x", 0), ("y", 0), ("z", 0)]
+    L = DGLA(gens, bracket={
+        ("x", "y"): [("z", Fraction(2, 3))],
+        ("y", "z"): [("x", Fraction(-3, 7))], ("z", "y"): [("x", Fraction(3, 14))],
+        ("x", "z"): [("y", Fraction(1, 2))], ("z", "x"): [("y", Fraction(-1, 2))],
+    })
+    rep = assert_same_report(L, "one-sided fractional bracket")
+    assert [(i.witness, i.detail) for i in rep.issues if i.axiom == "antisymmetry"] == [
+        (("x", "y"), "[x, y] = 2/3*z but -(-1)^{|x||y|}[y, x] = 0"),
+        (("y", "z"), "[y, z] = -3/7*x but -(-1)^{|x||y|}[z, y] = -3/14*x"),
+    ]
