@@ -23,7 +23,7 @@ the DGLA.
 """
 
 from ._kernels import bracket_vector
-from .linalg import column_matrix, rank, vec_sub
+from .linalg import column_matrix, rank
 
 
 def hodge_decompose(R, degree, v):
@@ -39,7 +39,7 @@ def hodge_decompose(R, degree, v):
                          % (len(v), degree, n))
     vB = R.pi_B.block(degree, degree).mul_vec(v)
     vH = R.pi_H.block(degree, degree).mul_vec(v)
-    vBstar = vec_sub(vec_sub(v, vB), vH)
+    vBstar = tuple(x - b - h for x, b, h in zip(v, vB, vH))
     return vB, vH, vBstar
 
 

@@ -32,14 +32,6 @@ def vec(*entries) -> tuple:
     return tuple(Fraction(e) for e in entries)
 
 
-def vec_sub(u, v) -> tuple:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def _fraction(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
-
-
 def _lowest(den: int, nums) -> tuple:
     """The vector nums / den (den != 0) as (den > 0, nums) in lowest terms."""
     g = gcd(den, *nums)
@@ -57,7 +49,7 @@ class Matrix:
         """entries maps (row, col) to anything Fraction accepts."""
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        entries = {k: _fraction(v) for k, v in (entries or {}).items()}
+        entries = {k: Fraction(v) for k, v in (entries or {}).items()}
         for i, j in entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry index ({i},{j}) outside {rows}x{cols}")
@@ -70,14 +62,11 @@ class Matrix:
     @classmethod
     def from_integers(cls, rows: int, cols: int, den: int, nums) -> "Matrix":
         """The matrix nums / den for ints den > 0 and nums {(row, col): int}
-        (zeros allowed), made canonical by one gcd pass."""
+        (zeros allowed), made canonical by _lowest."""
         nums = {k: v for k, v in nums.items() if v}
-        g = gcd(den, *nums.values())
-        if g > 1:
-            den //= g
-            nums = {k: v // g for k, v in nums.items()}
         mat = cls.__new__(cls)
-        mat.rows, mat.cols, mat.den, mat.nums = rows, cols, den, nums
+        mat.rows, mat.cols, (mat.den, vals) = rows, cols, _lowest(den, nums.values())
+        mat.nums = dict(zip(nums, vals))
         return mat
 
     @classmethod
@@ -117,15 +106,14 @@ class Matrix:
         return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
 
     def integer_rows(self) -> tuple:
-        """(den, rows): the numerators as the kernels read matrix rows,
+        """(den, rows): row_maps as the kernels read matrix rows,
         ((row, ((col, int), ...)), ...), nonzero rows only, ascending."""
-        rows = {}
-        for (i, j), n in sorted(self.nums.items()):
-            rows.setdefault(i, []).append((j, n))
-        return self.den, tuple([(i, tuple(row)) for i, row in rows.items()])
+        return self.den, tuple([(i, tuple(sorted(row.items())))
+                                for i, row in enumerate(self.row_maps()) if row])
 
     def row_maps(self) -> list:
-        """The numerators as rref_rows reads them: one {col: int} per row."""
+        """The numerators by row, one {col: int} per row: the one row form,
+        read by rref_rows, products and integer_rows."""
         out = [{} for _ in range(self.rows)]
         for (i, j), n in self.nums.items():
             out[i][j] = n
@@ -144,12 +132,10 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("composition dimension mismatch")
-        by_row = {}
-        for (i, k), n in other.nums.items():
-            by_row.setdefault(i, []).append((k, n))
+        by_row = other.row_maps()
         acc = {}
         for (i, j), n in self.nums.items():
-            for k, m in by_row.get(j, ()):
+            for k, m in by_row[j].items():
                 key = (i, k)
                 acc[key] = acc.get(key, 0) + n * m
         return Matrix.from_integers(self.rows, other.cols, self.den * other.den, acc)
@@ -171,7 +157,7 @@ class Matrix:
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        c = _fraction(c)
+        c = Fraction(c)
         return Matrix.from_integers(self.rows, self.cols, self.den * c.denominator,
                                     {k: c.numerator * n for k, n in self.nums.items()})
 
@@ -190,12 +176,8 @@ def column_matrix(rows: int, ints) -> Matrix:
     """The matrix whose j-th column is ints[j] = (den, nums), the vector
     nums / den of length `rows` (SubspaceBasis.ints)."""
     den = lcm(*[d for d, _ in ints])
-    nums = {}
-    for j, (d, col) in enumerate(ints):
-        f = den // d
-        for i, x in enumerate(col):
-            if x:
-                nums[(i, j)] = f * x
+    nums = {(i, j): den // d * x for j, (d, col) in enumerate(ints)
+            for i, x in enumerate(col) if x}
     return Matrix.from_integers(rows, len(ints), den, nums)
 
 
@@ -260,12 +242,9 @@ def solve_linear(A: Matrix, b):
     if len(b) != A.rows:
         raise ValueError(f"rhs length {len(b)} != rows {A.rows}")
     # A = N / den and b = bi / Db: A x = b iff N x' = bi for x' = x Db / den
-    Db, bi = integer_vector([_fraction(x) for x in b])
+    Db, bi = integer_vector([Fraction(x) for x in b])
     n = A.cols
-    aug = A.row_maps()
-    for row, x in zip(aug, bi):
-        if x:
-            row[n] = x
+    aug = [{**row, n: x} if x else row for row, x in zip(A.row_maps(), bi)]
     R, pivots = rref_rows(aug, n + 1)
     if pivots and pivots[-1] == n:
         return None
@@ -284,7 +263,7 @@ class SubspaceBasis:
     __slots__ = ("ambient_dim", "ints")
 
     def __init__(self, ambient_dim: int, vectors, check: bool = True):
-        vectors = [tuple([_fraction(x) for x in v]) for v in vectors]
+        vectors = [tuple([Fraction(x) for x in v]) for v in vectors]
         if any(len(v) != ambient_dim for v in vectors):
             raise ValueError("vector length != ambient dimension")
         self.ambient_dim = ambient_dim
@@ -404,17 +383,11 @@ def invert(M: Matrix) -> Matrix:
     if M.rows != M.cols:
         raise ValueError("only square matrices are invertible")
     n = M.rows
-    aug = M.row_maps()
-    for i, row in enumerate(aug):
-        row[n + i] = 1
+    aug = [{**row, n + i: 1} for i, row in enumerate(M.row_maps())]
     R, pivots = rref_rows(aug, 2 * n)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     L = lcm(*[R[k][k] for k in range(n)])
-    nums = {}
-    for k, row in enumerate(R):
-        f = M.den * (L // row[k])
-        for j, x in row.items():
-            if j >= n:
-                nums[(k, j - n)] = f * x
+    nums = {(k, j - n): M.den * (L // row[k]) * x
+            for k, row in enumerate(R) for j, x in row.items() if j >= n}
     return Matrix.from_integers(n, n, L, nums)

@@ -6,7 +6,7 @@ with the package is meaningful.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from dgla.algebra import ValidationIssue, ValidationReport, koszul_sign
 from dgla.formal import FormalElement, mono_key
@@ -166,6 +166,21 @@ def naive_convolve(uterms, vterms, table, trunc, out_dim):
                         acc[k] += v1[i] * v2[j] * c
     return {m: tuple(a) for m, a in full.items()
             if sum(m) <= trunc and any(a)}
+
+
+def integer_rows(rows):
+    """(D, integer rows) with D * rows == the ints, D the lcm of the
+    denominators; rows holds one ((col, Fraction), ...) tuple per row.
+    Every given term keeps its own (col, int), repeated or cancelling
+    columns included, so the kernels see rows as written."""
+    D = lcm(*{c.denominator for row in rows for _, c in row})
+    out = []
+    for r, row in enumerate(rows):
+        ints = tuple((col, c.numerator * (D // c.denominator))
+                     for col, c in row if c)
+        if ints:
+            out.append((r, ints))
+    return D, tuple(out)
 
 
 def naive_matvec(terms, rows, out_dim):

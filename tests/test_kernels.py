@@ -22,6 +22,7 @@ from dgla.linalg import Matrix
 from reference import (
     fraction_add,
     fraction_scale,
+    integer_rows,
     naive_bracket,
     naive_convolve,
     naive_differential,
@@ -76,15 +77,9 @@ def bracket_sum_fractions(u, v, table, trunc, out_dim):
 
 
 def matvec_fractions(terms, rows, out_dim):
-    """matvec_terms on Fraction inputs: scale, apply the integer rows of
-    the Matrix the rows stand for (a repeated column summed), divide."""
+    """matvec_terms on Fraction inputs: scale, apply, divide."""
     Dv, iv = integer_terms(terms)
-    entries = {}
-    for r, row in enumerate(rows):
-        for c, coeff in row:
-            entries[(r, c)] = entries.get((r, c), 0) + coeff
-    ncols = max([c + 1 for _, c in entries], default=0)
-    Dm, irows = Matrix(len(rows), ncols, entries).integer_rows()
+    Dm, irows = integer_rows(rows)
     w = matvec_terms(iv, irows, out_dim)
     assert_integer_terms(w)
     return over(w, Dm * Dv)
