@@ -5,12 +5,12 @@ formal elements (so the whole Maurer-Cartan solve) and matvec_terms every
 graded map applied to one.
 None touches a Fraction: a FormalElement already stores integer
 numerators over one denominator, a Matrix its numerators over one
-denominator (Matrix.integer_rows), and the structure table comes scaled
-by the lcm of its denominators (integer_table, once per table).  The
-caller knows every denominator, so it alone divides: the bracket of u / Du
-and v / Dv through a table scaled by Dt is the result over Du * Dv * Dt, a
-matrix scaled by Dm applied to v / Dv is the result over Dm * Dv.  This is
-the fraction-free idea of Bareiss elimination.
+denominator (Matrix.integer_rows), and a DGLA its bracket as integers
+over one denominator D, which DGLA._integer_table cuts into the table of
+a degree pair.  The caller knows every denominator, so it alone divides:
+the bracket of u / Du and v / Dv through a table over D is the result
+over Du * Dv * D, a matrix scaled by Dm applied to v / Dv is the result
+over Dm * Dv.  This is the fraction-free idea of Bareiss elimination.
 
 The brackets read a kernel-ready layout of each series, a KernelView, that
 a FormalElement builds once and keeps.  It buckets the monomials by total
@@ -34,7 +34,7 @@ recursion, is one kernel call.
 self_convolve is the self-bracket [y, y].  The pairs (m1, m2) and (m2, m1)
 land on the same product monomial with [y_m1, y_m2] + [y_m2, y_m1], which
 is y_m1 put through T + T^t against y_m2 (symmetric_table, an integer table
-at the same scale Dt as T).  So it walks the degree-sorted monomials once
+at the same scale as T).  So it walks the degree-sorted monomials once
 over unordered pairs p <= q within the truncation, each monomial
 contracted once, through T + T^t, for its row of the walk (which keeps
 nothing): as sym(u, u) = 2 T(u, u), the diagonal pair goes at scale 1 and
@@ -67,19 +67,6 @@ from collections import defaultdict
 from collections.abc import Mapping
 from itertools import chain, compress
 from math import lcm
-
-
-def integer_table(table):
-    """(D, integer table) with D * table == the ints, D the lcm of the
-    denominators; table sends (i, j) to ((k, Fraction), ...)."""
-    D = lcm(*{c.denominator for ents in table.values() for _, c in ents})
-    rows = {}
-    for (i, j), ents in table.items():
-        ints = tuple((k, c.numerator * (D // c.denominator))
-                     for k, c in ents if c)
-        if ints:
-            rows.setdefault(i, {})[j] = ints
-    return D, rows
 
 
 def integer_vector(v):

@@ -4,30 +4,28 @@ A DGLA is presented by structure constants on a finite ordered list of graded
 generators: a differential d of degree +1 and a bracket of degree 0, given as
   d(g_i)      = sum_j  c_ij g_j
   [g_i, g_j]  = sum_k  c^k_ij g_k .
-validate_dgla checks every axiom (degrees, d squared, graded antisymmetry,
-graded Jacobi, graded Leibniz) and reports violations with witnessing
-generators instead of raising.  Its cost scales with the nonzero structure
-constants: it visits only the generator pairs and triples that some d or
-bracket entry touches.  It stays exact and Fraction-free where the work
-is: one index of the bracket table scaled by the lcm of its denominators
-serves antisymmetry (the integers of (x, y) against those of (y, x)),
-Leibniz (one integer accumulator, with d scaled the same way) and
-Jacobi, which sums each cyclic orbit of triples once, since the signed
+The constructor stores d and the bracket once each, as integer numerators
+over one denominator (the lcm of the reduced denominators), and everything
+below reads that store.  validate_dgla checks every axiom (degrees, d
+squared, graded antisymmetry, graded Jacobi, graded Leibniz) and reports
+violations with witnessing generators instead of raising.  Its cost
+scales with the nonzero structure constants: it visits only the generator
+pairs and triples that some d or bracket entry touches, and it sums in
+integers, Jacobi each cyclic orbit of triples once, since the signed
 cyclic sum is the same three terms for all three rotations.  Only a
-failing pair or orbit is turned back into Fractions for its report line.
-apply_differential, apply_bracket and
-curvature extend the structure constants to FormalElements, with all series
-arithmetic truncated at the ring order by _kernels.bracket_convolve, which
-walks only the monomial pairs within the order (bucketed by total degree).
-It reads the elements' kernel views (FormalElement.view) and the bracket
-table scaled by the lcm Dt of its denominators (cached per degree pair
-beside the Fraction table, each built from its own bucket of bracket
-keys); apply_bracket puts the result over u.den * v.den * Dt.  A
-self-bracket [y, y] goes through _kernels.self_convolve instead, which
-walks each unordered monomial pair once through T + T^t (cached beside T).
-_bracket_sums adds several bracket sums and self-brackets of one degree
-in one kernel pass over a common denominator, for the Maurer-Cartan
-solvers.
+failing generator, pair or orbit is turned back into Fractions for its
+report line.  apply_differential, apply_bracket and curvature extend the
+structure constants to FormalElements, with all series arithmetic
+truncated at the ring order by _kernels.bracket_convolve, which walks only
+the monomial pairs within the order (bucketed by total degree).  It reads
+the elements' kernel views (FormalElement.view) and the integer table of
+a degree pair, cut from the bracket store by _integer_table over the
+store's denominator D; apply_bracket puts the result over
+u.den * v.den * D.  A self-bracket [y, y] goes through
+_kernels.self_convolve instead, which walks each unordered monomial pair
+once through T + T^t (cached per degree).  _bracket_sums adds several
+bracket sums and self-brackets of one degree in one kernel pass over a
+common denominator, for the Maurer-Cartan solvers.
 
 Sign conventions (cohomological grading, d of degree +1):
   [x, y] = -(-1)^{|x||y|} [y, x]
@@ -42,7 +40,6 @@ from ._kernels import (
     bracket_convolve,
     bracket_sums,
     bracket_vector,
-    integer_table,
     integer_vector,
     self_convolve,
     symmetric_table,
@@ -102,6 +99,28 @@ def _summed(ents):
     return {k: c for k, c in out.items() if c}
 
 
+def _over_one_denominator(combos):
+    """(D, store) for combos {key: {k: nonzero int or Fraction}}: D the
+    lcm of the denominators and store {key: ((k, int), ...)}, terms sorted
+    by k, with D * combo = sum int g_k.  Both are canonical for the
+    values."""
+    D = lcm(*{c.denominator for combo in combos.values() for c in combo.values()})
+    return D, {key: tuple(sorted([(k, c.numerator * (D // c.denominator))
+                                  for k, c in combo.items()]))
+               for key, combo in combos.items()}
+
+
+def _linear(combo, images):
+    """sum c * images[g] over the (g, c) of combo, as {k: nonzero int}, for
+    images {g: ((k, int), ...)} of one store: d, or the bracket keyed by
+    generator pairs."""
+    out = {}
+    for g, c in combo:
+        for k, v in images.get(g, ()):
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
 class ValidationIssue:
     """One violated axiom with the witnessing generator tuple."""
 
@@ -152,6 +171,13 @@ class DGLA:
     bracket: map (name, name) -> iterable of (name, coeff) for ordered pairs;
         omitted pairs are 0.  Use antisymmetric_closure to fill in reversed
         pairs from a minimal table.
+
+    The constructor is the one place the structure constants become
+    integers: d is stored as _d_nums {i: ((j, int), ...)} over one
+    denominator _d_den, the bracket as _bracket_nums {(i, j): ((k, int),
+    ...)} over _bracket_den, each the lcm of its reduced denominators, the
+    terms of an entry summed and sorted by index, and the keys in the order
+    given.  Every table, check and accessor reads these two stores.
     """
 
     def __init__(self, generators, d=None, bracket=None, name="dgla"):
@@ -180,32 +206,35 @@ class DGLA:
         self.dims = {deg: len(idxs) for deg, idxs in self._by_degree.items()}
         self.degrees = tuple(sorted(self.dims))
 
-        self._d = {}
+        combos = {}
         for gname, ents in (d or {}).items():
             gi = self._lookup(gname, "differential")
             combo = self._combo_from(ents, "differential")
             if combo:
-                self._d[gi] = combo
+                combos[gi] = combo
+        self._d_den, self._d_nums = _over_one_denominator(combos)
 
-        self._bracket = {}
+        combos = {}
         for (xname, yname), ents in (bracket or {}).items():
             gi = self._lookup(xname, "bracket")
             gj = self._lookup(yname, "bracket")
             combo = self._combo_from(ents, "bracket")
             if combo:
-                self._bracket[(gi, gj)] = combo
+                combos[(gi, gj)] = combo
+        self._bracket_den, self._bracket_nums = _over_one_denominator(combos)
 
         self._diff = None
+        self._keys_by_pair = None
         self._tables = {}
-        self._pair_keys = None
-        self._int_tables = {}
+        self._sym_tables = {}
 
     def _combo_from(self, ents, where):
-        """(name, coeff) entries as {generator index: nonzero Fraction}."""
+        """(name, coeff) entries as {generator index: nonzero int or
+        Fraction}, ints kept as they are for _over_one_denominator."""
         terms = []
         for tname, c in ents:
             gk = self._lookup(tname, where)
-            if type(c) is not Fraction:
+            if type(c) is not Fraction and type(c) is not int:
                 c = Fraction(c)
             if c:
                 terms.append((gk, c))
@@ -234,20 +263,22 @@ class DGLA:
 
     def differential_of(self, name):
         """d(generator) as a tuple of (name, coeff), in declaration order."""
-        combo = self._d.get(self._lookup(name, "lookup"), {})
-        return tuple((self.generators[gj][0], c) for gj, c in sorted(combo.items()))
+        D = self._d_den
+        return tuple((self.generators[gj][0], Fraction(n, D))
+                     for gj, n in self._d_nums.get(self._lookup(name, "lookup"), ()))
 
     def bracket_of(self, xname, yname):
         """[x, y] as a tuple of (name, coeff), in declaration order."""
         key = (self._lookup(xname, "lookup"), self._lookup(yname, "lookup"))
-        combo = self._bracket.get(key, {})
-        return tuple((self.generators[gk][0], c) for gk, c in sorted(combo.items()))
+        D = self._bracket_den
+        return tuple((self.generators[gk][0], Fraction(n, D))
+                     for gk, n in self._bracket_nums.get(key, ()))
 
     def bracket_pairs(self):
         """Ordered generator-name pairs with a nonzero bracket."""
         return tuple(
             (self.generators[i][0], self.generators[j][0])
-            for i, j in sorted(self._bracket)
+            for i, j in sorted(self._bracket_nums)
         )
 
     def __eq__(self, other):
@@ -256,8 +287,9 @@ class DGLA:
             return NotImplemented
         return (
             self.generators == other.generators
-            and self._d == other._d
-            and self._bracket == other._bracket
+            and (self._d_den, self._d_nums) == (other._d_den, other._d_nums)
+            and (self._bracket_den, self._bracket_nums)
+            == (other._bracket_den, other._bracket_nums)
         )
 
     def __repr__(self):
@@ -271,72 +303,63 @@ class DGLA:
         """d as a GradedLinearMap of degree +1 (raises if degrees are off)."""
         if self._diff is None:
             entries = {}
-            for gi, combo in self._d.items():
+            for gi, ents in self._d_nums.items():
                 sdeg, spos = self._pos[gi]
-                for gj, c in combo.items():
+                for gj, n in ents:
                     tdeg, tpos = self._pos[gj]
                     if tdeg != sdeg + 1:
                         raise ValueError(
                             "differential of %s is not homogeneous of degree +1; "
                             "run validate_dgla" % self.generators[gi][0]
                         )
-                    entries.setdefault((sdeg, tdeg), {})[(tpos, spos)] = c
+                    entries.setdefault((sdeg, tdeg), {})[(tpos, spos)] = n
             blocks = {
-                key: Matrix(self.dims[key[1]], self.dims[key[0]], ents)
-                for key, ents in entries.items()
+                key: Matrix.from_integers(self.dims[key[1]], self.dims[key[0]],
+                                          self._d_den, nums)
+                for key, nums in entries.items()
             }
             self._diff = GradedLinearMap(self.dims, self.dims, blocks)
         return self._diff
 
-    def bracket_table(self, p, q):
-        """Structure table for g^p x g^q -> g^{p+q} in degree-local positions.
+    def _integer_table(self, p, q):
+        """(D, T): the bracket store cut to g^p x g^q -> g^{p+q}, over its
+        one denominator D, in degree-local positions, as _kernels reads it:
+        T sends i to {j: ((k, int), ...)} with D [e_i, e_j] = sum int e_k.
 
-        The first call buckets every bracket key by its degree pair in one
-        pass; each table is then built from its own bucket, once.
+        The first call buckets every stored key by its degree pair in one
+        pass; each table is then cut from its own bucket, in key order, once.
+        A key that leaves degree p + q makes its own table raise, on every
+        call, and no other.
         """
-        key = (p, q)
-        table = self._tables.get(key)
+        table = self._tables.get((p, q))
         if table is None:
-            if self._pair_keys is None:
-                self._pair_keys = {}
-                for ij in self._bracket:
-                    pair = (self._pos[ij[0]][0], self._pos[ij[1]][0])
-                    self._pair_keys.setdefault(pair, []).append(ij)
+            pos = self._pos
+            if self._keys_by_pair is None:
+                keys = self._keys_by_pair = {}
+                for gi, gj in self._bracket_nums:
+                    keys.setdefault((pos[gi][0], pos[gj][0]), []).append((gi, gj))
             table = {}
-            for gi, gj in self._pair_keys.get(key, ()):
+            for gi, gj in self._keys_by_pair.get((p, q), ()):
                 ents = []
-                for gk, c in sorted(self._bracket[(gi, gj)].items()):
-                    tdeg, tpos = self._pos[gk]
-                    if tdeg != p + q:
+                for gk, n in self._bracket_nums[(gi, gj)]:
+                    deg, k = pos[gk]
+                    if deg != p + q:
                         raise ValueError(
                             "bracket [%s, %s] does not preserve total degree; "
                             "run validate_dgla"
-                            % (self.generators[gi][0], self.generators[gj][0])
-                        )
-                    ents.append((tpos, c))
-                table[(self._pos[gi][1], self._pos[gj][1])] = tuple(ents)
-            self._tables[key] = table
-        return table
-
-    def _integer_table(self, p, q):
-        """(Dt, bracket_table(p, q) scaled by Dt to integers), as
-        _kernels.bracket_convolve reads it; Dt is the lcm of its
-        denominators."""
-        key = (p, q)
-        scaled = self._int_tables.get(key)
-        if scaled is None:
-            scaled = self._int_tables[key] = integer_table(self.bracket_table(p, q))
-        return scaled
+                            % (self.generators[gi][0], self.generators[gj][0]))
+                    ents.append((k, n))
+                table.setdefault(pos[gi][1], {})[pos[gj][1]] = tuple(ents)
+            self._tables[(p, q)] = table
+        return self._bracket_den, table
 
     def _symmetric_table(self, p):
-        """(Dt, _integer_table(p, p)[1] plus its transpose), over the same
-        Dt; cached in _int_tables beside it, under the key ("sym", p)."""
-        key = ("sym", p)
-        sym = self._int_tables.get(key)
+        """(D, _integer_table(p, p)[1] plus its transpose), over the same D;
+        cached per degree."""
+        sym = self._sym_tables.get(p)
         if sym is None:
-            Dt, table = self._integer_table(p, p)
-            sym = self._int_tables[key] = (Dt, symmetric_table(table))
-        return sym
+            sym = self._sym_tables[p] = symmetric_table(self._integer_table(p, p)[1])
+        return self._bracket_den, sym
 
     # action on formal elements
 
@@ -364,7 +387,7 @@ class DGLA:
         A self-bracket (u is v) walks each unordered monomial pair once
         (_kernels.self_convolve); the result is the same exact element.
         Both kernels read the elements' kernel views and put the result over
-        u.den * v.den * Dt.
+        u.den * v.den * Dt, Dt the denominator of the bracket store.
         """
         self._check_elements((u, v), u.ring)
         out_deg = u.degree + v.degree
@@ -442,33 +465,14 @@ class DGLA:
         return tuple([Fraction(c, den) if c else ZERO
                       for c in bracket_vector(ui, vi, table, out_dim)])
 
-    # axiom checking (combination arithmetic over global generator indices)
-
-    def _d_combo(self, combo):
-        out = {}
-        for gi, c in combo.items():
-            for gj, v in self._d.get(gi, {}).items():
-                out[gj] = out.get(gj, ZERO) + c * v
-        return {k: v for k, v in out.items() if v}
-
-    def _bracket_combo(self, a, b):
-        out = {}
-        for gi, ca in a.items():
-            for gj, cb in b.items():
-                ents = self._bracket.get((gi, gj))
-                if not ents:
-                    continue
-                f = ca * cb
-                for gk, v in ents.items():
-                    out[gk] = out.get(gk, ZERO) + f * v
-        return {k: v for k, v in out.items() if v}
-
-    def _combo_str(self, combo):
+    def _combo_str(self, combo, den):
+        """The integer combination {generator index: int} over den, as the
+        report writes it."""
         if not combo:
             return "0"
         parts = []
         for gi in sorted(combo):
-            c = combo[gi]
+            c = Fraction(combo[gi], den)
             nm = self.generators[gi][0]
             if c == 1:
                 parts.append(nm)
@@ -484,20 +488,22 @@ def validate_dgla(L):
 
     Work follows the nonzero structure constants: antisymmetry, Leibniz and
     Jacobi visit only the generator tuples some bracket or d entry touches,
-    since every other tuple gives 0 = 0.  Antisymmetry, Leibniz and Jacobi
-    run on integers, through one index of the bracket table scaled by the lcm of
-    its denominators (_integer_index), and only a failing tuple is turned
-    back into Fractions for its report line.  Jacobi sums each cyclic orbit
-    of triples once.  Issues come out in the order of a plain sweep over all
-    pairs and ordered triples.
+    since every other tuple gives 0 = 0.  Every check reads the integer
+    stores of L (d over Dd, the bracket over D) and sums in integers; only a
+    failing generator, pair or orbit is rendered as Fractions for its
+    report line.  Jacobi sums each cyclic orbit of triples once.  Issues
+    come out in the order of a plain sweep over all pairs and ordered
+    triples.
     """
     issues = []
     gens = L.generators
     names = [g[0] for g in gens]
     degs = [g[1] for g in gens]
+    d, Dd = L._d_nums, L._d_den
+    bracket = L._bracket_nums
 
-    for gi, combo in sorted(L._d.items()):
-        for gj in sorted(combo):
+    for gi, ents in sorted(d.items()):
+        for gj, _ in ents:
             if degs[gj] != degs[gi] + 1:
                 issues.append(ValidationIssue(
                     "differential-degree",
@@ -506,18 +512,18 @@ def validate_dgla(L):
                     % (names[gi], names[gj], degs[gj], degs[gi] + 1),
                 ))
 
-    for gi in range(len(gens)):
-        dd = L._d_combo(L._d_combo({gi: Fraction(1)}))
+    for gi, ents in sorted(d.items()):
+        dd = _linear(ents, d)
         if dd:
             issues.append(ValidationIssue(
                 "differential-squared",
                 (names[gi],),
-                "d(d(%s)) = %s, expected 0" % (names[gi], L._combo_str(dd)),
+                "d(d(%s)) = %s, expected 0" % (names[gi], L._combo_str(dd, Dd * Dd)),
             ))
 
-    for (gi, gj), combo in sorted(L._bracket.items()):
+    for (gi, gj), ents in sorted(bracket.items()):
         want = degs[gi] + degs[gj]
-        for gk in sorted(combo):
+        for gk, _ in ents:
             if degs[gk] != want:
                 issues.append(ValidationIssue(
                     "bracket-degree",
@@ -526,70 +532,52 @@ def validate_dgla(L):
                     "expected degree %d" % (names[gi], names[gj], names[gk], degs[gk], want),
                 ))
 
-    index = _integer_index(L)
-    _check_antisymmetry(L, names, degs, index, issues)
-    _check_leibniz(L, names, degs, index, issues)
-    _check_jacobi(L, names, degs, index, issues)
+    rows = [[] for _ in gens]
+    for (gx, gy), ents in bracket.items():
+        rows[gx].append((gy, ents))
+    _check_antisymmetry(L, names, degs, issues)
+    _check_leibniz(L, names, degs, rows, issues)
+    _check_jacobi(L, names, degs, rows, issues)
     return ValidationReport(L.name, issues)
 
 
-def _integer_index(L):
-    """(D, rows): the bracket table scaled by the lcm D of its denominators,
-    over global generator indices.  rows[x] lists (y, ents) for each key
-    (x, y), where ents is ((k, int), ...) with D [x, y] = sum int g_k."""
-    bracket = L._bracket
-    D = lcm(*{v.denominator for combo in bracket.values() for v in combo.values()})
-    rows = [[] for _ in L.generators]
-    for (gx, gy), combo in bracket.items():
-        rows[gx].append((gy, tuple([(gk, v.numerator * (D // v.denominator))
-                                    for gk, v in combo.items()])))
-    return D, rows
-
-
-def _check_antisymmetry(L, names, degs, index, issues):
+def _check_antisymmetry(L, names, degs, issues):
     """[x, y] = -(-1)^{|x||y|}[y, x] on pairs x <= y with a bracket entry,
-    compared on the integer entries of index (one scale for the whole
-    table); only a failing pair is rebuilt in Fractions for its report."""
-    keyed = {(gx, gy): dict(ents) for gx, row in enumerate(index[1]) for gy, ents in row}
-    bracket = L._bracket
-    for gi, gj in sorted({(i, j) if i <= j else (j, i) for i, j in keyed}):
+    compared on the stored integer entries, which are sorted by index."""
+    bracket, D = L._bracket_nums, L._bracket_den
+    for gi, gj in sorted({(i, j) if i <= j else (j, i) for i, j in bracket}):
         s = -koszul_sign(degs[gi], degs[gj])
-        if keyed.get((gi, gj), {}) != {k: s * v for k, v in keyed.get((gj, gi), {}).items()}:
-            lhs = bracket.get((gi, gj), {})
-            rhs = {k: s * v for k, v in bracket.get((gj, gi), {}).items()}
+        lhs = bracket.get((gi, gj), ())
+        rhs = tuple([(k, s * v) for k, v in bracket.get((gj, gi), ())])
+        if lhs != rhs:
             issues.append(ValidationIssue(
                 "antisymmetry",
                 (names[gi], names[gj]),
                 "[%s, %s] = %s but -(-1)^{|x||y|}[%s, %s] = %s"
-                % (names[gi], names[gj], L._combo_str(lhs),
-                   names[gj], names[gi], L._combo_str(rhs)),
+                % (names[gi], names[gj], L._combo_str(dict(lhs), D),
+                   names[gj], names[gi], L._combo_str(dict(rhs), D)),
             ))
 
 
-def _check_leibniz(L, names, degs, index, issues):
+def _check_leibniz(L, names, degs, rows, issues):
     """d[x, y] = [dx, y] + (-1)^{|x|}[x, dy] on every pair, in integers.
 
-    d is scaled by the lcm Dd of its denominators and the bracket by its
-    own D (index), so each term, one d entry times one bracket entry, is an
-    integer multiple of 1/(Dd D).  Per x, one (y, m) -> int accumulator
-    takes d[x, y] - [dx, y] - (-1)^{|x|}[x, dy] from its three sources:
-    the keys (x, y) put through d, the keys (k, y) with k in supp dx, and
-    the keys (x, k) with k in supp dy (d_inverse maps k to those y).  A
-    pair fails exactly when some m is left nonzero; only those pairs are
-    rebuilt as Fraction combinations for the report.
+    d is stored over Dd and the bracket over D, so each term, one d entry
+    times one bracket entry, is an integer multiple of 1/(Dd D).  Per x,
+    one (y, m) -> int accumulator takes d[x, y] - [dx, y] - (-1)^{|x|}[x, dy]
+    from its three sources: the keys (x, y) put through d (rows[x]), the
+    keys (k, y) with k in supp dx, and the keys (x, k) with k in supp dy
+    (d_inverse maps k to those y).  A pair fails exactly when some m is
+    left nonzero; only those pairs are summed again, side by side, for the
+    report.
     """
-    _, rows = index
-    Dd = lcm(*{v.denominator for combo in L._d.values() for v in combo.values()})
-    d = {}
+    d, bracket = L._d_nums, L._bracket_nums
     d_inverse = {}
-    for gi, combo in L._d.items():
-        ents = d[gi] = tuple([(gj, v.numerator * (Dd // v.denominator))
-                              for gj, v in combo.items()])
+    for gi, ents in d.items():
         for gk, e in ents:
             d_inverse.setdefault(gk, []).append((gi, e))
 
-    bracket = L._bracket
-    one = Fraction(1)
+    den = L._d_den * L._bracket_den
     for gx, row in enumerate(rows):
         acc = {}
         s = 1 if degs[gx] % 2 == 0 else -1
@@ -610,20 +598,19 @@ def _check_leibniz(L, names, degs, index, issues):
                     acc[key] = acc.get(key, 0) - e * c
 
         for gy in sorted({y for (y, _), t in acc.items() if t}):
-            lhs = L._d_combo(bracket.get((gx, gy), {}))
-            rhs = L._bracket_combo(L._d.get(gx, {}), {gy: one})
-            for gk, v in L._bracket_combo({gx: one}, L._d.get(gy, {})).items():
-                rhs[gk] = rhs.get(gk, ZERO) + s * v
-            rhs = {k: v for k, v in rhs.items() if v}
+            lhs = _linear(bracket.get((gx, gy), ()), d)
+            rhs = _linear([((gk, gy), e) for gk, e in d.get(gx, ())]
+                          + [((gx, gk), s * e) for gk, e in d.get(gy, ())], bracket)
             issues.append(ValidationIssue(
                 "leibniz",
                 (names[gx], names[gy]),
                 "d[%s, %s] = %s but [dx, y] + (-1)^{|x|}[x, dy] = %s"
-                % (names[gx], names[gy], L._combo_str(lhs), L._combo_str(rhs)),
+                % (names[gx], names[gy], L._combo_str(lhs, den),
+                   L._combo_str(rhs, den)),
             ))
 
 
-def _check_jacobi(L, names, degs, index, issues):
+def _check_jacobi(L, names, degs, rows, issues):
     """Graded Jacobi on every ordered triple (a, b, c) a nonzero term touches.
 
     The Koszul-signed sum
@@ -632,21 +619,20 @@ def _check_jacobi(L, names, degs, index, issues):
     use of antisymmetry, so each cyclic orbit is summed once, at the
     rotation that is lexicographically least; it starts with a = min(a, b,
     c).  The sweep runs a from the last generator down and grows two
-    indexes of the table (D, rows from index) to hold only keys whose
-    generators are >= a: cols_ge[k] the keys (x, k) with x >= a, and hits[k]
-    the keys (b, c) with b, c >= a whose bracket has a k component.  Each
-    term (a product of two scaled entries) is an integer multiple of 1/D^2,
-    accumulated per a into a (b, c, m) -> int map, so a triple fails
-    exactly when its integer total is nonzero.  A failing orbit reports each
-    distinct rotation with the same sum, and the issues are sorted back
-    into plain-sweep order.
+    indexes of the stored bracket (rows[x] lists the keys (x, y)) to hold
+    only keys whose generators are >= a: cols_ge[k] the keys (x, k) with
+    x >= a, and hits[k] the keys (b, c) with b, c >= a whose bracket has
+    a k component.  Each term (a product of two stored entries) is an
+    integer multiple of 1/D^2, accumulated per a into a (b, c, m) -> int
+    map, so a triple fails exactly when its integer total is nonzero.  A
+    failing orbit reports each distinct rotation with the same sum, and the
+    issues are sorted back into plain-sweep order.
     """
-    D, rows = index
     n = len(names)
     odd = [deg % 2 == 1 for deg in degs]
     cols_ge = [[] for _ in range(n)]
     hits = [[] for _ in range(n)]
-    D2 = D * D
+    D2 = L._bracket_den ** 2
     failing = []
 
     for a in range(n - 1, -1, -1):
@@ -691,9 +677,9 @@ def _check_jacobi(L, names, degs, index, issues):
         for (b, c, m), t in acc.items():
             # (a, b, a) with b > a is the rotation of (a, a, b)
             if t and (c != a or b == a):
-                sums.setdefault((b, c), {})[m] = Fraction(t, D2)
+                sums.setdefault((b, c), {})[m] = t
         for (b, c), total in sums.items():
-            detail = "graded Jacobi sum = %s, expected 0" % L._combo_str(total)
+            detail = "graded Jacobi sum = %s, expected 0" % L._combo_str(total, D2)
             for triple in {(a, b, c), (b, c, a), (c, a, b)}:
                 failing.append((triple, detail))
 

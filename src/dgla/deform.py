@@ -32,7 +32,6 @@ from fractions import Fraction
 
 from .algebra import HALF
 from .formal import CoefficientRing, FormalElement
-from .linalg import solve_linear
 
 
 class MCSolution:
@@ -325,12 +324,15 @@ def gauge_equivalent(L, R, A, Aprime):
     Both inputs must be flat (NotFlatError, a ValueError, names the one
     that is not).  Solved in one pass of the gauge series (_gauge_series):
     at order b the unknown a_b enters only through -d a_b, so once the rest
-    of order b is known, each monomial coefficient of a_b is one linear
-    solve against d: g^0 -> g^1, with free components set to zero, and
-    -d a_b then completes c_1 at order b.  The witness is verified by
-    acting with it once more.  Returning None means no witness exists
-    under that zero-free-component rule (sound, not complete, when d has a
-    kernel in degree 0).
+    of order b is known, a_b must satisfy d a_b = X_b for the known
+    difference X_b.  The contraction solves it: a_b = h(X_b), accepted iff
+    d h(X_b) = X_b, which holds exactly when X_b lies in B^1, and -d a_b
+    then completes c_1 at order b.  complement_basis makes C^0 the span of
+    the standard vectors at the pivot columns of d: g^0 -> g^1, so h(X_b)
+    is the one preimage in C^0, the solution of d a = X_b with every free
+    component zero.  The witness is verified by acting with it once more.
+    Returning None means no witness exists under that zero-free-component
+    rule (sound, not complete, when d has a kernel in degree 0).
     """
     _check_degree_one(A)
     _check_degree_one(Aprime)
@@ -340,26 +342,20 @@ def gauge_equivalent(L, R, A, Aprime):
         if not mc_residual(L, B).is_zero():
             raise NotFlatError(index)
     ring = A.ring
-    dim0 = L.dim(0)
-    d0 = L.differential.block(0, 1)
     parts = []
 
     def solve(b, known):
         diff = FormalElement.summed(ring, 1, A.dim,
                                     known + [-Aprime.homogeneous_part(b)])
-        terms = {}
-        for mono, vec in diff.fraction_terms().items():
-            sol = solve_linear(d0, vec)
-            if sol is None:
-                return None
-            if any(sol):
-                terms[mono] = sol
-        parts.append(FormalElement(ring, 0, dim0, terms))
-        return parts[-1]
+        a_b = R.contract(diff)
+        if L.apply_differential(a_b) != diff:
+            return None
+        parts.append(a_b)
+        return a_b
 
     if _gauge_series(L, A, solve) is None:
         return None
-    a = FormalElement.summed(ring, 0, dim0, parts)
+    a = FormalElement.summed(ring, 0, L.dim(0), parts)
     if gauge_act(L, a, A) != Aprime:
         return None
     return a

@@ -168,6 +168,20 @@ def naive_convolve(uterms, vterms, table, trunc, out_dim):
             if sum(m) <= trunc and any(a)}
 
 
+def integer_table(table):
+    """(D, integer table) with D * table == the ints, D the lcm of the
+    denominators; table sends (i, j) to ((k, Fraction), ...), and the
+    result i to {j: ((k, int), ...)}, the form the kernels read."""
+    D = lcm(*{c.denominator for ents in table.values() for _, c in ents})
+    rows = {}
+    for (i, j), ents in table.items():
+        ints = tuple((k, c.numerator * (D // c.denominator))
+                     for k, c in ents if c)
+        if ints:
+            rows.setdefault(i, {})[j] = ints
+    return D, rows
+
+
 def integer_rows(rows):
     """(D, integer rows) with D * rows == the ints, D the lcm of the
     denominators; rows holds one ((col, Fraction), ...) tuple per row.
@@ -213,15 +227,43 @@ def _add_combos(*combos):
     return {k: v for k, v in out.items() if v}
 
 
+def _combo_str(names, combo):
+    """A Fraction combination {generator index: coeff} as reports write it."""
+    if not combo:
+        return "0"
+    parts = []
+    for gi in sorted(combo):
+        c, nm = combo[gi], names[gi]
+        parts.append(nm if c == 1 else "-%s" % nm if c == -1 else "%s*%s" % (c, nm))
+    return " + ".join(parts).replace("+ -", "- ")
+
+
 def naive_validate(L):
-    """validate_dgla by brute force: every generator pair and ordered triple."""
+    """validate_dgla by brute force: every generator pair and ordered triple,
+    in Fractions, reading L only through bracket_pairs, bracket_of and
+    differential_of."""
     issues = []
     gens = L.generators
     names = [g[0] for g in gens]
     degs = [g[1] for g in gens]
+    index = {nm: i for i, nm in enumerate(names)}
+    n = len(gens)
 
-    for gi, combo in sorted(L._d.items()):
-        for gj in sorted(combo):
+    def combo(ents):
+        return {index[t]: c for t, c in ents}
+
+    d = {gi: combo(L.differential_of(names[gi])) for gi in range(n)}
+    table = {(index[x], index[y]): combo(L.bracket_of(x, y)) for x, y in L.bracket_pairs()}
+
+    def dmap(x):
+        return _add_combos(*[_scale_combo(c, d[g]) for g, c in x.items()])
+
+    def br(x, y):
+        return _add_combos(*[_scale_combo(cx * cy, table.get((gi, gj), {}))
+                             for gi, cx in x.items() for gj, cy in y.items()])
+
+    for gi in range(n):
+        for gj in sorted(d[gi]):
             if degs[gj] != degs[gi] + 1:
                 issues.append(ValidationIssue(
                     "differential-degree",
@@ -230,18 +272,18 @@ def naive_validate(L):
                     % (names[gi], names[gj], degs[gj], degs[gi] + 1),
                 ))
 
-    for gi in range(len(gens)):
-        dd = L._d_combo(L._d_combo({gi: Fraction(1)}))
+    for gi in range(n):
+        dd = dmap(dmap({gi: ONE}))
         if dd:
             issues.append(ValidationIssue(
                 "differential-squared",
                 (names[gi],),
-                "d(d(%s)) = %s, expected 0" % (names[gi], L._combo_str(dd)),
+                "d(d(%s)) = %s, expected 0" % (names[gi], _combo_str(names, dd)),
             ))
 
-    for (gi, gj), combo in sorted(L._bracket.items()):
+    for (gi, gj), ents in sorted(table.items()):
         want = degs[gi] + degs[gj]
-        for gk in sorted(combo):
+        for gk in sorted(ents):
             if degs[gk] != want:
                 issues.append(ValidationIssue(
                     "bracket-degree",
@@ -250,60 +292,53 @@ def naive_validate(L):
                     "expected degree %d" % (names[gi], names[gj], names[gk], degs[gk], want),
                 ))
 
-    n = len(gens)
     for gi in range(n):
         for gj in range(gi, n):
-            lhs = L._bracket_combo({gi: Fraction(1)}, {gj: Fraction(1)})
-            rhs = _scale_combo(
-                -koszul_sign(degs[gi], degs[gj]),
-                L._bracket_combo({gj: Fraction(1)}, {gi: Fraction(1)}),
-            )
+            lhs = br({gi: ONE}, {gj: ONE})
+            rhs = _scale_combo(-koszul_sign(degs[gi], degs[gj]), br({gj: ONE}, {gi: ONE}))
             if lhs != rhs:
                 issues.append(ValidationIssue(
                     "antisymmetry",
                     (names[gi], names[gj]),
                     "[%s, %s] = %s but -(-1)^{|x||y|}[%s, %s] = %s"
-                    % (names[gi], names[gj], L._combo_str(lhs),
-                       names[gj], names[gi], L._combo_str(rhs)),
+                    % (names[gi], names[gj], _combo_str(names, lhs),
+                       names[gj], names[gi], _combo_str(names, rhs)),
                 ))
 
     for gi in range(n):
         for gj in range(n):
-            x = {gi: Fraction(1)}
-            y = {gj: Fraction(1)}
-            lhs = L._d_combo(L._bracket_combo(x, y))
+            x = {gi: ONE}
+            y = {gj: ONE}
+            lhs = dmap(br(x, y))
             rhs = _add_combos(
-                L._bracket_combo(L._d_combo(x), y),
-                _scale_combo(1 if degs[gi] % 2 == 0 else -1,
-                             L._bracket_combo(x, L._d_combo(y))),
+                br(dmap(x), y),
+                _scale_combo(1 if degs[gi] % 2 == 0 else -1, br(x, dmap(y))),
             )
             if lhs != rhs:
                 issues.append(ValidationIssue(
                     "leibniz",
                     (names[gi], names[gj]),
                     "d[%s, %s] = %s but [dx, y] + (-1)^{|x|}[x, dy] = %s"
-                    % (names[gi], names[gj], L._combo_str(lhs), L._combo_str(rhs)),
+                    % (names[gi], names[gj], _combo_str(names, lhs),
+                       _combo_str(names, rhs)),
                 ))
 
     for gi in range(n):
         for gj in range(n):
             for gk in range(n):
-                x = {gi: Fraction(1)}
-                y = {gj: Fraction(1)}
-                z = {gk: Fraction(1)}
+                x = {gi: ONE}
+                y = {gj: ONE}
+                z = {gk: ONE}
                 total = _add_combos(
-                    _scale_combo(koszul_sign(degs[gi], degs[gk]),
-                                 L._bracket_combo(x, L._bracket_combo(y, z))),
-                    _scale_combo(koszul_sign(degs[gj], degs[gi]),
-                                 L._bracket_combo(y, L._bracket_combo(z, x))),
-                    _scale_combo(koszul_sign(degs[gk], degs[gj]),
-                                 L._bracket_combo(z, L._bracket_combo(x, y))),
+                    _scale_combo(koszul_sign(degs[gi], degs[gk]), br(x, br(y, z))),
+                    _scale_combo(koszul_sign(degs[gj], degs[gi]), br(y, br(z, x))),
+                    _scale_combo(koszul_sign(degs[gk], degs[gj]), br(z, br(x, y))),
                 )
                 if total:
                     issues.append(ValidationIssue(
                         "jacobi",
                         (names[gi], names[gj], names[gk]),
-                        "graded Jacobi sum = %s, expected 0" % L._combo_str(total),
+                        "graded Jacobi sum = %s, expected 0" % _combo_str(names, total),
                     ))
 
     return ValidationReport(L.name, issues)

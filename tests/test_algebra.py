@@ -81,7 +81,8 @@ def test_corrupted_bracket_degree_witness():
 
 
 def scanned_table(L, p, q):
-    """bracket_table(p, q) by a scan of every bracket pair."""
+    """The bracket of g^p x g^q by a scan of every bracket pair, as
+    (i, j) -> ((k, Fraction), ...) in degree-local positions."""
     table = {}
     for x, y in L.bracket_pairs():
         (dx, ix), (dy, iy) = L.basis_position(x), L.basis_position(y)
@@ -91,21 +92,29 @@ def scanned_table(L, p, q):
     return table
 
 
+def table_fractions(L, p, q):
+    """_integer_table(p, q) divided by its denominator, keyed as scanned_table."""
+    D, T = L._integer_table(p, q)
+    return {(i, j): tuple((k, Fraction(n, D)) for k, n in ents)
+            for i, row in T.items() for j, ents in row.items()}
+
+
 def test_bracket_tables_match_a_scan_per_degree_pair():
     for name in BUILTIN_NAMES:
         L = builtin_example(name)
         for p in L.degrees:
             for q in L.degrees:
-                assert L.bracket_table(p, q) == scanned_table(L, p, q), (name, p, q)
+                assert table_fractions(L, p, q) == scanned_table(L, p, q), (name, p, q)
 
 
 def test_bracket_table_order_follows_the_stored_keys():
     L = DGLA([("x", 1), ("y", 1), ("a", 0), ("b", 2)],
              bracket={("y", "x"): [("b", 2)], ("a", "y"): [("y", 1)],
                       ("x", "x"): [("b", 1)], ("x", "y"): [("b", 2)]})
-    assert list(L.bracket_table(1, 1)) == [(1, 0), (0, 0), (0, 1)]
-    assert L.bracket_table(0, 1) == {(0, 1): ((1, F(1)),)}
-    assert L.bracket_table(2, 2) == {}
+    D, T = L._integer_table(1, 1)
+    assert [(i, j) for i, row in T.items() for j in row] == [(1, 0), (0, 0), (0, 1)]
+    assert L._integer_table(0, 1) == (1, {0: {1: ((1, 1),)}})
+    assert L._integer_table(2, 2) == (1, {})
 
 
 def test_a_bracket_leaving_its_degree_fails_only_its_own_table():
@@ -113,8 +122,41 @@ def test_a_bracket_leaving_its_degree_fails_only_its_own_table():
              bracket={("x", "x"): [("c", 1)], ("a", "x"): [("x", 1)]})
     for _ in range(2):
         with pytest.raises(ValueError, match=r"bracket \[x, x\] does not preserve"):
-            L.bracket_table(1, 1)
-    assert L.bracket_table(0, 1) == {(0, 0): ((0, F(1)),)}
+            L._integer_table(1, 1)
+    assert L._integer_table(0, 1) == (1, {0: {0: ((0, 1),)}})
+
+
+def test_structure_constants_are_stored_canonically():
+    # the same DGLA given three ways: keys in another order, one term split
+    # into two parts, zero sums; fractional constants, so D != 1
+    gens = [("a", 0), ("x", 1), ("y", 1), ("b", 2)]
+    L = DGLA(gens,
+             d={"a": [("x", F("1/2")), ("y", F("-2/3"))], "x": [("b", F("3/4"))]},
+             bracket={("a", "x"): [("x", F("1/3"))], ("x", "a"): [("x", F("-1/3"))],
+                      ("x", "y"): [("b", F("5/6"))], ("y", "x"): [("b", F("5/6"))],
+                      ("x", "x"): [("b", 2)]})
+    M = DGLA(gens,
+             d={"x": [("b", "3/4")],
+                "a": [("y", "-1/3"), ("x", "1/2"), ("y", "-1/3"), ("b", 0)]},
+             bracket={("x", "x"): [("b", 3), ("b", -1)], ("y", "y"): [("b", 1), ("b", -1)],
+                      ("y", "x"): [("b", "5/6")], ("x", "y"): [("b", "1/2"), ("b", "1/3")],
+                      ("x", "a"): [("x", "-1/3")], ("a", "x"): [("x", "1/3")]})
+    assert L == M
+    assert (M._d_den, M._bracket_den) == (12, 6)
+    assert M._d_nums == {0: ((1, 6), (2, -8)), 1: ((3, 9),)}
+    assert M.bracket_pairs() == L.bracket_pairs()
+    names = [n for n, _ in gens]
+    for x in names:
+        assert M.differential_of(x) == L.differential_of(x)
+        for y in names:
+            assert M.bracket_of(x, y) == L.bracket_of(x, y)
+    u = {0: (F("2/5"),), 1: (F("1/7"), F(-3)), 2: (F(0),)}
+    for p in L.degrees:
+        for q in L.degrees:
+            assert M._integer_table(p, q) == L._integer_table(p, q)
+            assert M.bracket_vectors(p, u[p], q, u[q]) == L.bracket_vectors(p, u[p], q, u[q])
+    # [u, u] = 2/49 b + 2 (1/7)(-3)(5/6) b
+    assert L.bracket_vectors(1, u[1], 1, u[1]) == (Fraction(-33, 49),)
 
 
 def test_leibniz_violation_detected():

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from dgla import (
+    BUILTIN_NAMES,
     DGLA,
     antisymmetric_closure,
     build_contraction,
@@ -292,6 +293,21 @@ def test_gauge_equivalent_returns_seeded_witness_twisted_e2():
         moved = gauge_act(L, a, zero)
         assert mc_residual(L, moved).is_zero()
         assert gauge_equivalent(L, R, zero, moved) == a
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_NAMES) + ["twisted_E2"])
+def test_contraction_is_the_free_zero_solve_on_boundaries(name):
+    # gauge_equivalent solves d a_b = X_b as a_b = h(X_b): complement_basis
+    # makes C^0 the span of the standard vectors at the pivot columns of d
+    # on g^0, so on B^1 h is the solve with every free component zero
+    L, R = twisted_e2() if name == "twisted_E2" else contraction_for(name)
+    d0 = L.differential.block(0, 1)
+    h10 = R.h.block(1, 0)
+    for i in range(L.dim(0)):
+        b = d0.column(i)
+        assert h10.mul_vec(b) == solve_linear(d0, b), (name, i)
+    if name == "twisted_E2":  # d on g^0 has a kernel, so free components exist
+        assert 0 < len(R.splitting.cycles[0]) < L.dim(0)
 
 
 def test_gauge_equivalent_names_the_input_that_is_not_flat():

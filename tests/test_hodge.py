@@ -6,9 +6,9 @@ from dgla import DGLA, antisymmetric_closure, check_cartan, hodge_decompose, val
 from dgla.graded import GradedLinearMap
 from dgla.hodge import hodge_checks
 from dgla.linalg import Matrix, SubspaceBasis, vec
-from dgla.sdr import SDRData, Splitting, build_contraction, build_splitting
+from dgla.sdr import SDRData, Splitting, build_contraction
 
-from conftest import contraction_for
+from conftest import chain_case, contraction_for, perturbed
 from reference import reference_cartan, reference_hodge_checks, vec_add, zero_vec
 
 
@@ -154,26 +154,8 @@ def test_hodge_checks_flag_broken_convention():
 # hodge_checks against the membership-by-solve reference
 
 
-def chain_case():
-    """d a = b, d c = e and [x, x] = e: degree 1 holds a boundary b, a
-    harmonic x and a complement c = h e at once."""
-    L = DGLA([("a", 0), ("x", 1), ("b", 1), ("c", 1), ("e", 2)],
-             d={"a": [("b", 1)], "c": [("e", 1)]},
-             bracket={("x", "x"): [("e", 1)]}, name="chain")
-    assert validate_dgla(L).ok
-    return L, build_contraction(L, build_splitting(L))
-
-
 def case(name):
     return chain_case() if name == "chain" else contraction_for(name)
-
-
-def perturbed(R, **maps):
-    fields = dict(splitting=R.splitting, h=R.h, projection=R.projection,
-                  inclusion=R.inclusion, pi_B=R.pi_B,
-                  differential=R.differential)
-    fields.update(maps)
-    return SDRData(**fields)
 
 
 def shifted_complement(R, degree, shift):

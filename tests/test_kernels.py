@@ -11,7 +11,6 @@ from dgla._kernels import (
     Packing,
     bracket_convolve,
     bracket_sums,
-    integer_table,
     matvec_terms,
     self_convolve,
     symmetric_table,
@@ -23,6 +22,7 @@ from reference import (
     fraction_add,
     fraction_scale,
     integer_rows,
+    integer_table,
     naive_bracket,
     naive_convolve,
     naive_differential,

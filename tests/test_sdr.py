@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from dgla import (
     DGLA,
     antisymmetric_closure,
@@ -9,10 +11,10 @@ from dgla import (
     verify_sdr,
 )
 from dgla.graded import GradedLinearMap
-from dgla.linalg import vec
-from dgla.sdr import SDRData, sdr_checks
+from dgla.linalg import Matrix, SubspaceBasis, vec
+from dgla.sdr import SDR_CHECK_LABELS, SDRData, Splitting, sdr_checks
 
-from conftest import contraction_for
+from conftest import chain_case, contraction_for, perturbed
 
 
 def F(x):
@@ -156,3 +158,64 @@ def test_projection_inclusion_is_identity_on_h(corpus_case):
     composite = R.projection @ R.inclusion
     hdims = {d: R.splitting.harmonic[d].dim for d in R.splitting.dims}
     assert composite == GradedLinearMap.identity(hdims)
+
+
+def _one(src_dims, dst_dims, src, dst, i, j):
+    """The graded map with one entry 1, row i and column j of block (src, dst)."""
+    return GradedLinearMap(src_dims, dst_dims, {(src, dst): Matrix(
+        dst_dims[dst], src_dims[src], {(i, j): 1})})
+
+
+def _resplit(R, degree, **bases):
+    """R over a splitting whose degree-`degree` bases named in `bases` are
+    replaced; every map of R is kept."""
+    S = R.splitting
+    parts = dict(cycles=S.cycles, boundaries=S.boundaries,
+                 harmonic=S.harmonic, complement=S.complement)
+    for part, vectors in bases.items():
+        parts[part] = {**parts[part], degree: SubspaceBasis(S.dims[degree], vectors)}
+    return perturbed(R, splitting=Splitting(S.dims, **parts))
+
+
+# One hand-built SDRData per label on the chain case (g^1 = x, b, c with x
+# harmonic, b = da a boundary, c = h e the complement), and every label it
+# fails.  Four labels fail on their own.  h-squared, retract-identity and
+# the two side conditions fail here only together with homotopy-identity:
+# no change of one or two entries of h, pi, nabla or pi_B by +-1 on this
+# case makes any of them fail alone.
+LABEL_FAILURES = {
+    "homotopy-identity": (
+        lambda R: perturbed(R, projection=R.projection + _one(
+            R.dims, R.splitting.harmonic_dims(), 1, 1, 0, 1)),    # pi b = 1
+        {"homotopy-identity"}),
+    "boundary-retraction": (
+        lambda R: perturbed(R, pi_B=R.pi_B + R.pi_H),             # pi_B x = x
+        {"boundary-retraction"}),
+    "boundary-section": (
+        lambda R: _resplit(R, 1, boundaries=[vec(1, 0, 0)]),      # B^1 = x
+        {"boundary-section"}),
+    "h-squared": (
+        lambda R: perturbed(R, h=R.h + _one(R.dims, R.dims, 1, 0, 0, 2)),  # h c = a
+        {"h-squared", "homotopy-identity"}),
+    "retract-identity": (
+        lambda R: perturbed(R, projection=R.projection.scale(F(2))),
+        {"retract-identity", "homotopy-identity"}),
+    "side-condition-h-nabla": (
+        lambda R: perturbed(R, inclusion=R.inclusion + _one(
+            R.splitting.harmonic_dims(), R.dims, 1, 1, 1, 0)),    # nabla = x + b
+        {"side-condition-h-nabla", "homotopy-identity"}),
+    "side-condition-pi-h": (
+        lambda R: perturbed(R, h=R.h + _one(R.dims, R.dims, 2, 1, 0, 0)),  # h e = c + x
+        {"side-condition-pi-h", "homotopy-identity"}),
+    "harmonic-killed": (
+        lambda R: _resplit(R, 1, harmonic=[vec(0, 0, 1)]),        # H^1 = c
+        {"harmonic-killed"}),
+}
+
+
+@pytest.mark.parametrize("label", SDR_CHECK_LABELS)
+def test_each_sdr_label_can_fail(label):
+    L, R = chain_case()
+    assert all(ok for _, ok in sdr_checks(L, R))
+    build, failing = LABEL_FAILURES[label]
+    assert {name for name, ok in sdr_checks(L, build(R)) if not ok} == failing
