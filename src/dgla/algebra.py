@@ -12,12 +12,14 @@ violations with witnessing generators instead of raising.  Its cost
 scales with the nonzero structure constants: it visits only the generator
 pairs and triples that some d or bracket entry touches, and it sums in
 integers, Jacobi each cyclic orbit of triples once, since the signed
-cyclic sum is the same three terms for all three rotations.  Only a
-failing generator, pair or orbit is turned back into Fractions for its
-report line.  apply_differential, apply_bracket and curvature extend the
-structure constants to FormalElements, with all series arithmetic
-truncated at the ring order by _kernels.bracket_convolve, which walks only
-the monomial pairs within the order (bucketed by total degree).  It reads
+cyclic sum is the same three terms for all three rotations, and, once
+antisymmetry holds, only one of the two cyclic orbits of an unordered
+triple.  Only a failing generator, pair or orbit is turned back into
+Fractions for its report line.  apply_differential, apply_bracket and
+curvature extend the structure constants to FormalElements, with all
+series arithmetic truncated at the ring order by _kernels.bracket_convolve,
+which walks only the monomial pairs within the order (bucketed by total
+degree).  It reads
 the elements' kernel views (FormalElement.view) and the integer table of
 a degree pair, cut from the bracket store by _integer_table over the
 store's denominator D; apply_bracket puts the result over
@@ -34,7 +36,7 @@ Sign conventions (cohomological grading, d of degree +1):
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from ._kernels import (
     bracket_convolve,
@@ -60,54 +62,47 @@ def antisymmetric_closure(generators, pairs):
     """Extend a partial bracket table by graded antisymmetry.
 
     generators is the ordered (name, degree) list; pairs maps (name, name) to
-    an iterable of (name, coeff).  For every supplied pair (x, y) whose
-    reverse is absent, [y, x] = -(-1)^{|x||y|}[x, y] is added.  If both orders
-    are supplied and disagree with the sign rule, ValueError is raised;
-    diagonal pairs are left for validate_dgla to judge.
+    an iterable of (name, coeff).  Each supplied combination is kept as
+    given, terms unsummed.  For every supplied pair (x, y) whose reverse is
+    absent, [y, x] = -(-1)^{|x||y|}[x, y] is added: the same terms, with
+    each coefficient negated unless x and y are both odd.  Only where both
+    orders are supplied are the two sides summed and compared, and if they
+    disagree with the sign rule ValueError is raised; diagonal pairs are
+    left for validate_dgla to judge.
     """
     degree = {name: int(d) for name, d in generators}
-    full = {}
-    for (x, y), ents in pairs.items():
-        full[(x, y)] = tuple((g, c if type(c) is Fraction else Fraction(c))
-                             for g, c in ents)
+    full = {key: tuple(ents) for key, ents in pairs.items()}
     for (x, y), ents in list(full.items()):
         if x == y:
             continue
         if x not in degree or y not in degree:
             raise ValueError("bracket references unknown generator in (%r, %r)" % (x, y))
-        s = -koszul_sign(degree[x], degree[y])
-        flipped = _summed((g, s * c) for g, c in ents)
-        if (y, x) in full:
-            given = _summed(full[(y, x)])
-            if given != flipped:
-                raise ValueError(
-                    "bracket pair (%s, %s) inconsistent with antisymmetry of (%s, %s)"
-                    % (y, x, x, y)
-                )
+        if degree[x] % 2 and degree[y] % 2:
+            flipped = ents
         else:
-            full[(y, x)] = tuple(sorted(flipped.items()))
+            flipped = tuple([(g, -_rational(c)) for g, c in ents])
+        given = full.get((y, x))
+        if given is None:
+            full[(y, x)] = flipped
+        elif _summed(given) != _summed(flipped):
+            raise ValueError(
+                "bracket pair (%s, %s) inconsistent with antisymmetry of (%s, %s)"
+                % (y, x, x, y)
+            )
     return full
 
 
+def _rational(c):
+    """c itself if it is an int or a Fraction, else Fraction(c)."""
+    return c if type(c) is int or type(c) is Fraction else Fraction(c)
+
+
 def _summed(ents):
-    """The (key, Fraction) terms summed per key, zero sums dropped.  A key
-    seen once keeps its term as given; only a repeat is added."""
+    """The (key, coeff) terms summed per key, zero sums dropped."""
     out = {}
     for k, c in ents:
-        prev = out.get(k)
-        out[k] = c if prev is None else prev + c
+        out[k] = out.get(k, 0) + _rational(c)
     return {k: c for k, c in out.items() if c}
-
-
-def _over_one_denominator(combos):
-    """(D, store) for combos {key: {k: nonzero int or Fraction}}: D the
-    lcm of the denominators and store {key: ((k, int), ...)}, terms sorted
-    by k, with D * combo = sum int g_k.  Both are canonical for the
-    values."""
-    D = lcm(*{c.denominator for combo in combos.values() for c in combo.values()})
-    return D, {key: tuple(sorted([(k, c.numerator * (D // c.denominator))
-                                  for k, c in combo.items()]))
-               for key, combo in combos.items()}
 
 
 def _linear(combo, images):
@@ -172,8 +167,9 @@ class DGLA:
         omitted pairs are 0.  Use antisymmetric_closure to fill in reversed
         pairs from a minimal table.
 
-    The constructor is the one place the structure constants become
-    integers: d is stored as _d_nums {i: ((j, int), ...)} over one
+    Coefficients are ints, Fractions, or anything Fraction() reads.  The
+    constructor is the one place the structure constants become integers
+    (_integer_store): d is stored as _d_nums {i: ((j, int), ...)} over one
     denominator _d_den, the bracket as _bracket_nums {(i, j): ((k, int),
     ...)} over _bracket_den, each the lcm of its reduced denominators, the
     terms of an entry summed and sorted by index, and the keys in the order
@@ -206,39 +202,61 @@ class DGLA:
         self.dims = {deg: len(idxs) for deg, idxs in self._by_degree.items()}
         self.degrees = tuple(sorted(self.dims))
 
-        combos = {}
-        for gname, ents in (d or {}).items():
-            gi = self._lookup(gname, "differential")
-            combo = self._combo_from(ents, "differential")
-            if combo:
-                combos[gi] = combo
-        self._d_den, self._d_nums = _over_one_denominator(combos)
-
-        combos = {}
-        for (xname, yname), ents in (bracket or {}).items():
-            gi = self._lookup(xname, "bracket")
-            gj = self._lookup(yname, "bracket")
-            combo = self._combo_from(ents, "bracket")
-            if combo:
-                combos[(gi, gj)] = combo
-        self._bracket_den, self._bracket_nums = _over_one_denominator(combos)
+        self._d_den, self._d_nums = self._integer_store(d, "differential")
+        self._bracket_den, self._bracket_nums = self._integer_store(
+            bracket, "bracket", pairs=True)
 
         self._diff = None
         self._keys_by_pair = None
         self._tables = {}
         self._sym_tables = {}
 
-    def _combo_from(self, ents, where):
-        """(name, coeff) entries as {generator index: nonzero int or
-        Fraction}, ints kept as they are for _over_one_denominator."""
-        terms = []
-        for tname, c in ents:
-            gk = self._lookup(tname, where)
-            if type(c) is not Fraction and type(c) is not int:
-                c = Fraction(c)
-            if c:
-                terms.append((gk, c))
-        return _summed(terms)
+    def _integer_store(self, combos, where, pairs=False):
+        """(D, store) for combos {key: iterable of (name, coeff)}, keyed by
+        generator names, or by pairs of them if pairs is set: store maps
+        each key, as generator indices, to ((k, int), ...), the terms summed
+        per generator index k, zero sums and empty entries dropped, sorted
+        by k, with D * combo = sum int g_k and D the lcm of the reduced
+        denominators of the sums, so both are canonical for the values.
+
+        The lcm D0 of the coefficients' denominators comes first; then one
+        pass resolves every name and sums each combination straight into
+        numerators over D0, and a last division by the gcd of D0 and all
+        numerators, which only a fractional table can need, brings D0 down
+        to D.
+        """
+        combos = [(key, tuple(ents)) for key, ents in (combos or {}).items()]
+        D = lcm(*{_rational(c).denominator for _, ents in combos for _, c in ents
+                  if type(c) is not int})
+        index = self._index
+        store = {}
+        for key, ents in combos:
+            try:
+                key = (index[key[0]], index[key[1]]) if pairs else index[key]
+            except KeyError:
+                key = ((self._lookup(key[0], where), self._lookup(key[1], where))
+                       if pairs else self._lookup(key, where))
+            acc = {}
+            for name, c in ents:
+                k = index.get(name)
+                if k is None:
+                    k = self._lookup(name, where)
+                if type(c) is int:
+                    c *= D
+                else:
+                    c = _rational(c)
+                    c = c.numerator * (D // c.denominator)
+                acc[k] = acc.get(k, 0) + c
+            combo = tuple(sorted([t for t in acc.items() if t[1]]))
+            if combo:
+                store[key] = combo
+        if D > 1:
+            g = gcd(D, *[n for combo in store.values() for _, n in combo])
+            if g > 1:
+                D //= g
+                store = {key: tuple([(k, n // g) for k, n in combo])
+                         for key, combo in store.items()}
+        return D, store
 
     def _lookup(self, name, where):
         gi = self._index.get(str(name))
@@ -491,9 +509,10 @@ def validate_dgla(L):
     since every other tuple gives 0 = 0.  Every check reads the integer
     stores of L (d over Dd, the bracket over D) and sums in integers; only a
     failing generator, pair or orbit is rendered as Fractions for its
-    report line.  Jacobi sums each cyclic orbit of triples once.  Issues
-    come out in the order of a plain sweep over all pairs and ordered
-    triples.
+    report line.  Jacobi sums each cyclic orbit of triples once, and only
+    one orbit per unordered triple if the antisymmetry check found no
+    issue.  Issues come out in the order of a plain sweep over all pairs
+    and ordered triples.
     """
     issues = []
     gens = L.generators
@@ -535,21 +554,24 @@ def validate_dgla(L):
     rows = [[] for _ in gens]
     for (gx, gy), ents in bracket.items():
         rows[gx].append((gy, ents))
-    _check_antisymmetry(L, names, degs, issues)
+    antisymmetric = _check_antisymmetry(L, names, degs, issues)
     _check_leibniz(L, names, degs, rows, issues)
-    _check_jacobi(L, names, degs, rows, issues)
+    _check_jacobi(L, names, degs, rows, issues, antisymmetric)
     return ValidationReport(L.name, issues)
 
 
 def _check_antisymmetry(L, names, degs, issues):
     """[x, y] = -(-1)^{|x||y|}[y, x] on pairs x <= y with a bracket entry,
-    compared on the stored integer entries, which are sorted by index."""
+    compared on the stored integer entries, which are sorted by index.
+    True if every pair holds."""
     bracket, D = L._bracket_nums, L._bracket_den
+    held = True
     for gi, gj in sorted({(i, j) if i <= j else (j, i) for i, j in bracket}):
         s = -koszul_sign(degs[gi], degs[gj])
         lhs = bracket.get((gi, gj), ())
         rhs = tuple([(k, s * v) for k, v in bracket.get((gj, gi), ())])
         if lhs != rhs:
+            held = False
             issues.append(ValidationIssue(
                 "antisymmetry",
                 (names[gi], names[gj]),
@@ -557,6 +579,7 @@ def _check_antisymmetry(L, names, degs, issues):
                 % (names[gi], names[gj], L._combo_str(dict(lhs), D),
                    names[gj], names[gi], L._combo_str(dict(rhs), D)),
             ))
+    return held
 
 
 def _check_leibniz(L, names, degs, rows, issues):
@@ -610,7 +633,7 @@ def _check_leibniz(L, names, degs, rows, issues):
             ))
 
 
-def _check_jacobi(L, names, degs, rows, issues):
+def _check_jacobi(L, names, degs, rows, issues, antisymmetric):
     """Graded Jacobi on every ordered triple (a, b, c) a nonzero term touches.
 
     The Koszul-signed sum
@@ -618,15 +641,25 @@ def _check_jacobi(L, names, degs, rows, issues):
     is the same three terms for (a, b, c), (b, c, a) and (c, a, b), with no
     use of antisymmetry, so each cyclic orbit is summed once, at the
     rotation that is lexicographically least; it starts with a = min(a, b,
-    c).  The sweep runs a from the last generator down and grows two
-    indexes of the stored bracket (rows[x] lists the keys (x, y)) to hold
-    only keys whose generators are >= a: cols_ge[k] the keys (x, k) with
-    x >= a, and hits[k] the keys (b, c) with b, c >= a whose bracket has
-    a k component.  Each term (a product of two stored entries) is an
-    integer multiple of 1/D^2, accumulated per a into a (b, c, m) -> int
-    map, so a triple fails exactly when its integer total is nonzero.  A
-    failing orbit reports each distinct rotation with the same sum, and the
-    issues are sorted back into plain-sweep order.
+    c).  If antisymmetry holds on every pair, turning the three inner
+    brackets around gives
+        J(a, c, b) = -(-1)^{|a||b|+|b||c|+|c||a|} J(a, b, c),
+    so of the two cyclic orbits of an unordered triple only the one with
+    b <= c is summed, and where a < b < c a failure is also reported on the
+    mirrored orbit (a, c, b), with that signed total (for b = c, or a = b,
+    the two orbits are one).  If antisymmetry fails anywhere, every orbit
+    is summed; the walk is the same, only the b <= c filter is off.
+
+    The sweep runs a from the last generator down and grows two indexes of
+    the stored bracket (rows[x] lists the keys (x, y)) to hold only keys
+    whose generators are >= a: cols_ge[k] the keys (x, k) with x >= a, in
+    decreasing x, and hits[k] the keys (b, c) with b, c >= a (and b <= c
+    under the filter) whose bracket has a k component.  Each term (a
+    product of two stored entries) is an integer multiple of 1/D^2,
+    accumulated per a into a (b, c, m) -> int map, so a triple fails
+    exactly when its integer total is nonzero.  A failing orbit reports
+    each distinct rotation with the same sum, and the issues are sorted
+    back into plain-sweep order.
     """
     n = len(names)
     odd = [deg % 2 == 1 for deg in degs]
@@ -641,10 +674,11 @@ def _check_jacobi(L, names, degs, rows, issues):
             if y >= a:
                 for k, v in ents:
                     hits[k].append((a, y, v))
-        for x, ents in cols_ge[a]:
-            if x > a:
-                for k, v in ents:
-                    hits[k].append((x, a, v))
+        if not antisymmetric:
+            for x, ents in cols_ge[a]:
+                if x > a:
+                    for k, v in ents:
+                        hits[k].append((x, a, v))
 
         acc = {}
         # s(a,c)[a,[b,c]]: [b,c] hits k, then outer = [a,k]
@@ -654,20 +688,24 @@ def _check_jacobi(L, names, degs, rows, issues):
                 for m, v in outer:
                     key = (b, c, m)
                     acc[key] = acc.get(key, 0) + f * v
-        # s(b,a)[b,[c,a]]: inner = [c,a] hits k, then outer = [b,k]
+        # s(b,a)[b,[c,a]]: inner = [c,a] hits k, then outer = [b,k], b rising
         for c, inner in cols_ge[a]:
             for k, ck in inner:
-                for b, outer in cols_ge[k]:
+                for b, outer in reversed(cols_ge[k]):
+                    if antisymmetric and b > c:
+                        break
                     f = -ck if odd[b] and odd[a] else ck
                     for m, v in outer:
                         key = (b, c, m)
                         acc[key] = acc.get(key, 0) + f * v
-        # s(c,b)[c,[a,b]]: inner = [a,b] hits k, then outer = [c,k]
+        # s(c,b)[c,[a,b]]: inner = [a,b] hits k, then outer = [c,k], c falling
         for b, inner in rows[a]:
             if b < a:
                 continue
             for k, ck in inner:
                 for c, outer in cols_ge[k]:
+                    if antisymmetric and c < b:
+                        break
                     f = -ck if odd[c] and odd[b] else ck
                     for m, v in outer:
                         key = (b, c, m)
@@ -679,9 +717,16 @@ def _check_jacobi(L, names, degs, rows, issues):
             if t and (c != a or b == a):
                 sums.setdefault((b, c), {})[m] = t
         for (b, c), total in sums.items():
-            detail = "graded Jacobi sum = %s, expected 0" % L._combo_str(total, D2)
-            for triple in {(a, b, c), (b, c, a), (c, a, b)}:
-                failing.append((triple, detail))
+            orbits = [((a, b, c), total)]
+            if antisymmetric and a < b < c:
+                # -(-1)^{|a||b|+|b||c|+|c||a|} is +1 iff two or three are odd
+                if odd[a] + odd[b] + odd[c] < 2:
+                    total = {m: -t for m, t in total.items()}
+                orbits.append(((a, c, b), total))
+            for (x, y, z), total in orbits:
+                detail = "graded Jacobi sum = %s, expected 0" % L._combo_str(total, D2)
+                for triple in {(x, y, z), (y, z, x), (z, x, y)}:
+                    failing.append((triple, detail))
 
     failing.sort()
     for (a, b, c), detail in failing:

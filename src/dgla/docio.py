@@ -13,14 +13,22 @@ The on-disk format is JSON:
 
 Coefficients are exact rationals: integers or "p/q" strings.  Decimal
 literals are rejected outright (a parse_float hook raises, so "0.5" can not
-sneak in anywhere).  Bracket entries are expected for pairs in declaration
-order (left index <= right index); the remaining pairs follow by graded
-antisymmetry, and a redundant supplied pair that contradicts the implied one
-is an error.
+sneak in anywhere), and so is an integer with more digits than int()
+converts, written as a string or as a bare JSON number (a parse_int hook
+raises).  Each coefficient is parsed once: JSON ints and integral text
+become ints, and only "p/q" text becomes a Fraction, so a document of
+integer coefficients builds no Fraction at all.  Bracket entries are
+expected for pairs in declaration order (left index <= right index); the
+remaining pairs follow by graded antisymmetry, and a redundant supplied pair
+that contradicts the implied one is an error.  document_to_dgla hands the
+parsed values to antisymmetric_closure, which mirrors each pair by negating
+its coefficients, and to the DGLA constructor, which sums them straight into
+its integer store.
 """
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .algebra import DGLA, antisymmetric_closure, validate_dgla
@@ -33,21 +41,44 @@ class DocumentError(ValueError):
     """Malformed input document or failed validation at load time."""
 
 
-def parse_rational(value):
-    """Exact rationals only: int, or a "p/q" / "p" string."""
+def _too_long(what, text):
+    return DocumentError(
+        "%s %s... has %d characters, more digits than the %d an integer may have"
+        % (what, text[:12], len(text), sys.get_int_max_str_digits()))
+
+
+def _coefficient(value):
+    """An exact rational as parsed once: an int from a JSON int or from
+    integral text, a Fraction only from "p/q" text."""
     if isinstance(value, bool):
         raise DocumentError("not a rational: %r" % (value,))
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         text = value.strip()
         if not _RATIONAL_RE.match(text):
             raise DocumentError("exact rationals only (got %r)" % (value,))
         p, _, q = text.partition("/")
-        if q and int(q) == 0:
+        try:
+            num, den = int(p), int(q or 1)
+        except ValueError:  # more digits than int() converts
+            raise _too_long("coefficient", text) from None
+        if not den:
             raise DocumentError("zero denominator in %r" % (value,))
-        return Fraction(int(p), int(q or 1))
+        return Fraction(num, den) if q else num
     raise DocumentError("exact rationals only (got %r)" % (value,))
+
+
+def parse_rational(value):
+    """Exact rationals only: int, or a "p/q" / "p" string, as a Fraction."""
+    return Fraction(_coefficient(value))
+
+
+def _parse_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise _too_long("integer literal", text) from None
 
 
 def _reject_float(text):
@@ -57,7 +88,7 @@ def _reject_float(text):
 def parse_document(text):
     """JSON text -> document dict, with position info on parse errors."""
     try:
-        doc = json.loads(text, parse_float=_reject_float)
+        doc = json.loads(text, parse_float=_reject_float, parse_int=_parse_int)
     except json.JSONDecodeError as e:
         raise DocumentError(
             "parse error at line %d column %d: %s" % (e.lineno, e.colno, e.msg)
@@ -109,7 +140,7 @@ def document_to_dgla(doc):
         for ent in entries:
             if not isinstance(ent, dict):
                 raise DocumentError("%s entries must be objects" % where)
-            combo.append((_str_field(ent, "gen", where), parse_rational(ent.get("coeff"))))
+            combo.append((_str_field(ent, "gen", where), _coefficient(ent.get("coeff"))))
         return combo
 
     d = {}

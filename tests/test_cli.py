@@ -229,6 +229,31 @@ def test_kuranishi_non_utf8_input_exit_two(capsys, tmp_path):
     assert "--input" in err and "not UTF-8" in err
 
 
+def test_over_long_integers_exit_two(capsys, tmp_path):
+    # more digits than int() converts: bad input naming the coefficient,
+    # never an internal error
+    long = "1" * (sys.get_int_max_str_digits() + 700)
+    with open(corpus("E1"), encoding="utf-8") as fh:
+        text = fh.read()
+    doc, literal = tmp_path / "long.json", tmp_path / "literal.json"
+    doc.write_text(text.replace('"coeff": "1"', '"coeff": "%s"' % long, 1))
+    literal.write_text(text.replace('"degree": 2', '"degree": %s' % long))
+    for argv, head in (
+            (("validate", str(doc)), "error: load: coefficient 111111111111... has"),
+            (("validate", str(literal)),
+             "error: load: integer literal 111111111111... has"),
+            (("mc-solve", corpus("E1"), "--direction", long),
+             "error: --direction: coefficient 111111111111... has"),
+            (("mc-solve", corpus("E1"), "--direction", "1/" + long),
+             "error: --direction: coefficient 1/1111111111... has"),
+            (("kuranishi", corpus("E1"), "--input",
+              '{"degree": 1, "terms": {"t": {"x": "%s"}}}' % long),
+             "error: --input: coefficient 111111111111... has")):
+        code, out, err = run_main(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith(head), err[:120]
+
+
 def test_gauge_equiv_e4_witness(capsys):
     code, rep, _ = run_json(
         capsys, "gauge-equiv", corpus("E4"),

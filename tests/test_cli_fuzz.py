@@ -5,14 +5,18 @@ element file or a direction) is fed documents drawn from a small grammar
 with hostile values mixed in: unknown or duplicate generator names, odd
 degrees, zero denominators, decimals, booleans, wrong types, structures
 that break the axioms (run with and without --allow-invalid), and raw
-bytes.  The exit-code contract must hold on every one of them: the code is
-0, 1 or 2 (3 is an internal error, a bug), and it is 1 exactly when the
-JSON report holds a failed check.
+bytes.  Coefficients, in documents, element files and directions, also
+come in every written form: signs, leading zeros, Unicode digits, "p/q",
+JSON integers, and integers with more digits than int() converts, both as
+strings and as bare JSON literals.  The exit-code contract must hold on
+every one of them: the code is 0, 1 or 2 (3 is an internal error, a bug),
+and it is 1 exactly when the JSON report holds a failed check.
 """
 
 import io
 import json
 import os
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -23,6 +27,11 @@ from dgla.cli import main
 
 NAMES = ("x", "y", "c", "b", "a")
 RATIONALS = (1, -1, 2, 0, "1/2", "-3/2", "2/3", "0", "7")
+LONG = "1" * (sys.get_int_max_str_digits() + 700)
+LONG_LITERAL = "<bare JSON integer of %d digits>" % len(LONG)
+"""Stands for LONG written as a bare JSON number; payload() puts it in."""
+FORMS = ("+3", "-007", "007/010", "-0/5", " 2 ", "٣", "١/٢", "+१२/०१", 10 ** 30,
+         -(10 ** 30), "3/1", True, False, LONG, "-" + LONG, "1/" + LONG, LONG_LITERAL)
 HOSTILE = st.one_of(
     st.none(),
     st.booleans(),
@@ -41,7 +50,10 @@ def mostly(good, odds=40):
 
 
 def coefficients():
-    return mostly(st.sampled_from(RATIONALS))
+    """Mostly plain rationals, one time in eight another written form."""
+    forms = st.integers(1, 8).flatmap(
+        lambda n: st.sampled_from(FORMS) if n == 1 else st.sampled_from(RATIONALS))
+    return mostly(forms)
 
 
 def names(pool=NAMES):
@@ -95,13 +107,17 @@ def elements(draw):
 
 
 def payload(value):
-    return value if isinstance(value, bytes) else json.dumps(value).encode("utf-8")
+    if isinstance(value, bytes):
+        return value
+    return json.dumps(value).replace(json.dumps(LONG_LITERAL), LONG).encode("utf-8")
 
 
 @st.composite
 def invocations(draw):
     """(subcommand argv with FILE/ELEM/ELEM2 placeholders, document, elements)."""
-    direction = draw(st.sampled_from(("1", "0", "1,1", "1/2", "", "x", "1/0", "2,-1/3")))
+    direction = draw(st.sampled_from(("1", "0", "1,1", "1/2", "", "x", "1/0", "2,-1/3",
+                                      "+1", "-7", "+007/010", "٣", "١/٢,1", LONG, "1/" + LONG,
+                                      "1," + LONG)))
     command = draw(st.sampled_from((
         ["validate"], ["homology"], ["sdr"], ["hodge"], ["universal"],
         ["mc-solve", "--direction", direction],
@@ -156,6 +172,13 @@ E1 = {"name": "E1", "field": "Q",
 X = {"degree": 1, "terms": {"t": {"x": 1}}}
 
 
+def with_coefficient(value):
+    """E1 with the coefficient of its one bracket written as value."""
+    doc = json.loads(json.dumps(E1))
+    doc["bracket"][0]["result"][0]["coeff"] = value
+    return doc
+
+
 @settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(invocations())
@@ -165,5 +188,20 @@ X = {"degree": 1, "terms": {"t": {"x": 1}}}
           payload(E1), payload(X), payload(X)))
 @example((["gauge-equiv", "FILE", "--a", "ELEM", "--b", "ELEM2", "--order", "2",
            "--format", "json"], payload(E1), payload(X), payload(X)))
+@example((["validate", "FILE", "--format", "json"],
+          payload(with_coefficient(LONG)), payload(X), payload(X)))
+@example((["validate", "FILE", "--format", "json"],
+          payload(with_coefficient(LONG_LITERAL)), payload(X), payload(X)))
+@example((["universal", "FILE", "--order", "2", "--format", "json"],
+          payload(with_coefficient("+१२/०१")), payload(X), payload(X)))
+@example((["mc-solve", "FILE", "--direction", LONG, "--order", "2", "--format", "json"],
+          payload(E1), payload(X), payload(X)))
+@example((["mc-solve", "FILE", "--direction", "1/" + LONG, "--order", "2",
+           "--format", "json"], payload(E1), payload(X), payload(X)))
+@example((["kuranishi", "FILE", "--input", "ELEM", "--order", "2", "--format", "json"],
+          payload(E1), payload({"degree": 1, "terms": {"t": {"x": LONG}}}), payload(X)))
+@example((["gauge-equiv", "FILE", "--a", "ELEM", "--b", "ELEM2", "--order", "2",
+           "--format", "json"], payload(E1), payload(X),
+          payload({"degree": 1, "terms": {"t": [LONG_LITERAL, 0]}})))
 def test_exit_code_contract_on_hostile_input(case):
     assert_contract(*run_cli(*case))

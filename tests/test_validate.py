@@ -183,3 +183,41 @@ def test_one_sided_fractional_antisymmetry_failure():
         (("x", "y"), "[x, y] = 2/3*z but -(-1)^{|x||y|}[y, x] = 0"),
         (("y", "z"), "[y, z] = -3/7*x but -(-1)^{|x||y|}[z, y] = -3/14*x"),
     ]
+
+
+def antisymmetric_jacobi_breaker(seed):
+    """A seeded DGLA whose bracket is filled in by antisymmetric_closure, so
+    antisymmetry holds, on 5-7 generators of degrees 0-3 (an odd one at
+    least three times); random degree-respecting brackets break Jacobi."""
+    rng = Random(seed)
+    degs = [1, 1, 1] + [rng.choice((0, 1, 2, 2, 3)) for _ in range(rng.randint(2, 4))]
+    rng.shuffle(degs)
+    gens = [("g%d" % i, deg) for i, deg in enumerate(degs)]
+    pairs = {}
+    for _ in range(rng.randint(3, 7)):
+        (x, p), (y, q) = sorted(rng.sample(gens, 2) if rng.random() < 0.8
+                                else [rng.choice(gens)] * 2)
+        targets = [z for z, r in gens if r == p + q]
+        if targets and (x != y or p % 2):
+            pairs[(x, y)] = [(rng.choice(targets), rng.choice(COEFFS))]
+    return DGLA(gens, bracket=antisymmetric_closure(gens, pairs), name="breaker%d" % seed)
+
+
+def test_jacobi_under_antisymmetry_reports_both_orbits_of_a_triple():
+    # with antisymmetry proved, only the orbit with b <= c is summed and a
+    # failure on a < b < c is also reported on its mirror (a, c, b), with
+    # the sign -(-1)^{|a||b|+|b||c|+|c||a|}: +1 iff two or three are odd
+    odd_counts = Counter()
+    for seed in range(120):
+        L = antisymmetric_jacobi_breaker(seed)
+        rep = assert_same_report(L, "seed %d" % seed)
+        assert {i.axiom for i in rep.issues} <= {"jacobi"}, seed
+        degree = dict(L.generators)
+        index = {x: i for i, (x, _) in enumerate(L.generators)}
+        failing = {i.witness: i.detail for i in rep.issues}
+        for (a, b, c), detail in failing.items():
+            if index[a] < index[b] < index[c]:
+                assert (a, c, b) in failing, seed
+                odd_counts[sum(degree[g] % 2 for g in (a, b, c))] += 1
+    # odd-odd-odd and mixed triples, so the mirror takes both signs
+    assert odd_counts[3] and odd_counts[2] and odd_counts[1] + odd_counts[0], odd_counts
