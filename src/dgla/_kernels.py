@@ -20,8 +20,7 @@ its exponents as the digits of one integer (Packing, one per ring), and the
 same coefficients again by generator, in columns cut by total degree.  A
 row of the pair loop (_convolve) puts one monomial's vector into the table
 (its contracted row) and then walks, for each generator j it reaches,
-column j of the partner straight: a j that reaches one output costs one
-multiply-add per pair, added as an integer under the packed product key
+column j of the partner straight, adding under the packed product key
 k1 + k2.  The view of the left element of a bracket keeps the contracted
 row of each laid-out monomial per integer table (KernelView.rows), so an
 element bracketed again through the same table, such as each part of a
@@ -30,6 +29,26 @@ contracted once.  Every row of a call shares that one accumulator, so
 bracket_sums adds several brackets, each scaled to a common denominator
 by an integer, in one pass: a Maurer-Cartan step, or one order of the
 recursion, is one kernel call.
+
+The accumulator packs the output coordinates too (Kronecker substitution
+once more): an output vector of out_dim integers is one integer with
+out_dim signed slots of W bits, coordinate k at bit W * k.  A contracted
+row's entries for generator j are packed once per row and width into
+q_j = sum_k c_k 2^(W k), so a pair costs one multiply-add, q_j times the
+partner's coefficient, however many coordinates j reaches.  W is proved on
+every call from the operands (_slot_width): a slot of one product
+monomial takes at most one partner monomial per row, so at most
+dim partner products per row, each at most the row's largest |entry|
+times |scale| times the partner's largest |coefficient|; the sum of that
+over the rows and sources, plus a sign bit, rounded up to a multiple of 64,
+is W.  No slot then reaches 2^(W-1) in absolute value, and since the
+integer is exact whatever the slots hold, so is every slot: adding
+2^(W-1) to each leaves it in [0, 2^W) with no borrow or carry between
+slots, flipping each top bit back gives the slot's W-bit two's
+complement, and the bytes of that integer (int.to_bytes) read as out_dim
+signed W-bit integers are the coordinates, decoded once per product
+monomial.  There is no guessed width and no retry.  One output slot needs
+neither bound nor decode: the integer is the coefficient.
 
 self_convolve is the self-bracket [y, y].  The pairs (m1, m2) and (m2, m1)
 land on the same product monomial with [y_m1, y_m2] + [y_m2, y_m1], which
@@ -67,6 +86,8 @@ from collections import defaultdict
 from collections.abc import Mapping
 from itertools import chain, compress
 from math import lcm
+from operator import itemgetter
+from struct import Struct
 
 
 def integer_vector(v):
@@ -158,6 +179,80 @@ def _contracted(u, table):
     return 1, out
 
 
+def _peak(rows):
+    """The largest |f * c| over contracted rows (f, row), or 0; None rows
+    are skipped."""
+    peak = 0
+    for urow in rows:
+        if urow is not None:
+            f, row = urow
+            coeffs = map(itemgetter(1), chain.from_iterable(row.values()))
+            peak = max(peak, abs(f) * max(map(abs, coeffs), default=0))
+    return peak
+
+
+def _packed(row, shifts):
+    """The contracted row {j: ((k, c), ...)} as {j: q_j} with
+    q_j = sum c * 2^shifts[k], every j whose q_j is 0 dropped."""
+    out = {}
+    for j, ents in row.items():
+        if len(ents) == 1:
+            (k, c), = ents
+            out[j] = c << shifts[k]
+        else:
+            q = sum([c << shifts[k] for k, c in ents])
+            if q:
+                out[j] = q
+    return out
+
+
+def _packed_rows(rows, shifts):
+    """Each contracted row (f, row) as (f, _packed(row)), None kept as
+    None; a row dict that several monomials share (a one-term monomial
+    reads its table row) is packed once."""
+    memo = {}
+    out = []
+    for urow in rows:
+        if urow is not None:
+            f, row = urow
+            prow = memo.get(id(row))
+            if prow is None:
+                prow = memo[id(row)] = _packed(row, shifts)
+            urow = f, prow
+        out.append(urow)
+    return out
+
+
+class _Kept:
+    """The laid-out monomials of one view put into one integer table
+    (_contracted), each contracted once and kept, with the largest |f * c|
+    over them (_peak) and their packed form at the last shifts asked for
+    (_packed_rows), each row scanned and packed once.  It holds the table,
+    so the table's identity, by which the view keys it, is never reused."""
+
+    __slots__ = ("table", "rows", "_scanned", "_peak", "_shifts", "_packed")
+
+    def __init__(self, table):
+        self.table = table
+        self.rows = []
+        self._scanned = self._peak = 0
+        self._shifts = None
+        self._packed = []
+
+    def peak(self):
+        if self._scanned < len(self.rows):
+            self._peak = max(self._peak, _peak(self.rows[self._scanned:]))
+            self._scanned = len(self.rows)
+        return self._peak
+
+    def packed(self, shifts):
+        if shifts != self._shifts:
+            self._shifts, self._packed = shifts, []
+        if len(self._packed) < len(self.rows):
+            self._packed += _packed_rows(self.rows[len(self._packed):], shifts)
+        return self._packed
+
+
 def symmetric_table(table):
     """The integer table T + T^t of an integer table T: [e_i, e_j] + [e_j, e_i]
     for every pair, at the same scale as T, all-zero entries dropped."""
@@ -198,7 +293,7 @@ class KernelView(Mapping):
     """
 
     __slots__ = ("terms", "packing", "low", "entries", "degs", "cols",
-                 "_buckets", "_rows")
+                 "_buckets", "_rows", "_peak")
 
     def __init__(self, terms, packing):
         self.terms = terms
@@ -214,6 +309,7 @@ class KernelView(Mapping):
         self.degs = []
         self.cols = {}
         self._rows = {}
+        self._peak = None
 
     def upto(self, deg):
         buckets = self._buckets
@@ -237,17 +333,24 @@ class KernelView(Mapping):
         return entries, degs
 
     def rows(self, table, n):
-        """The first n laid-out monomials put into the integer table
-        (_contracted), each contracted once per table and kept.  They are
-        keyed by the table's identity, and the table is held with them, so
-        that identity is never reused for another table."""
-        held = self._rows.get(id(table))
-        if held is None:
-            held = self._rows[id(table)] = (table, [])
-        rows = held[1]
+        """The _Kept rows of table, holding at least the first n laid-out
+        monomials put into it, each contracted once per table.  They are
+        keyed by the table's identity."""
+        kept = self._rows.get(id(table))
+        if kept is None:
+            kept = self._rows[id(table)] = _Kept(table)
+        rows = kept.rows
         if len(rows) < n:
             rows += [_contracted(u, table) for _, _, u in self.entries[len(rows):n]]
-        return rows
+        return kept
+
+    def peak(self):
+        """The largest absolute value of a coefficient of the map, taken
+        once."""
+        if self._peak is None:
+            vecs = self.terms.values()
+            self._peak = max(max(map(max, vecs)), -min(map(min, vecs))) if vecs else 0
+        return self._peak
 
     def __getitem__(self, mono):
         return self.terms[mono]
@@ -268,90 +371,121 @@ def _laid_out(terms, trunc):
 
 
 def _cross_rows(u, v, table, trunc, s):
-    """The rows of s * [u, v] for _convolve: each monomial of the view u
-    against every monomial of v within trunc of it."""
+    """The source of s * [u, v] for _convolve: each monomial of the view u
+    against every monomial of v within trunc of it, its contracted row kept
+    in u (KernelView.rows)."""
     if not u.terms or not v.terms:
-        return
+        return None
     v.upto(trunc - u.low)
     udegs = u.upto(trunc - v.low)[1]
     n = bisect_right(udegs, trunc - v.low)
-    for (d, k1, _), row in zip(u.entries[:n], u.rows(table, n)):
-        yield k1, row, s, v.cols, None, trunc - d, None
+    kept = u.rows(table, n)
+    rows = [(k1, trunc - d, None) for d, k1, _ in u.entries[:n]]
+    return rows, s, v, kept.peak, kept.packed
 
 
 def _self_rows(y, sym, trunc, s):
-    """The rows of 2s * [y, y] for _convolve: each monomial through sym
+    """The source of 2s * [y, y] for _convolve: each monomial through sym
     once, against itself at scale s (sym(u, u) = 2 T(u, u)) and against the
-    later ones within trunc of it at 2s, so each unordered pair once.  The
-    start of each column is the count of the monomials already walked, kept
-    in one dict that each row shares and the next updates."""
+    later ones within trunc of it at 2s, so each unordered pair once."""
     if not y.terms:
-        return
+        return None
     ys, degs = y.upto(trunc - y.low)
     n = bisect_right(degs, trunc // 2)
-    walked = dict.fromkeys(y.cols, 0)
-    for d, k1, u in ys[:n]:
-        for j, _ in u:
-            walked[j] += 1
-        yield k1, _contracted(u, sym), 2 * s, y.cols, walked, trunc - d, (u, s)
+    contracted = [_contracted(u, sym) for _, _, u in ys[:n]]
+    rows = [(k1, trunc - d, u) for d, k1, u in ys[:n]]
+    return (rows, s, y, lambda: _peak(contracted),
+            lambda shifts: _packed_rows(contracted, shifts))
 
 
-def _convolve(rows, out_dim, packing, half=False):
+def _slot_width(sources):
+    """W, a multiple of 64 with every accumulated slot below 2^(W-1) in
+    absolute value: a slot of one output monomial gets at most one partner
+    monomial per row, so at most len(cols) products per row, each at most
+    the row's peak times |scale| times the partner's peak (2|s| for a self
+    row)."""
+    bound = 0
+    for rows, s, v, peak, _ in sources:
+        scale = 2 * abs(s) if rows[0][2] is not None else abs(s)
+        bound += len(rows) * len(v.cols) * peak() * scale * v.peak()
+    return -(-(bound.bit_length() + 1) // 64) * 64
+
+
+def _convolve(sources, out_dim, half=False):
     """The one pair loop of every kernel.
 
-    rows yields (k1, urow, s, cols, lo, lim, own): the packed key k1 of a
-    monomial, its vector put into a table (_contracted: (f, row), or None),
-    an integer scale s, and the columns of the view it pairs with
-    (KernelView.cols), from column index lo[j] (0 if lo is None) through
-    the monomials of total degree at most lim.  For every generator j the
-    row reaches, those coefficients of column j are added under the packed
-    product keys k1 + k2, a j that reaches one output as one multiply-add
-    per pair.  own is None, or (v, so) for the monomial paired with itself:
-    urow against its own sparse vector v at scale so, under the key 2 * k1.
-    Every row shares one accumulator.  Returns sum s * [u_m1, v_m2] * m1*m2
-    over every pair as a terms map, monomials unpacked through
-    packing.monos, each integer halved on the way out if half is set.
+    A source is (rows, s, v, peak, pack): an integer scale s, the view v
+    paired with, and rows (k1, lim, own), the packed key k1 of a monomial
+    and the highest total degree lim of a partner; pack(shifts) gives each
+    row's vector put into a table and packed (_packed), peak() its largest
+    coefficient.  own is None for a cross row, which walks every column of v
+    from its start, or the monomial's own sparse vector for a self row (v
+    the same view), which pairs with itself at scale s under the key 2 * k1
+    and walks each column j from the count of the earlier rows with a
+    nonzero j-th entry, at 2s.  For every generator j the row reaches, the
+    coefficients of column j are added under the packed product keys
+    k1 + k2.
+
+    Each output vector is one integer of out_dim slots of W bits
+    (_slot_width), slot k at bit W * k: a row's entries for j are packed
+    once, into sum c_k 2^(W k), so a pair costs one multiply-add whatever the
+    number of outputs j reaches.  A slot is signed, and as none reaches
+    2^(W-1) in absolute value, adding 2^(W-1) to every slot leaves each in
+    [0, 2^W) with no carry between slots; flipping each top bit back then
+    leaves each slot's W-bit two's complement, and the bytes of that integer
+    are read as out_dim signed integers, once per output monomial.  One slot
+    needs no width: the integer is the coefficient.  Returns sum s * [u_m1,
+    v_m2] * m1*m2 over every pair as a terms map, monomials unpacked
+    through the packing of a partner view (Packing.monos; every view of one
+    call packs alike), each integer halved if half is set.
     """
-    out = defaultdict(([0] * out_dim).copy)  # packed product key -> ints
-    for k1, urow, s, cols, lo, lim, own in rows:
-        if urow is None:
-            continue
-        f, urow = urow
-        if own is not None:
-            v, so = own
-            acc = out[k1 + k1]
-            for j, vj in v:
-                ents = urow.get(j)
-                if ents:
-                    fv = f * so * vj
-                    for k, c in ents:
-                        acc[k] += fv * c
-        f *= s
-        for j, ents in urow.items():
-            col = cols.get(j)
-            if col is None:
+    sources = [src for src in sources if src is not None and src[0]]
+    if not sources:
+        return {}
+    W = _slot_width(sources) if out_dim > 1 else 0
+    shifts = [W * k for k in range(out_dim)]
+    out = defaultdict(int)  # packed product key -> packed output vector
+    for rows, s, v, _, pack in sources:
+        cols = v.cols
+        lo = dict.fromkeys(cols, 0) if rows[0][2] is not None else None
+        for (k1, lim, own), prow in zip(rows, pack(shifts)):
+            if own is not None:
+                for j, _ in own:
+                    lo[j] += 1
+            if prow is None:
                 continue
-            kv, ends = col
-            a = lo[j] if lo else 0
-            b = ends[lim] if lim < len(ends) else len(kv)
-            if a >= b:
-                continue
-            if len(ents) == 1:
-                (k, c), = ents
-                fc = f * c
-                for k2, vj in kv[a:b]:
-                    out[k1 + k2][k] += fc * vj
-            else:
-                for k2, vj in kv[a:b]:
-                    acc = out[k1 + k2]
-                    fv = f * vj
-                    for k, c in ents:
-                        acc[k] += fv * c
-    monos = packing.monos(out.keys())
-    if half:
-        return {monos[key]: tuple([c // 2 for c in acc])
-                for key, acc in out.items() if any(acc)}
-    return {monos[key]: tuple(acc) for key, acc in out.items() if any(acc)}
+            f, prow = prow
+            fs = f * s
+            if own is not None:
+                out[k1 + k1] += fs * sum([vj * prow[j] for j, vj in own if j in prow])
+                fs *= 2
+            for j, q in prow.items():
+                col = cols.get(j)
+                if col is None:
+                    continue
+                kv, ends = col
+                a = lo[j] if lo else 0
+                b = ends[lim] if lim < len(ends) else len(kv)
+                if a < b:
+                    fq = fs * q
+                    for k2, vj in kv[a:b]:
+                        out[k1 + k2] += fq * vj
+    monos = sources[0][2].packing.monos(out.keys())
+    h = 1 if half else 0
+    if out_dim == 1:
+        return {monos[key]: (acc >> h,) for key, acc in out.items() if acc}
+    offset = sum([1 << (sh + W - 1) for sh in shifts])
+    size = W // 8
+    nbytes = size * out_dim
+    unpack = Struct("<%dq" % out_dim).unpack if W == 64 else None
+    res = {}
+    for key, acc in out.items():
+        if acc:
+            raw = (((acc >> h) + offset) ^ offset).to_bytes(nbytes, "little")
+            res[monos[key]] = unpack(raw) if unpack else tuple([
+                int.from_bytes(raw[i:i + size], "little", signed=True)
+                for i in range(0, nbytes, size)])
+    return res
 
 
 def bracket_convolve(uterms, vterms, table, trunc, out_dim):
@@ -366,7 +500,7 @@ def bracket_convolve(uterms, vterms, table, trunc, out_dim):
     """
     u = _laid_out(uterms, trunc)
     v = _laid_out(vterms, trunc)
-    return _convolve(_cross_rows(u, v, table, trunc, 1), out_dim, u.packing)
+    return _convolve([_cross_rows(u, v, table, trunc, 1)], out_dim)
 
 
 def self_convolve(terms, sym, trunc, out_dim):
@@ -398,14 +532,10 @@ def bracket_sums(pairs, squares, sym, trunc, out_dim):
     other pair at 2s.  So the sum is accumulated twice over, every integer
     of it even, and halved as it leaves the pair loop.
     """
-    pairs = [(_laid_out(u, trunc), _laid_out(v, trunc), s) for u, v, s in pairs]
-    squares = [(_laid_out(y, trunc), s) for y, s in squares]
-    if not pairs and not squares:
-        return {}
-    rows = [_cross_rows(u, v, sym, trunc, 2 * s) for u, v, s in pairs]
-    rows += [_self_rows(y, sym, trunc, s) for y, s in squares]
-    packing = (pairs[0][0] if pairs else squares[0][0]).packing
-    return _convolve(chain.from_iterable(rows), out_dim, packing, half=True)
+    sources = [_cross_rows(_laid_out(u, trunc), _laid_out(v, trunc), sym, trunc, 2 * s)
+               for u, v, s in pairs]
+    sources += [_self_rows(_laid_out(y, trunc), sym, trunc, s) for y, s in squares]
+    return _convolve(sources, out_dim, half=True)
 
 
 def matvec_terms(terms, rows, out_dim):

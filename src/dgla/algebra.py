@@ -49,6 +49,7 @@ from ._kernels import (
 from .formal import FormalElement
 from .graded import GradedLinearMap
 from .linalg import Matrix, ZERO
+from .report import rational_str
 
 HALF = Fraction(1, 2)
 
@@ -497,7 +498,7 @@ class DGLA:
             elif c == -1:
                 parts.append("-%s" % nm)
             else:
-                parts.append("%s*%s" % (c, nm))
+                parts.append("%s*%s" % (rational_str(c), nm))
         return " + ".join(parts).replace("+ -", "- ")
 
 

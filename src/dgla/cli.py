@@ -452,9 +452,27 @@ def _build_parser():
     return parser
 
 
+def _attached_directions(argv):
+    """argv with "--direction VALUE" written "--direction=VALUE" where VALUE
+    starts with a single "-": argparse takes such a token for an option
+    unless it reads as a negative decimal, so a direction whose first
+    coefficient is a negative fraction (-1/2) would be refused."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--direction" and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(
+            _attached_directions(sys.argv[1:] if argv is None else argv))
+    except SystemExit as e:  # argparse has printed usage and the error, or help
+        return e.code
     try:
         report = args.handler(args)
         color = (

@@ -11,8 +11,10 @@ y_n and y_{n+1} agree through order n, so each step brackets only the
 change delta, and the final S gives the residual d tau + 1/2 S without a
 second bracket of tau.  Convention (fixed once, used everywhere): the Maurer-
 Cartan equation is d tau + 1/2 [tau, tau] = 0, the corrective term carries
--1/2 h, and the Kuranishi map is F(y) = y + 1/2 h[y, y], so that F and the
-fixed point tau_x of C_x are exact mutual inverses order by order.
+-1/2 h (SDRData.correction, one map with the factor in its integer rows,
+so a step makes one pass over its image), and the Kuranishi map is
+F(y) = y + 1/2 h[y, y], so that F and the fixed point tau_x of C_x are
+exact mutual inverses order by order.
 
 Gauge elements are degree-0 FormalElements (no constant term, which the
 element type already enforces); exp(a) acts on a degree-1 element A by
@@ -25,7 +27,7 @@ gauge_equivalent: the order-b part reads only the homogeneous parts of a,
 A and of the terms ad_a^n (...) already fixed below order b, and a_b enters
 it only through -d a_b.  So gauge_equivalent solves each a_b from the
 order-b part of that same pass against the target, and the witness search
-costs one evaluation of the series.
+and its verification cost one evaluation of the series.
 """
 
 from fractions import Fraction
@@ -66,7 +68,7 @@ class MCSolution:
 
 def contraction_step(L, R, x, y):
     """One application of C_x: x - 1/2 h[y, y]."""
-    return x - R.contract(L.apply_bracket(y, y)).scale(HALF)
+    return x + R.correction(L.apply_bracket(y, y))
 
 
 def _fixed_point(L, R, x):
@@ -88,7 +90,7 @@ def _fixed_point(L, R, x):
     steps = [step]  # S_n is their sum, taken once at the end
     n = 1
     while True:
-        delta = R.contract(step).scale(-HALF)
+        delta = R.correction(step)
         if delta.is_zero():
             return y, n, FormalElement.summed(x.ring, 2, L.dim(2), steps)
         step = L._bracket_sums(x.ring, 1, [(y, delta)], [delta])
@@ -156,7 +158,7 @@ def _recursion(L, R, x):
         squares = [parts[b // 2]] if b % 2 == 0 and b // 2 in parts else []
         acc = L._bracket_sums(ring, 1, pairs, squares)
         sums.append(acc)
-        tau_b = x.homogeneous_part(b) - R.contract(acc).scale(HALF)
+        tau_b = x.homogeneous_part(b) + R.correction(acc)
         if not tau_b.is_zero():
             parts[b] = tau_b
     tau = FormalElement.summed(ring, 1, L.dim(1), parts.values())
@@ -204,7 +206,7 @@ def mc_residual(L, tau):
 def kuranishi_map(L, R, y):
     """F(y) = y + 1/2 h[y, y]."""
     _check_degree_one(y)
-    return y + R.contract(L.apply_bracket(y, y)).scale(HALF)
+    return y - R.correction(L.apply_bracket(y, y))
 
 
 def kuranishi_inverse(L, R, x):
@@ -330,9 +332,12 @@ def gauge_equivalent(L, R, A, Aprime):
     then completes c_1 at order b.  complement_basis makes C^0 the span of
     the standard vectors at the pivot columns of d: g^0 -> g^1, so h(X_b)
     is the one preimage in C^0, the solution of d a = X_b with every free
-    component zero.  The witness is verified by acting with it once more.
-    Returning None means no witness exists under that zero-free-component
-    rule (sound, not complete, when d has a kernel in degree 0).
+    component zero.  The witness is verified on the same pass: its pieces
+    sum to exp(a) . A, which must equal Aprime.  Each a_b is homogeneous of
+    order b, so acting with the summed a once more would rebuild the very
+    same pieces.  Returning None means no witness exists under that
+    zero-free-component rule (sound, not complete, when d has a kernel in
+    degree 0).
     """
     _check_degree_one(A)
     _check_degree_one(Aprime)
@@ -353,12 +358,10 @@ def gauge_equivalent(L, R, A, Aprime):
         parts.append(a_b)
         return a_b
 
-    if _gauge_series(L, A, solve) is None:
+    pieces = _gauge_series(L, A, solve)
+    if pieces is None or FormalElement.summed(ring, 1, A.dim, pieces) != Aprime:
         return None
-    a = FormalElement.summed(ring, 0, L.dim(0), parts)
-    if gauge_act(L, a, A) != Aprime:
-        return None
-    return a
+    return FormalElement.summed(ring, 0, L.dim(0), parts)
 
 
 def gauge_fix(R, A):

@@ -33,6 +33,7 @@ from fractions import Fraction
 
 from .algebra import DGLA, antisymmetric_closure, validate_dgla
 from .formal import FormalElement
+from .report import rational_str
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -213,7 +214,7 @@ def dgla_to_document(L):
         if combo:
             doc["d"].append({
                 "from": gname,
-                "to": [{"gen": t, "coeff": str(c)} for t, c in combo],
+                "to": [{"gen": t, "coeff": rational_str(c)} for t, c in combo],
             })
     for left, right in L.bracket_pairs():
         if index[left] > index[right]:
@@ -222,7 +223,7 @@ def dgla_to_document(L):
         doc["bracket"].append({
             "left": left,
             "right": right,
-            "result": [{"gen": t, "coeff": str(c)} for t, c in combo],
+            "result": [{"gen": t, "coeff": rational_str(c)} for t, c in combo],
         })
     return doc
 

@@ -11,9 +11,26 @@ from fractions import Fraction
 from math import gcd
 
 
+def int_str(n):
+    """The decimal digits of the int n, however many: str() refuses an int
+    of more digits than sys.get_int_max_str_digits() (4300 by default), so a
+    longer one is split at a power of ten into halves that are rendered the
+    same way.  The interpreter's limit is left as it is."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + int_str(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    high, low = divmod(n, 10 ** k)
+    return int_str(high) + int_str(low).rjust(k, "0")
+
+
 def rational_str(c):
     """Exact decimal-free rendering, e.g. 1/2 -> "1/2", 3 -> "3"."""
-    return str(Fraction(c))
+    c = Fraction(c)
+    return _ratio_str(c.numerator, c.denominator)
 
 
 def basis_data(basis):
@@ -28,8 +45,8 @@ def _ratio_str(p, q):
         return "0"
     g = gcd(p, q)
     if g == q:
-        return str(p // q)
-    return "%d/%d" % (p // g, q // g)
+        return int_str(p // q)
+    return "%s/%s" % (int_str(p // g), int_str(q // g))
 
 
 def element_data(elem):

@@ -16,14 +16,15 @@ the inclusion nabla of H into g it satisfies, as exact matrix identities,
     d v = h v = 0                  for v in H
 
 SDRData holds these maps and builds the derived ones once, on first use:
-pi_H = nabla pi, the Hodge star and the Laplacian (see hodge.py).
+pi_H = nabla pi, the Hodge star, the Laplacian (see hodge.py) and -1/2 h,
+the corrective map of the Maurer-Cartan solvers (see deform.py).
 verify_sdr checks all the identities and reports violations instead of
 raising; sdr_checks turns its report into one named pass/fail check each.
 """
 
 from functools import cached_property
 
-from .algebra import ValidationIssue, ValidationReport
+from .algebra import HALF, ValidationIssue, ValidationReport
 from .graded import GradedLinearMap
 from .linalg import column_matrix, complement_basis, image_basis, invert, kernel_basis
 
@@ -137,9 +138,19 @@ class SDRData:
         dh = self.differential + self.h
         return dh @ dh
 
+    @cached_property
+    def corrective(self):
+        """-1/2 h, the map of the corrective term x - 1/2 h[y, y], the
+        factor carried in its integer rows."""
+        return self.h.scale(-HALF)
+
     def contract(self, v):
         """h applied to a FormalElement (degree drops by 1)."""
         return self.h.apply_element(v, -1)
+
+    def correction(self, v):
+        """-1/2 h applied to a FormalElement, in one integer pass."""
+        return self.corrective.apply_element(v, -1)
 
     def harmonic_projection(self, v):
         """nabla pi applied to a FormalElement (lands in span H, same degree)."""

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -488,6 +489,58 @@ def test_direction_rational_only(capsys):
         capsys, "mc-solve", corpus("E1"), "--direction", "0.5")
     assert code == 2
     assert "exact rationals only" in err
+
+
+@pytest.mark.parametrize("cmd,name", [("mc-solve", "E1"), ("obstruction", "E3")])
+def test_direction_may_start_with_a_negative_fraction(capsys, cmd, name):
+    # argparse would take "-1/2" for an option and refuse it
+    code, rep, err = run_json(capsys, cmd, corpus(name), "--direction", "-1/2",
+                              "--order", "2")
+    assert code == 0, err
+    assert stage(rep, cmd)["data"]["direction"] == ["-1/2"]
+    assert run_json(capsys, cmd, corpus(name), "--direction=-1/2",
+                    "--order", "2")[1] == rep
+
+
+@pytest.mark.parametrize("argv", [
+    ("mc-solve", corpus("E1")),
+    ("mc-solve", corpus("E1"), "--direction"),
+    ("validate",),
+    ("frobnicate",),
+    (),
+])
+def test_usage_errors_return_two(capsys, argv):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2
+    assert "usage: dgla" in err and not out
+
+
+def test_help_returns_zero(capsys):
+    code, out, _ = run_main(capsys, "--help")
+    assert code == 0 and "usage: dgla" in out
+
+
+def test_validate_renders_values_past_the_int_digit_limit(capsys, tmp_path):
+    # sl2 scaled by B = 11...1 (2500 digits): the Jacobi sum on (e, f, h) is
+    # (9B^2 + 2B) h, 5000 digits, more than str() renders under the
+    # interpreter's default limit of 4300; Decimal renders it here
+    B = (10**2500 - 1) // 9
+    digits = str(Decimal(B))
+    doc = {"name": "sl2_big", "field": "Q",
+           "generators": [{"name": g, "degree": 0} for g in ("e", "f", "h")],
+           "bracket": [
+               {"left": "e", "right": "f", "result": [{"gen": "h", "coeff": digits}]},
+               {"left": "h", "right": "e", "result": [{"gen": "e", "coeff": digits}]},
+               {"left": "h", "right": "f",
+                "result": [{"gen": "f", "coeff": "-" + str(Decimal(10 * B + 2))}]}]}
+    path = tmp_path / "sl2_big.json"
+    path.write_text(json.dumps(doc))
+    code, rep, err = run_json(capsys, "validate", str(path))
+    assert code == 1, err
+    issue = stage(rep, "validate")["data"]["issues"][0]
+    assert issue["witness"] == ["e", "f", "h"]
+    assert issue["detail"] == \
+        "graded Jacobi sum = %s*h, expected 0" % Decimal(9 * B * B + 2 * B)
 
 
 def test_order_bounds(capsys):

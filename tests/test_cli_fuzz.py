@@ -116,7 +116,7 @@ def payload(value):
 def invocations(draw):
     """(subcommand argv with FILE/ELEM/ELEM2 placeholders, document, elements)."""
     direction = draw(st.sampled_from(("1", "0", "1,1", "1/2", "", "x", "1/0", "2,-1/3",
-                                      "+1", "-7", "+007/010", "٣", "١/٢,1", LONG, "1/" + LONG,
+                                      "+1", "-7", "-1/2", "-1/2,3", "+007/010", "٣", "١/٢,1", LONG, "1/" + LONG,
                                       "1," + LONG)))
     command = draw(st.sampled_from((
         ["validate"], ["homology"], ["sdr"], ["hodge"], ["universal"],

@@ -201,6 +201,22 @@ def test_kuranishi_equals_two_x_minus_step():
             assert lhs == rhs, name
 
 
+def test_correction_is_minus_half_h(corpus_case):
+    # the solvers' -1/2 h is one map with the factor in its integer rows;
+    # applied once it equals h followed by the scaling, in every degree
+    L, R = corpus_case
+    rng = Random(11)
+    ring = CoefficientRing(("s", "t"), 3)
+    assert R.corrective is R.corrective
+    for deg in L.degrees:
+        for _ in range(4):
+            terms = {m: tuple(F(rng.randint(-7, 7)) / rng.choice((1, 2, 3, 5))
+                              for _ in range(L.dim(deg)))
+                     for m in ring.all_monomials() if rng.random() < 0.5}
+            v = FormalElement(ring, deg, L.dim(deg), terms)
+            assert R.correction(v) == R.contract(v).scale(F("-1/2"))
+
+
 def test_universal_solution_pinned():
     L, R = contraction_for("E1")
     u = universal_solution(L, R, 3)

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+import dgla.deform
 from dgla import (
     BUILTIN_NAMES,
     DGLA,
@@ -293,6 +294,36 @@ def test_gauge_equivalent_returns_seeded_witness_twisted_e2():
         moved = gauge_act(L, a, zero)
         assert mc_residual(L, moved).is_zero()
         assert gauge_equivalent(L, R, zero, moved) == a
+
+
+def test_gauge_equivalent_sums_the_series_once(monkeypatch):
+    # the witness is checked against the pieces of its own series pass, not
+    # by acting with it again: one _gauge_series per call, found or not
+    calls = []
+    series = dgla.deform._gauge_series
+
+    def counted(*args):
+        calls.append(args)
+        return series(*args)
+
+    monkeypatch.setattr(dgla.deform, "_gauge_series", counted)
+    L, R = twisted_e2()
+    ring = CoefficientRing(("t1", "t2"), 4)
+    zero = FormalElement.zero(ring, 1, L.dim(1))
+    a = free_zero_gauge_element(L, ring, Random(7))
+    moved = gauge_act(L, a, zero)
+    del calls[:]
+    w = gauge_equivalent(L, R, zero, moved)
+    assert len(calls) == 1
+    assert w == a
+    assert gauge_act(L, w, zero) == moved
+
+    L, R = contraction_for("E0")
+    ring = CoefficientRing.single(3)
+    del calls[:]
+    assert gauge_equivalent(L, R, L.generator_element(ring, "x1"),
+                            L.generator_element(ring, "x2")) is None
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", list(BUILTIN_NAMES) + ["twisted_E2"])

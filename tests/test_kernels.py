@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import lcm
 from random import Random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -420,3 +421,105 @@ def test_matvec_terms_property(case):
     terms, rows, out_dim = case
     assert matvec_fractions(terms, rows, out_dim) == \
         naive_matvec(terms, rows, out_dim)
+
+
+# Packed slots: _convolve holds each output vector as one integer of signed
+# W-bit slots, W proved from the operands on every call.  Coefficients and
+# table entries up to 10^60 of either sign, one output slot and several,
+# through bracket_convolve, self_convolve and the halved bracket_sums, with
+# plain integer inputs against the Fraction references.
+def big_coefficients():
+    return st.one_of(st.integers(-10**60, 10**60), st.integers(-3, 3))
+
+
+@st.composite
+def big_cases(draw):
+    nvars = draw(st.integers(1, 2))
+    trunc = draw(st.integers(0, 3))
+    dim, out_dim = draw(st.integers(1, 3)), draw(st.sampled_from((1, 2, 5)))
+
+    def terms():
+        return {draw(monomials(nvars, trunc)):
+                tuple(draw(st.lists(big_coefficients(), min_size=dim, max_size=dim)))
+                for _ in range(draw(st.integers(0, 4)))}
+
+    u, v = terms(), terms()
+    table = {(i, j): tuple((draw(st.integers(0, out_dim - 1)), draw(big_coefficients()))
+                           for _ in range(draw(st.integers(1, 3))))
+             for i in range(dim) for j in range(dim) if draw(st.booleans())}
+    return u, v, table, trunc, out_dim
+
+
+BIG = 10**60
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_cases(), st.integers(-3, 3))
+@example(({(1,): (BIG, -BIG)}, {(1,): (-BIG, BIG - 1)},
+          {(0, 1): ((0, BIG),), (1, 0): ((0, -BIG),), (1, 1): ((0, BIG),)}, 2, 1), 2)
+@example(({(1, 0): (BIG, 1), (0, 1): (-BIG, -BIG)}, {(1, 1): (BIG, -7)},
+          {(0, 0): ((0, -BIG), (4, BIG)), (1, 0): ((2, BIG), (2, BIG))}, 2, 5), -3)
+def test_packed_slots_exact_on_big_coefficients(case, s):
+    u, v, table, trunc, out_dim = case
+    _, it = integer_table(table)
+    sym = symmetric_table(it)
+
+    def naive(x, y):
+        return naive_convolve(x, y, table, trunc, out_dim)
+
+    assert bracket_convolve(u, v, it, trunc, out_dim) == naive(u, v)
+    assert self_convolve(u, sym, trunc, out_dim) == naive(u, u)
+    w = bracket_sums([(u, v, s)], [(v, 1), (u, s)], sym, trunc, out_dim)
+    assert_integer_terms(w)
+    assert w == fraction_add(
+        fraction_add(fraction_scale(s, fraction_add(naive(u, v), naive(v, u))),
+                     naive(v, v)),
+        fraction_scale(s, naive(u, u)))
+
+
+# (rows n, dim_u, dim_v, P, C, Q): u has n monomials of one variable, each
+# with every entry P, v has every entry Q and every table entry [e_i, e_j]
+# puts C on every output.  The last product monomial then gets, in every
+# slot, n * dim_v * (dim_u P C) * Q, exactly the bound _slot_width proves
+# (rows, partner dimension, row peak, partner peak), of one sign.  The
+# bounds sit at and just past a multiple of 64 bits, where the width must
+# grow by a word for the sign bit.
+AT_THE_BOUND = [
+    (1, 1, 1, 1, 1, 2**63 - 1),  # 2^63 - 1, the largest slot of W = 64
+    (2, 2, 2, 2**30, 2**30, 1),  # 2^63, which needs W = 128
+    (3, 17, 5, 257 * 641, 65537, 6700417),  # 2^64 - 1
+    (2, 2, 2, 2**62, 2**62, 1),  # 2^127, which needs W = 192
+]
+
+
+@pytest.mark.parametrize("out_dim", (2, 3))
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("case", AT_THE_BOUND)
+def test_packed_slot_at_the_proved_bound(case, sign, out_dim):
+    n, dim_u, dim_v, P, C, Q = case
+    trunc = n - 1
+    u = {(r,): (sign * P,) * dim_u for r in range(n)}
+    v = {(r,): (Q,) * dim_v for r in range(n)}
+    table = {(i, j): tuple((k, C) for k in range(out_dim))
+             for i in range(dim_u) for j in range(dim_v)}
+    _, it = integer_table(table)
+    w = bracket_convolve(u, v, it, trunc, out_dim)
+    assert w[(trunc,)] == (sign * n * dim_v * dim_u * P * C * Q,) * out_dim
+    assert w == naive_convolve(u, v, table, trunc, out_dim)
+
+
+# The self walk: y at t^0..t^3 with trunc 3 walks rows t^0 and t^1, which
+# meet t^3 and t^2 at 2s.  With every entry of y P and every entry of T C,
+# sym = T + T^t has 2C everywhere, each row's peak is 2 dim P C, and before
+# the halving every slot of t^3 is rows * dim * (2 dim P C) * 2 * P, the
+# bound: 2^63 for dim 2 and P = 2^29, one past W = 64.
+@pytest.mark.parametrize("sign", (1, -1))
+def test_packed_self_slot_at_the_proved_bound(sign):
+    dim, out_dim, P, C = 2, 3, 2**29, sign
+    y = {(r,): (P,) * dim for r in range(4)}
+    table = {(i, j): tuple((k, C) for k in range(out_dim))
+             for i in range(dim) for j in range(dim)}
+    _, it = integer_table(table)
+    w = self_convolve(y, symmetric_table(it), 3, out_dim)
+    assert w[(3,)] == (sign * 2**62,) * out_dim
+    assert w == naive_convolve(y, y, table, 3, out_dim)
