@@ -426,18 +426,12 @@ def _convolve(sources, out_dim, half=False):
     coefficients of column j are added under the packed product keys
     k1 + k2.
 
-    Each output vector is one integer of out_dim slots of W bits
-    (_slot_width), slot k at bit W * k: a row's entries for j are packed
-    once, into sum c_k 2^(W k), so a pair costs one multiply-add whatever the
-    number of outputs j reaches.  A slot is signed, and as none reaches
-    2^(W-1) in absolute value, adding 2^(W-1) to every slot leaves each in
-    [0, 2^W) with no carry between slots; flipping each top bit back then
-    leaves each slot's W-bit two's complement, and the bytes of that integer
-    are read as out_dim signed integers, once per output monomial.  One slot
-    needs no width: the integer is the coefficient.  Returns sum s * [u_m1,
-    v_m2] * m1*m2 over every pair as a terms map, monomials unpacked
-    through the packing of a partner view (Packing.monos; every view of one
-    call packs alike), each integer halved if half is set.
+    Each output vector is one integer of out_dim signed slots of W bits
+    (_slot_width), decoded once per output monomial, as the module
+    docstring describes.  Returns sum s * [u_m1, v_m2] * m1*m2 over every
+    pair as a terms map, monomials unpacked through the packing of a
+    partner view (Packing.monos; every view of one call packs alike), each
+    integer halved if half is set.
     """
     sources = [src for src in sources if src is not None and src[0]]
     if not sources:

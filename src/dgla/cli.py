@@ -453,13 +453,15 @@ def _build_parser():
 
 
 def _attached_directions(argv):
-    """argv with "--direction VALUE" written "--direction=VALUE" where VALUE
+    """argv with "--direction VALUE" (or an abbreviation of the flag that
+    argparse accepts, such as --dir) written "--direction=VALUE" where VALUE
     starts with a single "-": argparse takes such a token for an option
     unless it reads as a negative decimal, so a direction whose first
     coefficient is a negative fraction (-1/2) would be refused."""
     out = []
     for arg in argv:
-        if out and out[-1] == "--direction" and arg[:1] == "-" and arg[:2] != "--":
+        if (out and len(out[-1]) > 2 and "--direction".startswith(out[-1])
+                and arg[:1] == "-" and arg[:2] != "--"):
             out[-1] += "=" + arg
         else:
             out.append(arg)

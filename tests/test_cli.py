@@ -498,8 +498,9 @@ def test_direction_may_start_with_a_negative_fraction(capsys, cmd, name):
                               "--order", "2")
     assert code == 0, err
     assert stage(rep, cmd)["data"]["direction"] == ["-1/2"]
-    assert run_json(capsys, cmd, corpus(name), "--direction=-1/2",
-                    "--order", "2")[1] == rep
+    for flag in ("--direction=-1/2", "--dir=-1/2"):
+        assert run_json(capsys, cmd, corpus(name), flag, "--order", "2")[1] == rep
+    assert run_json(capsys, cmd, corpus(name), "--dir", "-1/2", "--order", "2")[1] == rep
 
 
 @pytest.mark.parametrize("argv", [
