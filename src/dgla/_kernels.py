@@ -38,8 +38,10 @@ q_j = sum_k c_k 2^(W k), so a pair costs one multiply-add, q_j times the
 partner's coefficient, however many coordinates j reaches.  W is proved on
 every call from the operands (_slot_width): a slot of one product
 monomial takes at most one partner monomial per row, so at most
-dim partner products per row, each at most the row's largest |entry|
-times |scale| times the partner's largest |coefficient|; the sum of that
+dim partner products per row, each at most the row's peak (the largest
+sum of |c| over one generator's entries, which also covers an entry that
+names a coordinate twice) times |scale| times the partner's largest
+|coefficient|; the sum of that
 over the rows and sources, plus a sign bit, rounded up to a multiple of 64,
 is W.  No slot then reaches 2^(W-1) in absolute value, and since the
 integer is exact whatever the slots hold, so is every slot: adding
@@ -84,7 +86,7 @@ Every kernel returns a terms map with every all-zero vector dropped.
 from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Mapping
-from itertools import chain, compress
+from itertools import compress
 from math import lcm
 from operator import itemgetter
 from struct import Struct
@@ -179,15 +181,21 @@ def _contracted(u, table):
     return 1, out
 
 
+def _abs_sum(ents):
+    """sum |c| over ((k, c), ...): at least |the sum of the c of any one k|,
+    also where an entry names a k twice."""
+    return sum(map(abs, map(itemgetter(1), ents)))
+
+
 def _peak(rows):
-    """The largest |f * c| over contracted rows (f, row), or 0; None rows
-    are skipped."""
+    """The largest |f| * _abs_sum(entries of one generator) over contracted
+    rows (f, row), or 0, None rows skipped: a bound on the coefficient any
+    row puts on any one output slot through one generator."""
     peak = 0
     for urow in rows:
         if urow is not None:
             f, row = urow
-            coeffs = map(itemgetter(1), chain.from_iterable(row.values()))
-            peak = max(peak, abs(f) * max(map(abs, coeffs), default=0))
+            peak = max(peak, abs(f) * max(map(_abs_sum, row.values()), default=0))
     return peak
 
 

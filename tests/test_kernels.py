@@ -479,11 +479,12 @@ def test_packed_slots_exact_on_big_coefficients(case, s):
 
 # (rows n, dim_u, dim_v, P, C, Q): u has n monomials of one variable, each
 # with every entry P, v has every entry Q and every table entry [e_i, e_j]
-# puts C on every output.  The last product monomial then gets, in every
-# slot, n * dim_v * (dim_u P C) * Q, exactly the bound _slot_width proves
-# (rows, partner dimension, row peak, partner peak), of one sign.  The
-# bounds sit at and just past a multiple of 64 bits, where the width must
-# grow by a word for the sign bit.
+# is C e_k, one output slot k.  Slot k of the last product monomial then
+# gets n * dim_v * (dim_u P C) * Q, exactly the bound _slot_width proves
+# (rows, partner dimension, row peak, partner peak), of one sign, and every
+# other slot 0.  The bounds sit at and just past a multiple of 64 bits,
+# where the width must grow by a word for the sign bit; slot k is the
+# lowest, whose overflow would carry into the next, or the highest.
 AT_THE_BOUND = [
     (1, 1, 1, 1, 1, 2**63 - 1),  # 2^63 - 1, the largest slot of W = 64
     (2, 2, 2, 2**30, 2**30, 1),  # 2^63, which needs W = 128
@@ -492,34 +493,51 @@ AT_THE_BOUND = [
 ]
 
 
+@pytest.mark.parametrize("k", ("lowest", "highest"))
 @pytest.mark.parametrize("out_dim", (2, 3))
 @pytest.mark.parametrize("sign", (1, -1))
 @pytest.mark.parametrize("case", AT_THE_BOUND)
-def test_packed_slot_at_the_proved_bound(case, sign, out_dim):
+def test_packed_slot_at_the_proved_bound(case, sign, out_dim, k):
     n, dim_u, dim_v, P, C, Q = case
+    k = 0 if k == "lowest" else out_dim - 1
     trunc = n - 1
     u = {(r,): (sign * P,) * dim_u for r in range(n)}
     v = {(r,): (Q,) * dim_v for r in range(n)}
-    table = {(i, j): tuple((k, C) for k in range(out_dim))
-             for i in range(dim_u) for j in range(dim_v)}
+    table = {(i, j): ((k, C),) for i in range(dim_u) for j in range(dim_v)}
     _, it = integer_table(table)
     w = bracket_convolve(u, v, it, trunc, out_dim)
-    assert w[(trunc,)] == (sign * n * dim_v * dim_u * P * C * Q,) * out_dim
+    want = [0] * out_dim
+    want[k] = sign * n * dim_v * dim_u * P * C * Q
+    assert w[(trunc,)] == tuple(want)
     assert w == naive_convolve(u, v, table, trunc, out_dim)
 
 
-# The self walk: y at t^0..t^3 with trunc 3 walks rows t^0 and t^1, which
-# meet t^3 and t^2 at 2s.  With every entry of y P and every entry of T C,
-# sym = T + T^t has 2C everywhere, each row's peak is 2 dim P C, and before
-# the halving every slot of t^3 is rows * dim * (2 dim P C) * 2 * P, the
-# bound: 2^63 for dim 2 and P = 2^29, one past W = 64.
+# A table entry may name an output twice: its peak is the sum of the two
+# |c|, which the slot reaches when both have one sign (2^63 here).
 @pytest.mark.parametrize("sign", (1, -1))
-def test_packed_self_slot_at_the_proved_bound(sign):
+def test_packed_slot_bound_counts_a_repeated_output(sign):
+    table = {(0, 0): ((1, sign * 2**61), (1, sign * 2**61), (0, 1))}
+    _, it = integer_table(table)
+    u, v = {(1,): (2,)}, {(0,): (1,)}
+    w = bracket_convolve(u, v, it, 1, 2)
+    assert w == {(1,): (2, sign * 2**63)}
+    assert w == naive_convolve(u, v, table, 1, 2)
+
+
+# The self walk: y at t^0..t^3 with trunc 3 walks rows t^0 and t^1, which
+# meet t^3 and t^2 at 2s.  With every entry of y P and every entry of T
+# C e_k, sym = T + T^t is 2C e_k everywhere, each row's peak is 2 dim P C,
+# and before the halving slot k of t^3 is rows * dim * (2 dim P C) * 2 * P,
+# the bound: 2^63 for dim 2 and P = 2^29, one past W = 64.
+@pytest.mark.parametrize("k", (0, 2))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_packed_self_slot_at_the_proved_bound(sign, k):
     dim, out_dim, P, C = 2, 3, 2**29, sign
     y = {(r,): (P,) * dim for r in range(4)}
-    table = {(i, j): tuple((k, C) for k in range(out_dim))
-             for i in range(dim) for j in range(dim)}
+    table = {(i, j): ((k, C),) for i in range(dim) for j in range(dim)}
     _, it = integer_table(table)
     w = self_convolve(y, symmetric_table(it), 3, out_dim)
-    assert w[(3,)] == (sign * 2**62,) * out_dim
+    want = [0] * out_dim
+    want[k] = sign * 2**62
+    assert w[(3,)] == tuple(want)
     assert w == naive_convolve(y, y, table, 3, out_dim)
