@@ -37,16 +37,15 @@ row's entries for generator j are packed once per row and width into
 q_j = sum_k c_k 2^(W k), so a pair costs one multiply-add, q_j times the
 partner's coefficient, however many coordinates j reaches.  W is proved on
 every call from the operands (_slot_width): a slot of one product
-monomial takes at most one partner monomial per row, so at most
-dim partner products per row, each at most the row's peak (the largest
-sum of |c| over one generator's entries, which also covers an entry that
-names a coordinate twice) times |scale| times the partner's largest
-|coefficient|; the sum of that
-over the rows and sources, plus a sign bit, rounded up to a multiple of 64,
-is W.  No slot then reaches 2^(W-1) in absolute value, and since the
-integer is exact whatever the slots hold, so is every slot: adding
-2^(W-1) to each leaves it in [0, 2^W) with no borrow or carry between
-slots, flipping each top bit back gives the slot's W-bit two's
+monomial takes at most one partner monomial per row, so at most dim
+partner products per row, each at most the row's peak (the largest sum of
+|c| over one generator's entries, which also covers an entry that names a
+coordinate twice) times |scale| times the partner's largest |coefficient|;
+the sum of that over the rows and sources, plus a sign bit, rounded up to
+a multiple of 64, is W.  No slot then reaches 2^(W-1) in absolute value,
+and since the integer is exact whatever the slots hold, so is every slot:
+adding 2^(W-1) to each leaves it in [0, 2^W) with no borrow or carry
+between slots, flipping each top bit back gives the slot's W-bit two's
 complement, and the bytes of that integer (int.to_bytes) read as out_dim
 signed W-bit integers are the coordinates, decoded once per product
 monomial.  There is no guessed width and no retry.  One output slot needs
