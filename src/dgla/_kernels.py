@@ -32,24 +32,32 @@ recursion, is one kernel call.
 
 The accumulator packs the output coordinates too (Kronecker substitution
 once more): an output vector of out_dim integers is one integer with
-out_dim signed slots of W bits, coordinate k at bit W * k.  A contracted
-row's entries for generator j are packed once per row and width into
-q_j = sum_k c_k 2^(W k), so a pair costs one multiply-add, q_j times the
-partner's coefficient, however many coordinates j reaches.  W is proved on
-every call from the operands (_slot_width): a slot of one product
-monomial takes at most one partner monomial per row, so at most dim
-partner products per row, each at most the row's peak (the largest sum of
-|c| over one generator's entries, which also covers an entry that names a
-coordinate twice) times |scale| times the partner's largest |coefficient|;
-the sum of that over the rows and sources, plus a sign bit, rounded up to
-a multiple of 64, is W.  No slot then reaches 2^(W-1) in absolute value,
-and since the integer is exact whatever the slots hold, so is every slot:
-adding 2^(W-1) to each leaves it in [0, 2^W) with no borrow or carry
-between slots, flipping each top bit back gives the slot's W-bit two's
-complement, and the bytes of that integer (int.to_bytes) read as out_dim
-signed W-bit integers are the coordinates, decoded once per product
-monomial.  There is no guessed width and no retry.  One output slot needs
-neither bound nor decode: the integer is the coefficient.
+out_dim signed slots of W bits, coordinate k at bit W * k.  The table is
+packed alike, P_ij = sum_k c_ijk 2^(W k), once per width, and kept with
+the table: a Table, which DGLA._integer_table and _symmetric_table hand
+out and keep, so the packs live as long as the DGLA and no longer (a
+plain dict given to a kernel is wrapped for the one call).  The
+contracted row of a monomial's vector u is then row_j = sum_i u_i P_ij,
+one multiply-add per (i, j), a one-term u reading its packed table row
+as it stands, and a pair costs one multiply-add, row_j times the
+partner's coefficient, however many coordinates j reaches.  W is proved
+on every call from the operands (_slot_width) before any row is
+contracted: a slot of one product monomial takes at most one partner
+monomial per row, so at most dim partner products per row, each at most
+the row's bound sum_i |u_i| p_i (p_i = max_j sum_k |c_ijk|, the table's
+peak of generator i, so the bound is at least the sum of |slot| of any
+row_j, also where an entry names a coordinate twice) times |scale| times
+the partner's largest |coefficient|; the sum of that over the rows and
+sources, plus a sign bit, rounded up to a multiple of 64, is W.  No slot
+then reaches 2^(W-1) in absolute value, and since the integer is exact
+whatever the slots hold, so is every slot: adding 2^(W-1) to each leaves
+it in [0, 2^W) with no borrow or carry between slots, flipping each top
+bit back gives the slot's W-bit two's complement, and the bytes of that
+integer (int.to_bytes) read as out_dim signed W-bit integers are the
+coordinates, decoded once per product monomial.  There is no guessed
+width and no retry.  One output slot needs neither bound nor decode: the
+integer is the coefficient.  A view keeps its rows of a table at the
+last W and contracts them again only when W changes.
 
 self_convolve is the self-bracket [y, y].  The pairs (m1, m2) and (m2, m1)
 land on the same product monomial with [y_m1, y_m2] + [y_m2, y_m1], which
@@ -87,7 +95,6 @@ from collections import defaultdict
 from collections.abc import Mapping
 from itertools import compress
 from math import lcm
-from operator import itemgetter
 from struct import Struct
 
 
@@ -155,115 +162,93 @@ class Packing:
         return monos
 
 
-def _contracted(u, table):
-    """(f, row) with f * row == the sparse vector u = ((i, int), ...) put
-    into the first slot of the table, row being {j: ((k, int), ...)} with
-    [u, e_j] = f * sum int e_k; None if no i of u is in the table.  A
-    one-term u reuses its table row."""
-    u = [(i, ui) for i, ui in u if i in table]
-    if not u:
-        return None
-    if len(u) == 1:
-        i, f = u[0]
-        return f, table[i]
-    rows = {}
-    for i, ui in u:
-        for j, ents in table[i].items():
-            row = rows.setdefault(j, {})
-            for k, c in ents:
-                row[k] = row.get(k, 0) + ui * c
-    out = {}
-    for j, row in rows.items():
-        ents = tuple([(k, c) for k, c in row.items() if c])
-        if ents:
-            out[j] = ents
-    return 1, out
+class Table(dict):
+    """An integer structure table (see Conventions) with what the pair loop
+    reads of it, each built on first use and kept: the peak of each
+    generator, p_i = max_j sum_k |c_ijk|, and the table packed at a slot
+    width W, P_ij = sum_k c_ijk 2^(W k), once per width.  DGLA keeps its
+    tables, so the packs live as long as the DGLA and die with it."""
 
+    __slots__ = ("_peaks", "_packs", "__weakref__")
 
-def _abs_sum(ents):
-    """sum |c| over ((k, c), ...): at least |the sum of the c of any one k|,
-    also where an entry names a k twice."""
-    return sum(map(abs, map(itemgetter(1), ents)))
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._peaks = None
+        self._packs = {}
 
+    def bound(self, u):
+        """sum |u_i| p_i over the sparse vector u = ((i, int), ...): at least
+        the sum of |slot| of its contracted row through any one generator."""
+        peaks = self._peaks
+        if peaks is None:
+            peaks = self._peaks = {
+                i: max([sum([abs(c) for _, c in ents]) for ents in row.values()])
+                for i, row in self.items() if row}
+        return sum([abs(c) * peaks.get(i, 0) for i, c in u])
 
-def _peak(rows):
-    """The largest |f| * _abs_sum(entries of one generator) over contracted
-    rows (f, row), or 0, None rows skipped: a bound on the coefficient any
-    row puts on any one output slot through one generator."""
-    peak = 0
-    for urow in rows:
-        if urow is not None:
-            f, row = urow
-            peak = max(peak, abs(f) * max(map(_abs_sum, row.values()), default=0))
-    return peak
-
-
-def _packed(row, shifts):
-    """The contracted row {j: ((k, c), ...)} as {j: q_j} with
-    q_j = sum c * 2^shifts[k], every j whose q_j is 0 dropped."""
-    out = {}
-    for j, ents in row.items():
-        if len(ents) == 1:
-            (k, c), = ents
-            out[j] = c << shifts[k]
-        else:
-            q = sum([c << shifts[k] for k, c in ents])
-            if q:
-                out[j] = q
-    return out
-
-
-def _packed_rows(rows, shifts):
-    """Each contracted row (f, row) as (f, _packed(row)), None kept as
-    None; a row dict that several monomials share (a one-term monomial
-    reads its table row) is packed once."""
-    memo = {}
-    out = []
-    for urow in rows:
-        if urow is not None:
-            f, row = urow
-            prow = memo.get(id(row))
-            if prow is None:
-                prow = memo[id(row)] = _packed(row, shifts)
-            urow = f, prow
-        out.append(urow)
-    return out
+    def row(self, u, W):
+        """(f, {j: q_j}) with f * q_j = sum_i u_i P_ij, the contracted row of
+        the sparse vector u put into the first slot of the table, each q_j
+        packed at width W and none 0; None if no i of u is in the table.  A
+        one-term u reuses its packed table row."""
+        packed = self._packs.get(W)
+        if packed is None:
+            packed = self._packs[W] = {
+                i: {j: q for j, ents in row.items()
+                    if (q := sum([c << (W * k) for k, c in ents]))}
+                for i, row in self.items()}
+        u = [(i, c) for i, c in u if i in packed]
+        if not u:
+            return None
+        if len(u) == 1:
+            i, f = u[0]
+            return f, packed[i]
+        acc = {}
+        for i, c in u:
+            for j, q in packed[i].items():
+                acc[j] = acc.get(j, 0) + c * q
+        return 1, {j: q for j, q in acc.items() if q}
 
 
 class _Kept:
-    """The laid-out monomials of one view put into one integer table
-    (_contracted), each contracted once and kept, with the largest |f * c|
-    over them (_peak) and their packed form at the last shifts asked for
-    (_packed_rows), each row scanned and packed once.  It holds the table,
-    so the table's identity, by which the view keys it, is never reused."""
+    """The laid-out monomials of a view (its entries list, which only grows)
+    put into one Table: peak(n) is the largest Table.bound over at least the
+    first n, rows(n, W) their contracted rows (Table.row) at width W.  Each
+    vector is bounded once and contracted once per width; a new W contracts
+    afresh.  It holds the table, so the table's identity, by which a view
+    keys it, is never reused."""
 
-    __slots__ = ("table", "rows", "_scanned", "_peak", "_shifts", "_packed")
+    __slots__ = ("table", "entries", "_peak", "_bounded", "_W", "_rows")
 
-    def __init__(self, table):
-        self.table = table
-        self.rows = []
-        self._scanned = self._peak = 0
-        self._shifts = None
-        self._packed = []
+    def __init__(self, table, entries):
+        self.table = table if type(table) is Table else Table(table)
+        self.entries = entries
+        self._peak = self._bounded = 0
+        self._W = None
+        self._rows = []
 
-    def peak(self):
-        if self._scanned < len(self.rows):
-            self._peak = max(self._peak, _peak(self.rows[self._scanned:]))
-            self._scanned = len(self.rows)
+    def peak(self, n):
+        if self._bounded < n:
+            bound = self.table.bound
+            self._peak = max(self._peak, *[
+                bound(u) for _, _, u in self.entries[self._bounded:n]])
+            self._bounded = n
         return self._peak
 
-    def packed(self, shifts):
-        if shifts != self._shifts:
-            self._shifts, self._packed = shifts, []
-        if len(self._packed) < len(self.rows):
-            self._packed += _packed_rows(self.rows[len(self._packed):], shifts)
-        return self._packed
+    def rows(self, n, W):
+        if W != self._W:
+            self._W, self._rows = W, []
+        rows = self._rows
+        if len(rows) < n:
+            row = self.table.row
+            rows += [row(u, W) for _, _, u in self.entries[len(rows):n]]
+        return rows
 
 
 def symmetric_table(table):
-    """The integer table T + T^t of an integer table T: [e_i, e_j] + [e_j, e_i]
+    """The integer Table T + T^t of an integer table T: [e_i, e_j] + [e_j, e_i]
     for every pair, at the same scale as T, all-zero entries dropped."""
-    out = {}
+    out = Table()
     for i, row in table.items():
         for j, ents in row.items():
             if i in out.get(j, ()):
@@ -300,7 +285,7 @@ class KernelView(Mapping):
     """
 
     __slots__ = ("terms", "packing", "low", "entries", "degs", "cols",
-                 "_buckets", "_rows", "_peak")
+                 "_buckets", "_kept", "_peak")
 
     def __init__(self, terms, packing):
         self.terms = terms
@@ -315,7 +300,7 @@ class KernelView(Mapping):
         self.entries = []
         self.degs = []
         self.cols = {}
-        self._rows = {}
+        self._kept = {}
         self._peak = None
 
     def upto(self, deg):
@@ -339,16 +324,14 @@ class KernelView(Mapping):
             degs += [d] * len(monos)
         return entries, degs
 
-    def rows(self, table, n):
-        """The _Kept rows of table, holding at least the first n laid-out
-        monomials put into it, each contracted once per table.  They are
-        keyed by the table's identity."""
-        kept = self._rows.get(id(table))
+    def rows(self, table):
+        """The laid-out monomials put into table (_Kept), kept per Table by
+        its identity; a plain dict is wrapped for the one call."""
+        if type(table) is not Table:
+            return _Kept(table, self.entries)
+        kept = self._kept.get(id(table))
         if kept is None:
-            kept = self._rows[id(table)] = _Kept(table)
-        rows = kept.rows
-        if len(rows) < n:
-            rows += [_contracted(u, table) for _, _, u in self.entries[len(rows):n]]
+            kept = self._kept[id(table)] = _Kept(table, self.entries)
         return kept
 
     def peak(self):
@@ -386,52 +369,49 @@ def _cross_rows(u, v, table, trunc, s):
     v.upto(trunc - u.low)
     udegs = u.upto(trunc - v.low)[1]
     n = bisect_right(udegs, trunc - v.low)
-    kept = u.rows(table, n)
     rows = [(k1, trunc - d, None) for d, k1, _ in u.entries[:n]]
-    return rows, s, v, kept.peak, kept.packed
+    return rows, s, v, u.rows(table)
 
 
 def _self_rows(y, sym, trunc, s):
     """The source of 2s * [y, y] for _convolve: each monomial through sym
     once, against itself at scale s (sym(u, u) = 2 T(u, u)) and against the
-    later ones within trunc of it at 2s, so each unordered pair once."""
+    later ones within trunc of it at 2s, so each unordered pair once; the
+    rows are not kept."""
     if not y.terms:
         return None
     ys, degs = y.upto(trunc - y.low)
     n = bisect_right(degs, trunc // 2)
-    contracted = [_contracted(u, sym) for _, _, u in ys[:n]]
     rows = [(k1, trunc - d, u) for d, k1, u in ys[:n]]
-    return (rows, s, y, lambda: _peak(contracted),
-            lambda shifts: _packed_rows(contracted, shifts))
+    return rows, s, y, _Kept(sym, ys)
 
 
 def _slot_width(sources):
     """W, a multiple of 64 with every accumulated slot below 2^(W-1) in
     absolute value: a slot of one output monomial gets at most one partner
     monomial per row, so at most len(cols) products per row, each at most
-    the row's peak times |scale| times the partner's peak (2|s| for a self
-    row)."""
+    the rows' peak (_Kept.peak) times |scale| times the partner's peak
+    (2|s| for a self row)."""
     bound = 0
-    for rows, s, v, peak, _ in sources:
+    for rows, s, v, kept in sources:
         scale = 2 * abs(s) if rows[0][2] is not None else abs(s)
-        bound += len(rows) * len(v.cols) * peak() * scale * v.peak()
+        bound += len(rows) * len(v.cols) * kept.peak(len(rows)) * scale * v.peak()
     return -(-(bound.bit_length() + 1) // 64) * 64
 
 
 def _convolve(sources, out_dim, half=False):
     """The one pair loop of every kernel.
 
-    A source is (rows, s, v, peak, pack): an integer scale s, the view v
-    paired with, and rows (k1, lim, own), the packed key k1 of a monomial
-    and the highest total degree lim of a partner; pack(shifts) gives each
-    row's vector put into a table and packed (_packed), peak() its largest
-    coefficient.  own is None for a cross row, which walks every column of v
-    from its start, or the monomial's own sparse vector for a self row (v
-    the same view), which pairs with itself at scale s under the key 2 * k1
-    and walks each column j from the count of the earlier rows with a
-    nonzero j-th entry, at 2s.  For every generator j the row reaches, the
-    coefficients of column j are added under the packed product keys
-    k1 + k2.
+    A source is (rows, s, v, kept): an integer scale s, the view v paired
+    with, rows (k1, lim, own), the packed key k1 of a monomial and the
+    highest total degree lim of a partner, and kept (_Kept) the rows'
+    vectors put into a table, bounded and packed.  own is None for a cross
+    row, which walks every column of v from its start, or the monomial's
+    own sparse vector for a self row (v the same view), which pairs with
+    itself at scale s under the key 2 * k1 and walks each column j from
+    the count of the earlier rows with a nonzero j-th entry, at 2s.  For
+    every generator j the row reaches, the coefficients of column j are
+    added under the packed product keys k1 + k2.
 
     Each output vector is one integer of out_dim signed slots of W bits
     (_slot_width), decoded once per output monomial, as the module
@@ -444,12 +424,11 @@ def _convolve(sources, out_dim, half=False):
     if not sources:
         return {}
     W = _slot_width(sources) if out_dim > 1 else 0
-    shifts = [W * k for k in range(out_dim)]
     out = defaultdict(int)  # packed product key -> packed output vector
-    for rows, s, v, _, pack in sources:
+    for rows, s, v, kept in sources:
         cols = v.cols
         lo = dict.fromkeys(cols, 0) if rows[0][2] is not None else None
-        for (k1, lim, own), prow in zip(rows, pack(shifts)):
+        for (k1, lim, own), prow in zip(rows, kept.rows(len(rows), W)):
             if own is not None:
                 for j, _ in own:
                     lo[j] += 1
@@ -475,7 +454,7 @@ def _convolve(sources, out_dim, half=False):
     h = 1 if half else 0
     if out_dim == 1:
         return {monos[key]: (acc >> h,) for key, acc in out.items() if acc}
-    offset = sum([1 << (sh + W - 1) for sh in shifts])
+    offset = sum([1 << (W * k + W - 1) for k in range(out_dim)])
     size = W // 8
     nbytes = size * out_dim
     unpack = Struct("<%dq" % out_dim).unpack if W == 64 else None

@@ -39,6 +39,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ._kernels import (
+    Table,
     bracket_convolve,
     bracket_sums,
     bracket_vector,
@@ -343,7 +344,9 @@ class DGLA:
     def _integer_table(self, p, q):
         """(D, T): the bracket store cut to g^p x g^q -> g^{p+q}, over its
         one denominator D, in degree-local positions, as _kernels reads it:
-        T sends i to {j: ((k, int), ...)} with D [e_i, e_j] = sum int e_k.
+        T, a _kernels.Table, sends i to {j: ((k, int), ...)} with
+        D [e_i, e_j] = sum int e_k.  T is kept, and with it the packed forms
+        the kernels build of it, as long as the DGLA.
 
         The first call buckets every stored key by its degree pair in one
         pass; each table is then cut from its own bucket, in key order, once.
@@ -357,7 +360,7 @@ class DGLA:
                 keys = self._keys_by_pair = {}
                 for gi, gj in self._bracket_nums:
                     keys.setdefault((pos[gi][0], pos[gj][0]), []).append((gi, gj))
-            table = {}
+            table = Table()
             for gi, gj in self._keys_by_pair.get((p, q), ()):
                 ents = []
                 for gk, n in self._bracket_nums[(gi, gj)]:
@@ -374,7 +377,7 @@ class DGLA:
 
     def _symmetric_table(self, p):
         """(D, _integer_table(p, p)[1] plus its transpose), over the same D;
-        cached per degree."""
+        a Table kept per degree."""
         sym = self._sym_tables.get(p)
         if sym is None:
             sym = self._sym_tables[p] = symmetric_table(self._integer_table(p, p)[1])

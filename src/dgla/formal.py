@@ -27,6 +27,7 @@ from math import gcd, lcm
 from operator import add
 
 from ._kernels import KernelView, Packing
+from .report import rational_str
 
 _ONE = Fraction(1)
 
@@ -337,10 +338,12 @@ class FormalElement:
         )
 
     def __repr__(self):
+        """Each coefficient rendered from nums / den by report.rational_str,
+        so an integer of any length is written out in full."""
         bits = ", ".join(
             "%s: (%s)"
             % (self.ring.mono_str(m),
-               ", ".join(str(c) for c in self._fractions(self.nums[m])))
+               ", ".join(map(rational_str, self._fractions(self.nums[m]))))
             for m in self.support()
         )
         return "FormalElement(deg=%d, {%s})" % (self.degree, bits)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgla.algebra import DGLA
+from dgla.deform import MCSolution
 from dgla.formal import CoefficientRing, FormalElement
 
 from reference import (
@@ -88,6 +89,22 @@ def test_element_rejects_degree_zero_monomial():
     r = CoefficientRing(("t",), 3)
     with pytest.raises(ValueError):
         FormalElement(r, 1, 1, {(0,): (F(1),)})
+
+
+def test_reprs_write_out_coefficients_of_any_length():
+    # str() refuses an int past 4,300 digits; the reprs render each
+    # coefficient from the element's integers through report.int_str
+    r = CoefficientRing.single(2)
+    assert repr(FormalElement(r, 1, 2, {(1,): (F("1/2"), F(-3)), (2,): (F(0), F(7))})) \
+        == "FormalElement(deg=1, {t: (1/2, -3), t^2: (0, 7)})"
+    big = 10**5000
+    tau = FormalElement(r, 1, 1, {(1,): (big,), (2,): (Fraction(-1, big),)})
+    digits = "1" + "0" * 5000
+    want = "FormalElement(deg=1, {t: (%s), t^2: (-1/%s)})" % (digits, digits)
+    assert repr(tau) == want
+    zero = FormalElement.zero(r, 2, 1)
+    sol = MCSolution(tau, tau, zero, zero, 4)
+    assert repr(sol) == "MCSolution(tau=%s, flat=True, iterations=4)" % want
 
 
 def test_element_arithmetic():

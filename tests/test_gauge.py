@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -23,6 +24,7 @@ from dgla import (
 )
 from dgla.deform import NotFlatError
 from dgla.formal import CoefficientRing, FormalElement
+from dgla.report import canonical_json, element_data
 
 from conftest import contraction_for
 from reference import reference_gauge_act
@@ -282,6 +284,41 @@ def test_gauge_act_matches_reference_twisted_e2(a_orders, nonzero_A):
     acted = gauge_act(L, a, A)
     assert acted == reference_gauge_act(L, a, A)
     assert len(acted.nums) == len(ring.all_monomials())
+
+
+# sha256 of canonical_json(element_data(x)) for x = gauge_act(L, a, A) and
+# for L.curvature(x) on twisted E2, with a and A dense at every monomial of
+# (t1, t2) up to the order and entries drawn from [-lim, lim]: each part of
+# a is a multi-term vector, so the g^0 x g^1 rows of the gauge series and
+# the g^1 x g^1 self rows of the curvature are contracted from several
+# table rows.  At order 5 and lim 3 every kernel call packs its slots at
+# 64 bits; at order 4 and lim 10^15 they take 128 to 384.
+GAUGE_BYTE_PINS = {
+    (5, 3): ("78a1cb96b1e5eeedc34ef68a0945ac977af1ef2a0e440f51bbcd2f9367a93300",
+             "5350cc1ebae22f50b2983343307aceada3ecc1a9e557e29ccf185f854870a37d"),
+    (4, 10**15): ("ca6e8dda113debf0680b62de67984feed1cad0d41b0cc033c5e8434acb6c507d",
+                  "69a078c70f270c254c86e8e8e3cb490438850bc6069c9945a5a2c1ce46560ffb"),
+}
+
+
+@pytest.mark.parametrize("order,lim", sorted(GAUGE_BYTE_PINS))
+def test_gauge_act_and_curvature_bytes_pinned_twisted_e2(order, lim):
+    L, _ = twisted_e2()
+    ring = CoefficientRing(("t1", "t2"), order)
+    rng = Random(2024)
+
+    def dense_element(degree):
+        return FormalElement(ring, degree, L.dim(degree), {
+            m: [F(rng.randint(-lim, lim)) for _ in range(L.dim(degree))]
+            for m in ring.all_monomials()})
+
+    a = dense_element(0)
+    A = dense_element(1)
+    assert all(sum(map(bool, vec)) > 1 for vec in a.nums.values())
+    moved = gauge_act(L, a, A)
+    digests = tuple(hashlib.sha256(canonical_json(element_data(x))).hexdigest()
+                    for x in (moved, L.curvature(moved)))
+    assert digests == GAUGE_BYTE_PINS[(order, lim)]
 
 
 def test_gauge_equivalent_returns_seeded_witness_twisted_e2():

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 from math import lcm
 from random import Random
@@ -6,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dgla import BUILTIN_NAMES, builtin_example
+from dgla import BUILTIN_NAMES, builtin_example, gauge_act
+from dgla import _kernels
 from dgla._kernels import (
     KernelView,
     Packing,
+    Table,
     bracket_convolve,
     bracket_sums,
     matvec_terms,
@@ -387,7 +391,7 @@ def test_bracket_sums_property(case, scales):
     assert over(w, 1) == want
 
 
-# A view keeps the contracted rows of each table apart (KernelView.rows):
+# A view keeps the contracted rows of each Table apart (KernelView.rows):
 # the same two views go through T, then T + T^t, then both again, with a
 # self-bracket of the left one in between.
 @settings(max_examples=80, deadline=None)
@@ -397,6 +401,7 @@ def test_bracket_sums_property(case, scales):
 def test_view_rows_kept_per_table(case):
     u, v, table, trunc, out_dim = case
     Dt, it = integer_table(table)
+    it = Table(it)
     sym = symmetric_table(it)
     (Du, iu), (Dv, iv) = integer_terms(u), integer_terms(v)
     packing = Packing(max(trunc, 0) + 1)
@@ -541,3 +546,112 @@ def test_packed_self_slot_at_the_proved_bound(sign, k):
     want[k] = sign * 2**62
     assert w[(3,)] == tuple(want)
     assert w == naive_convolve(y, y, table, 3, out_dim)
+
+
+# One view bracketed through one Table at three slot widths: against a
+# small partner (W = 64), one with coefficients near 10^60 (W >= 128) and
+# the small one again.  The view keeps its rows of the table and contracts
+# them again at each new W from the table's pack of that width; u has
+# one-term and multi-term vectors, and [e_0, e_1] names one output twice.
+def test_kept_rows_follow_the_slot_width(monkeypatch):
+    widths = []
+    slot_width = _kernels._slot_width
+
+    def recorded(sources):
+        widths.append(slot_width(sources))
+        return widths[-1]
+
+    monkeypatch.setattr(_kernels, "_slot_width", recorded)
+    table = {(0, 0): ((0, 3), (1, -2)), (0, 1): ((2, 2), (2, 7)),
+             (1, 0): ((1, 5), (2, 1)), (1, 1): ((0, -1), (2, 4))}
+    _, it = integer_table(table)
+    T = Table(it)
+    u = {(1, 0): (2, -1), (0, 1): (1, 0), (1, 1): (-3, 4), (0, 2): (0, 6)}
+    small = {(1, 0): (1, 2), (0, 1): (-1, 1)}
+    big = {(1, 0): (BIG - 1, -BIG), (0, 1): (BIG, 3)}
+    view = KernelView(u, Packing(4))
+    kept = view.rows(T)
+    for v in (small, big, small, big):
+        assert bracket_convolve(view, v, T, 3, 3) == naive_convolve(u, v, table, 3, 3)
+    assert view.rows(T) is kept
+    assert widths[0] == widths[2] == 64 and widths[1] == widths[3] >= 128
+
+
+@st.composite
+def bound_cases(draw):
+    """An integer table {i: {j: ((k, c), ...)}} whose entries may name one
+    output twice, and a sparse vector ((i, c), ...), distinct i ascending,
+    some of them perhaps outside the table."""
+    dim, out_dim = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    table = {}
+    for i in range(dim):
+        for j in range(draw(st.integers(0, 3))):
+            ents = draw(st.lists(st.tuples(st.integers(0, out_dim - 1),
+                                           big_coefficients()), min_size=1, max_size=4))
+            if draw(st.booleans()):
+                ents += [(k, draw(big_coefficients())) for k, _ in ents]
+            table.setdefault(i, {})[j] = tuple(ents)
+    u = draw(st.dictionaries(st.integers(0, dim), big_coefficients().filter(bool),
+                             max_size=dim + 1))
+    return table, tuple(sorted(u.items())), out_dim
+
+
+def signed_slots(q, W, n):
+    """The n signed W-bit digits of q = sum c_k 2^(W k)."""
+    out = []
+    for _ in range(n):
+        r = q & ((1 << W) - 1)
+        r -= (r >> (W - 1)) << W
+        out.append(r)
+        q = (q - r) >> W
+    assert q == 0
+    return out
+
+
+# Table.bound(u), sum |u_i| p_i, is never below the exact peak of the
+# contracted row (the largest sum of |slot| over one generator), and the
+# packed row Table.row gives, at a width past the bound, decodes to that
+# row exactly.
+@settings(max_examples=300, deadline=None)
+@given(bound_cases())
+@example(({0: {0: ((1, 2**61), (1, 2**61), (0, 1))}}, ((0, 2),), 2))
+@example(({0: {0: ((0, 5),)}, 1: {0: ((0, -5),)}}, ((0, 1), (1, 1)), 1))
+def test_row_bound_covers_the_exact_peak(case):
+    table, u, out_dim = case
+    exact = {}
+    for i, c in u:
+        for j, ents in table.get(i, {}).items():
+            row = exact.setdefault(j, [0] * out_dim)
+            for k, e in ents:
+                row[k] += c * e
+    peak = max([sum(map(abs, row)) for row in exact.values()], default=0)
+    T = Table(table)
+    bound = T.bound(u)
+    assert bound >= peak
+    W = -(-(bound.bit_length() + 1) // 64) * 64
+    row = T.row(u, W)
+    if not any(i in table for i, _ in u):
+        assert row is None
+        return
+    f, packed = row
+    assert {j: signed_slots(f * q, W, out_dim) for j, q in packed.items()} == \
+        {j: row for j, row in exact.items() if any(row)}
+
+
+# The packed forms of a DGLA's tables live on the tables, which the DGLA
+# keeps: once the DGLA and the elements it bracketed are gone, so are the
+# tables, and the kernel module holds no cache of its own.
+def test_tables_die_with_their_dgla():
+    rng = Random(1)
+    L = builtin_example("E2")
+    ring = CoefficientRing(("t1", "t2"), 4)
+    a, A = random_element(L, ring, 0, rng), random_element(L, ring, 1, rng)
+    assert not L.curvature(gauge_act(L, a, A)).is_zero()
+    table, sym = L._integer_table(0, 1)[1], L._symmetric_table(1)[1]
+    assert type(table) is Table and type(sym) is Table
+    refs = [weakref.ref(x) for x in (L, table, sym)]
+    del L, a, A, table, sym
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 3
+    assert not [name for name, val in vars(_kernels).items()
+                if not name.startswith("__") and isinstance(val, (dict, list, set))]
