@@ -33,10 +33,11 @@ recursion, is one kernel call.
 The accumulator packs the output coordinates too (Kronecker substitution
 once more): an output vector of out_dim integers is one integer with
 out_dim signed slots of W bits, coordinate k at bit W * k.  The table is
-packed alike, P_ij = sum_k c_ijk 2^(W k), once per width, and kept with
-the table: a Table, which DGLA._integer_table and _symmetric_table hand
-out and keep, so the packs live as long as the DGLA and no longer (a
-plain dict given to a kernel is wrapped for the one call).  The
+packed alike, P_ij = sum_k c_ijk 2^(W k), at the width of the call, and
+the pack of the last width is kept with the table: a Table, which
+DGLA._integer_table and _symmetric_table hand out and keep, so a pack
+lives as long as the DGLA and no longer (a plain dict given to a kernel
+is wrapped for the one call).  The
 contracted row of a monomial's vector u is then row_j = sum_i u_i P_ij,
 one multiply-add per (i, j), a one-term u reading its packed table row
 as it stands, and a pair costs one multiply-add, row_j times the
@@ -122,11 +123,13 @@ def bracket_vector(u, v, table, out_dim):
 
 class Packing:
     """Exponent tuples packed as the digits of one integer in base, both
-    ways, filled on demand: key(mono) is (total degree, packed key) and
-    monos(keys) the inverse map.  Adding two packed keys packs the product as
-    long as no exponent of the product reaches base (Kronecker
-    substitution).  A CoefficientRing owns one, so each of its monomials is
-    packed once."""
+    ways, filled on demand: key(mono) is (total degree, packed key), kept
+    in keys, and monos(keys) the inverse map.  Adding two packed keys packs
+    the product as long as no exponent of the product reaches base
+    (Kronecker substitution).  A CoefficientRing owns one, so each of its
+    monomials is packed once: a monomial that monos decodes has its
+    (total degree, key) recorded in keys as it is decoded, so a view built
+    on it later does not pack it again."""
 
     __slots__ = ("base", "nvars", "keys", "_monos")
 
@@ -151,14 +154,15 @@ class Packing:
     def monos(self, keys):
         """The map packed key -> exponent tuple, holding every key of keys
         (a set-like view of packed keys)."""
-        monos = self._monos
+        monos, fwd = self._monos, self.keys
         for key in keys - monos.keys():
             digits = []
             k = key
             for _ in range(self.nvars):
                 k, e = divmod(k, self.base)
                 digits.append(e)
-            monos[key] = tuple(reversed(digits))
+            mono = monos[key] = tuple(reversed(digits))
+            fwd[mono] = (sum(mono), key)
         return monos
 
 
@@ -166,15 +170,17 @@ class Table(dict):
     """An integer structure table (see Conventions) with what the pair loop
     reads of it, each built on first use and kept: the peak of each
     generator, p_i = max_j sum_k |c_ijk|, and the table packed at a slot
-    width W, P_ij = sum_k c_ijk 2^(W k), once per width.  DGLA keeps its
-    tables, so the packs live as long as the DGLA and die with it."""
+    width W, P_ij = sum_k c_ijk 2^(W k), for the width asked for last only
+    (_packs holds that one pack; a new width replaces it, as a view's kept
+    rows restart on one).  DGLA keeps its tables, so the pack lives as long
+    as the DGLA and dies with it."""
 
     __slots__ = ("_peaks", "_packs", "__weakref__")
 
     def __init__(self, *args):
         super().__init__(*args)
         self._peaks = None
-        self._packs = {}
+        self._packs = {}  # {W: P} at the last W
 
     def bound(self, u):
         """sum |u_i| p_i over the sparse vector u = ((i, int), ...): at least
@@ -193,10 +199,10 @@ class Table(dict):
         one-term u reuses its packed table row."""
         packed = self._packs.get(W)
         if packed is None:
-            packed = self._packs[W] = {
-                i: {j: q for j, ents in row.items()
-                    if (q := sum([c << (W * k) for k, c in ents]))}
-                for i, row in self.items()}
+            packed = {i: {j: q for j, ents in row.items()
+                          if (q := sum([c << (W * k) for k, c in ents]))}
+                      for i, row in self.items()}
+            self._packs = {W: packed}
         u = [(i, c) for i, c in u if i in packed]
         if not u:
             return None

@@ -9,7 +9,11 @@ is a contraction in the m-adic filtration and stabilizes exactly within the
 truncation order.  The iteration carries S = [y, y] along with the iterate:
 y_n and y_{n+1} agree through order n, so each step brackets only the
 change delta, and the final S gives the residual d tau + 1/2 S without a
-second bracket of tau.  Convention (fixed once, used everywhere): the Maurer-
+second bracket of tau.  The iterate itself is kept only as far as the next
+bracket reaches (each delta starts at least one order above the one
+before, so the rest of y finds no partner within the truncation), and
+tau is read off the fixed-point equation once it holds:
+tau = x - 1/2 h S.  Convention (fixed once, used everywhere): the Maurer-
 Cartan equation is d tau + 1/2 [tau, tau] = 0, the corrective term carries
 -1/2 h (SDRData.correction, one map with the factor in its integer rows,
 so a step makes one pass over its image), and the Kuranishi map is
@@ -82,9 +86,20 @@ def _fixed_point(L, R, x):
     (DGLA._bracket_sums), so nothing assumes antisymmetry.  The changes are
     summed into S once, at the end.  delta has no terms below order n + 1,
     so a step walks only the pairs that can still land within the
-    truncation.  The loop stops at delta = 0, which is exactly the test
-    C_x(y_n) == y_n.
+    truncation.
+
+    Nor is y_n kept whole.  y has no constant term, so the next delta
+    starts at least one order above this one, low(delta), and a monomial
+    of y above the reach N - 1 - low(delta) can pair with no monomial of
+    any later delta within the order N.  So y_{n+1} keeps only the
+    monomials of y_n + delta within the reach: delta adds none once
+    low(delta) is past it, and y stays the same object (with its view and
+    kept rows) when nothing is dropped or added.  The loop stops at
+    delta = 0, which is exactly the test C_x(y_n) == y_n; then the whole
+    fixed iterate is read off the fixed-point equation,
+    tau = y_n = y_{n+1} = x - 1/2 h S_n.
     """
+    ring = x.ring
     y = x
     step = L.apply_bracket(x, x)
     steps = [step]  # S_n is their sum, taken once at the end
@@ -92,12 +107,17 @@ def _fixed_point(L, R, x):
     while True:
         delta = R.correction(step)
         if delta.is_zero():
-            return y, n, FormalElement.summed(x.ring, 2, L.dim(2), steps)
-        step = L._bracket_sums(x.ring, 1, [(y, delta)], [delta])
+            S = FormalElement.summed(ring, 2, L.dim(2), steps)
+            return x + R.correction(S), n, S
+        step = L._bracket_sums(ring, 1, [(y, delta)], [delta])
         steps.append(step)
-        y = y + delta
+        low = delta.view().low  # the view the bracket just took
+        reach = ring.order - 1 - low
+        y = y.truncated(reach)
+        if low <= reach:
+            y = FormalElement.summed(ring, 1, y.dim, (y, delta.truncated(reach)))
         n += 1
-        if n > x.ring.order + 1:
+        if n > ring.order + 1:
             raise RuntimeError("fixed point not reached within the truncation order")
 
 

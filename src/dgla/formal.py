@@ -16,7 +16,8 @@ is all zero, no monomial lies above the order), so two elements are equal
 exactly when their (den, nums) are.  Arithmetic runs on the integers and
 ends in one gcd normalisation; every public accessor speaks Fraction.
 FormalElement.summed adds any number of elements in one pass, one rescale
-per part.  For the brackets, an element also keeps the kernel-ready layout
+per part, and a - b is that same pass with the sign of b folded into its
+rescale.  For the brackets, an element also keeps the kernel-ready layout
 of nums (view(), a _kernels.KernelView), built on first use with the
 monomial keys its ring packs once (CoefficientRing.packing); elements are
 never changed in place, so the layout stays valid.
@@ -213,22 +214,27 @@ class FormalElement:
     @classmethod
     def summed(cls, ring, degree, dim, parts):
         """The sum of the parts (elements over ring, of degree and dim) in
-        one pass: each part is rescaled once to the lcm of their
-        denominators, the first one copied as it stands when it needs no
-        rescaling, and the total is normalised once."""
-        parts = list(parts)
-        for part in parts:
+        one pass (_combined, every part at sign +1)."""
+        return cls._combined(ring, degree, dim, [(1, part) for part in parts])
+
+    @classmethod
+    def _combined(cls, ring, degree, dim, parts):
+        """sum s * part over the (s, part) of parts, s = +1 or -1, in one
+        pass: each part is rescaled once, by s times the lcm of their
+        denominators over its own, the first one copied as it stands when
+        that factor is 1, and the total is normalised once."""
+        for _, part in parts:
             if part.ring != ring:
                 raise ValueError("ring mismatch")
             if part.degree != degree:
                 raise ValueError("graded degree mismatch")
             if part.dim != dim:
                 raise ValueError("dimension mismatch")
-        parts = [part for part in parts if part.nums]
-        den = lcm(*(part.den for part in parts))
+        parts = [(s, part) for s, part in parts if part.nums]
+        den = lcm(*(part.den for _, part in parts))
         nums = {}
-        for part in parts:
-            f = den // part.den
+        for s, part in parts:
+            f = s * (den // part.den)
             if not nums and f == 1:
                 nums = dict(part.nums)
                 continue
@@ -298,9 +304,11 @@ class FormalElement:
         return FormalElement._canonical(self.ring, self.degree, self.dim, self.den, nums)
 
     def __sub__(self, other):
+        """self - other in one pass, the sign folded into other's rescaling."""
         if not isinstance(other, FormalElement):
             return NotImplemented
-        return self + (-other)
+        return FormalElement._combined(self.ring, self.degree, self.dim,
+                                       ((1, self), (-1, other)))
 
     def scale(self, c):
         """c times self; a unit fraction 1/q only multiplies den by q."""
@@ -320,6 +328,14 @@ class FormalElement:
         ring = CoefficientRing(self.ring.variables, order)
         nums = {m: vec for m, vec in self.nums.items() if sum(m) <= order}
         return FormalElement.from_integers(ring, self.degree, self.dim, self.den, nums)
+
+    def truncated(self, order):
+        """Keep only the monomials of total degree at most order, over the
+        same ring; self when none lies above it."""
+        nums = {m: vec for m, vec in self.nums.items() if sum(m) <= order}
+        if len(nums) == len(self.nums):
+            return self
+        return self._with(self.den, nums)
 
     def homogeneous_part(self, order):
         """Keep only the monomials of total degree exactly order."""

@@ -24,7 +24,8 @@ from dgla import (
     solve_mc_ivp,
     universal_solution,
 )
-from dgla.deform import _fixed_point
+from dgla._kernels import Packing
+from dgla.deform import _fixed_point, _recursion
 from dgla.formal import CoefficientRing, FormalElement
 from dgla.report import canonical_json, element_data
 
@@ -240,20 +241,49 @@ def test_universal_solution_pinned():
     assert not u3.kur_member()
 
 
-def test_universal_solution_fractional_bytes_pinned():
-    # x1..x4 and c in degree 1, b in degree 2, dc = b, every degree-1
-    # bracket b: h(b) = c feeds the fixed point forever, and tau picks up
-    # denominators up to 16 by order 7
-    gens = [("x%d" % i, 1) for i in range(1, 5)] + [("c", 1), ("b", 2)]
+def universal_dgla(k=4):
+    """x1..xk and c in degree 1, b in degree 2, dc = b, every degree-1
+    bracket b: h(b) = c feeds the fixed point forever.  At k = 4 this is
+    the DGLA of the mc_universal benchmark, unpermuted."""
+    gens = [("x%d" % i, 1) for i in range(1, k + 1)] + [("c", 1), ("b", 2)]
     ones = [g for g, deg in gens if deg == 1]
-    L = DGLA(gens, d={"c": [("b", 1)]},
-             bracket={(u, v): [("b", 1)] for u in ones for v in ones})
+    return DGLA(gens, d={"c": [("b", 1)]},
+                bracket={(u, v): [("b", 1)] for u in ones for v in ones},
+                name="universal-%d" % k)
+
+
+def test_universal_solution_fractional_bytes_pinned():
+    # tau picks up denominators up to 16 by order 7
+    L = universal_dgla()
     R = build_contraction(L, build_splitting(L))
     tau = universal_solution(L, R, 7).tau
     assert tau.coefficient((7, 0, 0, 0)) == (0, 0, 0, 0, Fraction(33, 16))
     digest = hashlib.sha256(canonical_json(element_data(tau))).hexdigest()
     assert digest == \
         "36e81b81c9871b8a1cf9c77b012bda872fafebf850c0dd7ff6f6fd1e61d2b7ca"
+
+
+def test_universal_solve_packs_only_the_direction(monkeypatch):
+    # a monomial the kernels decode keeps its forward key, so on a fresh
+    # ring the views of a whole solve pack only the direction's monomials
+    L = universal_dgla()
+    R = build_contraction(L, build_splitting(L))
+    packed = []
+    key = Packing.key
+
+    def counted(self, mono):
+        packed.append(mono)
+        return key(self, mono)
+
+    monkeypatch.setattr(Packing, "key", counted)
+    sol = universal_solution(L, R, 6)
+    assert sorted(packed) == sorted(sol.direction.nums)
+    ring = sol.tau.ring
+    assert len(sol.tau.nums) == 209  # every monomial of degree 1..6
+    for mono in sol.tau.nums:
+        digits = sum(e * (ring.order + 1) ** (ring.nvars - 1 - i)
+                     for i, e in enumerate(mono))
+        assert ring.packing.keys[mono] == (sum(mono), digits)
 
 
 def test_universal_solution_no_harmonic_directions():
@@ -418,18 +448,14 @@ def test_curvature_takes_the_self_path(monkeypatch):
 
 
 def feedback_dgla():
-    """x1, x2, c in degree 1, b in degree 2, dc = b, every degree-1 bracket
-    b: h(b) = c and [c, c] = b, so the fixed-point step delta brackets with
-    itself within the truncation (on the corpus and the one-sided table
-    [delta, delta] is zero)."""
-    gens = [("x1", 1), ("x2", 1), ("c", 1), ("b", 2)]
-    ones = [g for g, deg in gens if deg == 1]
-    return DGLA(gens, d={"c": [("b", 1)]},
-                bracket={(u, v): [("b", 1)] for u in ones for v in ones},
-                name="feedback")
+    """universal_dgla over x1, x2: h(b) = c and [c, c] = b, so the
+    fixed-point step delta brackets with itself within the truncation (on
+    the corpus and the one-sided table [delta, delta] is zero)."""
+    return universal_dgla(2)
 
 
-EXTRA_CASES = {"feedback": feedback_dgla, "one-sided": one_sided_dgla}
+EXTRA_CASES = {"feedback": feedback_dgla, "one-sided": one_sided_dgla,
+               "mc_universal": universal_dgla}
 CASE_NAMES = tuple(EXTRA_CASES) + BUILTIN_NAMES
 
 
@@ -465,6 +491,34 @@ def fixed_point_cases(draw):
     return name, nvars, order, terms
 
 
+def fixed_point_passes(L, R, x):
+    """_fixed_point(L, R, x) and the (iterate, delta) of each of its
+    kernel passes, in order."""
+    passes = []
+    bracket_sums = DGLA._bracket_sums
+
+    def recorded(self, ring, degree, pairs, squares):
+        passes.append(pairs[0])
+        return bracket_sums(self, ring, degree, pairs, squares)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DGLA, "_bracket_sums", recorded)
+        return _fixed_point(L, R, x), passes
+
+
+def assert_iterates_within_reach(x, passes):
+    """From the second pass on, the iterate handed to the kernel holds no
+    monomial above N - 1 - low(delta of the pass before): none that a later
+    delta could pair with inside the truncation N.  An iterate that neither
+    lost nor gained a monomial is handed on as the same object."""
+    N = x.ring.order
+    for (y, _), (prev_y, prev_delta) in zip(passes[1:], passes):
+        reach = N - 1 - min(map(sum, prev_delta.nums))
+        assert all(sum(m) <= reach for m in y.nums), (reach, y.support()[-1])
+        if y == prev_y:
+            assert y is prev_y
+
+
 @settings(max_examples=150, deadline=None)
 @given(fixed_point_cases())
 @example(("E1", 1, 5, {(1,): (1, 0), (2,): (0, 1), (4,): (1, 1)}))
@@ -472,13 +526,45 @@ def fixed_point_cases(draw):
 @example(("one-sided", 2, 4, {(1, 0): (1, 0, 0), (0, 1): (0, 1, 0),
                               (1, 1): (0, 0, 1)}))
 @example(("feedback", 1, 5, {(1,): (1, 0, 0), (3,): (0, 1, 0)}))
+# no order-1 part: each delta starts two orders above the one before
+@example(("feedback", 2, 8, {(2, 0): (1, 0, 0), (1, 1): (0, 1, 1),
+                             (0, 3): (1, 0, 1), (5, 0): (0, 1, 0)}))
+# parts at orders >= N - 1 only: [x, x] is zero inside the truncation
+@example(("feedback", 1, 6, {(5,): (1, 1, 0), (6,): (0, 1, 1)}))
+# an order-1 part and parts at N - 1 and N, which fall out of the kept
+# iterate after the first step and must still be in tau
+@example(("feedback", 1, 6, {(1,): (1, 0, 1), (5,): (0, 1, 0), (6,): (1, 1, 1)}))
+# the mc_universal benchmark's solve: the universal direction at order 9
+@example(("mc_universal", 4, 9, {tuple(int(i == j) for j in range(4)):
+                                 tuple(int(i == j) for j in range(5))
+                                 for i in range(4)}))
 def test_fixed_point_carries_the_self_bracket(case):
     name, nvars, order, terms = case
     L, R = case_contraction(name)
     x = FormalElement(t_ring(nvars, order), 1, L.dim(1), terms)
-    tau, n, S = _fixed_point(L, R, x)
+    (tau, n, S), passes = fixed_point_passes(L, R, x)
     assert (tau, n) == reference_fixed_point(L, R, x)
     assert S == naive_bracket(L, tau, tau)
+    assert_iterates_within_reach(x, passes)
+    if name == "mc_universal" and order == 9:
+        assert n == 9
+
+
+# The reach on the universal solves: the corpus, the one-sided and feedback
+# tables, and the mc_universal benchmark's DGLA at its order 9, where the
+# full iterate would be handed on from the fourth pass.
+@pytest.mark.parametrize("name,order", [
+    ("E0", 7), ("E1", 7), ("E2", 4), ("E3", 7), ("E4", 7),
+    ("one-sided", 7), ("feedback", 8), ("mc_universal", 9)])
+def test_fixed_point_keeps_the_iterate_within_reach(name, order):
+    L, R = case_contraction(name)
+    x = universal_solution(L, R, order).direction
+    (tau, n, S), passes = fixed_point_passes(L, R, x)
+    assert (tau, S) == _recursion(L, R, x)
+    assert len(passes) == n - 1
+    assert_iterates_within_reach(x, passes)
+    if name == "mc_universal":
+        assert n == 9 and max(len(y.nums) for y, _ in passes[3:]) <= 69
 
 
 # kuranishi_inverse and obstruction run the order-by-order recursion, which

@@ -305,6 +305,33 @@ def test_summed_matches_fraction_reference(case1, case2):
     assert matches(FormalElement.summed(RING, degree, dim, []), {})
 
 
+def refuse(*args):
+    raise AssertionError("a difference took a second pass")
+
+
+@settings(max_examples=200, deadline=None)
+@given(element_pairs())
+@example((1, {(1, 0): (Fraction(1, 6), Fraction(2, 5)), (0, 2): (Fraction(3), Fraction(0))},
+          {(1, 0): (Fraction(1, 6), Fraction(2, 5)), (1, 1): (Fraction(1, 7), Fraction(1))}))
+@example((1, {(1, 0): (Fraction(1, 2), Fraction(1, 3))},
+          {(1, 0): (Fraction(1, 2), Fraction(1, 3))}))
+def test_difference_matches_fraction_reference_in_one_pass(case):
+    """a - b without building -b or calling +: with different
+    denominators, with whole vectors and whole elements cancelling."""
+    degree, s, t = case
+    dim = FRACTIONAL.dim(degree)
+    x = FormalElement(RING, degree, dim, s)
+    y = FormalElement(RING, degree, dim, t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FormalElement, "__neg__", refuse)
+        mp.setattr(FormalElement, "__add__", refuse)
+        diffs = (x - y, y - x, x - x)
+    s, t = cleaned(s), cleaned(t)
+    assert matches(diffs[0], fraction_add(s, fraction_scale(-1, t)))
+    assert matches(diffs[1], fraction_add(t, fraction_scale(-1, s)))
+    assert matches(diffs[2], {}) and diffs[2].den == 1
+
+
 def test_summed_rejects_incompatible_parts():
     r = CoefficientRing(("t",), 3)
     a = FormalElement(r, 1, 1, {(1,): (F(1),)})

@@ -22,6 +22,7 @@ from dgla import (
     solve_mc_ivp,
     validate_dgla,
 )
+from dgla import _kernels
 from dgla.deform import NotFlatError
 from dgla.formal import CoefficientRing, FormalElement
 from dgla.report import canonical_json, element_data
@@ -301,8 +302,8 @@ GAUGE_BYTE_PINS = {
 }
 
 
-@pytest.mark.parametrize("order,lim", sorted(GAUGE_BYTE_PINS))
-def test_gauge_act_and_curvature_bytes_pinned_twisted_e2(order, lim):
+def dense_gauge_digests(order, lim):
+    """The two digests GAUGE_BYTE_PINS pins at (order, lim)."""
     L, _ = twisted_e2()
     ring = CoefficientRing(("t1", "t2"), order)
     rng = Random(2024)
@@ -316,9 +317,32 @@ def test_gauge_act_and_curvature_bytes_pinned_twisted_e2(order, lim):
     A = dense_element(1)
     assert all(sum(map(bool, vec)) > 1 for vec in a.nums.values())
     moved = gauge_act(L, a, A)
-    digests = tuple(hashlib.sha256(canonical_json(element_data(x))).hexdigest()
-                    for x in (moved, L.curvature(moved)))
-    assert digests == GAUGE_BYTE_PINS[(order, lim)]
+    return tuple(hashlib.sha256(canonical_json(element_data(x))).hexdigest()
+                 for x in (moved, L.curvature(moved)))
+
+
+@pytest.mark.parametrize("order,lim", sorted(GAUGE_BYTE_PINS))
+def test_gauge_act_and_curvature_bytes_pinned_twisted_e2(order, lim):
+    assert dense_gauge_digests(order, lim) == GAUGE_BYTE_PINS[(order, lim)]
+
+
+def test_each_table_keeps_one_pack(monkeypatch):
+    # the big-coefficient pin packs one table at several slot widths; a
+    # Table keeps the pack of the width asked for last and no other
+    widths = []
+    slot_width = _kernels._slot_width
+
+    def recorded(sources):
+        widths.append(slot_width(sources))
+        return widths[-1]
+
+    monkeypatch.setattr(_kernels, "_slot_width", recorded)
+    assert dense_gauge_digests(4, 10**15) == GAUGE_BYTE_PINS[(4, 10**15)]
+    assert {128, 192, 256} <= set(widths)
+    L, _ = twisted_e2()
+    tables = list(L._tables.values()) + list(L._sym_tables.values())
+    assert all(len(T._packs) <= 1 for T in tables)
+    assert any(W > 64 for T in tables for W in T._packs)
 
 
 def test_gauge_equivalent_returns_seeded_witness_twisted_e2():
