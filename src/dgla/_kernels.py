@@ -1,16 +1,16 @@
 """The hot inner loops of the series arithmetic, on integers only.
 
-bracket_convolve, self_convolve and bracket_sums carry every bracket of
-formal elements (so the whole Maurer-Cartan solve) and matvec_terms every
-graded map applied to one.
-None touches a Fraction: a FormalElement already stores integer
-numerators over one denominator, a Matrix its numerators over one
-denominator (Matrix.integer_rows), and a DGLA its bracket as integers
-over one denominator D, which DGLA._integer_table cuts into the table of
-a degree pair.  The caller knows every denominator, so it alone divides:
-the bracket of u / Du and v / Dv through a table over D is the result
-over Du * Dv * D, a matrix scaled by Dm applied to v / Dv is the result
-over Dm * Dv.  This is the fraction-free idea of Bareiss elimination.
+bracket_convolve and bracket_sums carry every bracket of formal elements
+(so the whole Maurer-Cartan solve) and matvec_terms every graded map
+applied to one.
+None touches a Fraction: a FormalElement, a Matrix (Matrix.integer_rows)
+and the bracket of a DGLA, which DGLA._integer_table cuts into the table
+of a degree pair, are already held in linalg's integer form, numerators
+over one denominator.  The caller knows every denominator, so it alone
+divides: the bracket of u / Du and v / Dv through a table over D is the
+result over Du * Dv * D, a matrix scaled by Dm applied to v / Dv is the
+result over Dm * Dv.  This is the fraction-free idea of Bareiss
+elimination.
 
 The brackets read a kernel-ready layout of each series, a KernelView, that
 a FormalElement builds once and keeps.  It buckets the monomials by total
@@ -60,20 +60,21 @@ width and no retry.  One output slot needs neither bound nor decode: the
 integer is the coefficient.  A view keeps its rows of a table at the
 last W and contracts them again only when W changes.
 
-self_convolve is the self-bracket [y, y].  The pairs (m1, m2) and (m2, m1)
-land on the same product monomial with [y_m1, y_m2] + [y_m2, y_m1], which
-is y_m1 put through T + T^t against y_m2 (symmetric_table, an integer table
-at the same scale as T).  So it walks the degree-sorted monomials once
-over unordered pairs p <= q within the truncation, each monomial
-contracted once, through T + T^t, for its row of the walk (which keeps
-nothing): as sym(u, u) = 2 T(u, u), the diagonal pair goes at scale 1 and
-each other pair at 2, which makes every accumulated integer even and twice
-the sum, halved once at the end.  That is about half the pairs of
-bracket_convolve(y, y).  Nothing assumes antisymmetry, so the sum, and the
-result over the same denominator, is the same exact rational for any
-table: one set up through the Python API with [e_i, e_j] but no
-[e_j, e_i], or the self-bracket of an even-degree element.  A pair through
-T + T^t is the bracket sum [u, v] + [v, u] of two elements of one degree.
+A square y of bracket_sums is the self-bracket [y, y].  The pairs
+(m1, m2) and (m2, m1) land on the same product monomial with
+[y_m1, y_m2] + [y_m2, y_m1], which is y_m1 put through T + T^t against
+y_m2 (symmetric_table, an integer table at the same scale as T).  So it
+walks the degree-sorted monomials once over unordered pairs p <= q within
+the truncation, each monomial contracted once, through T + T^t, for its
+row of the walk (which keeps nothing): as sym(u, u) = 2 T(u, u), the
+diagonal pair goes at scale 1 and each other pair at 2, which makes every
+accumulated integer even and twice the sum, halved once at the end.  That
+is about half the pairs of bracket_convolve(y, y).  Nothing assumes
+antisymmetry, so the sum, and the result over the same denominator, is
+the same exact rational for any table: one set up through the Python API
+with [e_i, e_j] but no [e_j, e_i], or the self-bracket of an even-degree
+element.  A pair through T + T^t is the bracket sum [u, v] + [v, u] of two
+elements of one degree.
 bracket_vector is the same bracket on plain coefficient vectors (one
 generator-pair sweep, no series), for DGLA.bracket_vectors and the Cartan
 test of the Hodge package.
@@ -95,14 +96,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Mapping
 from itertools import compress
-from math import lcm
 from struct import Struct
-
-
-def integer_vector(v):
-    """(D, ints) with D * v == ints, D the lcm of the denominators of v."""
-    D = lcm(*{c.denominator for c in v})
-    return D, [c.numerator * (D // c.denominator) for c in v]
 
 
 def bracket_vector(u, v, table, out_dim):
@@ -489,22 +483,6 @@ def bracket_convolve(uterms, vterms, table, trunc, out_dim):
     return _convolve([_cross_rows(u, v, table, trunc, 1)], out_dim)
 
 
-def self_convolve(terms, sym, trunc, out_dim):
-    """bracket_convolve(terms, terms, table, trunc, out_dim), each unordered
-    monomial pair walked once.
-
-    sym is symmetric_table(table), the one table read.  A pair m1 != m2 contributes
-    [y_m1, y_m2] + [y_m2, y_m1] to m1*m2, which is y_m1 put through
-    table + table^t against y_m2, so it goes through sym once; the pair
-    (m1, m1) goes through sym too, sym(y_m1, y_m1) being twice
-    [y_m1, y_m1] (bracket_sums halves the total).  Monomials are walked in
-    ascending total degree, each against itself and the later ones within
-    the truncation, and the walk ends at the first monomial with no partner
-    left.
-    """
-    return bracket_sums((), ((terms, 1),), sym, trunc, out_dim)
-
-
 def bracket_sums(pairs, squares, sym, trunc, out_dim):
     """sum s * ([u, v] + [v, u]) over the (u, v, s) of pairs plus
     sum s * [y, y] over the (y, s) of squares, in one accumulation.
@@ -513,10 +491,12 @@ def bracket_sums(pairs, squares, sym, trunc, out_dim):
     puts every bracket over one common denominator with them) and sym
     symmetric_table(T) for the integer table T of that degree with itself.
     Each monomial of a view is contracted through sym once:
-    a pair is one pass, a square walks its unordered pairs once, as in
-    self_convolve, its diagonal at scale s (sym(u, u) = 2 T(u, u)) and every
-    other pair at 2s.  So the sum is accumulated twice over, every integer
-    of it even, and halved as it leaves the pair loop.
+    a pair is one pass, a square walks its unordered pairs once, in
+    ascending total degree, each monomial against itself at scale s
+    (sym(u, u) = 2 T(u, u)) and against the later ones within the
+    truncation at 2s, ending at the first monomial with no partner left.
+    So the sum is accumulated twice over, every integer of it even, and
+    halved as it leaves the pair loop.
     """
     sources = [_cross_rows(_laid_out(u, trunc), _laid_out(v, trunc), sym, trunc, 2 * s)
                for u, v, s in pairs]

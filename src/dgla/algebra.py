@@ -4,11 +4,11 @@ A DGLA is presented by structure constants on a finite ordered list of graded
 generators: a differential d of degree +1 and a bracket of degree 0, given as
   d(g_i)      = sum_j  c_ij g_j
   [g_i, g_j]  = sum_k  c^k_ij g_k .
-The constructor stores d and the bracket once each, as integer numerators
-over one denominator (the lcm of the reduced denominators), and everything
-below reads that store.  validate_dgla checks every axiom (degrees, d
-squared, graded antisymmetry, graded Jacobi, graded Leibniz) and reports
-violations with witnessing generators instead of raising.  Its cost
+The constructor stores d and the bracket once each, in linalg's integer
+form (numerators over one denominator), and everything below reads that
+store.  validate_dgla checks every axiom (degrees, d squared, graded
+antisymmetry, graded Jacobi, graded Leibniz) and reports violations with
+witnessing generators instead of raising.  Its cost
 scales with the nonzero structure constants: it visits only the generator
 pairs and triples that some d or bracket entry touches, and it sums in
 integers, Jacobi each cyclic orbit of triples once, since the signed
@@ -23,11 +23,11 @@ degree).  It reads
 the elements' kernel views (FormalElement.view) and the integer table of
 a degree pair, cut from the bracket store by _integer_table over the
 store's denominator D; apply_bracket puts the result over
-u.den * v.den * D.  A self-bracket [y, y] goes through
-_kernels.self_convolve instead, which walks each unordered monomial pair
-once through T + T^t (cached per degree).  _bracket_sums adds several
-bracket sums and self-brackets of one degree in one kernel pass over a
-common denominator, for the Maurer-Cartan solvers.
+u.den * v.den * D.  _bracket_sums adds several bracket sums and
+self-brackets of one degree in one kernel pass (_kernels.bracket_sums)
+over a common denominator, for the Maurer-Cartan solvers; a self-bracket
+[y, y] is that pass with the one square y, which walks each unordered
+monomial pair once through T + T^t (cached per degree).
 
 Sign conventions (cohomological grading, d of degree +1):
   [x, y] = -(-1)^{|x||y|} [y, x]
@@ -36,20 +36,18 @@ Sign conventions (cohomological grading, d of degree +1):
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from ._kernels import (
     Table,
     bracket_convolve,
     bracket_sums,
     bracket_vector,
-    integer_vector,
-    self_convolve,
     symmetric_table,
 )
 from .formal import FormalElement
 from .graded import GradedLinearMap
-from .linalg import Matrix, ZERO
+from .linalg import Matrix, ZERO, common_factor, scaled
 from .report import rational_str
 
 HALF = Fraction(1, 2)
@@ -223,9 +221,9 @@ class DGLA:
 
         The lcm D0 of the coefficients' denominators comes first; then one
         pass resolves every name and sums each combination straight into
-        numerators over D0, and a last division by the gcd of D0 and all
-        numerators, which only a fractional table can need, brings D0 down
-        to D.
+        numerators over D0, and a last division by their common factor
+        with D0 (linalg.common_factor), which only a fractional table can
+        need, brings D0 down to D.
         """
         combos = [(key, tuple(ents)) for key, ents in (combos or {}).items()]
         D = lcm(*{_rational(c).denominator for _, ents in combos for _, c in ents
@@ -252,12 +250,11 @@ class DGLA:
             combo = tuple(sorted([t for t in acc.items() if t[1]]))
             if combo:
                 store[key] = combo
-        if D > 1:
-            g = gcd(D, *[n for combo in store.values() for _, n in combo])
-            if g > 1:
-                D //= g
-                store = {key: tuple([(k, n // g) for k, n in combo])
-                         for key, combo in store.items()}
+        g = common_factor(D, ([n for _, n in combo] for combo in store.values()))
+        if g > 1:
+            D //= g
+            store = {key: tuple([(k, n // g) for k, n in combo])
+                     for key, combo in store.items()}
         return D, store
 
     def _lookup(self, name, where):
@@ -406,23 +403,21 @@ class DGLA:
     def apply_bracket(self, u, v):
         """[u, v], the bilinear extension over monomials, truncated.
 
-        A self-bracket (u is v) walks each unordered monomial pair once
-        (_kernels.self_convolve); the result is the same exact element.
-        Both kernels read the elements' kernel views and put the result over
-        u.den * v.den * Dt, Dt the denominator of the bracket store.
+        A self-bracket (u is v) is _bracket_sums with the one square u,
+        which walks each unordered monomial pair once; the result is the
+        same exact element.  Both kernels read the elements' kernel views
+        and put the result over u.den * v.den * Dt, Dt the denominator of
+        the bracket store.
         """
+        if u is v:
+            return self._bracket_sums(u.ring, u.degree, (), (u,))
         self._check_elements((u, v), u.ring)
         out_deg = u.degree + v.degree
         out_dim = self.dim(out_deg)
         if out_dim and u.nums and v.nums:
-            trunc = u.ring.order
-            if u is v:
-                Dt, sym = self._symmetric_table(u.degree)
-                nums = sym and self_convolve(u.view(), sym, trunc, out_dim)
-            else:
-                Dt, table = self._integer_table(u.degree, v.degree)
-                nums = table and bracket_convolve(u.view(), v.view(), table,
-                                                  trunc, out_dim)
+            Dt, table = self._integer_table(u.degree, v.degree)
+            nums = table and bracket_convolve(u.view(), v.view(), table,
+                                              u.ring.order, out_dim)
             if nums:
                 return FormalElement.from_integers(
                     u.ring, out_deg, out_dim, u.den * v.den * Dt, nums)
@@ -474,15 +469,16 @@ class DGLA:
     def bracket_vectors(self, p, u, q, v):
         """[u, v] for plain coefficient vectors u in g^p, v in g^q, exactly.
 
-        u and v are scaled to integers and bracketed through the integer
-        table (_kernels.bracket_vector); the result is divided once.
+        u and v are scaled to integers (linalg.scaled) and bracketed
+        through the integer table (_kernels.bracket_vector); the result is
+        divided once.
         """
         out_dim = self.dim(p + q)
         if not out_dim:
             return ()
         Dt, table = self._integer_table(p, q)
-        Du, ui = integer_vector(u)
-        Dv, vi = integer_vector(v)
+        Du, ui = scaled(u)
+        Dv, vi = scaled(v)
         den = Du * Dv * Dt
         return tuple([Fraction(c, den) if c else ZERO
                       for c in bracket_vector(ui, vi, table, out_dim)])

@@ -7,14 +7,14 @@ at least 1 and at most N, and any product landing above N is identically
 zero.  Nothing is ever rounded.
 
 FormalElement is a vector in one graded piece of an algebra whose entries
-are such truncated series.  It is stored fraction-free: one positive
+are such truncated series.  It is stored in linalg's integer form: one
 denominator den for the whole element and, per monomial, a dense tuple of
 integer numerators (exponent tuple -> int tuple), so the coefficient of
-generator i at monomial m is nums[m][i] / den.  The form is canonical (den
-is coprime to the numerators taken together, den is 1 for zero, no vector
-is all zero, no monomial lies above the order), so two elements are equal
-exactly when their (den, nums) are.  Arithmetic runs on the integers and
-ends in one gcd normalisation; every public accessor speaks Fraction.
+generator i at monomial m is nums[m][i] / den, scaled and reduced by
+linalg.scaled and linalg.common_factor.  No vector is all zero and no
+monomial lies above the order, so two elements are equal exactly when
+their (den, nums) are.  Arithmetic runs on the integers and ends in one
+reduction; every public accessor speaks Fraction.
 FormalElement.summed adds any number of elements in one pass, one rescale
 per part, and a - b is that same pass with the sign of b folded into its
 rescale.  For the brackets, an element also keeps the kernel-ready layout
@@ -24,10 +24,11 @@ never changed in place, so the layout stays valid.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import add
 
 from ._kernels import KernelView, Packing
+from .linalg import common_factor, scaled
 from .report import rational_str
 
 _ONE = Fraction(1)
@@ -164,7 +165,7 @@ class FormalElement:
             raise ValueError("negative dimension")
         self.ring = ring
         self.degree = int(degree)
-        self.dim = int(dim)
+        dim = self.dim = int(dim)
         clean = {}
         if terms:
             for mono, vec in terms.items():
@@ -174,11 +175,8 @@ class FormalElement:
                     raise ValueError("coefficient vector has wrong length")
                 if sum(mono) <= ring.order and any(vec):
                     clean[mono] = vec
-        # the lcm of reduced denominators is already coprime to the numerators
-        den = lcm(*{c.denominator for vec in clean.values() for c in vec})
-        self.den = den
-        self.nums = {m: tuple([c.numerator * (den // c.denominator) for c in vec])
-                     for m, vec in clean.items()}
+        self.den, flat = scaled([c for vec in clean.values() for c in vec])
+        self.nums = {m: flat[k * dim:(k + 1) * dim] for k, m in enumerate(clean)}
         self._view = None
 
     @classmethod
@@ -187,13 +185,10 @@ class FormalElement:
 
         den is a positive int; nums maps monomials within the ring's order
         to int tuples of length dim, none of them all zero.  The common
-        factor of den and every numerator is divided out.
+        factor of den and every numerator (linalg.common_factor) is
+        divided out.
         """
-        g = den
-        for vec in nums.values():
-            if g == 1:
-                break
-            g = gcd(g, *vec)
+        g = common_factor(den, nums.values())
         if g != 1:
             den //= g
             nums = {m: tuple([c // g for c in vec]) for m, vec in nums.items()}

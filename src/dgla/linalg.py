@@ -1,9 +1,16 @@
 """Exact sparse linear algebra over the rationals, computed in integers.
 
+This module owns the one form in which the engine stores a rational
+vector: integer numerators over one positive denominator den, in lowest
+terms (gcd(den, every numerator) = 1, den = 1 for zero).  scaled brings
+ints and Fractions to it, lowest and common_factor reduce integers to it;
+a Matrix, a SubspaceBasis vector, a FormalElement (formal) and the
+structure constants of a DGLA (algebra) are all held in it, and no other
+module scales or reduces on its own.
+
 Vectors are tuples of Fraction.  A Matrix stores integer numerators nums,
-{(row, col): nonzero int}, over one positive denominator den in canonical
-form (gcd(den, every numerator) = 1), as a FormalElement does, so products,
-sums, scaling and equality run on plain integers; entry, column,
+{(row, col): nonzero int}, over one denominator den in that form, so
+products, sums, scaling and equality run on plain integers; entry, column,
 dense_rows, mul_vec and solve_linear hand out Fractions.  Every object is
 treated as immutable after construction, so everything here is safe to
 share between threads.
@@ -21,8 +28,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._kernels import integer_vector
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -32,7 +37,27 @@ def vec(*entries) -> tuple:
     return tuple(Fraction(e) for e in entries)
 
 
-def _lowest(den: int, nums) -> tuple:
+def scaled(values) -> tuple:
+    """(den, nums) with den * values == nums, for a sequence of ints and
+    Fractions values: den is the lcm of their denominators, nums a tuple
+    of ints.  Each value being in lowest terms, so is the result, and den
+    is 1 for zeros."""
+    den = lcm(*{c.denominator for c in values})
+    return den, tuple([c.numerator * (den // c.denominator) for c in values])
+
+
+def common_factor(den: int, vectors) -> int:
+    """gcd(den, every int of every vector in vectors), the vectors read
+    only until it reaches 1."""
+    g = den
+    for nums in vectors:
+        if g == 1:
+            break
+        g = gcd(g, *nums)
+    return g
+
+
+def lowest(den: int, nums) -> tuple:
     """The vector nums / den (den != 0) as (den > 0, nums) in lowest terms."""
     g = gcd(den, *nums)
     if den < 0:
@@ -53,19 +78,17 @@ class Matrix:
         for i, j in entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry index ({i},{j}) outside {rows}x{cols}")
-        # lowest-terms numerators over the lcm of the denominators: canonical
-        den = lcm(*{v.denominator for v in entries.values()})
-        self.rows, self.cols, self.den = rows, cols, den
-        self.nums = {k: v.numerator * (den // v.denominator)
-                     for k, v in entries.items() if v}
+        self.rows, self.cols = rows, cols
+        self.den, nums = scaled(entries.values())
+        self.nums = {k: n for k, n in zip(entries, nums) if n}
 
     @classmethod
     def from_integers(cls, rows: int, cols: int, den: int, nums) -> "Matrix":
         """The matrix nums / den for ints den > 0 and nums {(row, col): int}
-        (zeros allowed), made canonical by _lowest."""
+        (zeros allowed), made canonical by lowest."""
         nums = {k: v for k, v in nums.items() if v}
         mat = cls.__new__(cls)
-        mat.rows, mat.cols, (mat.den, vals) = rows, cols, _lowest(den, nums.values())
+        mat.rows, mat.cols, (mat.den, vals) = rows, cols, lowest(den, nums.values())
         mat.nums = dict(zip(nums, vals))
         return mat
 
@@ -127,7 +150,7 @@ class Matrix:
     def mul_vec(self, v) -> tuple:
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        return (self @ column_matrix(self.cols, [integer_vector(v)])).column(0)
+        return (self @ column_matrix(self.cols, [scaled(v)])).column(0)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -242,7 +265,7 @@ def solve_linear(A: Matrix, b):
     if len(b) != A.rows:
         raise ValueError(f"rhs length {len(b)} != rows {A.rows}")
     # A = N / den and b = bi / Db: A x = b iff N x' = bi for x' = x Db / den
-    Db, bi = integer_vector([Fraction(x) for x in b])
+    Db, bi = scaled([Fraction(x) for x in b])
     n = A.cols
     aug = [{**row, n: x} if x else row for row, x in zip(A.row_maps(), bi)]
     R, pivots = rref_rows(aug, n + 1)
@@ -262,13 +285,13 @@ class SubspaceBasis:
 
     __slots__ = ("ambient_dim", "ints")
 
-    def __init__(self, ambient_dim: int, vectors, check: bool = True):
-        vectors = [tuple([Fraction(x) for x in v]) for v in vectors]
+    def __init__(self, ambient_dim: int, vectors):
+        vectors = [[Fraction(x) for x in v] for v in vectors]
         if any(len(v) != ambient_dim for v in vectors):
             raise ValueError("vector length != ambient dimension")
         self.ambient_dim = ambient_dim
-        self.ints = tuple([(d, tuple(nums)) for d, nums in map(integer_vector, vectors)])
-        if check and vectors and rank(self.matrix()) != len(vectors):
+        self.ints = tuple(map(scaled, vectors))
+        if vectors and rank(self.matrix()) != len(vectors):
             raise ValueError("vectors are linearly dependent")
 
     @classmethod
@@ -334,7 +357,7 @@ def kernel_basis(A: Matrix) -> SubspaceBasis:
         for row, p in zip(R, pivots):
             if f in row:
                 v[p] = -row[f] * (L // row[p])
-        out.append(_lowest(next(x for x in v if x), v))
+        out.append(lowest(next(x for x in v if x), v))
     return SubspaceBasis.from_integers(A.cols, out)
 
 
@@ -342,7 +365,7 @@ def image_basis(A: Matrix) -> SubspaceBasis:
     """Basis of the column space: the original columns at the pivot indices."""
     pivots = rref_rows(A.row_maps(), A.cols)[1]
     return SubspaceBasis.from_integers(A.rows, [
-        _lowest(A.den, [A.nums.get((i, j), 0) for i in range(A.rows)]) for j in pivots])
+        lowest(A.den, [A.nums.get((i, j), 0) for i in range(A.rows)]) for j in pivots])
 
 
 def complement_basis(S: SubspaceBasis, inside: SubspaceBasis | None = None) -> SubspaceBasis:

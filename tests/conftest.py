@@ -10,6 +10,8 @@ from dgla import (
     builtin_example,
     validate_dgla,
 )
+from dgla.graded import GradedLinearMap
+from dgla.linalg import Matrix
 from dgla.sdr import SDRData
 
 
@@ -40,3 +42,9 @@ def perturbed(R, **maps):
                   differential=R.differential)
     fields.update(maps)
     return SDRData(**fields)
+
+
+def one_entry(src_dims, dst_dims, src, dst, i, j):
+    """The graded map with one entry 1, row i and column j of block (src, dst)."""
+    return GradedLinearMap(src_dims, dst_dims, {(src, dst): Matrix(
+        dst_dims[dst], src_dims[src], {(i, j): 1})})

@@ -493,12 +493,15 @@ def fixed_point_cases(draw):
 
 def fixed_point_passes(L, R, x):
     """_fixed_point(L, R, x) and the (iterate, delta) of each of its
-    kernel passes, in order."""
+    kernel passes, in order.  A pass brackets the iterate with delta, so
+    only calls with pairs are passes: a self-bracket alone (apply_bracket
+    of an element with itself) is none."""
     passes = []
     bracket_sums = DGLA._bracket_sums
 
     def recorded(self, ring, degree, pairs, squares):
-        passes.append(pairs[0])
+        if pairs:
+            passes.append(pairs[0])
         return bracket_sums(self, ring, degree, pairs, squares)
 
     with pytest.MonkeyPatch.context() as mp:

@@ -5,10 +5,10 @@ import pytest
 from dgla import DGLA, antisymmetric_closure, check_cartan, hodge_decompose, validate_dgla
 from dgla.graded import GradedLinearMap
 from dgla.hodge import hodge_checks
-from dgla.linalg import Matrix, SubspaceBasis, vec
+from dgla.linalg import Matrix, SubspaceBasis, scaled, vec
 from dgla.sdr import SDRData, Splitting, build_contraction
 
-from conftest import chain_case, contraction_for, perturbed
+from conftest import chain_case, contraction_for, one_entry, perturbed
 from reference import reference_cartan, reference_hodge_checks, vec_add, zero_vec
 
 
@@ -151,6 +151,56 @@ def test_hodge_checks_flag_broken_convention():
     assert {"codifferential-identity", "laplacian-identity"} <= failed
 
 
+# One hand-built SDRData per hodge_checks label on the chain case (g^1 = x,
+# b, c with x harmonic, b = da a boundary, c = h e the complement), and
+# every label it fails.  The Laplacian (d + h)^2 and the star pi_H + d + h
+# read d, h and pi_H together, so only hodge-decomposition fails on its
+# own: no change of one entry of h, pi, nabla, pi_B or the carried d by
+# +-1, and no scaling of one of them by 2, 3, -1 or 0, makes another label
+# fail alone.
+HODGE_LABEL_FAILURES = {
+    "star-involution": (
+        lambda R: perturbed(R, projection=R.projection.scale(F(2))),  # pi x = 2
+        {"star-involution", "laplacian-identity", "hodge-decomposition"}),
+    "codifferential-identity": (
+        lambda R: perturbed(R, differential=R.differential + one_entry(
+            R.dims, R.dims, 0, 1, 0, 0)),                         # d a = b + x
+        {"codifferential-identity", "laplacian-identity", "star-involution"}),
+    "laplacian-identity": (
+        lambda R: perturbed(R, projection=R.projection.scale(F(-1))),  # pi x = -1
+        {"laplacian-identity", "hodge-decomposition"}),
+    "double-projection-idempotent": (
+        lambda R: perturbed(R, h=R.h + one_entry(
+            R.dims, R.dims, 1, 0, 0, 2)),                         # h c = a
+        {"double-projection-idempotent", "laplacian-identity", "star-involution"}),
+    "laplacian-kernel": (
+        lambda R: perturbed(R, h=R.h + one_entry(
+            R.dims, R.dims, 1, 0, 0, 0)),                         # h x = a
+        {"laplacian-kernel", "laplacian-identity", "star-involution"}),
+    "hodge-decomposition": (
+        lambda R: perturbed(R, pi_B=R.pi_B + R.pi_H),             # pi_B x = x
+        {"hodge-decomposition"}),
+    "cartan-condition": (
+        lambda R: perturbed(R, h=R.h + one_entry(
+            R.dims, R.dims, 2, 1, 0, 0)),                         # h e = c + x
+        {"cartan-condition", "laplacian-identity", "star-involution"}),
+}
+
+
+def test_hodge_label_table_covers_every_label():
+    L, R = chain_case()
+    assert [label for label, _ in hodge_checks(L, R)[0]] == list(HODGE_LABEL_FAILURES)
+
+
+@pytest.mark.parametrize("label", list(HODGE_LABEL_FAILURES))
+def test_each_hodge_label_can_fail(label):
+    L, R = chain_case()
+    assert all(ok for _, ok in hodge_checks(L, R)[0])
+    build, failing = HODGE_LABEL_FAILURES[label]
+    assert label in failing
+    assert {name for name, ok in hodge_checks(L, build(R))[0] if not ok} == failing
+
+
 # hodge_checks against the membership-by-solve reference
 
 
@@ -237,7 +287,8 @@ def test_hodge_checks_singular_basis_change():
     S = R.splitting
     b = S.boundaries[1].vectors[0]
     boundaries = dict(S.boundaries)
-    boundaries[1] = SubspaceBasis(3, [b, tuple(2 * t for t in b)], check=False)
+    boundaries[1] = SubspaceBasis.from_integers(
+        3, [scaled(b), scaled([2 * t for t in b])])
     complement = dict(S.complement)
     complement[1] = SubspaceBasis(3, [])
     bad = perturbed(R, splitting=Splitting(

@@ -17,7 +17,6 @@ from dgla._kernels import (
     bracket_convolve,
     bracket_sums,
     matvec_terms,
-    self_convolve,
     symmetric_table,
 )
 from dgla.formal import CoefficientRing, FormalElement
@@ -62,11 +61,12 @@ def convolve_fractions(u, v, table, trunc, out_dim):
     return over(w, Du * Dv * Dt)
 
 
-def self_convolve_fractions(terms, table, trunc, out_dim):
-    """self_convolve on Fraction inputs: scale, convolve, divide."""
+def square_fractions(terms, table, trunc, out_dim):
+    """[y, y] by bracket_sums with the one square y, on Fraction inputs:
+    scale, convolve, divide."""
     D, it = integer_terms(terms)
     Dt, itable = integer_table(table)
-    w = self_convolve(it, symmetric_table(itable), trunc, out_dim)
+    w = bracket_sums((), ((it, 1),), symmetric_table(itable), trunc, out_dim)
     assert_integer_terms(w)
     return over(w, D * D * Dt)
 
@@ -209,10 +209,10 @@ def test_self_convolve_walks_each_unordered_pair_once():
     # pair is counted twice, through T + T^t
     terms = {(1, 0): (1,), (0, 1): (2,), (2, 0): (5,)}
     table = {0: {0: ((0, 1),)}}
-    assert self_convolve(terms, symmetric_table(table), 3, 1) == {
+    assert bracket_sums((), ((terms, 1),), symmetric_table(table), 3, 1) == {
         (2, 0): (1,), (1, 1): (4,), (3, 0): (10,), (0, 2): (4,),
         (2, 1): (20,)}
-    assert self_convolve({}, symmetric_table(table), 3, 1) == {}
+    assert bracket_sums((), (({}, 1),), symmetric_table(table), 3, 1) == {}
 
 
 def test_integer_forms_of_table_and_rows():
@@ -337,7 +337,7 @@ def square_cases(draw, nmaps):
            (1, 1): ((0, F(1, 107)),)}, 4, 2))
 def test_self_convolve_property(case):
     terms, table, trunc, out_dim = case
-    assert self_convolve_fractions(terms, table, trunc, out_dim) == \
+    assert square_fractions(terms, table, trunc, out_dim) == \
         naive_convolve(terms, terms, table, trunc, out_dim)
 
 
@@ -413,7 +413,7 @@ def test_view_rows_kept_per_table(case):
                     Du * Dv * Dt) == uv
         assert over(bracket_convolve(vu, vv, sym, trunc, out_dim),
                     Du * Dv * Dt) == both
-        assert over(self_convolve(vu, sym, trunc, out_dim),
+        assert over(bracket_sums((), ((vu, 1),), sym, trunc, out_dim),
                     Du * Du * Dt) == naive_convolve(u, u, table, trunc, out_dim)
 
 
@@ -431,8 +431,9 @@ def test_matvec_terms_property(case):
 # Packed slots: _convolve holds each output vector as one integer of signed
 # W-bit slots, W proved from the operands on every call.  Coefficients and
 # table entries up to 10^60 of either sign, one output slot and several,
-# through bracket_convolve, self_convolve and the halved bracket_sums, with
-# plain integer inputs against the Fraction references.
+# through bracket_convolve and the halved bracket_sums (one square alone,
+# then pairs and squares at once), with plain integer inputs against the
+# Fraction references.
 def big_coefficients():
     return st.one_of(st.integers(-10**60, 10**60), st.integers(-3, 3))
 
@@ -473,7 +474,7 @@ def test_packed_slots_exact_on_big_coefficients(case, s):
         return naive_convolve(x, y, table, trunc, out_dim)
 
     assert bracket_convolve(u, v, it, trunc, out_dim) == naive(u, v)
-    assert self_convolve(u, sym, trunc, out_dim) == naive(u, u)
+    assert bracket_sums((), ((u, 1),), sym, trunc, out_dim) == naive(u, u)
     w = bracket_sums([(u, v, s)], [(v, 1), (u, s)], sym, trunc, out_dim)
     assert_integer_terms(w)
     assert w == fraction_add(
@@ -541,7 +542,7 @@ def test_packed_self_slot_at_the_proved_bound(sign, k):
     y = {(r,): (P,) * dim for r in range(4)}
     table = {(i, j): ((k, C),) for i in range(dim) for j in range(dim)}
     _, it = integer_table(table)
-    w = self_convolve(y, symmetric_table(it), 3, out_dim)
+    w = bracket_sums((), ((y, 1),), symmetric_table(it), 3, out_dim)
     want = [0] * out_dim
     want[k] = sign * 2**62
     assert w[(3,)] == tuple(want)

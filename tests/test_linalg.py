@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from dgla.linalg import (
     Matrix,
     SubspaceBasis,
+    common_factor,
     complement_basis,
     image_basis,
     invert,
     kernel_basis,
+    lowest,
     rank,
     rref_rows,
+    scaled,
     solve_linear,
     vec,
 )
@@ -143,7 +146,7 @@ def complement_cases(draw):
 @example((3, [vec(1, 1, 0)], [vec(1, 0, 0), vec(0, 1, 0)]))
 def test_complement_matches_greedy_reference(case):
     n, S, inside = case
-    Sb = SubspaceBasis(n, S, check=False)
+    Sb = SubspaceBasis.from_integers(n, [scaled(v) for v in S])
     ib = None if inside is None else SubspaceBasis(n, inside)
     try:
         want = greedy_complement(n, S, inside)
@@ -224,6 +227,66 @@ def test_matrix_algebra_basics():
     assert (A + B) - B == A
     assert A.scale(Fraction(1, 2)).mul_vec(vec(2, 2)) == vec(1, 2)
     assert not A.is_zero() and Matrix.zero(2, 2).is_zero()
+
+
+def test_matrix_rejects_an_entry_outside_its_shape_even_zero():
+    with pytest.raises(ValueError):
+        Matrix(2, 2, {(5, 5): 0})
+
+
+def test_subspace_basis_rejects_a_dependent_family():
+    with pytest.raises(ValueError):
+        SubspaceBasis(2, [vec(1, 2), vec(2, 4)])
+
+
+# The integer form linalg owns, against Fraction: scaled, lowest and
+# common_factor give the one canonical (den > 0, nums) of a rational vector.
+rationals = st.one_of(st.integers(-10**6, 10**6),
+                      st.fractions(max_denominator=10**12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(rationals, max_size=6))
+@example([])
+@example([0, Fraction(0)])
+@example([Fraction(-3, 4), 6, Fraction(5, 6)])
+def test_scaled_is_the_canonical_integer_form(values):
+    den, nums = scaled(values)
+    assert type(den) is int and type(nums) is tuple
+    assert all(type(n) is int for n in nums)
+    assert den == lcm(*[Fraction(v).denominator for v in values]) > 0
+    assert gcd(den, *nums) == 1
+    assert [Fraction(n, den) for n in nums] == [Fraction(v) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**9, 10**9).filter(bool),
+       st.lists(st.integers(-10**9, 10**9), max_size=6))
+@example(1, [])
+@example(-7, [])
+@example(-5, [0, 0])
+@example(-4, [2, -6])
+@example(6, [4, 0, -10])
+def test_lowest_is_the_canonical_form_of_nums_over_den(den, nums):
+    d, out = lowest(den, nums)
+    assert d > 0 and type(out) is tuple and gcd(d, *out) == 1
+    assert [Fraction(x, d) for x in out] == [Fraction(x, den) for x in nums]
+    assert (d, out) == scaled([Fraction(x, den) for x in nums])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**9),
+       st.lists(st.lists(st.integers(-10**6, 10**6), max_size=4), max_size=5))
+@example(1, [])
+@example(12, [[0, 0], [18], [-8]])
+def test_common_factor_is_the_gcd(den, vectors):
+    assert common_factor(den, vectors) == gcd(den, *[x for v in vectors for x in v])
+
+
+def test_common_factor_reads_no_vector_once_at_one():
+    # gcd(15, 3, 5) = 1: the next vector is never read
+    assert common_factor(15, [(3, 5), ("never read",)]) == 1
+    assert common_factor(1, [("never read",)]) == 1
 
 
 def test_coordinates_of():
@@ -307,7 +370,7 @@ def test_bases_match_fraction_oracle():
         combos = [tuple(sum((rng.randint(-2, 2) * x for x in xs), Fraction(0))
                         for xs in zip(*Z.vectors))
                   for _ in range(rng.randint(0, Z.dim))] if Z.dim else []
-        S = SubspaceBasis(A.cols, combos, check=False)
+        S = SubspaceBasis.from_integers(A.cols, [scaled(v) for v in combos])
         try:
             want = fraction_complement(A.cols, S.vectors, Z.vectors)
         except ValueError:

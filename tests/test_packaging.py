@@ -56,3 +56,45 @@ def test_modules_use_every_name_they_import():
             if found:
                 unused[fn] = found
     assert unused == {}
+
+
+def read_tree(fn):
+    with open(os.path.join(PACKAGE_DIR, fn), encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def imports_gcd(tree):
+    """Whether a module takes gcd from math: from math import gcd (under
+    any name), or math.gcd read off an imported math."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "math" \
+                and any(alias.name == "gcd" for alias in node.names):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "gcd" \
+                and isinstance(node.value, ast.Name) and node.value.id == "math":
+            return True
+    return False
+
+
+def test_gcd_imports_are_caught():
+    assert imports_gcd(ast.parse("from math import lcm, gcd as g\n"))
+    assert imports_gcd(ast.parse("import math\nmath.gcd(4, 6)\n"))
+    assert not imports_gcd(ast.parse("from math import lcm\nfrom .linalg import gcd\n"))
+
+
+def test_only_linalg_and_report_reduce_with_gcd():
+    # linalg owns the integer form (scaled, lowest, common_factor); report
+    # keeps one gcd of its own to render p/q without building a Fraction
+    sources = [fn for fn in sorted(os.listdir(PACKAGE_DIR)) if fn.endswith(".py")]
+    users = [fn for fn in sources if imports_gcd(read_tree(fn))]
+    assert users == ["linalg.py", "report.py"]
+
+
+def test_kernels_touch_no_fraction():
+    nodes = list(ast.walk(read_tree("_kernels.py")))
+    modules = {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in nodes if isinstance(node, ast.Import)
+                for alias in node.names}
+    attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert "fractions" not in modules
+    assert not attrs & {"numerator", "denominator"}

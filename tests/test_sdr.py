@@ -11,10 +11,10 @@ from dgla import (
     verify_sdr,
 )
 from dgla.graded import GradedLinearMap
-from dgla.linalg import Matrix, SubspaceBasis, vec
+from dgla.linalg import SubspaceBasis, vec
 from dgla.sdr import SDR_CHECK_LABELS, SDRData, Splitting, sdr_checks
 
-from conftest import chain_case, contraction_for, perturbed
+from conftest import chain_case, contraction_for, one_entry, perturbed
 
 
 def F(x):
@@ -160,12 +160,6 @@ def test_projection_inclusion_is_identity_on_h(corpus_case):
     assert composite == GradedLinearMap.identity(hdims)
 
 
-def _one(src_dims, dst_dims, src, dst, i, j):
-    """The graded map with one entry 1, row i and column j of block (src, dst)."""
-    return GradedLinearMap(src_dims, dst_dims, {(src, dst): Matrix(
-        dst_dims[dst], src_dims[src], {(i, j): 1})})
-
-
 def _resplit(R, degree, **bases):
     """R over a splitting whose degree-`degree` bases named in `bases` are
     replaced; every map of R is kept."""
@@ -185,7 +179,7 @@ def _resplit(R, degree, **bases):
 # case makes any of them fail alone.
 LABEL_FAILURES = {
     "homotopy-identity": (
-        lambda R: perturbed(R, projection=R.projection + _one(
+        lambda R: perturbed(R, projection=R.projection + one_entry(
             R.dims, R.splitting.harmonic_dims(), 1, 1, 0, 1)),    # pi b = 1
         {"homotopy-identity"}),
     "boundary-retraction": (
@@ -195,17 +189,19 @@ LABEL_FAILURES = {
         lambda R: _resplit(R, 1, boundaries=[vec(1, 0, 0)]),      # B^1 = x
         {"boundary-section"}),
     "h-squared": (
-        lambda R: perturbed(R, h=R.h + _one(R.dims, R.dims, 1, 0, 0, 2)),  # h c = a
+        lambda R: perturbed(R, h=R.h + one_entry(
+            R.dims, R.dims, 1, 0, 0, 2)),                         # h c = a
         {"h-squared", "homotopy-identity"}),
     "retract-identity": (
         lambda R: perturbed(R, projection=R.projection.scale(F(2))),
         {"retract-identity", "homotopy-identity"}),
     "side-condition-h-nabla": (
-        lambda R: perturbed(R, inclusion=R.inclusion + _one(
+        lambda R: perturbed(R, inclusion=R.inclusion + one_entry(
             R.splitting.harmonic_dims(), R.dims, 1, 1, 1, 0)),    # nabla = x + b
         {"side-condition-h-nabla", "homotopy-identity"}),
     "side-condition-pi-h": (
-        lambda R: perturbed(R, h=R.h + _one(R.dims, R.dims, 2, 1, 0, 0)),  # h e = c + x
+        lambda R: perturbed(R, h=R.h + one_entry(
+            R.dims, R.dims, 2, 1, 0, 0)),                         # h e = c + x
         {"side-condition-pi-h", "homotopy-identity"}),
     "harmonic-killed": (
         lambda R: _resplit(R, 1, harmonic=[vec(0, 0, 1)]),        # H^1 = c
