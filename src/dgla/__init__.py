@@ -4,9 +4,10 @@ The pipeline: describe a differential graded Lie algebra by structure
 constants, validate the axioms, split each degree as boundaries + harmonic
 representatives + complement, build the contraction h, and run the Hodge
 package and the Maurer-Cartan machinery (fixed-point solver, Kuranishi map
-and inverse, obstructions, gauge action) over truncated formal power series
-with Fraction coefficients.  Every identity the library claims is exact;
-there are no tolerances anywhere.
+and inverse, obstructions, gauge action) over truncated formal power series,
+each vector held as integers over one denominator (the form dgla.linalg
+owns; values are handed out as Fractions).  Every identity the library
+claims is exact; there are no tolerances anywhere.
 """
 
 __version__ = "0.1.0"
@@ -26,10 +27,8 @@ from .deform import (
     gauge_act,
     gauge_equivalent,
     gauge_fix,
-    kur_membership,
     kuranishi_inverse,
     kuranishi_map,
-    mc_residual,
     obstruction,
     solve_by_recursion,
     solve_mc_ivp,
@@ -37,7 +36,7 @@ from .deform import (
 )
 from .formal import CoefficientRing, FormalElement
 from .graded import GradedLinearMap
-from .hodge import check_cartan, hodge_decompose
+from .hodge import check_cartan
 from .linalg import (
     Matrix,
     SubspaceBasis,
@@ -78,13 +77,10 @@ __all__ = [
     "gauge_act",
     "gauge_equivalent",
     "gauge_fix",
-    "hodge_decompose",
     "image_basis",
     "kernel_basis",
-    "kur_membership",
     "kuranishi_inverse",
     "kuranishi_map",
-    "mc_residual",
     "obstruction",
     "solve_by_recursion",
     "solve_linear",

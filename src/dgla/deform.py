@@ -217,12 +217,6 @@ def universal_solution(L, R, order):
     return solve_mc_ivp(L, R, x)
 
 
-def mc_residual(L, tau):
-    """The curvature d tau + 1/2 [tau, tau]; zero iff tau is flat."""
-    _check_degree_one(tau)
-    return L.curvature(tau)
-
-
 def kuranishi_map(L, R, y):
     """F(y) = y + 1/2 h[y, y]."""
     _check_degree_one(y)
@@ -249,19 +243,6 @@ def obstruction(L, R, x):
     _check_degree_one(x)
     S = _recursion(L, R, x)[1]
     return R.harmonic_projection(S.scale(HALF))
-
-
-def kur_membership(L, R, x):
-    """Whether the obstruction of x vanishes identically (mod m^{N+1}).
-
-    Requires the order-1 part of x to lie in the span of the harmonic
-    degree-1 representatives, that is, to be fixed by nabla pi.
-    """
-    _check_degree_one(x)
-    x1 = x.homogeneous_part(1)
-    if R.harmonic_projection(x1) != x1:
-        raise ValueError("the order-1 part of x is not harmonic")
-    return obstruction(L, R, x).is_zero()
 
 
 def _check_gauge(a):
@@ -364,7 +345,7 @@ def gauge_equivalent(L, R, A, Aprime):
     if A.ring != Aprime.ring:
         raise ValueError("ring mismatch")
     for index, B in enumerate((A, Aprime)):
-        if not mc_residual(L, B).is_zero():
+        if not L.curvature(B).is_zero():
             raise NotFlatError(index)
     ring = A.ring
     parts = []

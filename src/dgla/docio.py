@@ -1,4 +1,4 @@
-"""Reading and writing DGLA description files.
+"""Reading DGLA description files and element literals.
 
 The on-disk format is JSON:
 
@@ -33,7 +33,6 @@ from fractions import Fraction
 
 from .algebra import DGLA, antisymmetric_closure, validate_dgla
 from .formal import FormalElement
-from .report import rational_str
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -193,45 +192,6 @@ def load_dgla(path, allow_invalid=False):
     """Read, parse and validate a DGLA file; returns (DGLA, ValidationReport)."""
     with open(path, "rb") as fh:
         return parse_dgla(fh.read(), allow_invalid=allow_invalid)
-
-
-def dgla_to_document(L):
-    """Inverse of document_to_dgla, with a minimal bracket table.
-
-    Only pairs in declaration order (left index <= right index) are written;
-    the rest is implied by antisymmetry.
-    """
-    doc = {
-        "name": L.name,
-        "field": "Q",
-        "generators": [{"name": n, "degree": d} for n, d in L.generators],
-        "d": [],
-        "bracket": [],
-    }
-    index = {n: i for i, (n, _) in enumerate(L.generators)}
-    for gname, _ in L.generators:
-        combo = L.differential_of(gname)
-        if combo:
-            doc["d"].append({
-                "from": gname,
-                "to": [{"gen": t, "coeff": rational_str(c)} for t, c in combo],
-            })
-    for left, right in L.bracket_pairs():
-        if index[left] > index[right]:
-            continue
-        combo = L.bracket_of(left, right)
-        doc["bracket"].append({
-            "left": left,
-            "right": right,
-            "result": [{"gen": t, "coeff": rational_str(c)} for t, c in combo],
-        })
-    return doc
-
-
-def save_dgla(L, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dgla_to_document(L), fh, indent=2, sort_keys=False)
-        fh.write("\n")
 
 
 def parse_element(L, ring, data, expect_degree=None):

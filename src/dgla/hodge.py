@@ -26,23 +26,6 @@ from ._kernels import bracket_vector
 from .linalg import column_matrix, rank
 
 
-def hodge_decompose(R, degree, v):
-    """Split a plain vector in g^degree as (v_B, v_H, v_Bstar), exactly.
-
-    v_B = pi_B v and v_H = nabla pi v; the remainder lies in B* = C by the
-    construction of the splitting, so the three parts are the unique
-    decomposition along g = B + H + B*.
-    """
-    n = R.dims.get(degree, 0)
-    if len(v) != n:
-        raise ValueError("vector length %d does not match dim g^%d = %d"
-                         % (len(v), degree, n))
-    vB = R.pi_B.block(degree, degree).mul_vec(v)
-    vH = R.pi_H.block(degree, degree).mul_vec(v)
-    vBstar = tuple(x - b - h for x, b, h in zip(v, vB, vH))
-    return vB, vH, vBstar
-
-
 def check_cartan(L, R):
     """Whether h[u, v] lies in B* for all pairs of harmonic basis reps.
 

@@ -320,15 +320,6 @@ class SubspaceBasis:
         """Matrix whose columns are the basis vectors."""
         return column_matrix(self.ambient_dim, self.ints)
 
-    def coordinates_of(self, v):
-        """Coordinates of v in this basis, or None if v is outside the span."""
-        if not self.ints:
-            return None if any(v) else ()
-        return solve_linear(self.matrix(), v)
-
-    def contains(self, v) -> bool:
-        return self.coordinates_of(v) is not None
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SubspaceBasis) and \
             (self.ambient_dim, self.ints) == (other.ambient_dim, other.ints)

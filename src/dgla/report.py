@@ -3,7 +3,7 @@
 A RunReport holds only JSON-ready data (strings, ints, bools, lists, dicts);
 rationals travel as exact "p/q" strings and a zero formal element as the
 string "0".  Canonical JSON uses sorted keys and minimal separators, so the
-same report always serializes to byte-identical output; parse(emit(r)) == r.
+same report always serializes to byte-identical output.
 """
 
 import json
@@ -109,17 +109,6 @@ class RunReport:
             data["options"] = self.options
         return data
 
-    @classmethod
-    def from_data(cls, data):
-        r = cls(input_info=data.get("input"), options=data.get("options"))
-        r.stages = list(data.get("stages", []))
-        return r
-
-    def __eq__(self, other):
-        if not isinstance(other, RunReport):
-            return NotImplemented
-        return self.to_data() == other.to_data()
-
     def __repr__(self):
         return "RunReport(%d stage(s), %s)" % (
             len(self.stages), "all pass" if self.all_pass() else "FAILURES")
@@ -180,10 +169,3 @@ def emit_report(r, fmt, color=False):
     lines.append("result: %s" % ("all checks passed" if r.all_pass()
                                  else "%d check(s) FAILED" % len(r.failed_checks())))
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def parse_report(blob):
-    """Inverse of the json form of emit_report."""
-    if isinstance(blob, bytes):
-        blob = blob.decode("utf-8")
-    return RunReport.from_data(json.loads(blob))

@@ -19,7 +19,6 @@ from .deform import (
     gauge_fix,
     kuranishi_inverse,
     kuranishi_map,
-    mc_residual,
     solve_by_recursion,
     solve_mc_ivp,
     universal_solution,
@@ -108,7 +107,7 @@ def gauge_checks(L, R, order, flats):
                 moved = gauge_act(L, a, A)
                 checks.append((
                     "gauge:flatness[%d,%d]" % (ai, fi),
-                    mc_residual(L, moved).is_zero(),
+                    L.curvature(moved).is_zero(),
                 ))
         # orbit soundness, decidable exactly when d has no degree-0 kernel
         moved = gauge_act(L, a1, zero1)

@@ -2,16 +2,17 @@
 
 Everything here recomputes results from the definitions, generator by
 generator, with no sparsity shortcuts and no truncation tricks, so agreement
-with the package is meaningful.
+with the package is meaningful.  From dgla it takes only types and
+constants (tests/test_packaging.py keeps that list): every rank, span
+membership and matrix product below is its own Fraction arithmetic.
 """
 
 from fractions import Fraction
 from math import factorial, lcm
 
-from dgla.algebra import ValidationIssue, ValidationReport, koszul_sign
-from dgla.formal import FormalElement, mono_key
-from dgla.hodge import hodge_decompose
-from dgla.linalg import ONE, ZERO, rank
+from dgla.algebra import ValidationIssue, ValidationReport
+from dgla.formal import FormalElement
+from dgla.linalg import ONE, ZERO
 
 
 def zero_vec(n):
@@ -121,7 +122,7 @@ def reference_element_data(elem):
     coeffs = elem.fraction_terms()
     return {"degree": elem.degree,
             "terms": {elem.ring.mono_str(m): [str(Fraction(c)) for c in coeffs[m]]
-                      for m in sorted(coeffs, key=mono_key)}}
+                      for m in sorted(coeffs, key=lambda m: (sum(m), m))}}
 
 
 def naive_differential_terms(L, p, s):
@@ -215,6 +216,11 @@ def naive_matvec(terms, rows, out_dim):
     return out
 
 
+def koszul(p, q):
+    """(-1)^{pq}."""
+    return -1 if p * q % 2 else 1
+
+
 def _scale_combo(c, combo):
     return {k: c * v for k, v in combo.items()}
 
@@ -295,7 +301,7 @@ def naive_validate(L):
     for gi in range(n):
         for gj in range(gi, n):
             lhs = br({gi: ONE}, {gj: ONE})
-            rhs = _scale_combo(-koszul_sign(degs[gi], degs[gj]), br({gj: ONE}, {gi: ONE}))
+            rhs = _scale_combo(-koszul(degs[gi], degs[gj]), br({gj: ONE}, {gi: ONE}))
             if lhs != rhs:
                 issues.append(ValidationIssue(
                     "antisymmetry",
@@ -330,9 +336,9 @@ def naive_validate(L):
                 y = {gj: ONE}
                 z = {gk: ONE}
                 total = _add_combos(
-                    _scale_combo(koszul_sign(degs[gi], degs[gk]), br(x, br(y, z))),
-                    _scale_combo(koszul_sign(degs[gj], degs[gi]), br(y, br(z, x))),
-                    _scale_combo(koszul_sign(degs[gk], degs[gj]), br(z, br(x, y))),
+                    _scale_combo(koszul(degs[gi], degs[gk]), br(x, br(y, z))),
+                    _scale_combo(koszul(degs[gj], degs[gi]), br(y, br(z, x))),
+                    _scale_combo(koszul(degs[gk], degs[gj]), br(z, br(x, y))),
                 )
                 if total:
                     issues.append(ValidationIssue(
@@ -393,10 +399,43 @@ def greedy_complement(n, S, inside=None):
     return [c for c in candidates if ech.try_add(c)]
 
 
+def fraction_matvec(A, v):
+    """A v for a package Matrix A, through its dense Fraction rows."""
+    return tuple(sum((a * x for a, x in zip(row, v, strict=True)), ZERO)
+                 for row in A.dense_rows())
+
+
+def fraction_rank(A):
+    """The rank of a package Matrix by fraction_rref of its dense rows."""
+    return len(fraction_rref(A.dense_rows(), A.cols)[1])
+
+
+def in_span(vectors, v):
+    """Whether v lies in the span of vectors (the zero vector always does)."""
+    ech = _Echelon(len(v))
+    for u in vectors:
+        ech.try_add(u)
+    return not ech.try_add(v)
+
+
+def fraction_split(R, degree, v):
+    """(pi_B v, pi_H v, the rest) for a plain vector v in g^degree, each
+    projection applied through its dense Fraction rows."""
+    vB = fraction_matvec(R.pi_B.block(degree, degree), v)
+    vH = fraction_matvec(R.pi_H.block(degree, degree), v)
+    return vB, vH, tuple(x - b - h for x, b, h in zip(v, vB, vH))
+
+
+def naive_bracket_vectors(L, p, u, q, v):
+    """[u, v] for plain vectors u in g^p and v in g^q, by naive_bracket_terms
+    on the one monomial ()."""
+    return naive_bracket_terms(L, p, {(): u}, q, {(): v}, 0).get(
+        (), zero_vec(L.dim(p + q)))
+
+
 def reference_cartan(L, R):
-    """check_cartan by membership: h[u, v] in span(C) by one linear solve
-    per nonzero h[u, v] (SubspaceBasis.contains), with no use of R's
-    projections."""
+    """check_cartan by membership: h[u, v] in span(C) decided by elimination
+    for every nonzero h[u, v], with no use of R's projections."""
     witnesses = []
     harmonic = R.splitting.harmonic
     complement = R.splitting.complement
@@ -407,20 +446,20 @@ def reference_cartan(L, R):
                 continue
             for iu, u in enumerate(harmonic[p].vectors):
                 for iv, v in enumerate(harmonic[q].vectors):
-                    w = L.bracket_vectors(p, u, q, v)
-                    hw = R.h.block(p + q, p + q - 1).mul_vec(w)
+                    w = naive_bracket_vectors(L, p, u, q, v)
+                    hw = fraction_matvec(R.h.block(p + q, p + q - 1), w)
                     if not any(hw):
                         continue
                     Bstar = complement.get(p + q - 1)
-                    if Bstar is None or not Bstar.contains(hw):
+                    if Bstar is None or not in_span(Bstar.vectors, hw):
                         witnesses.append((p, iu, q, iv))
     return not witnesses, witnesses
 
 
 def reference_hodge_checks(L, R):
     """hodge_checks with the decomposition and Cartan condition decided by
-    membership: every standard basis vector is split by hodge_decompose and
-    each part is tested against B, H and C with one linear solve apiece."""
+    membership: every standard basis vector is split by fraction_split and
+    each part is tested against B, H and C by elimination."""
     star = R.star
     ok_invol = (star @ star) == R.identity
     ok_codiff = (star @ R.differential @ star) == R.h
@@ -433,21 +472,17 @@ def reference_hodge_checks(L, R):
     split = R.splitting
     for deg, n in sorted(split.dims.items()):
         block = lap.block(deg, deg)
-        if rank(block) != n - split.harmonic[deg].dim:
+        if fraction_rank(block) != n - split.harmonic[deg].dim:
             ok_kernel = False
         for v in split.harmonic[deg].vectors:
-            if any(block.mul_vec(v)):
+            if any(fraction_matvec(block, v)):
                 ok_kernel = False
         for k in range(n):
             e = tuple(Fraction(int(j == k)) for j in range(n))
-            vB, vH, vBs = hodge_decompose(R, deg, e)
-            if vec_add(vec_add(vB, vH), vBs) != e:
-                ok_decomp = False
-            if any(vB) and not split.boundaries[deg].contains(vB):
-                ok_decomp = False
-            if any(vH) and not split.harmonic[deg].contains(vH):
-                ok_decomp = False
-            if any(vBs) and not split.complement[deg].contains(vBs):
+            parts = fraction_split(R, deg, e)
+            spaces = (split.boundaries[deg], split.harmonic[deg],
+                      split.complement[deg])
+            if not all(in_span(S.vectors, part) for S, part in zip(spaces, parts)):
                 ok_decomp = False
 
     ok_cartan, witnesses = reference_cartan(L, R)

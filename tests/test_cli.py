@@ -8,8 +8,12 @@ from decimal import Decimal
 import pytest
 
 import dgla.algebra
-from dgla.cli import main
-from dgla.report import canonical_json, parse_report
+from dgla import build_contraction, build_splitting, universal_solution
+from dgla.cli import _build_parser, main
+from dgla.docio import load_dgla
+from dgla.report import canonical_json, emit_report
+
+from test_benchmark_pins import workloads
 
 CORPUS_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "corpus")
 
@@ -106,11 +110,11 @@ def test_sdr_and_hodge_report_bytes_pinned(capsys, cmd, name):
 
 # sha256 of canonical_json(report["stages"]) of `universal FILE --order 6`
 UNIVERSAL_STAGES_SHA256 = {
-    "E0": "2f4189a1c81f8bd6fd9ba171688e60b37519e236a0058ce247fd8b04db69f8da",
-    "E1": "92b76eed03701c8c48ae1d4a88c87fd5a8c0cbf102dec41bcee8f329a739d999",
-    "E2": "e276c3f2e9b53d84d3cf1703aa892a61855c82029ab7eff0612432bdb024ee5a",
-    "E3": "a2f86c4ae4b6325d0f1056c89709eda468a2224671a18fb192695fc9b9ae150a",
-    "E4": "1964f2cae2cbcc6b750766329c9c9bd2575ee6c62b82d3f90c1cf6f064d49cfe",
+    "E0": "f7f8376dcf2b1a9466f73d36b3a4371f0f76ad27fa93c46c616bc4363513526e",
+    "E1": "4ab94c77e19c2f21f05c9ce2dd284918e5442f8428ba872e8715ca71aeeb9cbd",
+    "E2": "c870472e95dcf2b5a37cbfc927521827105c27f42bc9565c9748acb37e3ae275",
+    "E3": "fc7537b48040e145efdc1ee048df7f8aeb4affaa11ab1d7a362533454fd88c4e",
+    "E4": "39150dd064935e48352c4f2700163f697207b8db14e525ab2627420f98f4f825",
 }
 
 
@@ -128,13 +132,13 @@ DIRECTION_E2 = ("--direction", "1/2,-1/3,1,0,2/5,0,0,1,-1", "--order", "4")
 # run each, all with fractional data
 SERIES_STAGES_SHA256 = [
     (("mc-solve", "E2") + DIRECTION_E2,
-     "96843b95498e66c27a70972bd5c7bc408f715c553bd7c58bced734fa56ef3087"),
+     "3c7ea4fec4d3bff3f02f8296a78228e79507239cc10f66835726179ff27a6fe3"),
     (("obstruction", "E2") + DIRECTION_E2,
      "2a525133bcc522ec8760adec8297a1f4db6fb6f0798d4bcb6f14084ee1e42c16"),
     (("mc-solve", "E3", "--direction", "2/3", "--order", "5"),
-     "16c559f4bf34a6897691724082d5a14cd1ad7465311271c0c1a7a73514c80c52"),
+     "813d73b57e0e44d207cd470688fd608a899b0012faccbc7ccdd3cdcdffa1b780"),
     (("mc-solve", "E1", "--direction", "3/7", "--order", "6"),
-     "ec3dffed653817e91bdebdee48bfbfc41b80cd2e67dbc36d4093b05ee9540c8b"),
+     "0f7da4e69e606b18731ffe38c049d283d0b63bb778f83ce94cca8b7fa93b982f"),
     (("kuranishi", "E1", "--inverse", "--order", "6", "--input",
       '{"degree": 1, "terms": {"t": {"x": "2/3"}, "t^2": {"x": "-1/5"}}}'),
      "d791af873e84ab565bb9539901758fd2db86a99e4e95c9535ce76f82ddbf7b21"),
@@ -376,6 +380,64 @@ def test_axiom_violation_exit_codes(capsys, tmp_path):
     assert code == 0
 
 
+def jacobi_broken_document(tmp_path):
+    """x in degree 1, y and w in degree 2, z in degree 3, with [x, x] = y,
+    [x, y] = z = -[y, x] and dw = z: d and the bracket keep their degrees
+    and d is a derivation, but Jacobi fails on (x, x, x)."""
+    path = tmp_path / "jacobi.json"
+    path.write_text(json.dumps({
+        "name": "jacobi", "field": "Q",
+        "generators": [{"name": "x", "degree": 1}, {"name": "y", "degree": 2},
+                       {"name": "w", "degree": 2}, {"name": "z", "degree": 3}],
+        "d": [{"from": "w", "to": [{"gen": "z", "coeff": "1"}]}],
+        "bracket": [
+            {"left": "x", "right": "x", "result": [{"gen": "y", "coeff": "1"}]},
+            {"left": "x", "right": "y", "result": [{"gen": "z", "coeff": "1"}]},
+        ],
+    }))
+    return path
+
+
+@pytest.mark.parametrize("cmd, extra", [
+    ("universal", ("--order", "3")),
+    ("universal", ("--order", "4")),
+    ("universal", ("--order", "5")),
+    ("mc-solve", ("--direction", "1", "--order", "4")),
+], ids=["universal-3", "universal-4", "universal-5", "mc-solve-4"])
+def test_solver_checks_fail_on_a_jacobi_failure(capsys, tmp_path, cmd, extra):
+    path = jacobi_broken_document(tmp_path)
+    code, rep, _ = run_json(capsys, "validate", str(path))
+    assert code == 1
+    assert {i["axiom"] for i in stage(rep, "validate")["data"]["issues"]} == {"jacobi"}
+    code, rep, _ = run_json(capsys, cmd, str(path), "--allow-invalid", *extra)
+    assert code == 1
+    assert checks_by_name(stage(rep, cmd)) == {
+        "kuranishi-roundtrip": True,
+        "recursion-agreement": True,
+        "kuranishi-identity": False,
+    }
+
+
+def test_kuranishi_identity_sign_is_exercised(capsys, tmp_path):
+    # On E0..E4 no bracket reaches g^3, so h[R, tau] = 0 and R = ob - h[R, tau]
+    # would pass as well.  Twisted CE_4 (the benchmark's ce4_structure input)
+    # is obstructed with h[R, tau] != 0 from order 3 on, where only the sign
+    # of the identity passes.
+    gens, bracket, d = workloads.ce4_parts(0, "ce4_structure")
+    path = tmp_path / "ce4.json"
+    path.write_text(json.dumps(workloads.ce4_document(gens, bracket, d)))
+    for order in (3, 4):
+        code, rep, _ = run_json(capsys, "universal", str(path), "--order", str(order))
+        assert code == 0
+        s = stage(rep, "universal")
+        assert s["data"]["flat"] is False
+        assert checks_by_name(s)["kuranishi-identity"]
+    L, _ = load_dgla(str(path))
+    R = build_contraction(L, build_splitting(L))
+    sol = universal_solution(L, R, 3)
+    assert not R.contract(L.apply_bracket(sol.residual, sol.tau)).is_zero()
+
+
 def skew_document(tmp_path):
     """d x = y with x in degree 0 and y in degree 2: d is not of degree +1."""
     path = tmp_path / "skew.json"
@@ -579,10 +641,13 @@ def test_empty_dgla_document(capsys, tmp_path):
 def test_json_report_round_trips(capsys):
     code, out, _ = run_main(
         capsys, "homology", corpus("E2"), "--format", "json")
-    rep = parse_report(out.encode())
-    assert rep.all_pass()
-    from dgla.report import emit_report
-    assert emit_report(rep, "json").decode() == out
+    assert code == 0
+    data = json.loads(out)
+    args = _build_parser().parse_args(["homology", corpus("E2")])
+    report = args.handler(args)
+    assert data == report.to_data()
+    assert canonical_json(data).decode() == out
+    assert emit_report(report, "json").decode() == out
 
 
 def test_selftest_passes(capsys):

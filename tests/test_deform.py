@@ -15,10 +15,8 @@ from dgla import (
     build_splitting,
     builtin_example,
     contraction_step,
-    kur_membership,
     kuranishi_inverse,
     kuranishi_map,
-    mc_residual,
     obstruction,
     solve_by_recursion,
     solve_mc_ivp,
@@ -105,11 +103,13 @@ def test_mc_residual_pinned():
     ring = CoefficientRing.single(3)
     x = L.generator_element(ring, "x")
     tau = x - L.generator_element(ring, "c", mono=(2,), coeff=F("1/2"))
-    assert mc_residual(L, tau).is_zero()
+    assert L.curvature(tau).is_zero()
     L3 = builtin_example("E3")
-    assert mc_residual(L3, L3.generator_element(ring, "x")) \
+    assert L3.curvature(L3.generator_element(ring, "x")) \
         .coefficient((2,)) == (F("1/2"),)
-    assert mc_residual(L, FormalElement.zero(ring, 1, 2)).is_zero()
+    assert L.curvature(FormalElement.zero(ring, 1, 2)).is_zero()
+    with pytest.raises(ValueError, match="degree 1"):
+        L.curvature(L.generator_element(ring, "b"))
 
 
 def test_kuranishi_map_pinned():
@@ -346,26 +346,6 @@ def test_residual_obstruction_coherence(corpus_case):
         sol = solve_mc_ivp(L, R, direction(L, R, i, ring))
         assert sol.residual.is_zero() == sol.obstruction.is_zero()
         assert R.boundary_projection(sol.residual).is_zero()
-
-
-def test_kur_membership():
-    ring = CoefficientRing.single(3)
-    L, R = contraction_for("E1")
-    assert kur_membership(L, R, L.generator_element(ring, "x"))
-    L3, R3 = contraction_for("E3")
-    assert not kur_membership(L3, R3, L3.generator_element(ring, "x"))
-    L0, R0 = contraction_for("E0")
-    assert kur_membership(L0, R0, L0.generator_element(ring, "x2"))
-    # direction with a component outside span(H^1) is rejected
-    with pytest.raises(ValueError):
-        kur_membership(L, R, L.generator_element(ring, "c"))
-    with pytest.raises(ValueError):
-        kur_membership(L, R, L.generator_element(ring, "x")
-                       + L.generator_element(ring, "c"))
-    # a boundary is a cocycle but not harmonic
-    L4, R4 = contraction_for("E4")
-    with pytest.raises(ValueError):
-        kur_membership(L4, R4, L4.generator_element(ring, "x"))
 
 
 def test_solver_over_two_variable_ring():

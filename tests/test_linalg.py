@@ -289,15 +289,6 @@ def test_common_factor_reads_no_vector_once_at_one():
     assert common_factor(1, [("never read",)]) == 1
 
 
-def test_coordinates_of():
-    S = SubspaceBasis(3, [vec(1, 0, 0), vec(1, 1, 0)])
-    assert S.coordinates_of(vec(2, 1, 0)) == vec(1, 1)
-    assert S.coordinates_of(vec(0, 0, 1)) is None
-    empty = SubspaceBasis(2, [])
-    assert empty.coordinates_of(vec(0, 0)) == ()
-    assert empty.coordinates_of(vec(1, 0)) is None
-
-
 # The integer linear algebra against the Fraction oracles of reference.py:
 # random fractional matrices with signed entries, rows that are
 # combinations of earlier rows (rank deficiency), empty shapes, and in a

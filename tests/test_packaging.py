@@ -1,9 +1,11 @@
 import ast
 import os
+import re
 
 import dgla
 
 PACKAGE_DIR = os.path.dirname(dgla.__file__)
+REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_package_holds_only_python_sources():
@@ -98,3 +100,72 @@ def test_kernels_touch_no_fraction():
     attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
     assert "fractions" not in modules
     assert not attrs & {"numerator", "denominator"}
+
+
+def names_read(tree):
+    """The names and attribute names a module reads, leaving out each read
+    inside the def or class of the same name: a function's recursive call
+    or a class naming itself does not make it used."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in enclosing:
+                found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr not in enclosing:
+                found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_unread_names_are_caught():
+    source = ("def f(n):\n    return f(n - 1) + g(n)\n"
+              "class C:\n    x = C.y\n"
+              "h.k = y\n")
+    assert names_read(ast.parse(source)) == {"n", "g", "h", "y"}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a name dgla exports is read somewhere in the package outside its own
+    # def (the re-exports of __init__.py aside), by the benchmark harness,
+    # or in the README; API that only the tests reach does not ship
+    read = set()
+    for fn in sorted(os.listdir(PACKAGE_DIR)):
+        if fn.endswith(".py") and fn != "__init__.py":
+            read |= names_read(read_tree(fn))
+    bench = os.path.join(REPO_DIR, "perfbench")
+    for fn in sorted(os.listdir(bench)):
+        if fn.endswith(".py"):
+            with open(os.path.join(bench, fn), encoding="utf-8") as fh:
+                read |= names_read(ast.parse(fh.read()))
+    with open(os.path.join(REPO_DIR, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    unread = [name for name in dgla.__all__ if name not in read
+              and not re.search(r"\b%s\b" % re.escape(name), readme)]
+    assert unread == []
+
+
+# What tests/reference.py may take from dgla: types to build and compare
+# results with, and constants.  Every rank, span membership and matrix
+# product of the oracle is its own Fraction arithmetic, never the code it
+# cross-checks.
+REFERENCE_IMPORTS = {"FormalElement", "ONE", "ValidationIssue", "ValidationReport", "ZERO"}
+
+
+def test_reference_oracle_imports_only_types_and_constants():
+    with open(os.path.join(REPO_DIR, "tests", "reference.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dgla":
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names
+                         if alias.name.split(".")[0] == "dgla"}
+    assert imported == REFERENCE_IMPORTS

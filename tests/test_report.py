@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -10,7 +11,6 @@ from dgla.report import (
     canonical_json,
     element_data,
     emit_report,
-    parse_report,
     rational_str,
 )
 
@@ -87,9 +87,8 @@ def test_report_round_trip():
                 checks=[("alpha", True), ("beta", False)])
     r.add_stage("s2", data={}, checks=[])
     blob = emit_report(r, "json")
-    again = parse_report(blob)
-    assert again == r
-    assert emit_report(again, "json") == blob
+    assert json.loads(blob) == r.to_data()
+    assert canonical_json(json.loads(blob)) == blob
     assert not r.all_pass()
     assert r.failed_checks() == [("s1", "beta")]
 
