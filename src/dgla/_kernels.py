@@ -6,11 +6,15 @@ applied to one.
 None touches a Fraction: a FormalElement, a Matrix (Matrix.integer_rows)
 and the bracket of a DGLA, which DGLA._integer_table cuts into the table
 of a degree pair, are already held in linalg's integer form, numerators
-over one denominator.  The caller knows every denominator, so it alone
-divides: the bracket of u / Du and v / Dv through a table over D is the
-result over Du * Dv * D, a matrix scaled by Dm applied to v / Dv is the
-result over Dm * Dv.  This is the fraction-free idea of Bareiss
-elimination.
+over one denominator.  The caller knows every denominator: the bracket of
+u / Du and v / Dv through a table over D is the result over Du * Dv * D,
+a matrix scaled by Dm applied to v / Dv is the result over Dm * Dv.  This
+is the fraction-free idea of Bareiss elimination.  bracket_convolve and
+matvec_terms hand back the numerators, which their caller reduces;
+bracket_sums is given the denominator and hands its sum back in lowest
+terms, reduced on the accumulator as it is decoded, so no bracket sum is
+read a second time.  matvec_terms applies rows compiled once per matrix
+(compile_rows) into one function of a coefficient vector.
 
 The brackets read a kernel-ready layout of each series, a KernelView, that
 a FormalElement builds once and keeps.  It buckets the monomials by total
@@ -68,8 +72,9 @@ walks the degree-sorted monomials once over unordered pairs p <= q within
 the truncation, each monomial contracted once, through T + T^t, for its
 row of the walk (which keeps nothing): as sym(u, u) = 2 T(u, u), the
 diagonal pair goes at scale 1 and each other pair at 2, which makes every
-accumulated integer even and twice the sum, halved once at the end.  That
-is about half the pairs of bracket_convolve(y, y).  Nothing assumes
+accumulated integer even and twice the sum: the 2 leaves with the sum's
+common factor as it is decoded.  That is about half the pairs of
+bracket_convolve(y, y).  Nothing assumes
 antisymmetry, so the sum, and the result over the same denominator, is
 the same exact rational for any table: one set up through the Python API
 with [e_i, e_j] but no [e_j, e_i], or the self-bracket of an even-degree
@@ -88,8 +93,9 @@ Conventions:
   * an integer structure table sends i to {j: ((k, int), ...)}, so that
     [e_i, e_j] = sum int e_k,
   * integer matrix rows are ((row, ((col, int), ...)), ...), nonzero rows
-    only, columns ascending.
-Every kernel returns a terms map with every all-zero vector dropped.
+    only, columns ascending (compile_rows reads a column named twice
+    twice).
+Every terms map a kernel returns has every all-zero vector dropped.
 """
 
 from bisect import bisect_right
@@ -97,6 +103,8 @@ from collections import defaultdict
 from collections.abc import Mapping
 from itertools import compress
 from struct import Struct
+
+from .linalg import common_factor, lowest_terms
 
 
 def bracket_vector(u, v, table, out_dim):
@@ -399,7 +407,7 @@ def _slot_width(sources):
     return -(-(bound.bit_length() + 1) // 64) * 64
 
 
-def _convolve(sources, out_dim, half=False):
+def _convolve(sources, out_dim):
     """The one pair loop of every kernel.
 
     A source is (rows, s, v, kept): an integer scale s, the view v paired
@@ -413,16 +421,15 @@ def _convolve(sources, out_dim, half=False):
     every generator j the row reaches, the coefficients of column j are
     added under the packed product keys k1 + k2.
 
-    Each output vector is one integer of out_dim signed slots of W bits
-    (_slot_width), decoded once per output monomial, as the module
-    docstring describes.  Returns sum s * [u_m1, v_m2] * m1*m2 over every
-    pair as a terms map, monomials unpacked through the packing of a
-    partner view (Packing.monos; every view of one call packs alike), each
-    integer halved if half is set.
+    Returns (out, W, packing): sum s * [u_m1, v_m2] * m1*m2 over every pair
+    as {packed product key: integer}, each integer out_dim signed slots of
+    W bits (_slot_width; the coefficient itself for one slot), and the
+    packing of a partner view (every view of one call packs alike), for
+    _decode.
     """
     sources = [src for src in sources if src is not None and src[0]]
     if not sources:
-        return {}
+        return {}, 0, None
     W = _slot_width(sources) if out_dim > 1 else 0
     out = defaultdict(int)  # packed product key -> packed output vector
     for rows, s, v, kept in sources:
@@ -450,10 +457,21 @@ def _convolve(sources, out_dim, half=False):
                     fq = fs * q
                     for k2, vj in kv[a:b]:
                         out[k1 + k2] += fq * vj
-    monos = sources[0][2].packing.monos(out.keys())
-    h = 1 if half else 0
+    return out, W, sources[0][2].packing
+
+
+def _decode(out, W, packing, out_dim, g=1):
+    """The accumulator of _convolve as a terms map, every slot divided by g,
+    which must divide each: the packed integer is then divided as it
+    stands, since it is the sum of its slots times powers of 2^W, and its
+    quotient packs the quotients.  Monomials are unpacked through
+    packing (Packing.monos), each output vector decoded once (the module
+    docstring), and every all-zero one dropped."""
+    if not out:
+        return {}
+    monos = packing.monos(out.keys())
     if out_dim == 1:
-        return {monos[key]: (acc >> h,) for key, acc in out.items() if acc}
+        return {monos[key]: (acc // g,) for key, acc in out.items() if acc}
     offset = sum([1 << (W * k + W - 1) for k in range(out_dim)])
     size = W // 8
     nbytes = size * out_dim
@@ -461,7 +479,7 @@ def _convolve(sources, out_dim, half=False):
     res = {}
     for key, acc in out.items():
         if acc:
-            raw = (((acc >> h) + offset) ^ offset).to_bytes(nbytes, "little")
+            raw = ((acc // g + offset) ^ offset).to_bytes(nbytes, "little")
             res[monos[key]] = unpack(raw) if unpack else tuple([
                 int.from_bytes(raw[i:i + size], "little", signed=True)
                 for i in range(0, nbytes, size)])
@@ -480,44 +498,78 @@ def bracket_convolve(uterms, vterms, table, trunc, out_dim):
     """
     u = _laid_out(uterms, trunc)
     v = _laid_out(vterms, trunc)
-    return _convolve([_cross_rows(u, v, table, trunc, 1)], out_dim)
+    return _decode(*_convolve([_cross_rows(u, v, table, trunc, 1)], out_dim),
+                   out_dim)
 
 
-def bracket_sums(pairs, squares, sym, trunc, out_dim):
-    """sum s * ([u, v] + [v, u]) over the (u, v, s) of pairs plus
-    sum s * [y, y] over the (y, s) of squares, in one accumulation.
+def bracket_sums(pairs, squares, sym, trunc, out_dim, den):
+    """(den', terms): sum s * ([u, v] + [v, u]) over the (u, v, s) of pairs
+    plus sum s * [y, y] over the (y, s) of squares, in one accumulation, put
+    over den and brought to lowest terms, terms / den' (den' > 0, 1 for
+    zero).
 
     u, v and y are terms maps of one degree, s integer scales (the caller
-    puts every bracket over one common denominator with them) and sym
-    symmetric_table(T) for the integer table T of that degree with itself.
-    Each monomial of a view is contracted through sym once:
-    a pair is one pass, a square walks its unordered pairs once, in
-    ascending total degree, each monomial against itself at scale s
-    (sym(u, u) = 2 T(u, u)) and against the later ones within the
+    puts every bracket over one common denominator with them), sym
+    symmetric_table(T) for the integer table T of that degree with itself
+    and den a positive integer.  Each monomial of a view is contracted
+    through sym once: a pair is one pass, a square walks its unordered
+    pairs once, in ascending total degree, each monomial against itself at
+    scale s (sym(u, u) = 2 T(u, u)) and against the later ones within the
     truncation at 2s, ending at the first monomial with no partner left.
-    So the sum is accumulated twice over, every integer of it even, and
-    halved as it leaves the pair loop.
+    So the sum is accumulated twice over, every integer of it even: the
+    accumulator is the sum over 2 den.  The gcd g of 2 den and the packed
+    integers as they stand (linalg.common_factor) is a multiple of the
+    slots' common factor with 2 den, and equal to it for one slot, where
+    the integer is the coefficient, or when g is 2, which divides every
+    slot.  Then the decode divides by g; otherwise (several slots, g > 2)
+    it halves, and the decoded sum is reduced (linalg.lowest_terms).
     """
     sources = [_cross_rows(_laid_out(u, trunc), _laid_out(v, trunc), sym, trunc, 2 * s)
                for u, v, s in pairs]
     sources += [_self_rows(_laid_out(y, trunc), sym, trunc, s) for y, s in squares]
-    return _convolve(sources, out_dim, half=True)
+    out, W, packing = _convolve(sources, out_dim)
+    g = common_factor(2 * den, (out.values(),))
+    if out_dim == 1 or g == 2:
+        return 2 * den // g, _decode(out, W, packing, out_dim, g)
+    return lowest_terms(den, _decode(out, W, packing, out_dim, 2))
 
 
-def matvec_terms(terms, rows, out_dim):
-    """Apply integer matrix rows to the coefficient vector of every monomial."""
-    res = {}
-    if not rows:
-        return res
-    for mono, vec in terms.items():
-        out = [0] * out_dim
-        for r, row in rows:
-            s = 0
-            for col, c in row:
-                vc = vec[col]
-                if vc:
-                    s += c * vc
-            out[r] = s
-        if any(out):
-            res[mono] = tuple(out)
-    return res
+def _balanced_sum(parts):
+    """The source of the sum of the expressions parts, parenthesised as a
+    balanced tree: a flat chain of a few thousand terms nests too deep for
+    the compiler."""
+    if len(parts) <= 32:
+        return " + ".join(parts)
+    half = len(parts) // 2
+    return "(%s) + (%s)" % (_balanced_sum(parts[:half]), _balanced_sum(parts[half:]))
+
+
+def compile_rows(rows, out_dim):
+    """Integer matrix rows (see Conventions) compiled once into one
+    function of a coefficient vector v, returning the tuple of the out_dim
+    row sums, 0 where no row is given.  Its source names only indices: each
+    sum reads c[n] * v[col] from the tuple c of the row entries, an entry
+    of 1 or -1 as v[col] or -v[col], so a coefficient is never written out
+    as digits; a column named twice in a row is read twice."""
+    consts = []
+    sums = ["0"] * out_dim
+    for r, row in rows:
+        parts = []
+        for col, c in row:
+            if c == 1 or c == -1:
+                parts.append("%sv[%d]" % ("-" if c < 0 else "", col))
+            else:
+                parts.append("c[%d] * v[%d]" % (len(consts), col))
+                consts.append(c)
+        if parts:
+            sums[r] = _balanced_sum(parts)
+    source = "lambda c: lambda v: (%s)" % "".join([x + ", " for x in sums])
+    return eval(source, {"__builtins__": {}})(tuple(consts))
+
+
+def matvec_terms(terms, rows):
+    """Apply matrix rows compiled by compile_rows to the coefficient vector
+    of every monomial: one call per monomial, the monomials whose image is
+    all zero dropped."""
+    outs = list(map(rows, terms.values()))
+    return dict(compress(zip(terms, outs), map(any, outs)))

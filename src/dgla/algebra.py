@@ -430,7 +430,9 @@ class DGLA:
         One kernel pass (_kernels.bracket_sums) adds every bracket into one
         integer accumulator, over the common denominator D * Dt with D the
         lcm of the u.den * v.den and y.den ** 2: each bracket is scaled by
-        D over its own denominator.  Nothing assumes antisymmetry.
+        D over its own denominator.  The kernel hands the sum back in
+        lowest terms, so it is wrapped as it stands.  Nothing assumes
+        antisymmetry.
         """
         elems = [e for pair in pairs for e in pair] + list(squares)
         if any(e.degree != degree for e in elems):
@@ -445,12 +447,11 @@ class DGLA:
             if sym:
                 D = lcm(*[u.den * v.den for u, v in pairs],
                         *[y.den ** 2 for y in squares])
-                nums = bracket_sums(
+                den, nums = bracket_sums(
                     [(u.view(), v.view(), D // (u.den * v.den)) for u, v in pairs],
                     [(y.view(), D // y.den ** 2) for y in squares],
-                    sym, ring.order, out_dim)
-                return FormalElement.from_integers(ring, out_deg, out_dim,
-                                                   D * Dt, nums)
+                    sym, ring.order, out_dim, D * Dt)
+                return FormalElement._canonical(ring, out_deg, out_dim, den, nums)
         return FormalElement.zero(ring, out_deg, out_dim)
 
     def _check_elements(self, elems, ring):
@@ -464,7 +465,13 @@ class DGLA:
         """dA + 1/2 [A, A] for a degree 1 element."""
         if A.degree != 1:
             raise ValueError("curvature is defined on degree 1 elements")
-        return self.apply_differential(A) + self.apply_bracket(A, A).scale(HALF)
+        return self._curvature(A, self.apply_bracket(A, A))
+
+    def _curvature(self, A, S):
+        """dA + 1/2 S for S = [A, A], which the caller already holds, summed
+        in one pass (FormalElement._combined)."""
+        return FormalElement._combined(A.ring, 2, self.dim(2),
+                                       ((1, self.apply_differential(A)), (HALF, S)))
 
     def bracket_vectors(self, p, u, q, v):
         """[u, v] for plain coefficient vectors u in g^p, v in g^q, exactly.

@@ -11,16 +11,24 @@ are such truncated series.  It is stored in linalg's integer form: one
 denominator den for the whole element and, per monomial, a dense tuple of
 integer numerators (exponent tuple -> int tuple), so the coefficient of
 generator i at monomial m is nums[m][i] / den, scaled and reduced by
-linalg.scaled and linalg.common_factor.  No vector is all zero and no
+linalg.scaled and linalg.lowest_terms.  No vector is all zero and no
 monomial lies above the order, so two elements are equal exactly when
 their (den, nums) are.  Arithmetic runs on the integers and ends in one
-reduction; every public accessor speaks Fraction.
-FormalElement.summed adds any number of elements in one pass, one rescale
-per part, and a - b is that same pass with the sign of b folded into its
-rescale.  For the brackets, an element also keeps the kernel-ready layout
-of nums (view(), a _kernels.KernelView), built on first use with the
-monomial keys its ring packs once (CoefficientRing.packing); elements are
-never changed in place, so the layout stays valid.
+reduction; every public accessor speaks Fraction.  A result that arrives
+in lowest terms already, such as a bracket sum from the kernel, is
+wrapped as it stands (FormalElement._canonical), so no series element is
+read twice.
+FormalElement.summed adds any number of elements in one pass, each part
+added into the total once, scaled by an integer (a C-level map adds the
+vectors at a shared monomial), and a - b is that same pass with the sign
+of b folded into its scale, as dA + 1/2 S is with the 1/2 folded into the
+denominator (DGLA._curvature).  SeriesSum adds parts as they arrive over
+one denominator, for a sum whose parts are not all known at once (the S
+of the fixed point).  For the brackets, an element also keeps the
+kernel-ready layout of nums (view(), a _kernels.KernelView), built on
+first use with the monomial keys its ring packs once
+(CoefficientRing.packing); elements are never changed in place, so the
+layout stays valid.
 """
 
 from fractions import Fraction
@@ -28,15 +36,52 @@ from math import lcm
 from operator import add
 
 from ._kernels import KernelView, Packing
-from .linalg import common_factor, scaled
+from .linalg import lowest_terms, scaled
 from .report import rational_str
 
 _ONE = Fraction(1)
 
 
-def mono_key(mono):
-    """Graded lexicographic sort key."""
-    return (sum(mono), mono)
+def _times(f, nums):
+    """The integer terms map nums with every entry times the int f."""
+    return {m: tuple([f * c for c in vec]) for m, vec in nums.items()}
+
+
+def _add_scaled(total, f, nums, dim):
+    """Add f times the integer terms map nums (vectors of length dim) into
+    the terms map total, in place, in one pass over nums: each vector is
+    scaled by f and added to the one at its monomial by a C-level map of
+    add, and a sum that cancels to zero is dropped.  An empty total takes
+    nums over at once when f is 1; vectors of one entry are added as the
+    integers they hold."""
+    if f == 1 and not total:
+        total.update(nums)
+        return
+    get = total.get
+    if dim == 1:
+        for mono, (c,) in nums.items():
+            if f != 1:
+                c *= f
+            cur = get(mono)
+            if cur is not None:
+                c += cur[0]
+                if not c:
+                    del total[mono]
+                    continue
+            total[mono] = (c,)
+        return
+    for mono, vec in nums.items():
+        if f != 1:
+            vec = tuple([f * c for c in vec])
+        cur = get(mono)
+        if cur is None:
+            total[mono] = vec
+        else:
+            vec = tuple(map(add, cur, vec))
+            if any(vec):
+                total[mono] = vec
+            else:
+                del total[mono]
 
 
 class CoefficientRing:
@@ -185,14 +230,10 @@ class FormalElement:
 
         den is a positive int; nums maps monomials within the ring's order
         to int tuples of length dim, none of them all zero.  The common
-        factor of den and every numerator (linalg.common_factor) is
-        divided out.
+        factor of den and every numerator is divided out
+        (linalg.lowest_terms).
         """
-        g = common_factor(den, nums.values())
-        if g != 1:
-            den //= g
-            nums = {m: tuple([c // g for c in vec]) for m, vec in nums.items()}
-        return cls._canonical(ring, degree, dim, den, nums)
+        return cls._canonical(ring, degree, dim, *lowest_terms(den, nums))
 
     @classmethod
     def _canonical(cls, ring, degree, dim, den, nums):
@@ -209,15 +250,16 @@ class FormalElement:
     @classmethod
     def summed(cls, ring, degree, dim, parts):
         """The sum of the parts (elements over ring, of degree and dim) in
-        one pass (_combined, every part at sign +1)."""
+        one pass (_combined, every part at scale 1)."""
         return cls._combined(ring, degree, dim, [(1, part) for part in parts])
 
     @classmethod
     def _combined(cls, ring, degree, dim, parts):
-        """sum s * part over the (s, part) of parts, s = +1 or -1, in one
-        pass: each part is rescaled once, by s times the lcm of their
-        denominators over its own, the first one copied as it stands when
-        that factor is 1, and the total is normalised once."""
+        """sum s * part over the (s, part) of parts, s an int or Fraction, in
+        one pass: the total is put over the lcm of the part.den times the
+        denominators of s, each part is added into it once, scaled by an
+        integer (_add_scaled), and the total is normalised once.  A lone
+        nonzero part at scale 1 is the sum as it stands."""
         for _, part in parts:
             if part.ring != ring:
                 raise ValueError("ring mismatch")
@@ -226,25 +268,13 @@ class FormalElement:
             if part.dim != dim:
                 raise ValueError("dimension mismatch")
         parts = [(s, part) for s, part in parts if part.nums]
-        den = lcm(*(part.den for _, part in parts))
+        if len(parts) == 1 and parts[0][0] == 1:
+            return parts[0][1]
+        den = lcm(*[part.den * s.denominator for s, part in parts])
         nums = {}
         for s, part in parts:
-            f = s * (den // part.den)
-            if not nums and f == 1:
-                nums = dict(part.nums)
-                continue
-            for mono, vec in part.nums.items():
-                if f != 1:
-                    vec = tuple([f * c for c in vec])
-                cur = nums.get(mono)
-                if cur is None:
-                    nums[mono] = vec
-                else:
-                    vec = tuple(map(add, cur, vec))
-                    if any(vec):
-                        nums[mono] = vec
-                    else:
-                        del nums[mono]
+            _add_scaled(nums, s.numerator * (den // (part.den * s.denominator)),
+                        part.nums, dim)
         return cls.from_integers(ring, degree, dim, den, nums)
 
     @classmethod
@@ -270,8 +300,9 @@ class FormalElement:
         return view
 
     def support(self):
-        """Monomials with a nonzero coefficient, in graded lex order."""
-        return tuple(sorted(self.nums, key=mono_key))
+        """Monomials with a nonzero coefficient, in graded lex order: sorted
+        by exponents, then (a stable sort) by total degree."""
+        return tuple(sorted(sorted(self.nums), key=sum))
 
     def _fractions(self, vec):
         den = self.den
@@ -295,8 +326,8 @@ class FormalElement:
         return FormalElement.summed(self.ring, self.degree, self.dim, (self, other))
 
     def __neg__(self):
-        nums = {m: tuple([-c for c in vec]) for m, vec in self.nums.items()}
-        return FormalElement._canonical(self.ring, self.degree, self.dim, self.den, nums)
+        return FormalElement._canonical(self.ring, self.degree, self.dim, self.den,
+                                        _times(-1, self.nums))
 
     def __sub__(self, other):
         """self - other in one pass, the sign folded into other's rescaling."""
@@ -311,9 +342,7 @@ class FormalElement:
         if not c:
             return FormalElement(self.ring, self.degree, self.dim)
         p = c.numerator
-        nums = self.nums
-        if p != 1:
-            nums = {m: tuple([p * x for x in vec]) for m, vec in nums.items()}
+        nums = self.nums if p == 1 else _times(p, self.nums)
         return self._with(self.den * c.denominator, nums)
 
     def to_order(self, order):
@@ -358,3 +387,33 @@ class FormalElement:
             for m in self.support()
         )
         return "FormalElement(deg=%d, {%s})" % (self.degree, bits)
+
+
+class SeriesSum:
+    """Elements of one ring, degree and dim added up as they arrive, over
+    one denominator: add rescales the total only when its den is not a
+    multiple of the part's, adds the part in one pass (_add_scaled), and
+    element() normalises the total once."""
+
+    __slots__ = ("ring", "degree", "dim", "den", "nums")
+
+    def __init__(self, ring, degree, dim):
+        self.ring, self.degree, self.dim = ring, degree, dim
+        self.den, self.nums = 1, {}
+
+    def add(self, part):
+        if not part.nums:
+            return
+        den = self.den
+        if den % part.den:
+            den = lcm(den, part.den)
+            self.nums = _times(den // self.den, self.nums)
+            self.den = den
+        _add_scaled(self.nums, den // part.den, part.nums, self.dim)
+
+    def element(self):
+        """The total in canonical form.  It takes the integers over, so
+        nothing can be added after."""
+        nums, self.nums = self.nums, None
+        return FormalElement.from_integers(self.ring, self.degree, self.dim,
+                                           self.den, nums)

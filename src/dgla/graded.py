@@ -7,11 +7,12 @@ Every block already holds integer numerators over one denominator Dm, so
 composition, sums and equality of maps run on integers.  Maps need not be
 homogeneous, but the ones that are can shift a FormalElement degree by
 degree through _kernels.matvec_terms: the kernel applies a block's integer
-rows (Matrix.integer_rows, cached on the map) to the element's integer
-numerators, and the result is put over elem.den * Dm.
+rows (Matrix.integer_rows, compiled once by _kernels.compile_rows and kept
+on the map) to the element's integer numerators, and the result is put
+over elem.den * Dm.
 """
 
-from ._kernels import matvec_terms
+from ._kernels import compile_rows, matvec_terms
 from .formal import FormalElement
 from .linalg import Matrix
 
@@ -135,11 +136,12 @@ class GradedLinearMap:
         out_dim = self.dst_dims.get(out_deg, 0)
         if out_dim and elem.nums:
             key = (elem.degree, out_deg)
-            scaled = self._int_rows.get(key)
-            if scaled is None:
-                scaled = self._int_rows[key] = self.block(*key).integer_rows()
-            Dm, rows = scaled
-            nums = matvec_terms(elem.nums, rows, out_dim)
+            compiled = self._int_rows.get(key)
+            if compiled is None:
+                Dm, rows = self.block(*key).integer_rows()
+                compiled = self._int_rows[key] = Dm, compile_rows(rows, out_dim)
+            Dm, rows = compiled
+            nums = matvec_terms(elem.nums, rows)
             return FormalElement.from_integers(
                 elem.ring, out_deg, out_dim, elem.den * Dm, nums)
         return FormalElement(elem.ring, out_deg, out_dim)

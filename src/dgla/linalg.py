@@ -3,8 +3,9 @@
 This module owns the one form in which the engine stores a rational
 vector: integer numerators over one positive denominator den, in lowest
 terms (gcd(den, every numerator) = 1, den = 1 for zero).  scaled brings
-ints and Fractions to it, lowest and common_factor reduce integers to it;
-a Matrix, a SubspaceBasis vector, a FormalElement (formal) and the
+ints and Fractions to it; lowest, lowest_terms and common_factor reduce
+integers to it.  A Matrix, a SubspaceBasis vector, a FormalElement
+(formal), the output of a bracket sum (_kernels.bracket_sums) and the
 structure constants of a DGLA (algebra) are all held in it, and no other
 module scales or reduces on its own.
 
@@ -55,6 +56,16 @@ def common_factor(den: int, vectors) -> int:
             break
         g = gcd(g, *nums)
     return g
+
+
+def lowest_terms(den: int, terms: dict) -> tuple:
+    """(den, terms) in lowest terms, for an int den > 0 and a map terms of
+    int tuples over it: both divided by their common_factor (den 1 for an
+    empty map), terms handed back as it stands when that is 1."""
+    g = common_factor(den, terms.values())
+    if g == 1:
+        return den, terms
+    return den // g, {k: tuple([c // g for c in vec]) for k, vec in terms.items()}
 
 
 def lowest(den: int, nums) -> tuple:

@@ -10,7 +10,7 @@ from dgla import (
     koszul_sign,
     validate_dgla,
 )
-from dgla.formal import CoefficientRing, FormalElement
+from dgla.formal import CoefficientRing
 
 
 def F(x):

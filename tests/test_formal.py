@@ -353,3 +353,111 @@ def test_structure_maps_match_fraction_reference(case1, case2):
                    naive_bracket_terms(FRACTIONAL, p, s, q, t, RING.order))
     assert matches(FRACTIONAL.apply_differential(u),
                    naive_differential_terms(FRACTIONAL, p, s))
+
+
+# Every element that leaves the integer paths comes out canonical: den > 0,
+# gcd(den, numerators) = 1 (so den = 1 for zero) and no all-zero vector,
+# with the value of the Fraction reference.  The bracket sums reduce inside
+# the kernel (_kernels.bracket_sums), the rest through linalg.lowest_terms;
+# a path that skipped its division would hand on a den with a factor left.
+# The DGLAs bracket degree 1 (x1, x2) into degree 2 with one output slot or
+# two, through integer tables that may be all even (so a halved
+# self-bracket can be even again), one-sided, or antisymmetric (so a
+# self-bracket cancels to zero); coefficients reach 2^63 and 10^60, of
+# either sign.
+
+def canonical_dgla(out_dim, table, diff):
+    gens = [("x1", 1), ("x2", 1)] + [("b%d" % k, 2) for k in range(out_dim)]
+    return DGLA(gens,
+                d={"x%d" % (i + 1): [("b%d" % k, c) for k, c in ents]
+                   for i, ents in enumerate(diff) if ents},
+                bracket={("x%d" % (i + 1), "x%d" % (j + 1)): [("b%d" % k, c) for k, c in ents]
+                         for (i, j), ents in table.items() if ents},
+                name="canonical")
+
+
+def wide_coefficients():
+    near = st.sampled_from((2**63, 10**60))
+    return st.one_of(
+        st.builds(Fraction, st.integers(-6, 6), st.sampled_from(PRIMES)),
+        st.builds(lambda n, k, p: Fraction(n + k, p), near, st.integers(-2, 2),
+                  st.sampled_from((1, 2, 3))),
+        st.builds(lambda n, k: Fraction(-n - k), near, st.integers(-2, 2)))
+
+
+@st.composite
+def canonical_cases(draw):
+    out_dim = draw(st.sampled_from((1, 2)))
+    even = draw(st.booleans())
+    entry = st.integers(-3, 3).map(lambda c: 2 * c if even else c)
+
+    def ents():
+        return tuple((k, c) for k in range(out_dim) if (c := draw(entry)))
+
+    table = {(i, j): ents() for i in range(2) for j in range(2)}
+    if draw(st.booleans()):  # antisymmetric: every self-bracket cancels
+        table[(1, 0)] = tuple((k, -c) for k, c in table[(0, 1)])
+        table[(0, 0)] = table[(1, 1)] = ()
+    diff = (ents(), ents())
+
+    def terms():
+        monos = draw(st.lists(st.sampled_from(MONOMIALS), max_size=4, unique=True))
+        return {m: (draw(wide_coefficients()), draw(wide_coefficients())) for m in monos}
+
+    s = terms()
+    t = {m: tuple(-c for c in vec) for m, vec in s.items()} if draw(st.booleans()) \
+        else terms()
+    return canonical_dgla(out_dim, table, diff), s, t, draw(st.integers(-3, -1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_cases())
+@example((canonical_dgla(1, {(0, 0): ((0, 4),)}, ((), ())),
+          {(1, 0): (Fraction(1, 2), Fraction(0)), (0, 1): (Fraction(1, 2), Fraction(0))},
+          {}, -1))
+@example((canonical_dgla(2, {(0, 0): ((0, 4), (1, -2)), (0, 1): ((1, 2),)},
+                         (((0, 2),), ((1, 6),))),
+          {(1, 0): (Fraction(2**63 + 1, 2), Fraction(-3, 2)), (0, 1): (Fraction(1, 2), Fraction(5))},
+          {(2, 0): (Fraction(10**60), Fraction(-10**60 - 1, 3))}, -2))
+@example((canonical_dgla(2, {(0, 1): ((0, 1), (1, -3)), (1, 0): ((0, -1), (1, 3))},
+                         ((), ())),
+          {(1, 0): (Fraction(1, 3), Fraction(2)), (1, 1): (Fraction(-7), Fraction(1, 5))},
+          {(1, 0): (Fraction(-1, 3), Fraction(-2)), (1, 1): (Fraction(7), Fraction(-1, 5))}, -3))
+def test_integer_paths_hand_on_canonical_elements(case):
+    L, s, t, c = case
+    u = FormalElement(RING, 1, 2, s)
+    v = FormalElement(RING, 1, 2, t)
+    w = u.scale(c)  # a negative scale of u
+    s, t = cleaned(s), cleaned(t)
+    sc = fraction_scale(c, s)
+
+    def br(a, b):
+        return naive_bracket_terms(L, 1, a, 1, b, RING.order)
+
+    def both(a, b):
+        return fraction_add(br(a, b), br(b, a))
+
+    produced = [
+        (L._bracket_sums(RING, 1, (), (u,)), br(s, s)),
+        (L._bracket_sums(RING, 1, (), (w,)), br(sc, sc)),
+        (L._bracket_sums(RING, 1, [(u, v)], [v]), fraction_add(both(s, t), br(t, t))),
+        (L._bracket_sums(RING, 1, [(u, w), (v, u)], [w, u]),
+         fraction_add(fraction_add(both(s, sc), both(t, s)),
+                      fraction_add(br(sc, sc), br(s, s)))),
+        (L.apply_bracket(u, u), br(s, s)),
+        (L.apply_bracket(u, v), br(s, t)),
+        (L.apply_bracket(w, v), br(sc, t)),
+        (L.differential.apply_element(u, 1), naive_differential_terms(L, 1, s)),
+        (L.differential.apply_element(w, 1), naive_differential_terms(L, 1, sc)),
+        (FormalElement.summed(RING, 1, 2, [u, v, w]),
+         fraction_add(fraction_add(s, t), sc)),
+        (FormalElement.summed(RING, 1, 2, [u, w.scale(Fraction(1, c))]),
+         fraction_scale(2, s)),
+        (u - v, fraction_add(s, fraction_scale(-1, t))),
+        (w - u, fraction_add(sc, fraction_scale(-1, s))),
+        (u - u, {}),
+    ]
+    for e, want in produced:
+        assert matches(e, want)
+        if not want:
+            assert e.den == 1

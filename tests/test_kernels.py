@@ -1,7 +1,7 @@
 import gc
 import weakref
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from random import Random
 
 import pytest
@@ -16,6 +16,7 @@ from dgla._kernels import (
     Table,
     bracket_convolve,
     bracket_sums,
+    compile_rows,
     matvec_terms,
     symmetric_table,
 )
@@ -61,14 +62,22 @@ def convolve_fractions(u, v, table, trunc, out_dim):
     return over(w, Du * Dv * Dt)
 
 
+def lowest_over(result):
+    """A bracket_sums result (den, terms), checked to be in lowest terms,
+    back in Fractions."""
+    den, w = result
+    assert_integer_terms(w)
+    assert den > 0 and gcd(den, *[c for vec in w.values() for c in vec]) == 1
+    return over(w, den)
+
+
 def square_fractions(terms, table, trunc, out_dim):
     """[y, y] by bracket_sums with the one square y, on Fraction inputs:
     scale, convolve, divide."""
     D, it = integer_terms(terms)
     Dt, itable = integer_table(table)
-    w = bracket_sums((), ((it, 1),), symmetric_table(itable), trunc, out_dim)
-    assert_integer_terms(w)
-    return over(w, D * D * Dt)
+    return lowest_over(bracket_sums((), ((it, 1),), symmetric_table(itable),
+                                    trunc, out_dim, D * D * Dt))
 
 
 def bracket_sum_fractions(u, v, table, trunc, out_dim):
@@ -85,7 +94,7 @@ def matvec_fractions(terms, rows, out_dim):
     """matvec_terms on Fraction inputs: scale, apply, divide."""
     Dv, iv = integer_terms(terms)
     Dm, irows = integer_rows(rows)
-    w = matvec_terms(iv, irows, out_dim)
+    w = matvec_terms(iv, compile_rows(irows, out_dim))
     assert_integer_terms(w)
     return over(w, Dm * Dv)
 
@@ -190,8 +199,8 @@ def test_zero_results_are_dropped():
     # [e0, e1] = +g, [e1, e0] = +g: contributions cancel exactly
     table = {0: {1: ((0, 1),)}, 1: {0: ((0, 1),)}}
     assert bracket_convolve(u, v, table, 4, 1) == {}
-    assert matvec_terms(u, (), 2) == {}
-    assert matvec_terms(u, ((0, ((0, 1), (1, 1))),), 1) == {}
+    assert matvec_terms(u, compile_rows((), 2)) == {}
+    assert matvec_terms(u, compile_rows(((0, ((0, 1), (1, 1))),), 1)) == {}
 
 
 def test_symmetric_table_adds_the_transpose():
@@ -209,10 +218,10 @@ def test_self_convolve_walks_each_unordered_pair_once():
     # pair is counted twice, through T + T^t
     terms = {(1, 0): (1,), (0, 1): (2,), (2, 0): (5,)}
     table = {0: {0: ((0, 1),)}}
-    assert bracket_sums((), ((terms, 1),), symmetric_table(table), 3, 1) == {
+    assert bracket_sums((), ((terms, 1),), symmetric_table(table), 3, 1, 1) == (1, {
         (2, 0): (1,), (1, 1): (4,), (3, 0): (10,), (0, 2): (4,),
-        (2, 1): (20,)}
-    assert bracket_sums((), (({}, 1),), symmetric_table(table), 3, 1) == {}
+        (2, 1): (20,)})
+    assert bracket_sums((), (({}, 1),), symmetric_table(table), 3, 1, 1) == (1, {})
 
 
 def test_integer_forms_of_table_and_rows():
@@ -375,9 +384,8 @@ def test_bracket_sums_property(case, scales):
     (Da, ia), (Db, ib), (Dc, ic) = (integer_terms(m) for m in (a, b, c))
     packing = Packing(max(trunc, 0) + 1)
     va, vb, vc = (KernelView(m, packing) for m in (ia, ib, ic))
-    w = bracket_sums([(va, vb, s1), (vb, vc, s2)], [(vc, s3), (va, s4)],
-                     symmetric_table(it), trunc, out_dim)
-    assert_integer_terms(w)
+    w = lowest_over(bracket_sums([(va, vb, s1), (vb, vc, s2)], [(vc, s3), (va, s4)],
+                                 symmetric_table(it), trunc, out_dim, 1))
 
     def both(u, v):
         return fraction_add(naive_convolve(u, v, table, trunc, out_dim),
@@ -388,7 +396,7 @@ def test_bracket_sums_property(case, scales):
                     (s3 * Dc * Dc, naive_convolve(c, c, table, trunc, out_dim)),
                     (s4 * Da * Da, naive_convolve(a, a, table, trunc, out_dim))):
         want = fraction_add(want, fraction_scale(f * Dt, part))
-    assert over(w, 1) == want
+    assert w == want
 
 
 # A view keeps the contracted rows of each Table apart (KernelView.rows):
@@ -413,8 +421,9 @@ def test_view_rows_kept_per_table(case):
                     Du * Dv * Dt) == uv
         assert over(bracket_convolve(vu, vv, sym, trunc, out_dim),
                     Du * Dv * Dt) == both
-        assert over(bracket_sums((), ((vu, 1),), sym, trunc, out_dim),
-                    Du * Du * Dt) == naive_convolve(u, u, table, trunc, out_dim)
+        assert lowest_over(bracket_sums((), ((vu, 1),), sym, trunc, out_dim,
+                                        Du * Du * Dt)) == \
+            naive_convolve(u, u, table, trunc, out_dim)
 
 
 @settings(max_examples=300, deadline=None)
@@ -426,6 +435,29 @@ def test_matvec_terms_property(case):
     terms, rows, out_dim = case
     assert matvec_fractions(terms, rows, out_dim) == \
         naive_matvec(terms, rows, out_dim)
+
+
+# Compiled rows (compile_rows) against the dense reference: no rows at all
+# and rows with no entry, rows of one column (entries 1, -1 and others,
+# which the compiled source writes differently), a column named twice in
+# one row, once cancelling, one output slot, and a row of 5,000 entries,
+# whose sum a flat chain would nest past the compiler's limit.
+TERMS = {(1, 0): (F(1, 2), F(-3)), (0, 2): (F(0), F(5, 7)), (2, 1): (F(4), F(0))}
+
+
+@pytest.mark.parametrize("rows, out_dim", [
+    ((), 0),
+    (((), ()), 2),
+    ((((0, F(1)),), ((1, F(-1)),), ((1, F(3, 2)),)), 3),
+    ((((1, F(-7)),),), 1),
+    ((((0, F(2)), (0, F(5))), ((1, F(1)), (1, F(-1)))), 2),
+    ((((0, F(1, 3)), (1, F(-2)), (0, F(1))),), 1),
+    (((), ((0, F(10**60)), (1, F(-(2**63)))), ()), 3),
+    ((tuple((k % 2, F(k % 7 - 3, 2)) for k in range(5000)),), 1),
+])
+def test_compiled_rows_match_the_reference(rows, out_dim):
+    assert matvec_fractions(TERMS, rows, out_dim) == naive_matvec(TERMS, rows, out_dim)
+    assert matvec_terms({}, compile_rows(integer_rows(rows)[1], out_dim)) == {}
 
 
 # Packed slots: _convolve holds each output vector as one integer of signed
@@ -474,9 +506,9 @@ def test_packed_slots_exact_on_big_coefficients(case, s):
         return naive_convolve(x, y, table, trunc, out_dim)
 
     assert bracket_convolve(u, v, it, trunc, out_dim) == naive(u, v)
-    assert bracket_sums((), ((u, 1),), sym, trunc, out_dim) == naive(u, u)
-    w = bracket_sums([(u, v, s)], [(v, 1), (u, s)], sym, trunc, out_dim)
-    assert_integer_terms(w)
+    assert lowest_over(bracket_sums((), ((u, 1),), sym, trunc, out_dim, 1)) == \
+        naive(u, u)
+    w = lowest_over(bracket_sums([(u, v, s)], [(v, 1), (u, s)], sym, trunc, out_dim, 1))
     assert w == fraction_add(
         fraction_add(fraction_scale(s, fraction_add(naive(u, v), naive(v, u))),
                      naive(v, v)),
@@ -542,7 +574,8 @@ def test_packed_self_slot_at_the_proved_bound(sign, k):
     y = {(r,): (P,) * dim for r in range(4)}
     table = {(i, j): ((k, C),) for i in range(dim) for j in range(dim)}
     _, it = integer_table(table)
-    w = bracket_sums((), ((y, 1),), symmetric_table(it), 3, out_dim)
+    den, w = bracket_sums((), ((y, 1),), symmetric_table(it), 3, out_dim, 1)
+    assert den == 1
     want = [0] * out_dim
     want[k] = sign * 2**62
     assert w[(3,)] == tuple(want)

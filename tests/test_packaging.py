@@ -49,14 +49,18 @@ def test_unused_imports_are_caught():
 
 
 def test_modules_use_every_name_they_import():
+    # src/dgla, the tests and the benchmark harness; the package's
     # __init__.py imports names to re-export them
     unused = {}
-    for fn in sorted(os.listdir(PACKAGE_DIR)):
-        if fn.endswith(".py") and fn != "__init__.py":
-            with open(os.path.join(PACKAGE_DIR, fn), encoding="utf-8") as fh:
-                found = unused_imports(fh.read())
-            if found:
-                unused[fn] = found
+    for directory in (PACKAGE_DIR, os.path.join(REPO_DIR, "tests"),
+                      os.path.join(REPO_DIR, "perfbench")):
+        for fn in sorted(os.listdir(directory)):
+            path = os.path.join(directory, fn)
+            if fn.endswith(".py") and path != os.path.join(PACKAGE_DIR, "__init__.py"):
+                with open(path, encoding="utf-8") as fh:
+                    found = unused_imports(fh.read())
+                if found:
+                    unused[os.path.relpath(path, REPO_DIR)] = found
     assert unused == {}
 
 
