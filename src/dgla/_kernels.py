@@ -534,23 +534,15 @@ def bracket_sums(pairs, squares, sym, trunc, out_dim, den):
     return lowest_terms(den, _decode(out, W, packing, out_dim, 2))
 
 
-def _balanced_sum(parts):
-    """The source of the sum of the expressions parts, parenthesised as a
-    balanced tree: a flat chain of a few thousand terms nests too deep for
-    the compiler."""
-    if len(parts) <= 32:
-        return " + ".join(parts)
-    half = len(parts) // 2
-    return "(%s) + (%s)" % (_balanced_sum(parts[:half]), _balanced_sum(parts[half:]))
-
-
 def compile_rows(rows, out_dim):
     """Integer matrix rows (see Conventions) compiled once into one
     function of a coefficient vector v, returning the tuple of the out_dim
     row sums, 0 where no row is given.  Its source names only indices: each
     sum reads c[n] * v[col] from the tuple c of the row entries, an entry
     of 1 or -1 as v[col] or -v[col], so a coefficient is never written out
-    as digits; a column named twice in a row is read twice."""
+    as digits; a column named twice in a row is read twice.  A row of
+    several entries is the sum of a tuple display, which compiles flat
+    however long the row."""
     consts = []
     sums = ["0"] * out_dim
     for r, row in rows:
@@ -562,9 +554,9 @@ def compile_rows(rows, out_dim):
                 parts.append("c[%d] * v[%d]" % (len(consts), col))
                 consts.append(c)
         if parts:
-            sums[r] = _balanced_sum(parts)
+            sums[r] = parts[0] if len(parts) == 1 else "sum((%s))" % ", ".join(parts)
     source = "lambda c: lambda v: (%s)" % "".join([x + ", " for x in sums])
-    return eval(source, {"__builtins__": {}})(tuple(consts))
+    return eval(source, {"__builtins__": {"sum": sum}})(tuple(consts))
 
 
 def matvec_terms(terms, rows):

@@ -10,15 +10,15 @@ truncation order.  The iteration carries S = [y, y] along with the iterate:
 y_n and y_{n+1} agree through order n, so each step brackets only the
 change delta, and the final S gives the residual d tau + 1/2 S without a
 second bracket of tau: each change of S leaves the kernel in lowest
-terms and is added into S as it arrives, over one denominator, and the
-residual is one pass over d tau and S.  The iterate itself is kept only
-as far as the next bracket reaches (each delta starts at least one order
-above the one before, so the rest of y finds no partner within the
-truncation), and tau is read off the fixed-point equation once it holds:
-tau = x - 1/2 h S.  Convention (fixed once, used everywhere): the Maurer-
-Cartan equation is d tau + 1/2 [tau, tau] = 0, the corrective term carries
--1/2 h (SDRData.correction, one map with the factor in its integer rows,
-so a step makes one pass over its image), and the Kuranishi map is
+terms, the changes are summed once, and the residual is one pass over
+d tau and S.  The iterate itself is kept only as far as the next bracket
+reaches (each delta starts at least one order above the one before, so
+the rest of y finds no partner within the truncation), and tau is read
+off the fixed-point equation once it holds: tau = x - 1/2 h S.
+Convention (fixed once, used everywhere): the Maurer-Cartan equation is
+d tau + 1/2 [tau, tau] = 0, the corrective term carries -1/2 h
+(SDRData.correction, one map with the factor in its integer rows, so a
+step makes one pass over its image), and the Kuranishi map is
 F(y) = y + 1/2 h[y, y], so that F and the fixed point tau_x of C_x are
 exact mutual inverses order by order.
 
@@ -39,7 +39,7 @@ and its verification cost one evaluation of the series.
 from fractions import Fraction
 
 from .algebra import HALF
-from .formal import CoefficientRing, FormalElement, SeriesSum
+from .formal import CoefficientRing, FormalElement
 
 
 class MCSolution:
@@ -86,10 +86,9 @@ def _fixed_point(L, R, x):
     (S_0 = 0), and S_{n+1} - S_n = ([y_n, delta] + [delta, y_n])
     + [delta, delta] is one kernel pass over one denominator
     (DGLA._bracket_sums), so nothing assumes antisymmetry; it leaves the
-    kernel in lowest terms.  Each change is added into S as it arrives,
-    over one denominator (formal.SeriesSum), and S is normalised once, at
-    the end.  delta has no terms below order n + 1, so a step walks only
-    the pairs that can still land within the truncation.
+    kernel in lowest terms.  The changes are summed into S once, at the
+    end.  delta has no terms below order n + 1, so a step walks only the
+    pairs that can still land within the truncation.
 
     Nor is y_n kept whole.  y has no constant term, so the next delta
     starts at least one order above this one, low(delta), and a monomial
@@ -105,16 +104,15 @@ def _fixed_point(L, R, x):
     ring = x.ring
     y = x
     step = L.apply_bracket(x, x)
-    S = SeriesSum(ring, 2, L.dim(2))
-    S.add(step)
+    steps = [step]  # S_n is their sum, taken once at the end
     n = 1
     while True:
         delta = R.correction(step)
         if delta.is_zero():
-            S = S.element()
+            S = FormalElement.summed(ring, 2, L.dim(2), steps)
             return x + R.correction(S), n, S
         step = L._bracket_sums(ring, 1, [(y, delta)], [delta])
-        S.add(step)
+        steps.append(step)
         low = delta.view().low  # the view the bracket just took
         reach = ring.order - 1 - low
         y = y.truncated(reach)

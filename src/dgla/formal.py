@@ -22,9 +22,7 @@ FormalElement.summed adds any number of elements in one pass, each part
 added into the total once, scaled by an integer (a C-level map adds the
 vectors at a shared monomial), and a - b is that same pass with the sign
 of b folded into its scale, as dA + 1/2 S is with the 1/2 folded into the
-denominator (DGLA._curvature).  SeriesSum adds parts as they arrive over
-one denominator, for a sum whose parts are not all known at once (the S
-of the fixed point).  For the brackets, an element also keeps the
+denominator (DGLA._curvature).  For the brackets, an element also keeps the
 kernel-ready layout of nums (view(), a _kernels.KernelView), built on
 first use with the monomial keys its ring packs once
 (CoefficientRing.packing); elements are never changed in place, so the
@@ -87,7 +85,7 @@ def _add_scaled(total, f, nums, dim):
 class CoefficientRing:
     """The quotient m / m^{N+1} of the ideal m = (t1..tk) in Q[[t1..tk]]."""
 
-    __slots__ = ("variables", "order", "packing")
+    __slots__ = ("variables", "order", "packing", "powers")
 
     def __init__(self, variables, order):
         variables = tuple(str(v) for v in variables)
@@ -104,6 +102,9 @@ class CoefficientRing:
         self.variables = variables
         self.order = order
         self.packing = Packing(order + 1)  # the monomial keys of view()
+        # powers[i][e]: the factor variable i to the power e, for mono_str
+        self.powers = tuple(("", v) + tuple(["%s^%d" % (v, e) for e in range(2, order + 1)])
+                            for v in variables)
 
     @classmethod
     def single(cls, order, name="t"):
@@ -161,13 +162,9 @@ class CoefficientRing:
         return out
 
     def mono_str(self, mono):
-        """Render an exponent tuple, e.g. (2, 1) -> "t1^2*t2"."""
-        parts = []
-        for name, e in zip(self.variables, mono):
-            if e == 0:
-                continue
-            parts.append(name if e == 1 else "%s^%d" % (name, e))
-        return "*".join(parts) if parts else "1"
+        """Render an exponent tuple within the order, e.g. (2, 1) ->
+        "t1^2*t2", each factor read from the table of powers."""
+        return "*".join(filter(None, map(tuple.__getitem__, self.powers, mono))) or "1"
 
     def parse_mono(self, text):
         """Inverse of mono_str: "t1^2*t2" -> (2, 1).  Whitespace tolerated."""
@@ -388,32 +385,3 @@ class FormalElement:
         )
         return "FormalElement(deg=%d, {%s})" % (self.degree, bits)
 
-
-class SeriesSum:
-    """Elements of one ring, degree and dim added up as they arrive, over
-    one denominator: add rescales the total only when its den is not a
-    multiple of the part's, adds the part in one pass (_add_scaled), and
-    element() normalises the total once."""
-
-    __slots__ = ("ring", "degree", "dim", "den", "nums")
-
-    def __init__(self, ring, degree, dim):
-        self.ring, self.degree, self.dim = ring, degree, dim
-        self.den, self.nums = 1, {}
-
-    def add(self, part):
-        if not part.nums:
-            return
-        den = self.den
-        if den % part.den:
-            den = lcm(den, part.den)
-            self.nums = _times(den // self.den, self.nums)
-            self.den = den
-        _add_scaled(self.nums, den // part.den, part.nums, self.dim)
-
-    def element(self):
-        """The total in canonical form.  It takes the integers over, so
-        nothing can be added after."""
-        nums, self.nums = self.nums, None
-        return FormalElement.from_integers(self.ring, self.degree, self.dim,
-                                           self.den, nums)

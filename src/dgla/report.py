@@ -51,19 +51,13 @@ def _ratio_str(p, q):
 
 def element_data(elem):
     """FormalElement -> "0" or {"degree": d, "terms": {mono: [coeffs]}},
-    each coefficient rendered from the element's integers num / den.  A
-    monomial is written as CoefficientRing.mono_str writes it, its factors
-    read from a table of every power of every variable up to the order,
-    made once per call."""
+    each coefficient rendered from the element's integers num / den."""
     if elem.is_zero():
         return "0"
     den = elem.den
-    ring = elem.ring
-    powers = [["", name] + ["%s^%d" % (name, e) for e in range(2, ring.order + 1)]
-              for name in ring.variables]
+    mono_str = elem.ring.mono_str
     return {"degree": elem.degree,
-            "terms": {"*".join(filter(None, map(list.__getitem__, powers, mono))):
-                      [_ratio_str(c, den) if c else "0" for c in elem.nums[mono]]
+            "terms": {mono_str(mono): [_ratio_str(c, den) for c in elem.nums[mono]]
                       for mono in elem.support()}}
 
 

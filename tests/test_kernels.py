@@ -441,7 +441,7 @@ def test_matvec_terms_property(case):
 # and rows with no entry, rows of one column (entries 1, -1 and others,
 # which the compiled source writes differently), a column named twice in
 # one row, once cancelling, one output slot, and a row of 5,000 entries,
-# whose sum a flat chain would nest past the compiler's limit.
+# whose sum compiles flat.
 TERMS = {(1, 0): (F(1, 2), F(-3)), (0, 2): (F(0), F(5, 7)), (2, 1): (F(4), F(0))}
 
 
