@@ -1,20 +1,20 @@
 """The hot inner loops of the series arithmetic, on integers only.
 
-bracket_convolve and bracket_sums carry every bracket of formal elements
-(so the whole Maurer-Cartan solve) and matvec_terms every graded map
-applied to one.
+bracket_sums, the one series bracket kernel, carries every bracket of
+formal elements (so the whole Maurer-Cartan solve, the Kuranishi map and
+the gauge action) and matvec_terms every graded map applied to one.
 None touches a Fraction: a FormalElement, a Matrix (Matrix.integer_rows)
 and the bracket of a DGLA, which DGLA._integer_table cuts into the table
 of a degree pair, are already held in linalg's integer form, numerators
 over one denominator.  The caller knows every denominator: the bracket of
 u / Du and v / Dv through a table over D is the result over Du * Dv * D,
 a matrix scaled by Dm applied to v / Dv is the result over Dm * Dv.  This
-is the fraction-free idea of Bareiss elimination.  bracket_convolve and
-matvec_terms hand back the numerators, which their caller reduces;
-bracket_sums is given the denominator and hands its sum back in lowest
-terms, reduced on the accumulator as it is decoded, so no bracket sum is
-read a second time.  matvec_terms applies rows compiled once per matrix
-(compile_rows) into one function of a coefficient vector.
+is the fraction-free idea of Bareiss elimination.  matvec_terms hands
+back the numerators, which its caller reduces; bracket_sums is given the
+denominator and hands its sum back in lowest terms, reduced on the
+accumulator as it is decoded, so no bracket is read a second time.
+matvec_terms applies rows compiled once per matrix (compile_rows) into
+one function of a coefficient vector.
 
 The brackets read a kernel-ready layout of each series, a KernelView, that
 a FormalElement builds once and keeps.  It buckets the monomials by total
@@ -31,8 +31,8 @@ element bracketed again through the same table, such as each part of a
 gauge element in the gauge series or of tau in the recursion, is
 contracted once.  Every row of a call shares that one accumulator, so
 bracket_sums adds several brackets, each scaled to a common denominator
-by an integer, in one pass: a Maurer-Cartan step, or one order of the
-recursion, is one kernel call.
+by an integer, in one pass: one bracket [u, v] is a call with one pair,
+and a Maurer-Cartan step, or one order of the recursion, is one call.
 
 The accumulator packs the output coordinates too (Kronecker substitution
 once more): an output vector of out_dim integers is one integer with
@@ -40,12 +40,11 @@ out_dim signed slots of W bits, coordinate k at bit W * k.  The table is
 packed alike, P_ij = sum_k c_ijk 2^(W k), at the width of the call, and
 the pack of the last width is kept with the table: a Table, which
 DGLA._integer_table and _symmetric_table hand out and keep, so a pack
-lives as long as the DGLA and no longer (a plain dict given to a kernel
-is wrapped for the one call).  The
-contracted row of a monomial's vector u is then row_j = sum_i u_i P_ij,
-one multiply-add per (i, j), a one-term u reading its packed table row
-as it stands, and a pair costs one multiply-add, row_j times the
-partner's coefficient, however many coordinates j reaches.  W is proved
+lives as long as the DGLA and no longer.  The contracted row of a
+monomial's vector u is then row_j = sum_i u_i P_ij, one multiply-add per
+(i, j), a one-term u reading its packed table row as it stands, and a
+pair costs one multiply-add, row_j times the partner's coefficient,
+however many coordinates j reaches.  W is proved
 on every call from the operands (_slot_width) before any row is
 contracted: a slot of one product monomial takes at most one partner
 monomial per row, so at most dim partner products per row, each at most
@@ -72,9 +71,10 @@ walks the degree-sorted monomials once over unordered pairs p <= q within
 the truncation, each monomial contracted once, through T + T^t, for its
 row of the walk (which keeps nothing): as sym(u, u) = 2 T(u, u), the
 diagonal pair goes at scale 1 and each other pair at 2, which makes every
-accumulated integer even and twice the sum: the 2 leaves with the sum's
-common factor as it is decoded.  That is about half the pairs of
-bracket_convolve(y, y).  Nothing assumes
+accumulated integer even and twice the sum, so a call with a square puts
+its pairs in at twice their scale too, and the 2 leaves with the sum's
+common factor as it is decoded.  That is about half the pairs of the
+ordered pair (y, y) through T.  Nothing assumes
 antisymmetry, so the sum, and the result over the same denominator, is
 the same exact rational for any table: one set up through the Python API
 with [e_i, e_j] but no [e_j, e_i], or the self-bracket of an even-degree
@@ -88,10 +88,10 @@ implementations in tests/reference.py.
 
 Conventions:
   * a "terms" map sends an exponent tuple (one entry per ring variable) to a
-    dense tuple of int coefficients, none of them all zero; a KernelView is
-    read as the terms map it lays out,
+    dense tuple of int coefficients, none of them all zero; the series
+    kernel reads it as a KernelView (each FormalElement keeps one),
   * an integer structure table sends i to {j: ((k, int), ...)}, so that
-    [e_i, e_j] = sum int e_k,
+    [e_i, e_j] = sum int e_k; the series kernel reads it as a Table,
   * integer matrix rows are ((row, ((col, int), ...)), ...), nonzero rows
     only, columns ascending (compile_rows reads a column named twice
     twice).
@@ -100,7 +100,6 @@ Every terms map a kernel returns has every all-zero vector dropped.
 
 from bisect import bisect_right
 from collections import defaultdict
-from collections.abc import Mapping
 from itertools import compress
 from struct import Struct
 
@@ -229,7 +228,7 @@ class _Kept:
     __slots__ = ("table", "entries", "_peak", "_bounded", "_W", "_rows")
 
     def __init__(self, table, entries):
-        self.table = table if type(table) is Table else Table(table)
+        self.table = table
         self.entries = entries
         self._peak = self._bounded = 0
         self._W = None
@@ -272,7 +271,7 @@ def symmetric_table(table):
     return out
 
 
-class KernelView(Mapping):
+class KernelView:
     """A terms map laid out for the pair loop, one total degree at a time.
 
     upto(deg) lays out every monomial of total degree at most deg and
@@ -288,8 +287,7 @@ class KernelView(Mapping):
     within a truncation never reads the monomials that can find no partner.
     Keys come from packing (one per ring, so a monomial is packed once).  A
     FormalElement keeps its view (FormalElement.view), so an element
-    bracketed several times is laid out once.  As a Mapping it reads as the
-    terms map it lays out.
+    bracketed several times is laid out once.
     """
 
     __slots__ = ("terms", "packing", "low", "entries", "degs", "cols",
@@ -333,10 +331,8 @@ class KernelView(Mapping):
         return entries, degs
 
     def rows(self, table):
-        """The laid-out monomials put into table (_Kept), kept per Table by
-        its identity; a plain dict is wrapped for the one call."""
-        if type(table) is not Table:
-            return _Kept(table, self.entries)
+        """The laid-out monomials put into the Table table (_Kept), kept per
+        table by its identity."""
         kept = self._kept.get(id(table))
         if kept is None:
             kept = self._kept[id(table)] = _Kept(table, self.entries)
@@ -350,23 +346,6 @@ class KernelView(Mapping):
             self._peak = max(max(map(max, vecs)), -min(map(min, vecs))) if vecs else 0
         return self._peak
 
-    def __getitem__(self, mono):
-        return self.terms[mono]
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-
-def _laid_out(terms, trunc):
-    """terms as a KernelView packed in base trunc + 1 (itself if it is one)."""
-    base = max(trunc, 0) + 1
-    if type(terms) is KernelView and terms.packing.base == base:
-        return terms
-    return KernelView(terms, Packing(base))
-
 
 def _cross_rows(u, v, table, trunc, s):
     """The source of s * [u, v] for _convolve: each monomial of the view u
@@ -378,7 +357,7 @@ def _cross_rows(u, v, table, trunc, s):
     udegs = u.upto(trunc - v.low)[1]
     n = bisect_right(udegs, trunc - v.low)
     rows = [(k1, trunc - d, None) for d, k1, _ in u.entries[:n]]
-    return rows, s, v, u.rows(table)
+    return (rows, s, v, u.rows(table)) if rows else None
 
 
 def _self_rows(y, sym, trunc, s):
@@ -391,7 +370,7 @@ def _self_rows(y, sym, trunc, s):
     ys, degs = y.upto(trunc - y.low)
     n = bisect_right(degs, trunc // 2)
     rows = [(k1, trunc - d, u) for d, k1, u in ys[:n]]
-    return rows, s, y, _Kept(sym, ys)
+    return (rows, s, y, _Kept(sym, ys)) if rows else None
 
 
 def _slot_width(sources):
@@ -408,7 +387,7 @@ def _slot_width(sources):
 
 
 def _convolve(sources, out_dim):
-    """The one pair loop of every kernel.
+    """The pair loop of bracket_sums.
 
     A source is (rows, s, v, kept): an integer scale s, the view v paired
     with, rows (k1, lim, own), the packed key k1 of a monomial and the
@@ -427,7 +406,6 @@ def _convolve(sources, out_dim):
     packing of a partner view (every view of one call packs alike), for
     _decode.
     """
-    sources = [src for src in sources if src is not None and src[0]]
     if not sources:
         return {}, 0, None
     W = _slot_width(sources) if out_dim > 1 else 0
@@ -460,7 +438,7 @@ def _convolve(sources, out_dim):
     return out, W, sources[0][2].packing
 
 
-def _decode(out, W, packing, out_dim, g=1):
+def _decode(out, W, packing, out_dim, g):
     """The accumulator of _convolve as a terms map, every slot divided by g,
     which must divide each: the packed integer is then divided as it
     stands, since it is the sum of its slots times powers of 2^W, and its
@@ -486,52 +464,39 @@ def _decode(out, W, packing, out_dim, g=1):
     return res
 
 
-def bracket_convolve(uterms, vterms, table, trunc, out_dim):
-    """Bilinear convolution of two terms maps through an integer table.
-
-    Computes sum over monomial pairs of [u_m1, v_m2] * m1*m2, truncating
-    every product monomial whose total degree exceeds trunc.  Each u
-    monomial walks only the v monomials of low enough total degree; the
-    products that survive have every exponent at most trunc, so they are
-    added as integers packed in base trunc + 1.  A KernelView in that base
-    is read as it stands; any other terms map is laid out first.
-    """
-    u = _laid_out(uterms, trunc)
-    v = _laid_out(vterms, trunc)
-    return _decode(*_convolve([_cross_rows(u, v, table, trunc, 1)], out_dim),
-                   out_dim)
-
-
-def bracket_sums(pairs, squares, sym, trunc, out_dim, den):
-    """(den', terms): sum s * ([u, v] + [v, u]) over the (u, v, s) of pairs
-    plus sum s * [y, y] over the (y, s) of squares, in one accumulation, put
+def bracket_sums(pairs, squares, trunc, out_dim, den):
+    """(den', terms): sum s * B(u, v) over the (u, v, B, s) of pairs plus
+    sum s * [y, y] over the (y, sym, s) of squares, in one accumulation, put
     over den and brought to lowest terms, terms / den' (den' > 0, 1 for
-    zero).
+    zero), every product monomial above trunc dropped.
 
-    u, v and y are terms maps of one degree, s integer scales (the caller
-    puts every bracket over one common denominator with them), sym
-    symmetric_table(T) for the integer table T of that degree with itself
-    and den a positive integer.  Each monomial of a view is contracted
-    through sym once: a pair is one pass, a square walks its unordered
-    pairs once, in ascending total degree, each monomial against itself at
-    scale s (sym(u, u) = 2 T(u, u)) and against the later ones within the
-    truncation at 2s, ending at the first monomial with no partner left.
-    So the sum is accumulated twice over, every integer of it even: the
-    accumulator is the sum over 2 den.  The gcd g of 2 den and the packed
-    integers as they stand (linalg.common_factor) is a multiple of the
-    slots' common factor with 2 den, and equal to it for one slot, where
-    the integer is the coefficient, or when g is 2, which divides every
-    slot.  Then the decode divides by g; otherwise (several slots, g > 2)
-    it halves, and the decoded sum is reduced (linalg.lowest_terms).
+    u, v and y are KernelViews packed in base trunc + 1, s integer scales
+    (the caller puts every bracket over one common denominator with them)
+    and den a positive integer.  A pair brings its own Table B: the
+    integer table T of its degree pair for [u, v], or symmetric_table(T)
+    for [u, v] + [v, u]; a square brings sym = symmetric_table(T).  All
+    land in one degree of out_dim coordinates.  A pair is one pass over the
+    rows of u, kept in u per table.  A square walks its unordered pairs
+    once, in ascending total degree, each monomial against itself at scale
+    s (sym(u, u) = 2 T(u, u)) and against the later ones within the
+    truncation at 2s.  So a call that walks a square accumulates every
+    bracket twice over, its pairs at 2s: the accumulator is the sum over
+    f den, f = 2 with a square and 1 without.  The gcd g of f den and the
+    packed integers (linalg.common_factor) is a multiple of the slots'
+    common factor with f den, and equal to it for one slot, where the
+    integer is the coefficient, or when g is f, which divides every slot.
+    Then the decode divides by g; otherwise it divides by f, and the
+    decoded sum is reduced (linalg.lowest_terms).
     """
-    sources = [_cross_rows(_laid_out(u, trunc), _laid_out(v, trunc), sym, trunc, 2 * s)
-               for u, v, s in pairs]
-    sources += [_self_rows(_laid_out(y, trunc), sym, trunc, s) for y, s in squares]
-    out, W, packing = _convolve(sources, out_dim)
-    g = common_factor(2 * den, (out.values(),))
-    if out_dim == 1 or g == 2:
-        return 2 * den // g, _decode(out, W, packing, out_dim, g)
-    return lowest_terms(den, _decode(out, W, packing, out_dim, 2))
+    squares = [src for y, sym, s in squares if (src := _self_rows(y, sym, trunc, s))]
+    f = 2 if squares else 1
+    sources = [src for u, v, table, s in pairs
+               if (src := _cross_rows(u, v, table, trunc, f * s))]
+    out, W, packing = _convolve(sources + squares, out_dim)
+    g = common_factor(f * den, (out.values(),))
+    if out_dim == 1 or g == f:
+        return f * den // g, _decode(out, W, packing, out_dim, g)
+    return lowest_terms(den, _decode(out, W, packing, out_dim, f))
 
 
 def compile_rows(rows, out_dim):

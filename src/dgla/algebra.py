@@ -17,17 +17,18 @@ antisymmetry holds, only one of the two cyclic orbits of an unordered
 triple.  Only a failing generator, pair or orbit is turned back into
 Fractions for its report line.  apply_differential, apply_bracket and
 curvature extend the structure constants to FormalElements, with all
-series arithmetic truncated at the ring order by _kernels.bracket_convolve,
-which walks only the monomial pairs within the order (bucketed by total
-degree).  It reads
-the elements' kernel views (FormalElement.view) and the integer table of
-a degree pair, cut from the bracket store by _integer_table over the
-store's denominator D; apply_bracket puts the result over
+series arithmetic truncated at the ring order by the one series kernel,
+_kernels.bracket_sums, which walks only the monomial pairs within the
+order (bucketed by total degree).  It reads the elements' kernel views
+(FormalElement.view) and, per pair or square, the integer Table of a
+degree pair, cut from the bracket store by _integer_table over the
+store's denominator D, and hands its sum back in lowest terms.
+apply_bracket is one kernel pass with the one pair (u, v) through T, over
 u.den * v.den * D.  _bracket_sums adds several bracket sums and
-self-brackets of one degree in one kernel pass (_kernels.bracket_sums)
-over a common denominator, for the Maurer-Cartan solvers; a self-bracket
-[y, y] is that pass with the one square y, which walks each unordered
-monomial pair once through T + T^t (cached per degree).
+self-brackets of one degree in one pass over a common denominator, for
+the Maurer-Cartan solvers; a self-bracket [y, y] is that pass with the
+one square y, which walks each unordered monomial pair once through
+T + T^t (cached per degree).
 
 Sign conventions (cohomological grading, d of degree +1):
   [x, y] = -(-1)^{|x||y|} [y, x]
@@ -40,7 +41,6 @@ from math import lcm
 
 from ._kernels import (
     Table,
-    bracket_convolve,
     bracket_sums,
     bracket_vector,
     symmetric_table,
@@ -405,9 +405,11 @@ class DGLA:
 
         A self-bracket (u is v) is _bracket_sums with the one square u,
         which walks each unordered monomial pair once; the result is the
-        same exact element.  Both kernels read the elements' kernel views
-        and put the result over u.den * v.den * Dt, Dt the denominator of
-        the bracket store.
+        same exact element.  Any other is one kernel pass
+        (_kernels.bracket_sums) with the one pair (u, v) through the
+        integer table T of the degree pair, over u.den * v.den * Dt, Dt the
+        denominator of the bracket store; the kernel hands the bracket back
+        in lowest terms.
         """
         if u is v:
             return self._bracket_sums(u.ring, u.degree, (), (u,))
@@ -416,11 +418,10 @@ class DGLA:
         out_dim = self.dim(out_deg)
         if out_dim and u.nums and v.nums:
             Dt, table = self._integer_table(u.degree, v.degree)
-            nums = table and bracket_convolve(u.view(), v.view(), table,
-                                              u.ring.order, out_dim)
-            if nums:
-                return FormalElement.from_integers(
-                    u.ring, out_deg, out_dim, u.den * v.den * Dt, nums)
+            if table:
+                den, nums = bracket_sums([(u.view(), v.view(), table, 1)], (),
+                                         u.ring.order, out_dim, u.den * v.den * Dt)
+                return FormalElement._canonical(u.ring, out_deg, out_dim, den, nums)
         return FormalElement.zero(u.ring, out_deg, out_dim)
 
     def _bracket_sums(self, ring, degree, pairs, squares):
@@ -448,9 +449,9 @@ class DGLA:
                 D = lcm(*[u.den * v.den for u, v in pairs],
                         *[y.den ** 2 for y in squares])
                 den, nums = bracket_sums(
-                    [(u.view(), v.view(), D // (u.den * v.den)) for u, v in pairs],
-                    [(y.view(), D // y.den ** 2) for y in squares],
-                    sym, ring.order, out_dim, D * Dt)
+                    [(u.view(), v.view(), sym, D // (u.den * v.den)) for u, v in pairs],
+                    [(y.view(), sym, D // y.den ** 2) for y in squares],
+                    ring.order, out_dim, D * Dt)
                 return FormalElement._canonical(ring, out_deg, out_dim, den, nums)
         return FormalElement.zero(ring, out_deg, out_dim)
 

@@ -200,6 +200,8 @@ def parse_element(L, ring, data, expect_degree=None):
     data is {"degree": d, "terms": {mono: coeffs}} where mono strings follow
     the ring's variables ("t", "t^2", "t1*t2") and coeffs is either a dense
     list over the degree-d generator basis or an object {generator: coeff}.
+    Two strings that name one monomial ("t" and "t^1", "t1*t2" and
+    "t2*t1") are bad input, even where a vector is all zero.
     """
     if isinstance(data, str):
         data = parse_document(data)
@@ -213,6 +215,7 @@ def parse_element(L, ring, data, expect_degree=None):
     dim = L.dim(degree)
     names = L.basis_names(degree)
     terms = {}
+    texts = {}  # monomial -> the string that named it
     raw_terms = data.get("terms", {})
     if not isinstance(raw_terms, dict):
         raise DocumentError("element terms must be an object")
@@ -221,6 +224,10 @@ def parse_element(L, ring, data, expect_degree=None):
             mono = ring.parse_mono(mono_text)
         except ValueError as e:
             raise DocumentError("bad monomial %r: %s" % (mono_text, e)) from None
+        if mono in texts:
+            raise DocumentError("monomials %r and %r are the same"
+                                % (texts[mono], mono_text))
+        texts[mono] = mono_text
         if isinstance(coeffs, list):
             if len(coeffs) != dim:
                 raise DocumentError(

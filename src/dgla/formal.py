@@ -15,18 +15,18 @@ linalg.scaled and linalg.lowest_terms.  No vector is all zero and no
 monomial lies above the order, so two elements are equal exactly when
 their (den, nums) are.  Arithmetic runs on the integers and ends in one
 reduction; every public accessor speaks Fraction.  A result that arrives
-in lowest terms already, such as a bracket sum from the kernel, is
-wrapped as it stands (FormalElement._canonical), so no series element is
-read twice.
+in lowest terms already, such as every bracket, which the one series
+kernel (_kernels.bracket_sums) hands back reduced, is wrapped as it
+stands (FormalElement._canonical), so no series element is read twice.
 FormalElement.summed adds any number of elements in one pass, each part
 added into the total once, scaled by an integer (a C-level map adds the
 vectors at a shared monomial), and a - b is that same pass with the sign
 of b folded into its scale, as dA + 1/2 S is with the 1/2 folded into the
-denominator (DGLA._curvature).  For the brackets, an element also keeps the
-kernel-ready layout of nums (view(), a _kernels.KernelView), built on
-first use with the monomial keys its ring packs once
-(CoefficientRing.packing); elements are never changed in place, so the
-layout stays valid.
+denominator (DGLA._curvature).  For the brackets, an element also keeps
+the layout of nums the series kernel reads (view(), a
+_kernels.KernelView), built on first use with the monomial keys its ring
+packs once (CoefficientRing.packing); elements are never changed in
+place, so the layout stays valid.
 """
 
 from fractions import Fraction
@@ -289,7 +289,7 @@ class FormalElement:
         return not self.nums
 
     def view(self):
-        """nums laid out for the series kernels (a _kernels.KernelView,
+        """nums laid out for the series kernel (a _kernels.KernelView,
         packed in base order + 1), built on first use and kept."""
         view = self._view
         if view is None:

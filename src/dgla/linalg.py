@@ -5,9 +5,10 @@ vector: integer numerators over one positive denominator den, in lowest
 terms (gcd(den, every numerator) = 1, den = 1 for zero).  scaled brings
 ints and Fractions to it; lowest, lowest_terms and common_factor reduce
 integers to it.  A Matrix, a SubspaceBasis vector, a FormalElement
-(formal), the output of a bracket sum (_kernels.bracket_sums) and the
-structure constants of a DGLA (algebra) are all held in it, and no other
-module scales or reduces on its own.
+(formal), every bracket of formal elements (_kernels.bracket_sums, the
+one series kernel, reduces its sum with common_factor and lowest_terms)
+and the structure constants of a DGLA (algebra) are all held in it, and
+no other module scales or reduces on its own.
 
 Vectors are tuples of Fraction.  A Matrix stores integer numerators nums,
 {(row, col): nonzero int}, over one denominator den in that form, so

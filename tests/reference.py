@@ -152,9 +152,9 @@ def naive_convolve(uterms, vterms, table, trunc, out_dim):
     """The bracket convolution by definition: expand every monomial pair,
     then keep the product monomials of total degree <= trunc.
 
-    Same data conventions as dgla._kernels.bracket_convolve: terms maps send
-    an exponent tuple to a coefficient tuple, table sends (i, j) to
-    ((k, c), ...) with [e_i, e_j] = sum c e_k.
+    The data conventions of dgla._kernels.bracket_sums for one ordered
+    pair, on Fractions: terms maps send an exponent tuple to a coefficient
+    tuple, table sends (i, j) to ((k, c), ...) with [e_i, e_j] = sum c e_k.
     """
     full = {}
     for m1, v1 in uterms.items():

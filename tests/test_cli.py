@@ -218,6 +218,14 @@ def test_kuranishi_file_input(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("again", (["5", "0"], ["0", "0"]))
+def test_kuranishi_repeated_monomial_exit_two(capsys, again):
+    element = json.dumps({"degree": 1, "terms": {"t": ["1", "0"], "t^1": again}})
+    code, out, err = run_main(capsys, "kuranishi", corpus("E1"), "--input", element)
+    assert code == 2 and not out
+    assert "'t' and 't^1' are the same" in err
+
+
 def test_kuranishi_missing_input_file(capsys):
     code, out, err = run_main(
         capsys, "kuranishi", corpus("E1"), "--input", "no-such-file.json")

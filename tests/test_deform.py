@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import dgla.algebra
+import dgla._kernels
 from dgla import (
     BUILTIN_NAMES,
     DGLA,
@@ -421,9 +421,9 @@ def test_curvature_takes_the_self_path(monkeypatch):
         naive_bracket(L, tau, tau).scale(Fraction(1, 2))
 
     def refuse(*args):
-        raise AssertionError("a self-bracket reached bracket_convolve")
+        raise AssertionError("a self-bracket walked a pair of two elements")
 
-    monkeypatch.setattr(dgla.algebra, "bracket_convolve", refuse)
+    monkeypatch.setattr(dgla._kernels, "_cross_rows", refuse)
     assert L.curvature(tau) == want
 
 

@@ -161,6 +161,23 @@ def test_parse_element_validation():
         parse_element(L, ring, {"degree": 1, "terms": {"t": ["1", "0.5"]}})
 
 
+# Two strings naming one monomial are refused, not added or overwritten,
+# whichever order they come in and even where one vector is all zero.
+@pytest.mark.parametrize("variables, terms", [
+    (("t",), {"t": ["1", "0"], "t^1": ["5", "0"]}),
+    (("t",), {"t": ["1", "0"], "t^1": ["0", "0"]}),
+    (("t",), {"t^1": ["0", "0"], "t": ["1", "0"]}),
+    (("t",), {"t*t": ["1", "0"], "t^2": {"x": "2"}}),
+    (("t1", "t2"), {"t1*t2": ["1", "0"], "t2*t1": ["0", "1"]}),
+    (("t1", "t2"), {"t1*t2": ["0", "0"], " t2 * t1 ": ["0", "0"]}),
+])
+def test_parse_element_refuses_a_repeated_monomial(variables, terms):
+    L = builtin_example("E1")
+    ring = CoefficientRing(variables, 3)
+    with pytest.raises(DocumentError, match="are the same"):
+        parse_element(L, ring, {"degree": 1, "terms": terms})
+
+
 @pytest.mark.parametrize("text", [
     "+3", "-0/5", "007/010", " 3 ", "-12/18", "٣/٤", "+१२/०१"])
 def test_parse_rational_matches_fraction_of_text(text):

@@ -14,7 +14,6 @@ from dgla._kernels import (
     KernelView,
     Packing,
     Table,
-    bracket_convolve,
     bracket_sums,
     compile_rows,
     matvec_terms,
@@ -52,14 +51,34 @@ def over(terms, D):
     return {m: tuple(Fraction(c, D) for c in vec) for m, vec in terms.items()}
 
 
-def convolve_fractions(u, v, table, trunc, out_dim):
-    """bracket_convolve on Fraction inputs: scale, convolve, divide."""
+def kernel_sums(pairs, squares, trunc, out_dim, den=1):
+    """bracket_sums on terms maps and integer tables as the tests hold them:
+    each map laid out once, as a KernelView packed in base trunc + 1, and
+    each table made a Table; a view or a Table is passed as it stands."""
+    packing, views = Packing(max(trunc, 0) + 1), {}
+
+    def view(x):
+        if type(x) is KernelView:
+            return x
+        if id(x) not in views:
+            views[id(x)] = KernelView(x, packing)
+        return views[id(x)]
+
+    def table(t):
+        return t if type(t) is Table else Table(t)
+
+    return bracket_sums([(view(u), view(v), table(t), s) for u, v, t, s in pairs],
+                        [(view(y), table(t), s) for y, t, s in squares],
+                        trunc, out_dim, den)
+
+
+def ordered_fractions(u, v, table, trunc, out_dim):
+    """[u, v] by bracket_sums with the one pair (u, v) through the table,
+    on Fraction inputs: scale, convolve, divide."""
     Du, iu = integer_terms(u)
     Dv, iv = integer_terms(v)
     Dt, it = integer_table(table)
-    w = bracket_convolve(iu, iv, it, trunc, out_dim)
-    assert_integer_terms(w)
-    return over(w, Du * Dv * Dt)
+    return lowest_over(kernel_sums([(iu, iv, it, 1)], (), trunc, out_dim, Du * Dv * Dt))
 
 
 def lowest_over(result):
@@ -76,18 +95,18 @@ def square_fractions(terms, table, trunc, out_dim):
     scale, convolve, divide."""
     D, it = integer_terms(terms)
     Dt, itable = integer_table(table)
-    return lowest_over(bracket_sums((), ((it, 1),), symmetric_table(itable),
-                                    trunc, out_dim, D * D * Dt))
+    return lowest_over(kernel_sums((), ((it, symmetric_table(itable), 1),),
+                                   trunc, out_dim, D * D * Dt))
 
 
 def bracket_sum_fractions(u, v, table, trunc, out_dim):
-    """bracket_convolve through symmetric_table on Fraction inputs."""
+    """[u, v] + [v, u] by bracket_sums with the one pair (u, v) through
+    symmetric_table, on Fraction inputs."""
     Du, iu = integer_terms(u)
     Dv, iv = integer_terms(v)
     Dt, itable = integer_table(table)
-    w = bracket_convolve(iu, iv, symmetric_table(itable), trunc, out_dim)
-    assert_integer_terms(w)
-    return over(w, Du * Dv * Dt)
+    return lowest_over(kernel_sums([(iu, iv, symmetric_table(itable), 1)], (),
+                                   trunc, out_dim, Du * Dv * Dt))
 
 
 def matvec_fractions(terms, rows, out_dim):
@@ -173,7 +192,7 @@ def test_kernels_match_reference_randomized():
                     table[(i, j)] = tuple(
                         (rng.randrange(out_dim), F(rng.randint(-3, 3)))
                         for _ in range(rng.randint(1, 2)))
-        w = convolve_fractions(u, v, table, trunc, out_dim)
+        w = ordered_fractions(u, v, table, trunc, out_dim)
         assert w == naive_convolve(u, v, table, trunc, out_dim)
         nonzero += bool(w)
         rows = tuple(
@@ -189,8 +208,8 @@ def test_truncation_drops_high_monomials():
     u = {(2,): (1,)}
     v = {(3,): (2,)}
     table = {0: {0: ((0, 3),)}}
-    assert bracket_convolve(u, v, table, 4, 1) == {}
-    assert bracket_convolve(u, v, table, 5, 1) == {(5,): (6,)}
+    assert kernel_sums([(u, v, table, 1)], (), 4, 1) == (1, {})
+    assert kernel_sums([(u, v, table, 1)], (), 5, 1) == (1, {(5,): (6,)})
 
 
 def test_zero_results_are_dropped():
@@ -198,7 +217,7 @@ def test_zero_results_are_dropped():
     v = {(1,): (1, 1)}
     # [e0, e1] = +g, [e1, e0] = +g: contributions cancel exactly
     table = {0: {1: ((0, 1),)}, 1: {0: ((0, 1),)}}
-    assert bracket_convolve(u, v, table, 4, 1) == {}
+    assert kernel_sums([(u, v, table, 1)], (), 4, 1) == (1, {})
     assert matvec_terms(u, compile_rows((), 2)) == {}
     assert matvec_terms(u, compile_rows(((0, ((0, 1), (1, 1))),), 1)) == {}
 
@@ -218,10 +237,11 @@ def test_self_convolve_walks_each_unordered_pair_once():
     # pair is counted twice, through T + T^t
     terms = {(1, 0): (1,), (0, 1): (2,), (2, 0): (5,)}
     table = {0: {0: ((0, 1),)}}
-    assert bracket_sums((), ((terms, 1),), symmetric_table(table), 3, 1, 1) == (1, {
+    sym = symmetric_table(table)
+    assert kernel_sums((), ((terms, sym, 1),), 3, 1) == (1, {
         (2, 0): (1,), (1, 1): (4,), (3, 0): (10,), (0, 2): (4,),
         (2, 1): (20,)})
-    assert bracket_sums((), (({}, 1),), symmetric_table(table), 3, 1, 1) == (1, {})
+    assert kernel_sums((), (({}, sym, 1),), 3, 1) == (1, {})
 
 
 def test_integer_forms_of_table_and_rows():
@@ -307,9 +327,9 @@ def matvec_cases(draw):
           {(0, 0): ((0, F(1, 3)), (0, F(-1, 3)))}, 3, 1))
 @example(({(0, 0): (F(1),)}, {(1, 0): (F(1),), (0, 2): (F(1),)},
           {(0, 0): ((0, F(1)),)}, 2, 1))
-def test_bracket_convolve_property(case):
+def test_ordered_bracket_property(case):
     u, v, table, trunc, out_dim = case
-    assert convolve_fractions(u, v, table, trunc, out_dim) == \
+    assert ordered_fractions(u, v, table, trunc, out_dim) == \
         naive_convolve(u, v, table, trunc, out_dim)
 
 
@@ -382,10 +402,9 @@ def test_bracket_sums_property(case, scales):
     s1, s2, s3, s4 = scales
     Dt, it = integer_table(table)
     (Da, ia), (Db, ib), (Dc, ic) = (integer_terms(m) for m in (a, b, c))
-    packing = Packing(max(trunc, 0) + 1)
-    va, vb, vc = (KernelView(m, packing) for m in (ia, ib, ic))
-    w = lowest_over(bracket_sums([(va, vb, s1), (vb, vc, s2)], [(vc, s3), (va, s4)],
-                                 symmetric_table(it), trunc, out_dim, 1))
+    sym = symmetric_table(it)
+    w = lowest_over(kernel_sums([(ia, ib, sym, s1), (ib, ic, sym, s2)],
+                                [(ic, sym, s3), (ia, sym, s4)], trunc, out_dim))
 
     def both(u, v):
         return fraction_add(naive_convolve(u, v, table, trunc, out_dim),
@@ -397,6 +416,83 @@ def test_bracket_sums_property(case, scales):
                     (s4 * Da * Da, naive_convolve(a, a, table, trunc, out_dim))):
         want = fraction_add(want, fraction_scale(f * Dt, part))
     assert w == want
+
+
+# One call mixes every kind of source: an ordered pair through T, a pair
+# through T + T^t that shares a view with it, and squares, or none (a call
+# with no square accumulates once, with one twice), put over a den that may
+# share factors with the sum.
+@settings(max_examples=150, deadline=None)
+@given(square_cases(3), st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       st.booleans(), st.sampled_from((1, 2, 3, 6, 12, 35)))
+@example(({(1,): (F(1, 2),)}, {(1,): (F(1, 3),)}, {(1,): (F(1),)},
+          {(0, 0): ((0, F(1)),)}, 2, 1), [1, 1, 1, 1], True, 6)
+@example(({(1,): (F(1), F(2))}, {(1,): (F(3), F(1))}, {(2,): (F(1), F(-1))},
+          {(0, 1): ((0, F(1)), (1, F(2))), (1, 0): ((1, F(2)),)}, 3, 2),
+         [2, -1, 3, 1], False, 12)
+def test_one_call_mixes_ordered_pairs_symmetric_pairs_and_squares(
+        case, scales, with_squares, den):
+    a, b, c, table, trunc, out_dim = case
+    s1, s2, s3, s4 = scales
+    Dt, it = integer_table(table)
+    T = Table(it)
+    sym = symmetric_table(T)
+    (Da, ia), (Db, ib), (Dc, ic) = (integer_terms(m) for m in (a, b, c))
+    squares = [(ic, sym, s3), (ia, sym, s4)] if with_squares else []
+    w = lowest_over(kernel_sums([(ia, ib, T, s1), (ib, ic, sym, s2)], squares,
+                                trunc, out_dim, den))
+
+    def naive(x, y):
+        return naive_convolve(x, y, table, trunc, out_dim)
+
+    parts = [(s1 * Da * Db, naive(a, b)),
+             (s2 * Db * Dc, fraction_add(naive(b, c), naive(c, b)))]
+    if with_squares:
+        parts += [(s3 * Dc * Dc, naive(c, c)), (s4 * Da * Da, naive(a, a))]
+    want = {}
+    for f, part in parts:
+        want = fraction_add(want, fraction_scale(F(f * Dt, den), part))
+    assert w == want
+
+
+# The reduction of bracket_sums, branch by branch.  A pair alone
+# accumulates the sum once (f = 1), a square twice (f = 2).  The decode
+# divides by g = gcd(f den, packed integers) when there is one slot or g is
+# f; otherwise it divides by f and linalg.lowest_terms reduces.  At W = 64
+# the packed integer of the slots (1, 2) is 1 + 2^65, a multiple of 3 that
+# neither slot is: a den of 3 must then go through lowest_terms and stay 3.
+# Each case is [t, t] with t^1 of coefficient 1 (a square) or (x, 1) (a
+# pair) and [e_0, e_0] = sum c_k e_k; divisor is what the decode divides by.
+@pytest.mark.parametrize("square, x, cs, den, want, divisor, reduced", [
+    (False, 3, (2,), 4, (2, (3,)), 2, False),
+    (False, 1, (1, 2), 5, (5, (1, 2)), 1, False),
+    (False, 1, (2, 6), 4, (2, (1, 3)), 1, True),
+    (False, 1, (1, 2), 3, (3, (1, 2)), 1, True),
+    (False, 1, (3, -6), 1, (1, (3, -6)), 1, False),
+    (True, 1, (3,), 6, (2, (1,)), 6, False),
+    (True, 1, (1, 2), 5, (5, (1, 2)), 2, False),
+    (True, 1, (2, 6), 4, (2, (1, 3)), 2, True),
+    (True, 1, (1, 2), 3, (3, (1, 2)), 2, True),
+    (True, 1, (3, -6), 1, (1, (3, -6)), 2, False),
+])
+def test_bracket_sums_reduction_branches(monkeypatch, square, x, cs, den, want,
+                                         divisor, reduced):
+    calls = {"_decode": [], "lowest_terms": []}
+    for name in calls:
+        def recorded(*args, name=name, fn=getattr(_kernels, name)):
+            calls[name].append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(_kernels, name, recorded)
+    table = {0: {0: tuple(enumerate(cs))}}
+    out_dim = len(cs)
+    if square:
+        got = kernel_sums((), (({(1,): (1,)}, symmetric_table(table), 1),), 2, out_dim, den)
+    else:
+        got = kernel_sums([({(1,): (x,)}, {(1,): (1,)}, table, 1)], (), 2, out_dim, den)
+    assert got == (want[0], {(2,): want[1]})
+    assert [args[-1] for args in calls["_decode"]] == [divisor]
+    assert bool(calls["lowest_terms"]) == reduced
 
 
 # A view keeps the contracted rows of each Table apart (KernelView.rows):
@@ -417,12 +513,12 @@ def test_view_rows_kept_per_table(case):
     uv = naive_convolve(u, v, table, trunc, out_dim)
     both = fraction_add(uv, naive_convolve(v, u, table, trunc, out_dim))
     for _ in range(2):
-        assert over(bracket_convolve(vu, vv, it, trunc, out_dim),
-                    Du * Dv * Dt) == uv
-        assert over(bracket_convolve(vu, vv, sym, trunc, out_dim),
-                    Du * Dv * Dt) == both
-        assert lowest_over(bracket_sums((), ((vu, 1),), sym, trunc, out_dim,
-                                        Du * Du * Dt)) == \
+        assert lowest_over(kernel_sums([(vu, vv, it, 1)], (), trunc, out_dim,
+                                       Du * Dv * Dt)) == uv
+        assert lowest_over(kernel_sums([(vu, vv, sym, 1)], (), trunc, out_dim,
+                                       Du * Dv * Dt)) == both
+        assert lowest_over(kernel_sums((), ((vu, sym, 1),), trunc, out_dim,
+                                       Du * Du * Dt)) == \
             naive_convolve(u, u, table, trunc, out_dim)
 
 
@@ -463,8 +559,8 @@ def test_compiled_rows_match_the_reference(rows, out_dim):
 # Packed slots: _convolve holds each output vector as one integer of signed
 # W-bit slots, W proved from the operands on every call.  Coefficients and
 # table entries up to 10^60 of either sign, one output slot and several,
-# through bracket_convolve and the halved bracket_sums (one square alone,
-# then pairs and squares at once), with plain integer inputs against the
+# through bracket_sums with one ordered pair, with one square alone (halved)
+# and with pairs and squares at once, with plain integer inputs against the
 # Fraction references.
 def big_coefficients():
     return st.one_of(st.integers(-10**60, 10**60), st.integers(-3, 3))
@@ -505,10 +601,10 @@ def test_packed_slots_exact_on_big_coefficients(case, s):
     def naive(x, y):
         return naive_convolve(x, y, table, trunc, out_dim)
 
-    assert bracket_convolve(u, v, it, trunc, out_dim) == naive(u, v)
-    assert lowest_over(bracket_sums((), ((u, 1),), sym, trunc, out_dim, 1)) == \
-        naive(u, u)
-    w = lowest_over(bracket_sums([(u, v, s)], [(v, 1), (u, s)], sym, trunc, out_dim, 1))
+    assert lowest_over(kernel_sums([(u, v, it, 1)], (), trunc, out_dim)) == naive(u, v)
+    assert lowest_over(kernel_sums((), ((u, sym, 1),), trunc, out_dim)) == naive(u, u)
+    w = lowest_over(kernel_sums([(u, v, sym, s)], [(v, sym, 1), (u, sym, s)],
+                                trunc, out_dim))
     assert w == fraction_add(
         fraction_add(fraction_scale(s, fraction_add(naive(u, v), naive(v, u))),
                      naive(v, v)),
@@ -543,7 +639,8 @@ def test_packed_slot_at_the_proved_bound(case, sign, out_dim, k):
     v = {(r,): (Q,) * dim_v for r in range(n)}
     table = {(i, j): ((k, C),) for i in range(dim_u) for j in range(dim_v)}
     _, it = integer_table(table)
-    w = bracket_convolve(u, v, it, trunc, out_dim)
+    den, w = kernel_sums([(u, v, it, 1)], (), trunc, out_dim)
+    assert den == 1
     want = [0] * out_dim
     want[k] = sign * n * dim_v * dim_u * P * C * Q
     assert w[(trunc,)] == tuple(want)
@@ -557,8 +654,8 @@ def test_packed_slot_bound_counts_a_repeated_output(sign):
     table = {(0, 0): ((1, sign * 2**61), (1, sign * 2**61), (0, 1))}
     _, it = integer_table(table)
     u, v = {(1,): (2,)}, {(0,): (1,)}
-    w = bracket_convolve(u, v, it, 1, 2)
-    assert w == {(1,): (2, sign * 2**63)}
+    den, w = kernel_sums([(u, v, it, 1)], (), 1, 2)
+    assert (den, w) == (1, {(1,): (2, sign * 2**63)})
     assert w == naive_convolve(u, v, table, 1, 2)
 
 
@@ -574,7 +671,7 @@ def test_packed_self_slot_at_the_proved_bound(sign, k):
     y = {(r,): (P,) * dim for r in range(4)}
     table = {(i, j): ((k, C),) for i in range(dim) for j in range(dim)}
     _, it = integer_table(table)
-    den, w = bracket_sums((), ((y, 1),), symmetric_table(it), 3, out_dim, 1)
+    den, w = kernel_sums((), ((y, symmetric_table(it), 1),), 3, out_dim)
     assert den == 1
     want = [0] * out_dim
     want[k] = sign * 2**62
@@ -606,7 +703,8 @@ def test_kept_rows_follow_the_slot_width(monkeypatch):
     view = KernelView(u, Packing(4))
     kept = view.rows(T)
     for v in (small, big, small, big):
-        assert bracket_convolve(view, v, T, 3, 3) == naive_convolve(u, v, table, 3, 3)
+        assert kernel_sums([(view, v, T, 1)], (), 3, 3) == \
+            (1, naive_convolve(u, v, table, 3, 3))
     assert view.rows(T) is kept
     assert widths[0] == widths[2] == 64 and widths[1] == widths[3] >= 128
 

@@ -69,6 +69,10 @@ def read_tree(fn):
         return ast.parse(fh.read())
 
 
+def package_sources():
+    return [fn for fn in sorted(os.listdir(PACKAGE_DIR)) if fn.endswith(".py")]
+
+
 def imports_gcd(tree):
     """Whether a module takes gcd from math: from math import gcd (under
     any name), or math.gcd read off an imported math."""
@@ -91,8 +95,7 @@ def test_gcd_imports_are_caught():
 def test_only_linalg_and_report_reduce_with_gcd():
     # linalg owns the integer form (scaled, lowest, common_factor); report
     # keeps one gcd of its own to render p/q without building a Fraction
-    sources = [fn for fn in sorted(os.listdir(PACKAGE_DIR)) if fn.endswith(".py")]
-    users = [fn for fn in sources if imports_gcd(read_tree(fn))]
+    users = [fn for fn in package_sources() if imports_gcd(read_tree(fn))]
     assert users == ["linalg.py", "report.py"]
 
 
@@ -135,19 +138,50 @@ def test_unread_names_are_caught():
     assert names_read(ast.parse(source)) == {"n", "g", "h", "y"}
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
-    # a name dgla exports is read somewhere in the package outside its own
-    # def (the re-exports of __init__.py aside), by the benchmark harness,
-    # or in the README; API that only the tests reach does not ship
+def names_read_outside_the_tests():
+    """The names read in src/dgla (the re-exports of __init__.py aside) and
+    by the benchmark harness, each outside its own def (names_read)."""
     read = set()
-    for fn in sorted(os.listdir(PACKAGE_DIR)):
-        if fn.endswith(".py") and fn != "__init__.py":
+    for fn in package_sources():
+        if fn != "__init__.py":
             read |= names_read(read_tree(fn))
     bench = os.path.join(REPO_DIR, "perfbench")
     for fn in sorted(os.listdir(bench)):
         if fn.endswith(".py"):
             with open(os.path.join(bench, fn), encoding="utf-8") as fh:
                 read |= names_read(ast.parse(fh.read()))
+    return read
+
+
+def top_level_definitions(tree):
+    """The functions and classes a module defines at its top level."""
+    return [node.name for node in tree.body if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def test_top_level_definitions_are_found():
+    source = ("def f():\n    def g():\n        pass\n"
+              "class C:\n    def m(self):\n        pass\n"
+              "async def h():\n    pass\n"
+              "x = 1\n")
+    assert top_level_definitions(ast.parse(source)) == ["f", "C", "h"]
+
+
+def test_every_top_level_definition_has_a_caller_outside_the_tests():
+    # a function or class at the top level of a src/dgla module is read
+    # somewhere in the package outside its own def or by the benchmark
+    # harness, so no kernel entry or helper exists only for the tests
+    read = names_read_outside_the_tests()
+    unread = [(fn, name) for fn in package_sources()
+              for name in top_level_definitions(read_tree(fn)) if name not in read]
+    assert unread == []
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a name dgla exports is read somewhere in the package outside its own
+    # def (the re-exports of __init__.py aside), by the benchmark harness,
+    # or in the README; API that only the tests reach does not ship
+    read = names_read_outside_the_tests()
     with open(os.path.join(REPO_DIR, "README.md"), encoding="utf-8") as fh:
         readme = fh.read()
     unread = [name for name in dgla.__all__ if name not in read
