@@ -32,7 +32,7 @@ gauge element in the gauge series or of tau in the recursion, is
 contracted once.  Every row of a call shares that one accumulator, so
 bracket_sums adds several brackets, each scaled to a common denominator
 by an integer, in one pass: one bracket [u, v] is a call with one pair,
-and a Maurer-Cartan step, or one order of the recursion, is one call.
+and each sum of series brackets (DGLA.bracket_sum, its caller) one call.
 
 The accumulator packs the output coordinates too (Kronecker substitution
 once more): an output vector of out_dim integers is one integer with

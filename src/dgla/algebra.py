@@ -23,12 +23,12 @@ order (bucketed by total degree).  It reads the elements' kernel views
 (FormalElement.view) and, per pair or square, the integer Table of a
 degree pair, cut from the bracket store by _integer_table over the
 store's denominator D, and hands its sum back in lowest terms.
-apply_bracket is one kernel pass with the one pair (u, v) through T, over
-u.den * v.den * D.  _bracket_sums adds several bracket sums and
-self-brackets of one degree in one pass over a common denominator, for
-the Maurer-Cartan solvers; a self-bracket [y, y] is that pass with the
-one square y, which walks each unordered monomial pair once through
-T + T^t (cached per degree).
+bracket_sum is its one entry: ordered brackets [u, v] through T,
+symmetric pairs [u, v] + [v, u] and self-brackets [y, y] through T + T^t
+(cached per degree), over one integer, in one pass.  Every sum of series
+brackets is one bracket_sum: a Maurer-Cartan step, one order of the
+recursion, each sum of one order of the gauge series.  apply_bracket, one
+bracket, is the pass with the one square u = v or the one pair (u, v).
 
 Sign conventions (cohomological grading, d of degree +1):
   [x, y] = -(-1)^{|x||y|} [y, x]
@@ -373,12 +373,12 @@ class DGLA:
         return self._bracket_den, table
 
     def _symmetric_table(self, p):
-        """(D, _integer_table(p, p)[1] plus its transpose), over the same D;
-        a Table kept per degree."""
+        """_integer_table(p, p)[1] plus its transpose, over the same
+        denominator; a Table kept per degree."""
         sym = self._sym_tables.get(p)
         if sym is None:
             sym = self._sym_tables[p] = symmetric_table(self._integer_table(p, p)[1])
-        return self._bracket_den, sym
+        return sym
 
     # action on formal elements
 
@@ -401,66 +401,54 @@ class DGLA:
         return self.differential.apply_element(v, 1)
 
     def apply_bracket(self, u, v):
-        """[u, v], the bilinear extension over monomials, truncated.
-
-        A self-bracket (u is v) is _bracket_sums with the one square u,
-        which walks each unordered monomial pair once; the result is the
-        same exact element.  Any other is one kernel pass
-        (_kernels.bracket_sums) with the one pair (u, v) through the
-        integer table T of the degree pair, over u.den * v.den * Dt, Dt the
-        denominator of the bracket store; the kernel hands the bracket back
-        in lowest terms.
+        """[u, v], the bilinear extension over monomials, truncated: the
+        bracket_sum of the one square u when u is v (which walks each
+        unordered monomial pair once), else of the one ordered pair (u, v).
         """
         if u is v:
-            return self._bracket_sums(u.ring, u.degree, (), (u,))
-        self._check_elements((u, v), u.ring)
-        out_deg = u.degree + v.degree
-        out_dim = self.dim(out_deg)
-        if out_dim and u.nums and v.nums:
-            Dt, table = self._integer_table(u.degree, v.degree)
-            if table:
-                den, nums = bracket_sums([(u.view(), v.view(), table, 1)], (),
-                                         u.ring.order, out_dim, u.den * v.den * Dt)
-                return FormalElement._canonical(u.ring, out_deg, out_dim, den, nums)
-        return FormalElement.zero(u.ring, out_deg, out_dim)
+            return self.bracket_sum(u.ring, 2 * u.degree, squares=(u,))
+        return self.bracket_sum(u.ring, u.degree + v.degree, ordered=((u, v),))
 
-    def _bracket_sums(self, ring, degree, pairs, squares):
-        """sum ([u, v] + [v, u]) over the (u, v) of pairs plus sum [y, y]
-        over the y of squares, for elements of one degree over ring.
+    def bracket_sum(self, ring, degree, ordered=(), symmetric=(), squares=(), den=1):
+        """(sum [u, v] over the (u, v) of ordered + sum ([u, v] + [v, u])
+        over the (u, v) of symmetric + sum [y, y] over the y of squares)
+        / den, an element of degree `degree` over ring.
 
-        One kernel pass (_kernels.bracket_sums) adds every bracket into one
-        integer accumulator, over the common denominator D * Dt with D the
-        lcm of the u.den * v.den and y.den ** 2: each bracket is scaled by
-        D over its own denominator.  The kernel hands the sum back in
-        lowest terms, so it is wrapped as it stands.  Nothing assumes
-        antisymmetry.
+        One kernel pass (_kernels.bracket_sums): an ordered pair goes
+        through the integer table T of its degree pair, a symmetric pair
+        (both of degree `degree` / 2) and a square through T + T^t, each
+        scaled by D over its own denominator, D the lcm of the u.den * v.den
+        and y.den ** 2, so the sum is over den * D * Dt, Dt the denominator
+        of the bracket store.  The kernel hands it back in lowest terms, so
+        it is wrapped as it stands.  Nothing assumes antisymmetry.
         """
-        elems = [e for pair in pairs for e in pair] + list(squares)
-        if any(e.degree != degree for e in elems):
-            raise ValueError("the bracket sums need elements of degree %d" % degree)
-        self._check_elements(elems, ring)
-        pairs = [(u, v) for u, v in pairs if u.nums and v.nums]
-        squares = [y for y in squares if y.nums]
-        out_deg = 2 * degree
-        out_dim = self.dim(out_deg)
-        if out_dim and (pairs or squares):
-            Dt, sym = self._symmetric_table(degree)
-            if sym:
-                D = lcm(*[u.den * v.den for u, v in pairs],
-                        *[y.den ** 2 for y in squares])
-                den, nums = bracket_sums(
-                    [(u.view(), v.view(), sym, D // (u.den * v.den)) for u, v in pairs],
-                    [(y.view(), sym, D // y.den ** 2) for y in squares],
-                    ring.order, out_dim, D * Dt)
-                return FormalElement._canonical(ring, out_deg, out_dim, den, nums)
-        return FormalElement.zero(ring, out_deg, out_dim)
-
-    def _check_elements(self, elems, ring):
-        """Every element over ring, with the dimension of its degree."""
+        halves = [e for pair in symmetric for e in pair] + list(squares)
+        elems = [e for pair in ordered for e in pair] + halves
         if any(e.ring != ring for e in elems):
             raise ValueError("ring mismatch")
         if any(self.dim(e.degree) != e.dim for e in elems):
             raise ValueError("element dimension does not match its degree")
+        if (any(u.degree + v.degree != degree for u, v in ordered)
+                or any(2 * e.degree != degree for e in halves)):
+            raise ValueError("the bracket sum needs brackets of degree %d" % degree)
+        out_dim = self.dim(degree)
+        pairs, selfs = [], []
+        if out_dim:
+            pairs = [(u, v, table) for u, v in ordered if u.nums and v.nums
+                     and (table := self._integer_table(u.degree, v.degree)[1])]
+            symmetric = [(u, v) for u, v in symmetric if u.nums and v.nums]
+            squares = [y for y in squares if y.nums]
+            if (symmetric or squares) and (sym := self._symmetric_table(degree // 2)):
+                pairs += [(u, v, sym) for u, v in symmetric]
+                selfs = [(y, sym) for y in squares]
+        if not (pairs or selfs):
+            return FormalElement.zero(ring, degree, out_dim)
+        D = lcm(*[u.den * v.den for u, v, _ in pairs], *[y.den ** 2 for y, _ in selfs])
+        den, nums = bracket_sums(
+            [(u.view(), v.view(), table, D // (u.den * v.den)) for u, v, table in pairs],
+            [(y.view(), sym, D // y.den ** 2) for y, sym in selfs],
+            ring.order, out_dim, den * D * self._bracket_den)
+        return FormalElement._canonical(ring, degree, out_dim, den, nums)
 
     def curvature(self, A):
         """dA + 1/2 [A, A] for a degree 1 element."""

@@ -9,12 +9,13 @@ is a contraction in the m-adic filtration and stabilizes exactly within the
 truncation order.  The iteration carries S = [y, y] along with the iterate:
 y_n and y_{n+1} agree through order n, so each step brackets only the
 change delta, and the final S gives the residual d tau + 1/2 S without a
-second bracket of tau: each change of S leaves the kernel in lowest
-terms, the changes are summed once, and the residual is one pass over
-d tau and S.  The iterate itself is kept only as far as the next bracket
-reaches (each delta starts at least one order above the one before, so
-the rest of y finds no partner within the truncation), and tau is read
-off the fixed-point equation once it holds: tau = x - 1/2 h S.
+second bracket of tau: each change of S is one kernel pass
+(DGLA.bracket_sum) in lowest terms, the changes are summed once, and the
+residual is one pass over d tau and S.  The iterate itself is kept only
+as far as the next bracket reaches (each delta starts at least one order
+above the one before, so the rest of y finds no partner within the
+truncation), and tau is read off the fixed-point equation once it holds:
+tau = x - 1/2 h S.
 Convention (fixed once, used everywhere): the Maurer-Cartan equation is
 d tau + 1/2 [tau, tau] = 0, the corrective term carries -1/2 h
 (SDRData.correction, one map with the factor in its integer rows, so a
@@ -35,8 +36,6 @@ it only through -d a_b.  So gauge_equivalent solves each a_b from the
 order-b part of that same pass against the target, and the witness search
 and its verification cost one evaluation of the series.
 """
-
-from fractions import Fraction
 
 from .algebra import HALF
 from .formal import CoefficientRing, FormalElement
@@ -84,8 +83,8 @@ def _fixed_point(L, R, x):
     S = [tau, tau].  S_n = [y_n, y_n] is never bracketed whole: by linearity
     of h the step is delta = y_{n+1} - y_n = -1/2 h(S_n - S_{n-1})
     (S_0 = 0), and S_{n+1} - S_n = ([y_n, delta] + [delta, y_n])
-    + [delta, delta] is one kernel pass over one denominator
-    (DGLA._bracket_sums), so nothing assumes antisymmetry; it leaves the
+    + [delta, delta] is one bracket_sum, the pair (y_n, delta) symmetric
+    and delta a square, so nothing assumes antisymmetry; it leaves the
     kernel in lowest terms.  The changes are summed into S once, at the
     end.  delta has no terms below order n + 1, so a step walks only the
     pairs that can still land within the truncation.
@@ -111,7 +110,7 @@ def _fixed_point(L, R, x):
         if delta.is_zero():
             S = FormalElement.summed(ring, 2, L.dim(2), steps)
             return x + R.correction(S), n, S
-        step = L._bracket_sums(ring, 1, [(y, delta)], [delta])
+        step = L.bracket_sum(ring, 2, symmetric=[(y, delta)], squares=[delta])
         steps.append(step)
         low = delta.view().low  # the view the bracket just took
         reach = ring.order - 1 - low
@@ -165,8 +164,8 @@ def _recursion(L, R, x):
               = x^b - 1/2 h ( [tau^{b/2}, tau^{b/2}]
                               + sum_{i<j, i+j=b} ([tau^i, tau^j] + [tau^j, tau^i]) ),
 
-    the first term for even b only: the order-b sum is one kernel pass over
-    one denominator (DGLA._bracket_sums).  Summed over b it is
+    the first term for even b only: the order-b sum is one bracket_sum, its
+    pairs (tau^i, tau^j) symmetric and tau^{b/2} a square.  Summed over b it is
     S = [tau, tau].  The order-b part of C_x(tau) depends on tau below order
     b only, so this is the fixed point of C_x for any degree 1 x, with no
     cocycle condition.  tau and S are each summed from their homogeneous
@@ -179,7 +178,7 @@ def _recursion(L, R, x):
         pairs = [(parts[i], parts[b - i]) for i in range(1, (b + 1) // 2)
                  if i in parts and b - i in parts]
         squares = [parts[b // 2]] if b % 2 == 0 and b // 2 in parts else []
-        acc = L._bracket_sums(ring, 1, pairs, squares)
+        acc = L.bracket_sum(ring, 2, symmetric=pairs, squares=squares)
         sums.append(acc)
         tau_b = x.homogeneous_part(b) + R.correction(acc)
         if not tau_b.is_zero():
@@ -263,7 +262,7 @@ class NotFlatError(ValueError):
 
 
 def _gauge_series(L, A, part):
-    """exp(a) . A order by order, for the gauge element a with parts
+    """exp(a) . A summed order by order, for the gauge element a with parts
     a_b = part(b, known).
 
     With c_1 = [a, A] - da and c_k = [a, c_{k-1}], the order-b parts are
@@ -274,12 +273,14 @@ def _gauge_series(L, A, part):
 
     so order b reads only parts fixed below it, and k runs all the way to b:
     c_k[b] can vanish while c_{k+1} at a later order does not.  Each
-    c_k[b] / k! is kept as [a, c_{k-1} / (k-1)!] / k, the 1/k going into its
-    denominator.  a_b enters order b only through -d a_b, so part is asked
-    for a_b (a degree-0 element, homogeneous of order b, zero allowed) once
-    the rest of the order is known: known is a list of elements that sum to
-    (exp(a) . A)_b + d a_b.  part may return None to stop, and then the
-    series returns None; otherwise it returns elements that sum to
+    bracket sum is one kernel pass (DGLA.bracket_sum, its pairs ordered):
+    c_k[b] / k! is kept as sum_i [a_i, c_{k-1}[b-i] / (k-1)!] over k, the k
+    going into the pass's denominator; a pair with a zero part of A is
+    dropped and an empty sum skipped.  a_b enters order b only through
+    -d a_b, so part is asked for a_b (a degree-0 element, homogeneous of
+    order b, zero allowed) once the rest of the order is known: known is a
+    list of elements that sum to (exp(a) . A)_b + d a_b.  part may return
+    None to stop, and then the series returns None; otherwise it returns
     exp(a) . A.
     """
     ring = A.ring
@@ -289,14 +290,13 @@ def _gauge_series(L, A, part):
     c = {}  # (k, b) -> c_k[b] / k!, nonzero parts only
     pieces = [A]
     for b in range(1, ring.order + 1):
-        first = [L.apply_bracket(a[i], A_parts[b - i]) for i in a]
+        ordered = [(a[i], A_parts[b - i]) for i in a if A_parts[b - i].nums]
+        first = [L.bracket_sum(ring, 1, ordered=ordered)] if ordered else []
         higher = []
         for k in range(2, b + 1):
-            terms = [L.apply_bracket(a[i], c[k - 1, b - i])
-                     for i in a if (k - 1, b - i) in c]
-            if terms:
-                ck = FormalElement.summed(ring, 1, dim1, terms).scale(
-                    Fraction(1, k))
+            ordered = [(a[i], c[k - 1, b - i]) for i in a if (k - 1, b - i) in c]
+            if ordered:
+                ck = L.bracket_sum(ring, 1, ordered=ordered, den=k)
                 if not ck.is_zero():
                     c[k, b] = ck
                     higher.append(ck)
@@ -310,7 +310,7 @@ def _gauge_series(L, A, part):
         if not c1.is_zero():
             c[1, b] = c1
         pieces += [c1] + higher
-    return pieces
+    return FormalElement.summed(ring, 1, dim1, pieces)
 
 
 def gauge_act(L, a, A):
@@ -320,8 +320,7 @@ def gauge_act(L, a, A):
     _check_degree_one(A)
     if a.ring != A.ring:
         raise ValueError("ring mismatch")
-    pieces = _gauge_series(L, A, lambda b, known: a.homogeneous_part(b))
-    return FormalElement.summed(A.ring, 1, A.dim, pieces)
+    return _gauge_series(L, A, lambda b, known: a.homogeneous_part(b))
 
 
 def gauge_equivalent(L, R, A, Aprime):
@@ -336,10 +335,10 @@ def gauge_equivalent(L, R, A, Aprime):
     then completes c_1 at order b.  complement_basis makes C^0 the span of
     the standard vectors at the pivot columns of d: g^0 -> g^1, so h(X_b)
     is the one preimage in C^0, the solution of d a = X_b with every free
-    component zero.  The witness is verified on the same pass: its pieces
-    sum to exp(a) . A, which must equal Aprime.  Each a_b is homogeneous of
-    order b, so acting with the summed a once more would rebuild the very
-    same pieces.  Returning None means no witness exists under that
+    component zero.  The witness is verified on the same pass: it returns
+    exp(a) . A, which must equal Aprime.  Each a_b is homogeneous of order
+    b, so acting with the summed a once more would rebuild the very same
+    series.  Returning None means no witness exists under that
     zero-free-component rule (sound, not complete, when d has a kernel in
     degree 0).
     """
@@ -362,8 +361,7 @@ def gauge_equivalent(L, R, A, Aprime):
         parts.append(a_b)
         return a_b
 
-    pieces = _gauge_series(L, A, solve)
-    if pieces is None or FormalElement.summed(ring, 1, A.dim, pieces) != Aprime:
+    if _gauge_series(L, A, solve) != Aprime:
         return None
     return FormalElement.summed(ring, 0, L.dim(0), parts)
 

@@ -85,10 +85,21 @@ def _reject_float(text):
     raise DocumentError("exact rationals only (decimal literal %r rejected)" % text)
 
 
-def parse_document(text):
+def _refuse_repeated_keys(pairs):
+    """A JSON object hook that refuses a repeated key, not keeping its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DocumentError("key %r is repeated in one object" % key)
+        obj[key] = value
+    return obj
+
+
+def parse_document(text, object_pairs_hook=None):
     """JSON text -> document dict, with position info on parse errors."""
     try:
-        doc = json.loads(text, parse_float=_reject_float, parse_int=_parse_int)
+        doc = json.loads(text, parse_float=_reject_float, parse_int=_parse_int,
+                         object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as e:
         raise DocumentError(
             "parse error at line %d column %d: %s" % (e.lineno, e.colno, e.msg)
@@ -201,10 +212,11 @@ def parse_element(L, ring, data, expect_degree=None):
     the ring's variables ("t", "t^2", "t1*t2") and coeffs is either a dense
     list over the degree-d generator basis or an object {generator: coeff}.
     Two strings that name one monomial ("t" and "t^1", "t1*t2" and
-    "t2*t1") are bad input, even where a vector is all zero.
+    "t2*t1") are bad input, even where a vector is all zero, and so is a
+    JSON key repeated in one object of the text.
     """
     if isinstance(data, str):
-        data = parse_document(data)
+        data = parse_document(data, _refuse_repeated_keys)
     if not isinstance(data, dict):
         raise DocumentError("element must be a JSON object")
     degree = data.get("degree")

@@ -226,6 +226,26 @@ def test_kuranishi_repeated_monomial_exit_two(capsys, again):
     assert "'t' and 't^1' are the same" in err
 
 
+@pytest.mark.parametrize("terms", (
+    '{"t": [1, 0], "t": [5, 0]}', '{"t": {"x": 1, "x": 5}}'))
+def test_kuranishi_repeated_key_exit_two(capsys, terms):
+    element = '{"degree": 1, "terms": %s}' % terms
+    code, out, err = run_main(capsys, "kuranishi", corpus("E1"), "--input", element)
+    assert code == 2 and not out
+    assert "--input" in err and "is repeated in one object" in err
+
+
+@pytest.mark.parametrize("flag", ("--a", "--b"))
+def test_gauge_equiv_repeated_key_exit_two(capsys, flag):
+    elements = {"--a": '{"degree": 1, "terms": {}}',
+                "--b": '{"degree": 1, "terms": {}}'}
+    elements[flag] = '{"degree": 1, "terms": {"t": {"x": "-1"}, "t": {"x": "1"}}}'
+    code, out, err = run_main(capsys, "gauge-equiv", corpus("E4"),
+                              "--a", elements["--a"], "--b", elements["--b"])
+    assert code == 2 and not out
+    assert flag in err and "'t' is repeated in one object" in err
+
+
 def test_kuranishi_missing_input_file(capsys):
     code, out, err = run_main(
         capsys, "kuranishi", corpus("E1"), "--input", "no-such-file.json")
@@ -337,7 +357,8 @@ def test_gauge_equiv_curvature_once_per_input(capsys, monkeypatch):
 
 
 def test_decimal_coefficient_rejected(capsys, tmp_path):
-    doc = json.load(open(corpus("E1")))
+    with open(corpus("E1")) as fh:
+        doc = json.load(fh)
     doc["d"][0]["to"][0]["coeff"] = 0.5
     path = tmp_path / "dec.json"
     path.write_text(json.dumps(doc))
@@ -371,7 +392,8 @@ def test_deeply_nested_document_exit_two(capsys, tmp_path):
 
 
 def test_axiom_violation_exit_codes(capsys, tmp_path):
-    doc = json.load(open(corpus("E1")))
+    with open(corpus("E1")) as fh:
+        doc = json.load(fh)
     doc["bracket"][0]["result"] = [{"gen": "c", "coeff": "1"}]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

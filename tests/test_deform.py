@@ -477,15 +477,15 @@ def fixed_point_passes(L, R, x):
     only calls with pairs are passes: a self-bracket alone (apply_bracket
     of an element with itself) is none."""
     passes = []
-    bracket_sums = DGLA._bracket_sums
+    bracket_sum = DGLA.bracket_sum
 
-    def recorded(self, ring, degree, pairs, squares):
-        if pairs:
-            passes.append(pairs[0])
-        return bracket_sums(self, ring, degree, pairs, squares)
+    def recorded(self, ring, degree, **sums):
+        if sums.get("symmetric"):
+            passes.append(sums["symmetric"][0])
+        return bracket_sum(self, ring, degree, **sums)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(DGLA, "_bracket_sums", recorded)
+        mp.setattr(DGLA, "bracket_sum", recorded)
         return _fixed_point(L, R, x), passes
 
 

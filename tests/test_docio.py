@@ -13,6 +13,7 @@ from dgla.docio import (
     document_to_dgla,
     load_dgla,
     parse_document,
+    parse_dgla,
     parse_element,
     parse_rational,
 )
@@ -176,6 +177,32 @@ def test_parse_element_refuses_a_repeated_monomial(variables, terms):
     ring = CoefficientRing(variables, 3)
     with pytest.raises(DocumentError, match="are the same"):
         parse_element(L, ring, {"degree": 1, "terms": terms})
+
+
+# A JSON key repeated in one object of an element literal is refused, not
+# kept at its last value, at any depth of the literal.
+@pytest.mark.parametrize("text, key", [
+    ('{"degree": 1, "terms": {"t": [1, 0], "t": [5, 0]}}', "t"),
+    ('{"degree": 1, "terms": {"t": [1, 0], "t": [1, 0]}}', "t"),
+    ('{"degree": 1, "terms": {"t": {"x": 1, "x": 5}}}', "x"),
+    ('{"degree": 1, "terms": {"t": {"x": 1}}, "terms": {}}', "terms"),
+    ('{"degree": 1, "degree": 1, "terms": {}}', "degree"),
+])
+def test_parse_element_refuses_a_repeated_key(text, key):
+    L = builtin_example("E1")
+    ring = CoefficientRing.single(3)
+    with pytest.raises(DocumentError, match="key %r is repeated" % key):
+        parse_element(L, ring, text)
+
+
+def test_dgla_documents_keep_the_last_of_a_repeated_key():
+    # only element literals refuse a repeated key; a DGLA document parses
+    # as json.loads reads it
+    doc = parse_document('{"name": "a", "name": "b", "generators": []}')
+    assert doc == {"name": "b", "generators": []}
+    L, rep = parse_dgla(b'{"name": "E", "name": "F", "field": "Q", '
+                        b'"generators": [{"name": "x", "degree": 1}]}')
+    assert L.name == "F" and rep.ok
 
 
 @pytest.mark.parametrize("text", [

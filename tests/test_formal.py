@@ -438,12 +438,17 @@ def test_integer_paths_hand_on_canonical_elements(case):
         return fraction_add(br(a, b), br(b, a))
 
     produced = [
-        (L._bracket_sums(RING, 1, (), (u,)), br(s, s)),
-        (L._bracket_sums(RING, 1, (), (w,)), br(sc, sc)),
-        (L._bracket_sums(RING, 1, [(u, v)], [v]), fraction_add(both(s, t), br(t, t))),
-        (L._bracket_sums(RING, 1, [(u, w), (v, u)], [w, u]),
+        (L.bracket_sum(RING, 2, squares=(u,)), br(s, s)),
+        (L.bracket_sum(RING, 2, squares=(w,)), br(sc, sc)),
+        (L.bracket_sum(RING, 2, symmetric=[(u, v)], squares=[v]),
+         fraction_add(both(s, t), br(t, t))),
+        (L.bracket_sum(RING, 2, symmetric=[(u, w), (v, u)], squares=[w, u]),
          fraction_add(fraction_add(both(s, sc), both(t, s)),
                       fraction_add(br(sc, sc), br(s, s)))),
+        (L.bracket_sum(RING, 2, ordered=[(u, v), (w, u)], den=3),
+         fraction_scale(Fraction(1, 3), fraction_add(br(s, t), br(sc, s)))),
+        (L.bracket_sum(RING, 2, ordered=[(v, w)], symmetric=[(u, v)], squares=[w]),
+         fraction_add(fraction_add(br(t, sc), both(s, t)), br(sc, sc))),
         (L.apply_bracket(u, u), br(s, s)),
         (L.apply_bracket(u, v), br(s, t)),
         (L.apply_bracket(w, v), br(sc, t)),

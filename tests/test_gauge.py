@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+import dgla.algebra
 import dgla.deform
 from dgla import (
     BUILTIN_NAMES,
@@ -384,6 +385,28 @@ def test_gauge_equivalent_sums_the_series_once(monkeypatch):
     assert gauge_equivalent(L, R, L.generator_element(ring, "x1"),
                             L.generator_element(ring, "x2")) is None
     assert len(calls) == 1
+
+
+def test_gauge_act_sums_each_order_in_one_pass_per_sum(monkeypatch):
+    # at order b, sum_i [a_i, A_{b-i}] is one kernel pass and each
+    # c_k[b] = (1/k) sum_i [a_i, c_{k-1}[b-i]] another: with a in every
+    # order up to 5 and A = 0 that is one pass per c_k[b], 2 <= k <= b,
+    # 1 + 2 + 3 + 4 = 10 over orders 2 to 5, and none for [a_i, A]
+    calls = []
+    bracket_sums = _kernels.bracket_sums
+
+    def counted(*args):
+        calls.append(args)
+        return bracket_sums(*args)
+
+    L, _ = twisted_e2()
+    ring = CoefficientRing(("t1", "t2"), 5)
+    a = free_zero_gauge_element(L, ring, Random(7))
+    zero = FormalElement.zero(ring, 1, L.dim(1))
+    monkeypatch.setattr(dgla.algebra, "bracket_sums", counted)
+    moved = gauge_act(L, a, zero)
+    assert len(calls) == 10
+    assert moved == reference_gauge_act(L, a, zero)
 
 
 @pytest.mark.parametrize("name", list(BUILTIN_NAMES) + ["twisted_E2"])

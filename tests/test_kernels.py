@@ -779,7 +779,7 @@ def test_tables_die_with_their_dgla():
     ring = CoefficientRing(("t1", "t2"), 4)
     a, A = random_element(L, ring, 0, rng), random_element(L, ring, 1, rng)
     assert not L.curvature(gauge_act(L, a, A)).is_zero()
-    table, sym = L._integer_table(0, 1)[1], L._symmetric_table(1)[1]
+    table, sym = L._integer_table(0, 1)[1], L._symmetric_table(1)
     assert type(table) is Table and type(sym) is Table
     refs = [weakref.ref(x) for x in (L, table, sym)]
     del L, a, A, table, sym

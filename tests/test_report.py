@@ -64,7 +64,8 @@ def elements(draw):
 def test_element_data_renders_the_integers_as_fractions(x, y, c):
     produced = [x, y, x + y, x - x, x - y, x.scale(c), y.scale(Fraction(1, 6)),
                 QUAD.apply_bracket(x, y), QUAD.apply_bracket(x, x),
-                QUAD._bracket_sums(RING, 1, [(x, y)], [y])]
+                QUAD.bracket_sum(RING, 2, symmetric=[(x, y)], squares=[y]),
+                QUAD.bracket_sum(RING, 2, ordered=[(x, y), (y, x)], den=6)]
     for e in produced:
         assert element_data(e) == reference_element_data(e)
 
