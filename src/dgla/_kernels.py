@@ -16,20 +16,23 @@ accumulator as it is decoded, so no bracket is read a second time.
 matvec_terms applies rows compiled once per matrix (compile_rows) into
 one function of a coefficient vector.
 
-The brackets read a kernel-ready layout of each series, a KernelView, that
-a FormalElement builds once and keeps.  It buckets the monomials by total
-degree and lays a bucket out only when a truncation can pair it: each
-monomial as (total degree, packed key, sparse vector), the packed key being
-its exponents as the digits of one integer (Packing, one per ring), and the
-same coefficients again by generator, in columns cut by total degree.  A
-row of the pair loop (_convolve) puts one monomial's vector into the table
-(its contracted row) and then walks, for each generator j it reaches,
-column j of the partner straight, adding under the packed product key
-k1 + k2.  The view of the left element of a bracket keeps the contracted
-row of each laid-out monomial per integer table (KernelView.rows), so an
-element bracketed again through the same table, such as each part of a
-gauge element in the gauge series or of tau in the recursion, is
-contracted once.  Every row of a call shares that one accumulator, so
+A series is keyed as a FormalElement holds it, by its ring's monomial
+keys (formal.CoefficientRing.key): a product within the truncation has
+key k1 + k2, and key k has total degree (k - 1) mod N + 1, N the ring's
+order.  No kernel sees an exponent tuple.  The brackets read a
+kernel-ready layout of each series, a KernelView, that a FormalElement
+builds once and keeps.  It buckets the keys by total degree and lays a
+bucket out only when a truncation can pair it: each monomial as (total
+degree, key, sparse vector), and the same coefficients again by
+generator, in columns cut by total degree.  A row of the pair loop
+(_convolve) puts one monomial's vector into the table (its contracted
+row) and then walks, for each generator j it reaches, column j of the
+partner straight, adding under the product key k1 + k2.  The view of the
+left element of a bracket keeps the contracted row of each laid-out
+monomial per integer table (KernelView.rows), so an element bracketed
+again through the same table, such as each part of a gauge element in
+the gauge series or of tau in the recursion, is contracted once.  Every
+row of a call shares that one accumulator, so
 bracket_sums adds several brackets, each scaled to a common denominator
 by an integer, in one pass: one bracket [u, v] is a call with one pair,
 and each sum of series brackets (DGLA.bracket_sum, its caller) one call.
@@ -87,9 +90,9 @@ tests/test_kernels.py checks every kernel against plain Fraction reference
 implementations in tests/reference.py.
 
 Conventions:
-  * a "terms" map sends an exponent tuple (one entry per ring variable) to a
-    dense tuple of int coefficients, none of them all zero; the series
-    kernel reads it as a KernelView (each FormalElement keeps one),
+  * a "terms" map sends a monomial key to a dense tuple of int
+    coefficients, none of them all zero; the series kernel reads it as a
+    KernelView (each FormalElement keeps one),
   * an integer structure table sends i to {j: ((k, int), ...)}, so that
     [e_i, e_j] = sum int e_k; the series kernel reads it as a Table,
   * integer matrix rows are ((row, ((col, int), ...)), ...), nonzero rows
@@ -120,51 +123,6 @@ def bracket_vector(u, v, table, out_dim):
                     for k, c in ents:
                         out[k] += f * c
     return out
-
-
-class Packing:
-    """Exponent tuples packed as the digits of one integer in base, both
-    ways, filled on demand: key(mono) is (total degree, packed key), kept
-    in keys, and monos(keys) the inverse map.  Adding two packed keys packs
-    the product as long as no exponent of the product reaches base
-    (Kronecker substitution).  A CoefficientRing owns one, so each of its
-    monomials is packed once: a monomial that monos decodes has its
-    (total degree, key) recorded in keys as it is decoded, so a view built
-    on it later does not pack it again."""
-
-    __slots__ = ("base", "nvars", "keys", "_monos")
-
-    def __init__(self, base):
-        self.base = base
-        self.nvars = None
-        self.keys = {}
-        self._monos = {}
-
-    def key(self, mono):
-        dk = self.keys.get(mono)
-        if dk is None:
-            key = 0
-            for e in mono:
-                key = key * self.base + e
-            dk = self.keys[mono] = (sum(mono), key)
-            if dk[0] < self.base:  # every exponent below base: key is unique
-                self._monos[key] = mono
-            self.nvars = len(mono)
-        return dk
-
-    def monos(self, keys):
-        """The map packed key -> exponent tuple, holding every key of keys
-        (a set-like view of packed keys)."""
-        monos, fwd = self._monos, self.keys
-        for key in keys - monos.keys():
-            digits = []
-            k = key
-            for _ in range(self.nvars):
-                k, e = divmod(k, self.base)
-                digits.append(e)
-            mono = monos[key] = tuple(reversed(digits))
-            fwd[mono] = (sum(mono), key)
-        return monos
 
 
 class Table(dict):
@@ -274,33 +232,30 @@ def symmetric_table(table):
 class KernelView:
     """A terms map laid out for the pair loop, one total degree at a time.
 
-    upto(deg) lays out every monomial of total degree at most deg and
-    returns (entries, degs): one (total degree, packed key, sparse vector)
+    The keys of terms are those of a ring of the given order (the module
+    docstring).  upto(deg) lays out every monomial of total degree at most
+    deg and returns (entries, degs): one (total degree, key, sparse vector)
     per monomial, in ascending total degree (ties in the map's own order),
     and their degrees.  cols holds the same coefficients by generator:
-    cols[j] = (kv, ends), kv the (packed key, coefficient) of every laid-out
+    cols[j] = (kv, ends), kv the (key, coefficient) of every laid-out
     monomial whose vector has a nonzero j-th entry, in entry order, and
     ends[d] the number of them of total degree at most d.  So a pair loop
     walks one generator's coefficients straight, cut at a degree by one
-    index.  The monomials are bucketed by total degree up front, but a
+    index.  The keys are bucketed by their degree residue up front, but a
     bucket is laid out only when first asked for, and then kept: a bracket
     within a truncation never reads the monomials that can find no partner.
-    Keys come from packing (one per ring, so a monomial is packed once).  A
-    FormalElement keeps its view (FormalElement.view), so an element
+    A FormalElement keeps its view (FormalElement.view), so an element
     bracketed several times is laid out once.
     """
 
-    __slots__ = ("terms", "packing", "low", "entries", "degs", "cols",
+    __slots__ = ("terms", "low", "entries", "degs", "cols",
                  "_buckets", "_kept", "_peak")
 
-    def __init__(self, terms, packing):
+    def __init__(self, terms, order):
         self.terms = terms
-        self.packing = packing
-        keys = packing.keys
         buckets = {}
-        for m in terms:
-            dk = keys.get(m) or packing.key(m)
-            buckets.setdefault(dk[0], []).append((dk[1], m))
+        for key in terms:
+            buckets.setdefault((key - 1) % order + 1, []).append(key)
         self._buckets = sorted(buckets.items(), reverse=True)
         self.low = self._buckets[-1][0] if buckets else None
         self.entries = []
@@ -313,11 +268,11 @@ class KernelView:
         buckets = self._buckets
         entries, degs, cols, terms = self.entries, self.degs, self.cols, self.terms
         while buckets and buckets[-1][0] <= deg:
-            d, monos = buckets.pop()
+            d, keys = buckets.pop()
             for kv, ends in cols.values():  # the degrees below d with no bucket
                 ends += [len(kv)] * (d - len(ends))
-            for key, m in monos:
-                vec = terms[m]
+            for key in keys:
+                vec = terms[key]
                 u = tuple(compress(enumerate(vec), vec))
                 for j, c in u:
                     col = cols.get(j)
@@ -327,7 +282,7 @@ class KernelView:
                 entries.append((d, key, u))
             for kv, ends in cols.values():
                 ends.append(len(kv))
-            degs += [d] * len(monos)
+            degs += [d] * len(keys)
         return entries, degs
 
     def rows(self, table):
@@ -390,7 +345,7 @@ def _convolve(sources, out_dim):
     """The pair loop of bracket_sums.
 
     A source is (rows, s, v, kept): an integer scale s, the view v paired
-    with, rows (k1, lim, own), the packed key k1 of a monomial and the
+    with, rows (k1, lim, own), the key k1 of a monomial and the
     highest total degree lim of a partner, and kept (_Kept) the rows'
     vectors put into a table, bounded and packed.  own is None for a cross
     row, which walks every column of v from its start, or the monomial's
@@ -398,18 +353,16 @@ def _convolve(sources, out_dim):
     itself at scale s under the key 2 * k1 and walks each column j from
     the count of the earlier rows with a nonzero j-th entry, at 2s.  For
     every generator j the row reaches, the coefficients of column j are
-    added under the packed product keys k1 + k2.
+    added under the product keys k1 + k2.
 
-    Returns (out, W, packing): sum s * [u_m1, v_m2] * m1*m2 over every pair
-    as {packed product key: integer}, each integer out_dim signed slots of
-    W bits (_slot_width; the coefficient itself for one slot), and the
-    packing of a partner view (every view of one call packs alike), for
-    _decode.
+    Returns (out, W): sum s * [u_m1, v_m2] * m1*m2 over every pair as
+    {product key: integer}, each integer out_dim signed slots of W bits
+    (_slot_width; the coefficient itself for one slot), for _decode.
     """
     if not sources:
-        return {}, 0, None
+        return {}, 0
     W = _slot_width(sources) if out_dim > 1 else 0
-    out = defaultdict(int)  # packed product key -> packed output vector
+    out = defaultdict(int)  # product key -> packed output vector
     for rows, s, v, kept in sources:
         cols = v.cols
         lo = dict.fromkeys(cols, 0) if rows[0][2] is not None else None
@@ -435,21 +388,19 @@ def _convolve(sources, out_dim):
                     fq = fs * q
                     for k2, vj in kv[a:b]:
                         out[k1 + k2] += fq * vj
-    return out, W, sources[0][2].packing
+    return out, W
 
 
-def _decode(out, W, packing, out_dim, g):
+def _decode(out, W, out_dim, g):
     """The accumulator of _convolve as a terms map, every slot divided by g,
     which must divide each: the packed integer is then divided as it
     stands, since it is the sum of its slots times powers of 2^W, and its
-    quotient packs the quotients.  Monomials are unpacked through
-    packing (Packing.monos), each output vector decoded once (the module
-    docstring), and every all-zero one dropped."""
+    quotient packs the quotients.  Each output vector is decoded once (the
+    module docstring) under its key, and every all-zero one dropped."""
     if not out:
         return {}
-    monos = packing.monos(out.keys())
     if out_dim == 1:
-        return {monos[key]: (acc // g,) for key, acc in out.items() if acc}
+        return {key: (acc // g,) for key, acc in out.items() if acc}
     offset = sum([1 << (W * k + W - 1) for k in range(out_dim)])
     size = W // 8
     nbytes = size * out_dim
@@ -458,7 +409,7 @@ def _decode(out, W, packing, out_dim, g):
     for key, acc in out.items():
         if acc:
             raw = ((acc // g + offset) ^ offset).to_bytes(nbytes, "little")
-            res[monos[key]] = unpack(raw) if unpack else tuple([
+            res[key] = unpack(raw) if unpack else tuple([
                 int.from_bytes(raw[i:i + size], "little", signed=True)
                 for i in range(0, nbytes, size)])
     return res
@@ -470,7 +421,8 @@ def bracket_sums(pairs, squares, trunc, out_dim, den):
     over den and brought to lowest terms, terms / den' (den' > 0, 1 for
     zero), every product monomial above trunc dropped.
 
-    u, v and y are KernelViews packed in base trunc + 1, s integer scales
+    u, v and y are KernelViews keyed in one ring of order at least trunc
+    (so a product key within trunc is the sum of two keys), s integer scales
     (the caller puts every bracket over one common denominator with them)
     and den a positive integer.  A pair brings its own Table B: the
     integer table T of its degree pair for [u, v], or symmetric_table(T)
@@ -492,11 +444,11 @@ def bracket_sums(pairs, squares, trunc, out_dim, den):
     f = 2 if squares else 1
     sources = [src for u, v, table, s in pairs
                if (src := _cross_rows(u, v, table, trunc, f * s))]
-    out, W, packing = _convolve(sources + squares, out_dim)
+    out, W = _convolve(sources + squares, out_dim)
     g = common_factor(f * den, (out.values(),))
     if out_dim == 1 or g == f:
-        return f * den // g, _decode(out, W, packing, out_dim, g)
-    return lowest_terms(den, _decode(out, W, packing, out_dim, f))
+        return f * den // g, _decode(out, W, out_dim, g)
+    return lowest_terms(den, _decode(out, W, out_dim, f))
 
 
 def compile_rows(rows, out_dim):

@@ -6,14 +6,21 @@ order N.  Elements live in g tensor m where m is the maximal ideal
 at least 1 and at most N, and any product landing above N is identically
 zero.  Nothing is ever rounded.
 
+Below the public API a monomial is its key, the exponents as the digits
+of one integer in base N + 1, the first variable the most significant
+(CoefficientRing.key and .mono alone encode and decode one).  No digit
+exceeds N, so a key is unique and a product within the order has the sum
+of the keys; as N + 1 = 1 (mod N), the degree 1..N is read off a key as a
+residue (CoefficientRing.degree), and graded lex order is (degree, key).
+
 FormalElement is a vector in one graded piece of an algebra whose entries
 are such truncated series.  It is stored in linalg's integer form: one
 denominator den for the whole element and, per monomial, a dense tuple of
-integer numerators (exponent tuple -> int tuple), so the coefficient of
-generator i at monomial m is nums[m][i] / den, scaled and reduced by
-linalg.scaled and linalg.lowest_terms.  No vector is all zero and no
-monomial lies above the order, so two elements are equal exactly when
-their (den, nums) are.  Arithmetic runs on the integers and ends in one
+integer numerators (monomial key -> int tuple), so the coefficient of
+generator i at the monomial of key k is nums[k][i] / den, scaled and
+reduced by linalg.scaled and linalg.lowest_terms.  No vector is all zero
+and no monomial lies above the order, so two elements are equal exactly
+when their (den, nums) are.  Arithmetic runs on the integers and ends in one
 reduction; every public accessor speaks Fraction.  A result that arrives
 in lowest terms already, such as every bracket, which the one series
 kernel (_kernels.bracket_sums) hands back reduced, is wrapped as it
@@ -24,16 +31,15 @@ vectors at a shared monomial), and a - b is that same pass with the sign
 of b folded into its scale, as dA + 1/2 S is with the 1/2 folded into the
 denominator (DGLA._curvature).  For the brackets, an element also keeps
 the layout of nums the series kernel reads (view(), a
-_kernels.KernelView), built on first use with the monomial keys its ring
-packs once (CoefficientRing.packing); elements are never changed in
-place, so the layout stays valid.
+_kernels.KernelView), built on first use from the element's own keys;
+elements are never changed in place, so the layout stays valid.
 """
 
 from fractions import Fraction
 from math import lcm
 from operator import add
 
-from ._kernels import KernelView, Packing
+from ._kernels import KernelView
 from .linalg import lowest_terms, scaled
 from .report import rational_str
 
@@ -85,7 +91,7 @@ def _add_scaled(total, f, nums, dim):
 class CoefficientRing:
     """The quotient m / m^{N+1} of the ideal m = (t1..tk) in Q[[t1..tk]]."""
 
-    __slots__ = ("variables", "order", "packing", "powers")
+    __slots__ = ("variables", "order", "powers")
 
     def __init__(self, variables, order):
         variables = tuple(str(v) for v in variables)
@@ -101,7 +107,6 @@ class CoefficientRing:
             raise ValueError("truncation order must be at least 1")
         self.variables = variables
         self.order = order
-        self.packing = Packing(order + 1)  # the monomial keys of view()
         # powers[i][e]: the factor variable i to the power e, for mono_str
         self.powers = tuple(("", v) + tuple(["%s^%d" % (v, e) for e in range(2, order + 1)])
                             for v in variables)
@@ -136,6 +141,28 @@ class CoefficientRing:
         if d == 0:
             raise ValueError("constant terms do not exist here (degree 0 monomial)")
         return mono
+
+    def key(self, mono):
+        """The key of a checked monomial within the order (the module
+        docstring)."""
+        base = self.order + 1
+        key = 0
+        for e in mono:
+            key = key * base + e
+        return key
+
+    def mono(self, key):
+        """The exponent tuple of a key, the inverse of key."""
+        base = self.order + 1
+        digits = []
+        for _ in self.variables:
+            key, e = divmod(key, base)
+            digits.append(e)
+        return tuple(reversed(digits))
+
+    def degree(self, key):
+        """The total degree of the monomial of a key, its residue."""
+        return (key - 1) % self.order + 1
 
     def monomials(self, degree):
         """All exponent tuples of the given total degree, lexicographically."""
@@ -196,8 +223,8 @@ class FormalElement:
     Fraction-convertible coefficients of length dim.  Every monomial is
     validated; those above the ring's truncation order are identically zero
     and are then dropped, degree zero monomials are rejected.  The value is
-    held as integer numerators nums over one denominator den, in the
-    canonical form the module docstring describes.
+    held as integer numerators nums over one denominator den, by monomial
+    key, in the canonical form the module docstring describes.
     """
 
     __slots__ = ("ring", "degree", "dim", "den", "nums", "_view")
@@ -216,7 +243,7 @@ class FormalElement:
                 if len(vec) != dim:
                     raise ValueError("coefficient vector has wrong length")
                 if sum(mono) <= ring.order and any(vec):
-                    clean[mono] = vec
+                    clean[ring.key(mono)] = vec
         self.den, flat = scaled([c for vec in clean.values() for c in vec])
         self.nums = {m: flat[k * dim:(k + 1) * dim] for k, m in enumerate(clean)}
         self._view = None
@@ -225,8 +252,8 @@ class FormalElement:
     def from_integers(cls, ring, degree, dim, den, nums):
         """The element nums / den in canonical form.
 
-        den is a positive int; nums maps monomials within the ring's order
-        to int tuples of length dim, none of them all zero.  The common
+        den is a positive int; nums maps monomial keys of the ring to int
+        tuples of length dim, none of them all zero.  The common
         factor of den and every numerator is divided out
         (linalg.lowest_terms).
         """
@@ -289,30 +316,41 @@ class FormalElement:
         return not self.nums
 
     def view(self):
-        """nums laid out for the series kernel (a _kernels.KernelView,
-        packed in base order + 1), built on first use and kept."""
+        """nums laid out for the series kernel (a _kernels.KernelView of
+        the element's own keys), built on first use and kept."""
         view = self._view
         if view is None:
-            view = self._view = KernelView(self.nums, self.ring.packing)
+            view = self._view = KernelView(self.nums, self.ring.order)
         return view
 
+    def graded_nums(self):
+        """The (key, numerators) pairs of nums in graded lex order: sorted
+        by (total degree, key)."""
+        degree = self.ring.degree
+        return sorted(self.nums.items(), key=lambda kv: (degree(kv[0]), kv[0]))
+
     def support(self):
-        """Monomials with a nonzero coefficient, in graded lex order: sorted
-        by exponents, then (a stable sort) by total degree."""
-        return tuple(sorted(sorted(self.nums), key=sum))
+        """Monomials with a nonzero coefficient, in graded lex order."""
+        mono = self.ring.mono
+        return tuple([mono(key) for key, _ in self.graded_nums()])
 
     def _fractions(self, vec):
         den = self.den
         return tuple([Fraction(c, den) for c in vec])
 
     def coefficient(self, mono):
-        """Dense Fraction coefficient tuple at one monomial (zeros if absent)."""
-        mono = self.ring.check_mono(mono)
-        return self._fractions(self.nums.get(mono, (0,) * self.dim))
+        """Dense Fraction coefficient tuple at one monomial, zeros if absent
+        or above the order (whose digits may spell another monomial's key,
+        so none is taken)."""
+        ring = self.ring
+        mono = ring.check_mono(mono)
+        vec = self.nums.get(ring.key(mono)) if sum(mono) <= ring.order else None
+        return self._fractions(vec or (0,) * self.dim)
 
     def fraction_terms(self):
         """The value as a map exponent tuple -> dense Fraction tuple."""
-        return {m: self._fractions(vec) for m, vec in self.nums.items()}
+        mono = self.ring.mono
+        return {mono(key): self._fractions(vec) for key, vec in self.nums.items()}
 
     def _with(self, den, nums):
         return FormalElement.from_integers(self.ring, self.degree, self.dim, den, nums)
@@ -347,21 +385,25 @@ class FormalElement:
         if order == self.ring.order:
             return self
         ring = CoefficientRing(self.ring.variables, order)
-        nums = {m: vec for m, vec in self.nums.items() if sum(m) <= order}
+        mono = self.ring.mono
+        nums = {ring.key(m): vec for key, vec in self.nums.items()
+                if sum(m := mono(key)) <= order}
         return FormalElement.from_integers(ring, self.degree, self.dim, self.den, nums)
 
     def truncated(self, order):
         """Keep only the monomials of total degree at most order, over the
         same ring; self when none lies above it."""
-        nums = {m: vec for m, vec in self.nums.items() if sum(m) <= order}
+        degree = self.ring.degree
+        nums = {key: vec for key, vec in self.nums.items() if degree(key) <= order}
         if len(nums) == len(self.nums):
             return self
         return self._with(self.den, nums)
 
     def homogeneous_part(self, order):
         """Keep only the monomials of total degree exactly order."""
-        return self._with(self.den, {m: vec for m, vec in self.nums.items()
-                                     if sum(m) == order})
+        degree = self.ring.degree
+        return self._with(self.den, {key: vec for key, vec in self.nums.items()
+                                     if degree(key) == order})
 
     def __eq__(self, other):
         if not isinstance(other, FormalElement):
@@ -377,11 +419,12 @@ class FormalElement:
     def __repr__(self):
         """Each coefficient rendered from nums / den by report.rational_str,
         so an integer of any length is written out in full."""
+        ring = self.ring
         bits = ", ".join(
             "%s: (%s)"
-            % (self.ring.mono_str(m),
-               ", ".join(map(rational_str, self._fractions(self.nums[m]))))
-            for m in self.support()
+            % (ring.mono_str(ring.mono(key)),
+               ", ".join(map(rational_str, self._fractions(vec))))
+            for key, vec in self.graded_nums()
         )
         return "FormalElement(deg=%d, {%s})" % (self.degree, bits)
 

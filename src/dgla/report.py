@@ -55,10 +55,10 @@ def element_data(elem):
     if elem.is_zero():
         return "0"
     den = elem.den
-    mono_str = elem.ring.mono_str
+    mono_str, mono = elem.ring.mono_str, elem.ring.mono
     return {"degree": elem.degree,
-            "terms": {mono_str(mono): [_ratio_str(c, den) for c in elem.nums[mono]]
-                      for mono in elem.support()}}
+            "terms": {mono_str(mono(key)): [_ratio_str(c, den) for c in vec]
+                      for key, vec in elem.graded_nums()}}
 
 
 def matrix_data(mat):

@@ -22,7 +22,6 @@ from dgla import (
     solve_mc_ivp,
     universal_solution,
 )
-from dgla._kernels import Packing
 from dgla.deform import _fixed_point, _recursion
 from dgla.formal import CoefficientRing, FormalElement
 from dgla.report import canonical_json, element_data
@@ -263,27 +262,28 @@ def test_universal_solution_fractional_bytes_pinned():
         "36e81b81c9871b8a1cf9c77b012bda872fafebf850c0dd7ff6f6fd1e61d2b7ca"
 
 
-def test_universal_solve_packs_only_the_direction(monkeypatch):
-    # a monomial the kernels decode keeps its forward key, so on a fresh
-    # ring the views of a whole solve pack only the direction's monomials
+def test_universal_solve_encodes_only_the_direction(monkeypatch):
+    # below the public API a monomial is its key: a whole solve encodes the
+    # direction's monomials and decodes none, and rendering tau decodes
+    # each of its monomials once
     L = universal_dgla()
     R = build_contraction(L, build_splitting(L))
-    packed = []
-    key = Packing.key
+    calls = {"key": [], "mono": []}
+    for name, log in calls.items():
+        def counted(self, arg, fn=getattr(CoefficientRing, name), log=log):
+            log.append(arg)
+            return fn(self, arg)
 
-    def counted(self, mono):
-        packed.append(mono)
-        return key(self, mono)
-
-    monkeypatch.setattr(Packing, "key", counted)
+        monkeypatch.setattr(CoefficientRing, name, counted)
     sol = universal_solution(L, R, 6)
-    assert sorted(packed) == sorted(sol.direction.nums)
-    ring = sol.tau.ring
+    encoded, decoded = list(calls["key"]), list(calls["mono"])
+    assert not decoded
+    assert len(encoded) == 4
+    assert sorted(encoded) == sorted(sol.direction.support())
+    calls["mono"].clear()
+    element_data(sol.tau)
     assert len(sol.tau.nums) == 209  # every monomial of degree 1..6
-    for mono in sol.tau.nums:
-        digits = sum(e * (ring.order + 1) ** (ring.nvars - 1 - i)
-                     for i, e in enumerate(mono))
-        assert ring.packing.keys[mono] == (sum(mono), digits)
+    assert sorted(calls["mono"]) == sorted(sol.tau.nums)
 
 
 def test_universal_solution_no_harmonic_directions():
@@ -496,8 +496,8 @@ def assert_iterates_within_reach(x, passes):
     lost nor gained a monomial is handed on as the same object."""
     N = x.ring.order
     for (y, _), (prev_y, prev_delta) in zip(passes[1:], passes):
-        reach = N - 1 - min(map(sum, prev_delta.nums))
-        assert all(sum(m) <= reach for m in y.nums), (reach, y.support()[-1])
+        reach = N - 1 - min(map(sum, prev_delta.support()))
+        assert all(sum(m) <= reach for m in y.support()), (reach, y.support()[-1])
         if y == prev_y:
             assert y is prev_y
 

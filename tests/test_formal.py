@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dgla.algebra import DGLA
 from dgla.deform import MCSolution
+from dgla.docio import parse_element
 from dgla.formal import CoefficientRing, FormalElement
 
 from reference import (
@@ -160,6 +161,37 @@ def test_support_graded_lex_order():
     assert a.support() == ((0, 1), (1, 0), (0, 2), (2, 0))
 
 
+# The monomial key: the exponents as digits in base N + 1, over every
+# monomial of 1-4 variables and orders 1-8.
+@pytest.mark.parametrize("nvars", (1, 2, 3, 4))
+@pytest.mark.parametrize("order", range(1, 9))
+def test_monomial_keys(nvars, order):
+    r = CoefficientRing(["t%d" % i for i in range(1, nvars + 1)], order)
+    monos = r.all_monomials()
+    keys = [r.key(m) for m in monos]
+    assert [r.mono(k) for k in keys] == monos
+    assert len(set(keys)) == len(keys)
+    assert [r.degree(k) for k in keys] == [sum(m) for m in monos]
+    for m1, k1 in zip(monos, keys):
+        for m2, k2 in zip(monos, keys):
+            product = tuple(a + b for a, b in zip(m1, m2))
+            if sum(product) <= order:
+                assert k1 + k2 == r.key(product)
+    assert sorted(keys, key=lambda k: (r.degree(k), k)) == keys
+
+
+# A monomial above the order has no key: in base 3, t2^3 = (0, 3) would
+# share the key 3 of t1 = (1, 0).
+def test_monomials_above_the_order_are_zero():
+    r = CoefficientRing(("t1", "t2"), 2)
+    e = FormalElement(r, 1, 2, {(1, 0): (5, 0)})
+    assert e.coefficient((1, 0)) == (5, 0)
+    assert e.coefficient((0, 3)) == (0, 0)
+    assert FormalElement(r, 1, 1, {(0, 3): (1,)}).is_zero()
+    parsed = parse_element(FRACTIONAL, r, {"degree": 1, "terms": {"t2^3": [1, 0]}})
+    assert parsed.is_zero()
+
+
 def test_addition_associative_random():
     rng = Random(11)
     r = CoefficientRing(("t1", "t2"), 3)
@@ -236,8 +268,12 @@ def assert_canonical(e):
     assert type(e.den) is int and e.den > 0
     # gcd(den) == den, so the zero element must have den == 1
     assert gcd(e.den, *(c for vec in e.nums.values() for c in vec)) == 1
-    for mono, vec in e.nums.items():
-        assert 1 <= sum(mono) <= e.ring.order
+    ring = e.ring
+    for key, vec in e.nums.items():
+        # a valid ring key: of a monomial of degree 1..N, and it round-trips
+        mono = ring.mono(key)
+        assert 1 <= sum(mono) <= ring.order and ring.degree(key) == sum(mono)
+        assert type(key) is int and ring.key(mono) == key
         assert len(vec) == e.dim
         assert all(type(c) is int for c in vec) and any(vec)
 

@@ -351,7 +351,7 @@ def test_gauge_equivalent_returns_seeded_witness_twisted_e2():
     zero = FormalElement.zero(ring, 1, L.dim(1))
     for seed in range(3):
         a = free_zero_gauge_element(L, ring, Random(seed))
-        assert {sum(m) for m in a.nums} == {1, 2, 3, 4}
+        assert {sum(m) for m in a.support()} == {1, 2, 3, 4}
         moved = gauge_act(L, a, zero)
         assert L.curvature(moved).is_zero()
         assert gauge_equivalent(L, R, zero, moved) == a

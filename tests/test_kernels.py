@@ -12,7 +12,6 @@ from dgla import BUILTIN_NAMES, builtin_example, gauge_act
 from dgla import _kernels
 from dgla._kernels import (
     KernelView,
-    Packing,
     Table,
     bracket_sums,
     compile_rows,
@@ -51,25 +50,47 @@ def over(terms, D):
     return {m: tuple(Fraction(c, D) for c in vec) for m, vec in terms.items()}
 
 
-def kernel_sums(pairs, squares, trunc, out_dim, den=1):
+def key_ring(maps, trunc):
+    """The ring the maps (exponent tuple -> vector) are keyed in: one
+    variable per exponent, of order trunc + 1, or the highest degree of a
+    monomial of the maps if that is more, so the truncation trunc lies
+    below the order."""
+    monos = [m for terms in maps for m in terms]
+    nvars = len(monos[0]) if monos else 1
+    order = max([trunc + 1] + [sum(m) for m in monos])
+    return CoefficientRing(["t%d" % i for i in range(1, nvars + 1)], order)
+
+
+def keyed(ring, terms):
+    """A terms map keyed by exponent tuples, keyed by the ring's keys."""
+    return {ring.key(m): vec for m, vec in terms.items()}
+
+
+def kernel_sums(pairs, squares, trunc, out_dim, den=1, ring=None):
     """bracket_sums on terms maps and integer tables as the tests hold them:
-    each map laid out once, as a KernelView packed in base trunc + 1, and
-    each table made a Table; a view or a Table is passed as it stands."""
-    packing, views = Packing(max(trunc, 0) + 1), {}
+    each map keyed in ring (key_ring of the maps if None) and laid out
+    once, as a KernelView, each table made a Table, and the result keyed
+    by exponent tuples again; a view or a Table is passed as it stands, a
+    view with the ring it is keyed in."""
+    maps = [x for u, v, _, _ in pairs for x in (u, v)] + [y for y, _, _ in squares]
+    if ring is None:
+        ring = key_ring(maps, trunc)
+    views = {}
 
     def view(x):
         if type(x) is KernelView:
             return x
         if id(x) not in views:
-            views[id(x)] = KernelView(x, packing)
+            views[id(x)] = KernelView(keyed(ring, x), ring.order)
         return views[id(x)]
 
     def table(t):
         return t if type(t) is Table else Table(t)
 
-    return bracket_sums([(view(u), view(v), table(t), s) for u, v, t, s in pairs],
-                        [(view(y), table(t), s) for y, t, s in squares],
-                        trunc, out_dim, den)
+    den, terms = bracket_sums(
+        [(view(u), view(v), table(t), s) for u, v, t, s in pairs],
+        [(view(y), table(t), s) for y, t, s in squares], trunc, out_dim, den)
+    return den, {ring.mono(key): vec for key, vec in terms.items()}
 
 
 def ordered_fractions(u, v, table, trunc, out_dim):
@@ -258,8 +279,9 @@ def test_integer_forms_of_table_and_rows():
 # of the scales, must equal the reference exactly.  The coefficient
 # denominators are distinct primes, so the scales grow large; a table entry
 # or matrix row may carry every term twice with opposite signs, so whole
-# vectors cancel exactly; every monomial has total degree 0..trunc+1, so
-# pairs land on both sides of the cut.
+# vectors cancel exactly; every monomial has total degree 1..trunc+1, so
+# pairs land on both sides of the cut, and the maps are keyed in a ring of
+# order trunc + 1, one above the truncation.
 
 PRIMES = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -270,7 +292,7 @@ def coefficients():
 
 @st.composite
 def monomials(draw, nvars, trunc):
-    degree = draw(st.integers(0, trunc + 1))
+    degree = draw(st.integers(1, trunc + 1))
     cuts = sorted(draw(st.lists(st.integers(0, degree),
                                 min_size=nvars - 1, max_size=nvars - 1)))
     return tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
@@ -315,18 +337,18 @@ def matvec_cases(draw):
 
 
 # Explicit cases: an empty side or table; a product one past the cut, one
-# exactly at it from either side, one that cancels; and the products (1, 0)
-# and (0, 2) at trunc 2, which must stay two monomials.
+# exactly at it from either side, one that cancels; and the products t1*t2
+# and t2^3 at trunc 3, which must stay two monomials.
 @settings(max_examples=300, deadline=None)
 @given(convolve_cases())
 @example(({}, {(1,): (F(1),)}, {(0, 0): ((0, F(1)),)}, 3, 1))
 @example(({(1,): (F(1),)}, {(1,): (F(1),)}, {}, 3, 1))
 @example(({(0, 2): (F(1, 2),)}, {(1, 0): (F(1, 3),)}, {(0, 0): ((0, F(1, 5)),)}, 2, 1))
-@example(({(0,): (F(1, 7),)}, {(3,): (F(-2, 11),)}, {(0, 0): ((0, F(1, 13)),)}, 3, 1))
-@example(({(3,): (F(1),)}, {(0,): (F(1),)},
+@example(({(1,): (F(1, 7),)}, {(2,): (F(-2, 11),)}, {(0, 0): ((0, F(1, 13)),)}, 3, 1))
+@example(({(2,): (F(1),)}, {(1,): (F(1),)},
           {(0, 0): ((0, F(1, 3)), (0, F(-1, 3)))}, 3, 1))
-@example(({(0, 0): (F(1),)}, {(1, 0): (F(1),), (0, 2): (F(1),)},
-          {(0, 0): ((0, F(1)),)}, 2, 1))
+@example(({(0, 1): (F(1),)}, {(1, 0): (F(1),), (0, 2): (F(1),)},
+          {(0, 0): ((0, F(1)),)}, 3, 1))
 def test_ordered_bracket_property(case):
     u, v, table, trunc, out_dim = case
     assert ordered_fractions(u, v, table, trunc, out_dim) == \
@@ -348,7 +370,7 @@ def square_cases(draw, nmaps):
 
 
 # Explicit cases: an empty and a single-monomial map; a one-sided entry on a
-# pair at the cut; monomials at trunc and trunc + 1 beside a constant one;
+# pair at the cut; monomials at trunc and trunc + 1 beside one of degree 1;
 # an antisymmetric table (an even-degree self-bracket, so zero); and
 # denominators whose lcm exceeds 10^4 (101 * 103 * 107).
 @settings(max_examples=300, deadline=None)
@@ -357,7 +379,7 @@ def square_cases(draw, nmaps):
 @example(({(1,): (F(1, 3), F(2))}, {(0, 1): ((0, F(1, 5)),)}, 2, 1))
 @example(({(1, 0): (F(1), F(0)), (0, 1): (F(0), F(1))},
           {(0, 1): ((0, F(1)),)}, 2, 1))
-@example(({(0, 0): (F(1, 2),), (0, 3): (F(1, 3),), (2, 2): (F(1, 5),)},
+@example(({(1, 0): (F(1, 2),), (0, 3): (F(1, 3),), (2, 2): (F(1, 5),)},
           {(0, 0): ((0, F(1, 7)),)}, 3, 1))
 @example(({(1,): (F(1), F(2)), (2,): (F(3), F(-1))},
           {(0, 1): ((0, F(1)),), (1, 0): ((0, F(-1)),)}, 4, 1))
@@ -378,8 +400,8 @@ def test_self_convolve_property(case):
 @example(({}, {(1,): (F(1),)}, {(0, 0): ((0, F(1)),)}, 3, 1))
 @example(({(1,): (F(1), F(0))}, {(1,): (F(0), F(1))},
           {(0, 1): ((0, F(1, 3)),)}, 2, 1))
-@example(({(0,): (F(1, 7),), (4,): (F(1),)}, {(3,): (F(-2, 11),)},
-          {(0, 0): ((0, F(1, 13)),)}, 3, 1))
+@example(({(1,): (F(1, 7),), (5,): (F(1),)}, {(3,): (F(-2, 11),)},
+          {(0, 0): ((0, F(1, 13)),)}, 4, 1))
 @example(({(1, 1): (F(1, 101), F(2, 103))}, {(2, 0): (F(-3, 107), F(1))},
           {(0, 1): ((0, F(1, 101)),), (1, 0): ((1, F(5, 103)),)}, 4, 2))
 def test_bracket_sum_property(case):
@@ -508,17 +530,17 @@ def test_view_rows_kept_per_table(case):
     it = Table(it)
     sym = symmetric_table(it)
     (Du, iu), (Dv, iv) = integer_terms(u), integer_terms(v)
-    packing = Packing(max(trunc, 0) + 1)
-    vu, vv = KernelView(iu, packing), KernelView(iv, packing)
+    ring = key_ring((u, v), trunc)
+    vu, vv = (KernelView(keyed(ring, x), ring.order) for x in (iu, iv))
     uv = naive_convolve(u, v, table, trunc, out_dim)
     both = fraction_add(uv, naive_convolve(v, u, table, trunc, out_dim))
     for _ in range(2):
         assert lowest_over(kernel_sums([(vu, vv, it, 1)], (), trunc, out_dim,
-                                       Du * Dv * Dt)) == uv
+                                       Du * Dv * Dt, ring)) == uv
         assert lowest_over(kernel_sums([(vu, vv, sym, 1)], (), trunc, out_dim,
-                                       Du * Dv * Dt)) == both
+                                       Du * Dv * Dt, ring)) == both
         assert lowest_over(kernel_sums((), ((vu, sym, 1),), trunc, out_dim,
-                                       Du * Du * Dt)) == \
+                                       Du * Du * Dt, ring)) == \
             naive_convolve(u, u, table, trunc, out_dim)
 
 
@@ -611,9 +633,9 @@ def test_packed_slots_exact_on_big_coefficients(case, s):
         fraction_scale(s, naive(u, u)))
 
 
-# (rows n, dim_u, dim_v, P, C, Q): u has n monomials of one variable, each
+# (rows n, dim_u, dim_v, P, C, Q): u has the n monomials t..t^n, each
 # with every entry P, v has every entry Q and every table entry [e_i, e_j]
-# is C e_k, one output slot k.  Slot k of the last product monomial then
+# is C e_k, one output slot k.  Slot k of the product t^(n+1) then
 # gets n * dim_v * (dim_u P C) * Q, exactly the bound _slot_width proves
 # (rows, partner dimension, row peak, partner peak), of one sign, and every
 # other slot 0.  The bounds sit at and just past a multiple of 64 bits,
@@ -634,9 +656,9 @@ AT_THE_BOUND = [
 def test_packed_slot_at_the_proved_bound(case, sign, out_dim, k):
     n, dim_u, dim_v, P, C, Q = case
     k = 0 if k == "lowest" else out_dim - 1
-    trunc = n - 1
-    u = {(r,): (sign * P,) * dim_u for r in range(n)}
-    v = {(r,): (Q,) * dim_v for r in range(n)}
+    trunc = n + 1
+    u = {(r,): (sign * P,) * dim_u for r in range(1, n + 1)}
+    v = {(r,): (Q,) * dim_v for r in range(1, n + 1)}
     table = {(i, j): ((k, C),) for i in range(dim_u) for j in range(dim_v)}
     _, it = integer_table(table)
     den, w = kernel_sums([(u, v, it, 1)], (), trunc, out_dim)
@@ -653,30 +675,30 @@ def test_packed_slot_at_the_proved_bound(case, sign, out_dim, k):
 def test_packed_slot_bound_counts_a_repeated_output(sign):
     table = {(0, 0): ((1, sign * 2**61), (1, sign * 2**61), (0, 1))}
     _, it = integer_table(table)
-    u, v = {(1,): (2,)}, {(0,): (1,)}
-    den, w = kernel_sums([(u, v, it, 1)], (), 1, 2)
-    assert (den, w) == (1, {(1,): (2, sign * 2**63)})
-    assert w == naive_convolve(u, v, table, 1, 2)
+    u, v = {(1,): (2,)}, {(1,): (1,)}
+    den, w = kernel_sums([(u, v, it, 1)], (), 2, 2)
+    assert (den, w) == (1, {(2,): (2, sign * 2**63)})
+    assert w == naive_convolve(u, v, table, 2, 2)
 
 
-# The self walk: y at t^0..t^3 with trunc 3 walks rows t^0 and t^1, which
-# meet t^3 and t^2 at 2s.  With every entry of y P and every entry of T
+# The self walk: y at t..t^4 with trunc 5 walks rows t and t^2, which
+# meet t^4 and t^3 at 2s.  With every entry of y P and every entry of T
 # C e_k, sym = T + T^t is 2C e_k everywhere, each row's peak is 2 dim P C,
-# and before the halving slot k of t^3 is rows * dim * (2 dim P C) * 2 * P,
+# and before the halving slot k of t^5 is rows * dim * (2 dim P C) * 2 * P,
 # the bound: 2^63 for dim 2 and P = 2^29, one past W = 64.
 @pytest.mark.parametrize("k", (0, 2))
 @pytest.mark.parametrize("sign", (1, -1))
 def test_packed_self_slot_at_the_proved_bound(sign, k):
     dim, out_dim, P, C = 2, 3, 2**29, sign
-    y = {(r,): (P,) * dim for r in range(4)}
+    y = {(r,): (P,) * dim for r in range(1, 5)}
     table = {(i, j): ((k, C),) for i in range(dim) for j in range(dim)}
     _, it = integer_table(table)
-    den, w = kernel_sums((), ((y, symmetric_table(it), 1),), 3, out_dim)
+    den, w = kernel_sums((), ((y, symmetric_table(it), 1),), 5, out_dim)
     assert den == 1
     want = [0] * out_dim
     want[k] = sign * 2**62
-    assert w[(3,)] == tuple(want)
-    assert w == naive_convolve(y, y, table, 3, out_dim)
+    assert w[(5,)] == tuple(want)
+    assert w == naive_convolve(y, y, table, 5, out_dim)
 
 
 # One view bracketed through one Table at three slot widths: against a
@@ -700,10 +722,11 @@ def test_kept_rows_follow_the_slot_width(monkeypatch):
     u = {(1, 0): (2, -1), (0, 1): (1, 0), (1, 1): (-3, 4), (0, 2): (0, 6)}
     small = {(1, 0): (1, 2), (0, 1): (-1, 1)}
     big = {(1, 0): (BIG - 1, -BIG), (0, 1): (BIG, 3)}
-    view = KernelView(u, Packing(4))
+    ring = key_ring((u,), 3)
+    view = KernelView(keyed(ring, u), ring.order)
     kept = view.rows(T)
     for v in (small, big, small, big):
-        assert kernel_sums([(view, v, T, 1)], (), 3, 3) == \
+        assert kernel_sums([(view, v, T, 1)], (), 3, 3, ring=ring) == \
             (1, naive_convolve(u, v, table, 3, 3))
     assert view.rows(T) is kept
     assert widths[0] == widths[2] == 64 and widths[1] == widths[3] >= 128
