@@ -10,146 +10,56 @@ E2 "ce3":      Chevalley-Eilenberg complex of the abelian Lie algebra k^3
 E3 "obst":     g^1 = span{x}, g^2 = span{b}; d = 0; [x, x] = b.
 E4 "gauge2":   g^0 = span{a}, g^1 = span{x}; d(a) = x; bracket = 0.
 
-E2's structure constants are generated from the insertion (composition)
-product over shuffles, not written down by hand; the test suite checks them
-against a brute-force Jacobiator enumeration.
+E2's generators are the basis maps (S, i), sending e_S = e_{s1} ^ ... ^ e_{sn}
+(S sorted) to e_i, named "m<S>_<i>" with 1-based digits: "m12_3" is
+e1 ^ e2 -> e3.  Its bracket is generated in closed form, not written down by
+hand.  The insertion f o g of two basis maps f = (S, i) and g = (T, j) is one
+signed basis map or 0: it is nonzero only if j is in S and rest = S minus j
+is disjoint from T; then it is (sorted(T + rest), i), with the sign of
+sorting (j, rest) into S times the sign of moving T in front of rest.  The
+Nijenhuis-Richardson bracket of maps of degrees p and q is
+[f, g] = f o g - (-1)^{pq} g o f.  corpus/E2.json and the spot values in
+tests/test_catalog.py, each computed by hand, pin the table; the test suite
+also checks it against a brute-force Jacobiator enumeration.
 """
 
 import itertools
-from fractions import Fraction
 
 from .algebra import DGLA, antisymmetric_closure
-from .linalg import ZERO
 
 BUILTIN_NAMES = ("E0", "E1", "E2", "E3", "E4")
 
-_ONE = Fraction(1)
 
-
-def _sort_sign(args):
-    """Sort index arguments with the permutation sign; repeats give (None, 0)."""
-    args = list(args)
-    sign = 1
-    for i in range(1, len(args)):
-        j = i
-        while j > 0 and args[j - 1] > args[j]:
-            args[j - 1], args[j] = args[j], args[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(args, args[1:]):
-        if a == b:
-            return None, 0
-    return tuple(args), sign
-
-
-def _eval_alt(f, args):
-    """Evaluate f in Hom(Lambda^n k^dim, k^dim) on basis indices (any order).
-
-    f maps sorted index tuples to coefficient tuples; alternating extension.
-    Returns None when the value is zero.
-    """
-    key, sign = _sort_sign(args)
-    if key is None:
+def _insert(f, g):
+    """f o g of basis maps f = (S, i), g = (T, j): ((source, i), sign), None if 0."""
+    (S, i), (T, j) = f, g
+    if j not in S:
         return None
-    vec = f.get(key)
-    if vec is None:
+    rest = tuple(s for s in S if s != j)
+    if not set(rest).isdisjoint(T):
         return None
-    if sign == 1:
-        return vec
-    return tuple(-c for c in vec)
-
-
-def _shuffle_sign(first_pos):
-    """Sign of the (m, rest)-shuffle picking positions first_pos in order."""
-    s = sum(p - idx for idx, p in enumerate(first_pos))
-    return -1 if s % 2 else 1
-
-
-def _insert(f, n, g, m, dim):
-    """Insertion product: sum over shuffles of +- f(g(block), rest).
-
-    f is n-ary, g is m-ary; the result is (n + m - 1)-ary, as a map from
-    sorted index tuples to coefficient lists.
-    """
-    arity = n + m - 1
-    out = {}
-    for T in itertools.combinations(range(dim), arity):
-        acc = [ZERO] * dim
-        hit = False
-        for first_pos in itertools.combinations(range(arity), m):
-            chosen = set(first_pos)
-            block = tuple(T[p] for p in first_pos)
-            rest = tuple(T[p] for p in range(arity) if p not in chosen)
-            gv = g.get(block)
-            if gv is None:
-                continue
-            sgn = _shuffle_sign(first_pos)
-            for i, ci in enumerate(gv):
-                if not ci:
-                    continue
-                fv = _eval_alt(f, (i,) + rest)
-                if fv is None:
-                    continue
-                c = sgn * ci
-                for k, ck in enumerate(fv):
-                    if ck:
-                        acc[k] += c * ck
-                        hit = True
-        if hit and any(acc):
-            out[T] = acc
-    return out
-
-
-def _nr_bracket(f, n, g, m, dim):
-    """Nijenhuis-Richardson bracket [f, g] = f o g - (-1)^{pq} g o f."""
-    p, q = n - 1, m - 1
-    out = {T: list(v) for T, v in _insert(f, n, g, m, dim).items()}
-    sgn = -1 if (p % 2) and (q % 2) else 1
-    for T, v in _insert(g, m, f, n, dim).items():
-        acc = out.setdefault(T, [ZERO] * dim)
-        for k, c in enumerate(v):
-            acc[k] -= sgn * c
-    return {T: v for T, v in out.items() if any(v)}
+    moves = sum(r < j for r in rest) + sum(r < t for t in T for r in rest)
+    return (tuple(sorted(T + rest)), i), -1 if moves % 2 else 1
 
 
 def _ce3():
-    dim = 3
-    gens = []
-    for n in (1, 2, 3):
-        for S in itertools.combinations(range(dim), n):
-            for i in range(dim):
-                name = "m%s_%d" % ("".join(str(s + 1) for s in S), i + 1)
-                gens.append((name, n - 1, S, i))
-    basis_name = {}
-    for name, deg, S, i in gens:
-        basis_name[(S, i)] = name
-
-    def as_map(S, i):
-        vec = tuple(_ONE if k == i else ZERO for k in range(dim))
-        return {S: vec}
-
+    maps = [(S, i) for n in (1, 2, 3)
+            for S in itertools.combinations(range(3), n) for i in range(3)]
+    names = {(S, i): "m%s_%d" % ("".join(str(s + 1) for s in S), i + 1)
+             for S, i in maps}
     bracket = {}
-    for na, pa, Sa, ia in gens:
-        fa = as_map(Sa, ia)
-        for nb, pb, Sb, ib in gens:
-            if len(Sa) + len(Sb) - 1 > dim:
-                continue
-            fb = as_map(Sb, ib)
-            val = _nr_bracket(fa, len(Sa), fb, len(Sb), dim)
-            ents = []
-            for T in sorted(val):
-                for k, c in enumerate(val[T]):
-                    if c:
-                        ents.append((basis_name[(T, k)], c))
+    for f in maps:
+        for g in maps:
+            pq = (len(f[0]) - 1) * (len(g[0]) - 1)
+            val = {}
+            for term, scale in ((_insert(f, g), 1), (_insert(g, f), -(-1) ** pq)):
+                if term is not None:
+                    key, sign = term
+                    val[key] = val.get(key, 0) + scale * sign
+            ents = tuple((names[key], c) for key, c in sorted(val.items()) if c)
             if ents:
-                bracket[(na, nb)] = tuple(ents)
-
-    return DGLA(
-        [(name, deg) for name, deg, _, _ in gens],
-        d=None,
-        bracket=bracket,
-        name="E2",
-    )
+                bracket[(names[f], names[g])] = ents
+    return DGLA([(names[f], len(f[0]) - 1) for f in maps], bracket=bracket, name="E2")
 
 
 def builtin_example(name):

@@ -15,15 +15,17 @@ Coefficients are exact rationals: integers or "p/q" strings.  Decimal
 literals are rejected outright (a parse_float hook raises, so "0.5" can not
 sneak in anywhere), and so is an integer with more digits than int()
 converts, written as a string or as a bare JSON number (a parse_int hook
-raises).  Each coefficient is parsed once: JSON ints and integral text
-become ints, and only "p/q" text becomes a Fraction, so a document of
-integer coefficients builds no Fraction at all.  Bracket entries are
-expected for pairs in declaration order (left index <= right index); the
-remaining pairs follow by graded antisymmetry, and a redundant supplied pair
-that contradicts the implied one is an error.  document_to_dgla hands the
-parsed values to antisymmetric_closure, which mirrors each pair by negating
-its coefficients, and to the DGLA constructor, which sums them straight into
-its integer store.
+raises).  A key repeated in one JSON object is refused, not kept at its
+last value, and so is a name that is not printable text (str.isprintable),
+since names are echoed in messages.  Each coefficient is parsed once: JSON
+ints and integral text become ints, and only "p/q" text becomes a Fraction,
+so a document of integer coefficients builds no Fraction at all.  Bracket
+entries are expected for pairs in declaration order (left index <= right
+index); the remaining pairs follow by graded antisymmetry, and a redundant
+supplied pair that contradicts the implied one is an error.
+document_to_dgla hands the parsed values to antisymmetric_closure, which
+mirrors each pair by negating its coefficients, and to the DGLA constructor,
+which sums them straight into its integer store.
 """
 
 import json
@@ -95,11 +97,12 @@ def _refuse_repeated_keys(pairs):
     return obj
 
 
-def parse_document(text, object_pairs_hook=None):
-    """JSON text -> document dict, with position info on parse errors."""
+def parse_document(text):
+    """JSON text -> document dict, with position info on parse errors and
+    a key repeated in one object refused."""
     try:
         doc = json.loads(text, parse_float=_reject_float, parse_int=_parse_int,
-                         object_pairs_hook=object_pairs_hook)
+                         object_pairs_hook=_refuse_repeated_keys)
     except json.JSONDecodeError as e:
         raise DocumentError(
             "parse error at line %d column %d: %s" % (e.lineno, e.colno, e.msg)
@@ -115,6 +118,8 @@ def _str_field(entry, key, where):
     value = entry.get(key)
     if not isinstance(value, str) or not value:
         raise DocumentError("%s needs a nonempty string %r field" % (where, key))
+    if not value.isprintable():
+        raise DocumentError("%s %r field must be printable (got %r)" % (where, key, value))
     return value
 
 
@@ -133,6 +138,8 @@ def document_to_dgla(doc):
     name = doc.get("name", "dgla")
     if not isinstance(name, str):
         raise DocumentError("name must be a string")
+    if not name.isprintable():
+        raise DocumentError("name must be printable (got %r)" % name)
 
     generators = []
     for entry in _list_field(doc, "generators"):
@@ -216,7 +223,7 @@ def parse_element(L, ring, data, expect_degree=None):
     JSON key repeated in one object of the text.
     """
     if isinstance(data, str):
-        data = parse_document(data, _refuse_repeated_keys)
+        data = parse_document(data)
     if not isinstance(data, dict):
         raise DocumentError("element must be a JSON object")
     degree = data.get("degree")

@@ -7,13 +7,13 @@ from random import Random
 import pytest
 
 from dgla import BUILTIN_NAMES, DGLA, antisymmetric_closure, builtin_example, validate_dgla
+from dgla.cli import main
 from dgla.docio import (
     DocumentError,
     _coefficient,
     document_to_dgla,
     load_dgla,
     parse_document,
-    parse_dgla,
     parse_element,
     parse_rational,
 )
@@ -195,14 +195,42 @@ def test_parse_element_refuses_a_repeated_key(text, key):
         parse_element(L, ring, text)
 
 
-def test_dgla_documents_keep_the_last_of_a_repeated_key():
-    # only element literals refuse a repeated key; a DGLA document parses
-    # as json.loads reads it
-    doc = parse_document('{"name": "a", "name": "b", "generators": []}')
-    assert doc == {"name": "b", "generators": []}
-    L, rep = parse_dgla(b'{"name": "E", "name": "F", "field": "Q", '
-                        b'"generators": [{"name": "x", "degree": 1}]}')
-    assert L.name == "F" and rep.ok
+# A DGLA document refuses a repeated key at any depth, as element literals
+# do (SINGLE_FAULTS has one at the top and one nested): keeping the last
+# value would load E3 with its bracket entry emptied, and `universal` would
+# then call the obstructed direction flat.
+def test_repeated_key_in_a_document_exits_two(tmp_path, capsys):
+    with open(os.path.join(CORPUS_DIR, "E3.json"), encoding="utf-8") as fh:
+        text = json.dumps(json.load(fh))
+    old = '"result": [{"gen": "b", "coeff": "1"}]'
+    assert text.count(old) == 1
+    path = tmp_path / "E3.json"
+    path.write_text(text.replace(old, '"result": [{"gen": "b", "coeff": 1}], "result": []'))
+    assert main(["validate", str(path)]) == 2
+    out = capsys.readouterr()
+    assert not out.out
+    assert out.err == "error: load: key 'result' is repeated in one object\n"
+
+
+# A name that is not printable text is refused wherever a document gives
+# one (SINGLE_FAULTS has each field), and shown through %r, so no control
+# character reaches the terminal.
+def test_unprintable_name_exits_two_on_one_line(tmp_path, capsys):
+    # a degree fault alone would be reported; the name is refused first
+    bad = "a\x1b[31mRED\nfake: line"
+    doc = {"name": "E", "field": "Q",
+           "generators": [{"name": bad, "degree": 1}, {"name": "b", "degree": 3}],
+           "bracket": [{"left": bad, "right": bad,
+                        "result": [{"gen": "b", "coeff": 1}]}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "homology"):
+        assert main([command, str(path)]) == 2
+        out = capsys.readouterr()
+        assert not out.out
+        assert out.err.count("\n") == 1 and out.err.endswith("\n")
+        assert "\x1b" not in out.err
+        assert out.err.startswith("error: load: generator 'name' field must be printable")
 
 
 @pytest.mark.parametrize("text", [
@@ -391,6 +419,19 @@ SINGLE_FAULTS = [
      '"result": [{"gen": "b", "coeff": "1/2"}]}, {"left": "c", "right": "x", '
      '"result": [{"gen": "b", "coeff": "-1/3"}, {"gen": "b", "coeff": "-1/6"}]}, ',
      "bracket pair (c, x) inconsistent with antisymmetry of (x, c)"),
+    ('"name": "E1"', '"name": "E1", "name": "E"', "key 'name' is repeated in one object"),
+    ('"result": [', '"result": [], "result": [', "key 'result' is repeated in one object"),
+    ('"name": "E1"', '"name": "E\\u0007"', "name must be printable (got 'E\\x07')"),
+    ('{"name": "b", "degree": 2}', '{"name": "b\\t", "degree": 2}',
+     "generator 'name' field must be printable (got 'b\\t')"),
+    ('"from": "c"', '"from": "c\\u2028"',
+     "d entry 'from' field must be printable (got 'c\\u2028')"),
+    ('"left": "x"', '"left": "x\\u0000"',
+     "bracket entry 'left' field must be printable (got 'x\\x00')"),
+    ('"right": "x"', '"right": "\\u00adx"',
+     "bracket entry 'right' field must be printable (got '\\xadx')"),
+    ('"to": [{"gen": "b"', '"to": [{"gen": "b\\r"',
+     "d entry for 'c' 'gen' field must be printable (got 'b\\r')"),
 ]
 
 

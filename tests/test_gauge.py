@@ -29,6 +29,9 @@ from dgla.report import canonical_json, element_data
 
 from conftest import contraction_for
 from reference import reference_gauge_act
+from test_benchmark_pins import workloads  # reads perfbench/, writes no bytecode there
+
+twisted_ce = workloads.twisted_ce
 
 
 def F(x):
@@ -219,28 +222,53 @@ def test_kuranishi_shadow_of_gauge_fix():
             assert R.boundary_projection(shadow).is_zero(), name
 
 
+SO3 = (("m12_3", 1), ("m23_1", 1), ("m13_2", -1))
+H3 = (("m12_3", 1),)
+
+
 @lru_cache(maxsize=None)
-def twisted_e2():
-    """E2 twisted by mu = m12_3 + m23_1 - m13_2, the bracket of so(3) on
-    k^3: mu is Maurer-Cartan (d = 0 and [mu, mu] = 0), so the same bracket
-    with d_mu = [mu, -] is a DGLA.  Unlike E0..E4 it has both a nonzero d on
-    g^0 and a nonzero bracket g^0 x g^1 -> g^1."""
+def twisted_e2(mu=SO3):
+    """E2 twisted by mu, a Lie bracket on k^3 given as ((name, coeff), ...)
+    over E2's degree-1 basis maps; by default mu = m12_3 + m23_1 - m13_2,
+    the bracket of so(3).  mu is Maurer-Cartan (d = 0 and [mu, mu] = 0),
+    so the same bracket with d_mu = [mu, -] is a DGLA.  Unlike E0..E4 it
+    has both a nonzero d on g^0 and a nonzero bracket g^0 x g^1 -> g^1."""
     E2 = builtin_example("E2")
-    mu = [F(0)] * E2.dim(1)
-    for name, c in (("m12_3", 1), ("m23_1", 1), ("m13_2", -1)):
-        mu[E2.basis_names(1).index(name)] = F(c)
+    vec = [F(0)] * E2.dim(1)
+    for name, c in mu:
+        vec[E2.basis_names(1).index(name)] = F(c)
     d = {}
     for p in E2.degrees:
         for pos, name in enumerate(E2.basis_names(p)):
             e = [F(0)] * E2.dim(p)
             e[pos] = F(1)
-            image = E2.bracket_vectors(1, mu, p, e)
+            image = E2.bracket_vectors(1, vec, p, e)
             ents = [(n, c) for n, c in zip(E2.basis_names(p + 1), image) if c]
             if ents:
                 d[name] = ents
     bracket = {pair: E2.bracket_of(*pair) for pair in E2.bracket_pairs()}
     L = DGLA(E2.generators, d=d, bracket=bracket, name="E2_mu")
     return L, build_contraction(L, build_splitting(L))
+
+
+# The cohomology H^{*+1}(g, g) of twisted E2, known in advance and also
+# ranked by perfbench/twisted_ce.py from its own closed-form bracket: for the
+# Heisenberg algebra h3, and for so(3), where H^0 = Der so(3) = so(3) and
+# Whitehead's lemmas give H^1 = H^2 = 0.
+@pytest.mark.parametrize("mu, betti", [
+    (H3, {0: 6, 1: 5, 2: 2}),
+    (SO3, {0: 3, 1: 0, 2: 0}),
+], ids=["h3", "so3"])
+def test_twisted_e2_cohomology(mu, betti):
+    L, R = twisted_e2(mu)
+    assert validate_dgla(L).ok
+    assert R.splitting.betti() == betti
+    keys = {name: (S, i) for name, _, S, i in twisted_ce.basis(3)}
+    own = twisted_ce.own_differential(3, {keys[name]: c for name, c in mu})
+    assert twisted_ce.betti_mod_p(L.generators, own) == betti
+    d = {name: dict(L.differential_of(name)) for name, _ in L.generators}
+    assert {name: img for name, img in d.items() if img} == {
+        name: dict(ents) for name, ents in own.items()}
 
 
 def test_twisted_e2_is_a_dgla_with_gauge_terms():
