@@ -223,7 +223,9 @@ class DGLA:
         pass resolves every name and sums each combination straight into
         numerators over D0, and a last division by their common factor
         with D0 (linalg.common_factor), which only a fractional table can
-        need, brings D0 down to D.
+        need, brings D0 down to D.  Each entry is read once (a one-shot
+        iterable serves), and one of one term, as most are, is stored as its
+        scaled term, if nonzero, with no accumulator and no sort.
         """
         combos = [(key, tuple(ents)) for key, ents in (combos or {}).items()]
         D = lcm(*{_rational(c).denominator for _, ents in combos for _, c in ents
@@ -246,10 +248,15 @@ class DGLA:
                 else:
                     c = _rational(c)
                     c = c.numerator * (D // c.denominator)
+                if len(ents) == 1:
+                    if c:
+                        store[key] = ((k, c),)
+                    break
                 acc[k] = acc.get(k, 0) + c
-            combo = tuple(sorted([t for t in acc.items() if t[1]]))
-            if combo:
-                store[key] = combo
+            else:
+                combo = tuple(sorted([t for t in acc.items() if t[1]]))
+                if combo:
+                    store[key] = combo
         g = common_factor(D, ([n for _, n in combo] for combo in store.values()))
         if g > 1:
             D //= g
@@ -517,8 +524,9 @@ def validate_dgla(L):
     d, Dd = L._d_nums, L._d_den
     bracket = L._bracket_nums
 
-    for gi, ents in sorted(d.items()):
-        for gj, _ in ents:
+    for gi in sorted({gi for gi, ents in d.items() for gj, _ in ents
+                      if degs[gj] != degs[gi] + 1}):
+        for gj, _ in d[gi]:
             if degs[gj] != degs[gi] + 1:
                 issues.append(ValidationIssue(
                     "differential-degree",
@@ -536,9 +544,10 @@ def validate_dgla(L):
                 "d(d(%s)) = %s, expected 0" % (names[gi], L._combo_str(dd, Dd * Dd)),
             ))
 
-    for (gi, gj), ents in sorted(bracket.items()):
+    for gi, gj in sorted({(gi, gj) for (gi, gj), ents in bracket.items() for gk, _ in ents
+                          if degs[gk] != degs[gi] + degs[gj]}):
         want = degs[gi] + degs[gj]
-        for gk, _ in ents:
+        for gk, _ in bracket[(gi, gj)]:
             if degs[gk] != want:
                 issues.append(ValidationIssue(
                     "bracket-degree",
@@ -558,24 +567,30 @@ def validate_dgla(L):
 
 def _check_antisymmetry(L, names, degs, issues):
     """[x, y] = -(-1)^{|x||y|}[y, x] on pairs x <= y with a bracket entry,
-    compared on the stored integer entries, which are sorted by index.
-    True if every pair holds."""
+    compared on the stored integer entries, which are sorted by index; the
+    pairs are met in store order and only the failing ones sorted.  True if
+    every pair holds."""
     bracket, D = L._bracket_nums, L._bracket_den
-    held = True
-    for gi, gj in sorted({(i, j) if i <= j else (j, i) for i, j in bracket}):
+    failing = []
+    for gi, gj in bracket:
+        if gi > gj:
+            if (gj, gi) in bracket:
+                continue  # met as (gj, gi)
+            gi, gj = gj, gi
         s = -koszul_sign(degs[gi], degs[gj])
         lhs = bracket.get((gi, gj), ())
         rhs = tuple([(k, s * v) for k, v in bracket.get((gj, gi), ())])
         if lhs != rhs:
-            held = False
-            issues.append(ValidationIssue(
-                "antisymmetry",
-                (names[gi], names[gj]),
-                "[%s, %s] = %s but -(-1)^{|x||y|}[%s, %s] = %s"
-                % (names[gi], names[gj], L._combo_str(dict(lhs), D),
-                   names[gj], names[gi], L._combo_str(dict(rhs), D)),
-            ))
-    return held
+            failing.append((gi, gj, lhs, rhs))
+    for gi, gj, lhs, rhs in sorted(failing):
+        issues.append(ValidationIssue(
+            "antisymmetry",
+            (names[gi], names[gj]),
+            "[%s, %s] = %s but -(-1)^{|x||y|}[%s, %s] = %s"
+            % (names[gi], names[gj], L._combo_str(dict(lhs), D),
+               names[gj], names[gi], L._combo_str(dict(rhs), D)),
+        ))
+    return not failing
 
 
 def _check_leibniz(L, names, degs, rows, issues):

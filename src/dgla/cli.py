@@ -56,7 +56,7 @@ def _load(path, allow_invalid=False):
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as e:
-        raise CliError("load: cannot read %s: %s" % (path, e)) from None
+        raise CliError("load: cannot read %r: %s" % (path, e)) from None
     try:
         L, rep = parse_dgla(raw, allow_invalid=allow_invalid)
     except DocumentError as e:
@@ -119,9 +119,9 @@ def _element_arg(L, ring, text, expect_degree, flag):
                 with open(text, "r", encoding="utf-8") as fh:
                     blob = fh.read()
             except OSError as e:
-                raise CliError("%s: cannot read %s: %s" % (flag, text, e)) from None
+                raise CliError("%s: cannot read %r: %s" % (flag, text, e)) from None
             except UnicodeDecodeError as e:
-                raise CliError("%s: %s is not UTF-8 text: %s" % (flag, text, e)) from None
+                raise CliError("%s: %r is not UTF-8 text: %s" % (flag, text, e)) from None
         else:
             raise CliError(
                 "%s: %r is neither inline JSON nor an existing file" % (flag, text)

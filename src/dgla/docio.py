@@ -19,7 +19,10 @@ raises).  A key repeated in one JSON object is refused, not kept at its
 last value, and so is a name that is not printable text (str.isprintable),
 since names are echoed in messages.  Each coefficient is parsed once: JSON
 ints and integral text become ints, and only "p/q" text becomes a Fraction,
-so a document of integer coefficients builds no Fraction at all.  Bracket
+so a document of integer coefficients builds no Fraction at all.
+document_to_dgla parses each distinct coefficient text once per document,
+and a reference (gen, left, right, from) that is a declared name skips the
+field check its declaration passed; any other value gets it.  Bracket
 entries are expected for pairs in declaration order (left index <= right
 index); the remaining pairs follow by graded antisymmetry, and a redundant
 supplied pair that contradicts the implied one is an error.
@@ -114,12 +117,18 @@ def parse_document(text):
     return doc
 
 
-def _str_field(entry, key, where):
+def _str_field(entry, key, declared, where, *args):
+    """entry[key], a nonempty printable string; a name in declared was
+    checked when it was declared.  where % args, formatted only for a
+    message, says where the field is."""
     value = entry.get(key)
+    if type(value) is str and value in declared:
+        return value
     if not isinstance(value, str) or not value:
-        raise DocumentError("%s needs a nonempty string %r field" % (where, key))
+        raise DocumentError("%s needs a nonempty string %r field" % (where % args, key))
     if not value.isprintable():
-        raise DocumentError("%s %r field must be printable (got %r)" % (where, key, value))
+        raise DocumentError("%s %r field must be printable (got %r)"
+                            % (where % args, key, value))
     return value
 
 
@@ -145,42 +154,50 @@ def document_to_dgla(doc):
     for entry in _list_field(doc, "generators"):
         if not isinstance(entry, dict):
             raise DocumentError("each generator must be an object")
-        gname = _str_field(entry, "name", "generator")
+        gname = _str_field(entry, "name", (), "generator")
         degree = entry.get("degree")
         if not isinstance(degree, int) or isinstance(degree, bool):
             raise DocumentError("generator %r needs an integer degree" % gname)
         generators.append((gname, degree))
 
-    def parse_combo(entries, where):
-        combo = []
+    declared = {gname for gname, _ in generators}
+    parsed = {}  # coefficient text -> its value, for this document
+
+    def parse_combo(entries, where, *args):
         if not isinstance(entries, list):
-            raise DocumentError("%s must be a list" % where)
+            raise DocumentError("%s must be a list" % (where % args))
+        combo = []
         for ent in entries:
             if not isinstance(ent, dict):
-                raise DocumentError("%s entries must be objects" % where)
-            combo.append((_str_field(ent, "gen", where), _coefficient(ent.get("coeff"))))
+                raise DocumentError("%s entries must be objects" % (where % args))
+            gen = _str_field(ent, "gen", declared, where, *args)
+            c = ent.get("coeff")
+            if type(c) is str:
+                c = parsed[c] if c in parsed else parsed.setdefault(c, _coefficient(c))
+            else:
+                c = _coefficient(c)
+            combo.append((gen, c))
         return combo
 
     d = {}
     for entry in _list_field(doc, "d", []):
         if not isinstance(entry, dict):
             raise DocumentError("each d entry must be an object")
-        src = _str_field(entry, "from", "d entry")
+        src = _str_field(entry, "from", declared, "d entry")
         if src in d:
             raise DocumentError("duplicate d entry for %r" % src)
-        d[src] = parse_combo(entry.get("to"), "d entry for %r" % src)
+        d[src] = parse_combo(entry.get("to"), "d entry for %r", src)
 
     pairs = {}
     for entry in _list_field(doc, "bracket", []):
         if not isinstance(entry, dict):
             raise DocumentError("each bracket entry must be an object")
-        left = _str_field(entry, "left", "bracket entry")
-        right = _str_field(entry, "right", "bracket entry")
+        left = _str_field(entry, "left", declared, "bracket entry")
+        right = _str_field(entry, "right", declared, "bracket entry")
         if (left, right) in pairs:
             raise DocumentError("duplicate bracket entry for (%s, %s)" % (left, right))
         pairs[(left, right)] = parse_combo(
-            entry.get("result"), "bracket entry (%s, %s)" % (left, right)
-        )
+            entry.get("result"), "bracket entry (%s, %s)", left, right)
 
     try:
         bracket = antisymmetric_closure(generators, pairs)

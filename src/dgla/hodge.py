@@ -37,7 +37,9 @@ def check_cartan(L, R):
     integer rows, each harmonic rep as its numerators (SubspaceBasis.ints),
     and u, v are bracketed through the integer table of L
     (_kernels.bracket_vector): positive scales do not change whether the
-    result is zero.
+    result is zero.  A zero block (every block on E2 and twisted CE_4)
+    admits no witness, so its pairs are not bracketed; their table is still
+    cut, so a bracket that leaves its degree raises all the same.
 
     Returns (ok, witnesses); each witness is (degree_u, index_u, degree_v,
     index_v) for a failing pair.
@@ -58,6 +60,8 @@ def check_cartan(L, R):
                 keep = R.pi_B.block(k, k) + R.pi_H.block(k, k)
                 rows = blocks[k] = (keep @ R.h.block(k + 1, k)).integer_rows()[1]
             table = L._integer_table(p, q)[1]
+            if not rows:
+                continue
             for iu, u in enumerate(reps[p]):
                 for iv, v in enumerate(reps[q]):
                     w = bracket_vector(u, v, table, out_dim)

@@ -183,6 +183,29 @@ def integer_table(table):
     return D, rows
 
 
+def reference_store(generators, combos, pairs=False):
+    """(D, store) as DGLA keeps d (pairs unset) or the bracket (pairs set),
+    from the definition in Fractions: combos maps a generator name, or a
+    pair of names, to (name, coeff) terms; each entry is summed per
+    generator index, zero sums and empty entries dropped, its terms sorted
+    by index, the keys kept in the order given as indices, and D the lcm of
+    the denominators of the sums, so D * entry is the stored ints."""
+    index = {name: i for i, (name, _) in enumerate(generators)}
+    sums = {}
+    for key, ents in combos.items():
+        key = (index[key[0]], index[key[1]]) if pairs else index[key]
+        acc = {}
+        for name, c in ents:
+            k = index[name]
+            acc[k] = acc.get(k, ZERO) + Fraction(c)
+        combo = sorted((k, c) for k, c in acc.items() if c)
+        if combo:
+            sums[key] = combo
+    D = lcm(*{c.denominator for combo in sums.values() for _, c in combo})
+    return D, {key: tuple((k, c.numerator * (D // c.denominator)) for k, c in combo)
+               for key, combo in sums.items()}
+
+
 def integer_rows(rows):
     """(D, integer rows) with D * rows == the ints, D the lcm of the
     denominators; rows holds one ((col, Fraction), ...) tuple per row.

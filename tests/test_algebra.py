@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgla import (
     BUILTIN_NAMES,
@@ -11,6 +13,8 @@ from dgla import (
     validate_dgla,
 )
 from dgla.formal import CoefficientRing
+
+from reference import reference_store
 
 
 def F(x):
@@ -157,6 +161,61 @@ def test_structure_constants_are_stored_canonically():
             assert M.bracket_vectors(p, u[p], q, u[q]) == L.bracket_vectors(p, u[p], q, u[q])
     # [u, u] = 2/49 b + 2 (1/7)(-3)(5/6) b
     assert L.bracket_vectors(1, u[1], 1, u[1]) == (Fraction(-33, 49),)
+
+
+STORE_GENS = [("a", 0), ("x", 1), ("y", 1), ("b", 2)]
+store_names = st.sampled_from([name for name, _ in STORE_GENS])
+# ints, Fractions and "p/q" text, zero among them
+store_coefficients = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.builds("{}/{}".format, st.integers(-6, 6), st.integers(1, 6)))
+# terms that may repeat a name, a term with its negative (they cancel), or
+# one zero term alone; each entry flagged to be handed over as a one-shot
+# generator
+store_entries = st.tuples(
+    st.one_of(
+        st.builds(lambda terms, pair: terms + [t for n, c in pair
+                                               for t in ((n, c), (n, -Fraction(c)))],
+                  st.lists(st.tuples(store_names, store_coefficients), max_size=4),
+                  st.lists(st.tuples(store_names, store_coefficients), max_size=1)),
+        st.builds(lambda n, zero: [(n, zero)], store_names, st.sampled_from([0, "0/5"]))),
+    st.booleans())
+
+
+def given_once(combos):
+    """The entries, each as a list or as a one-shot generator as flagged."""
+    return {key: (t for t in terms) if one_shot else terms
+            for key, (terms, one_shot) in combos.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.dictionaries(store_names, store_entries, max_size=4),
+       bracket=st.dictionaries(st.tuples(store_names, store_names), store_entries,
+                               max_size=10))
+def test_integer_store_matches_a_fraction_reference(d, bracket):
+    # D, the numerators and the key order, one-term entries included
+    L = DGLA(STORE_GENS, d=given_once(d), bracket=given_once(bracket))
+    for den, store, combos, pairs in ((L._d_den, L._d_nums, d, False),
+                                      (L._bracket_den, L._bracket_nums, bracket, True)):
+        D, want = reference_store(
+            STORE_GENS, {key: terms for key, (terms, _) in combos.items()}, pairs)
+        assert (den, list(store.items())) == (D, list(want.items()))
+
+
+@pytest.mark.parametrize("d, bracket, message", [
+    ({"zz": [("b", 1)]}, {}, "unknown generator 'zz' in differential"),
+    ({"a": [("zz", 0)]}, {}, "unknown generator 'zz' in differential"),
+    ({"a": [("x", 1), ("zz", "1/2")]}, {}, "unknown generator 'zz' in differential"),
+    ({}, {("x", "zz"): [("b", 1)]}, "unknown generator 'zz' in bracket"),
+    ({}, {("x", "y"): [("zz", 0)]}, "unknown generator 'zz' in bracket"),
+    ({}, {("x", "y"): [("b", 1), ("zz", F("1/3"))]}, "unknown generator 'zz' in bracket"),
+])
+def test_an_unknown_name_in_the_store_is_refused(d, bracket, message):
+    # a one-term entry, even a zero one, resolves its name as a longer one does
+    with pytest.raises(ValueError) as info:
+        DGLA(STORE_GENS, d=d, bracket=bracket)
+    assert str(info.value) == message
 
 
 def test_leibniz_violation_detected():

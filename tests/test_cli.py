@@ -321,6 +321,29 @@ def test_gauge_equiv_non_utf8_a_exit_two(capsys, tmp_path):
     assert "--a" in err and "not UTF-8" in err
 
 
+# A path is shown through %r in every message, so a control character in
+# a file name cannot reach the terminal or forge a second line.
+def test_an_unprintable_path_is_quoted_on_one_line(capsys, tmp_path):
+    bad = "no\x1b[31mfile\nfake: line"
+    folder = tmp_path / (bad + "-dir")
+    folder.mkdir()
+    latin = tmp_path / (bad + ".json")
+    latin.write_bytes('{"degree": 1, "terms": {"t": {"x": "\u00e9"}}}'.encode("latin-1"))
+    empty = '{"degree": 1, "terms": {}}'
+    for argv, head in (
+            (("validate", str(tmp_path / bad)), "error: load: cannot read %r: "
+             % str(tmp_path / bad)),
+            (("gauge-equiv", corpus("E4"), "--a", str(folder), "--b", empty),
+             "error: --a: cannot read %r: " % str(folder)),
+            (("gauge-equiv", corpus("E4"), "--a", str(latin), "--b", empty),
+             "error: --a: %r is not UTF-8 text: " % str(latin))):
+        code, out, err = run_main(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith(head), err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert "\x1b" not in err
+
+
 def test_gauge_equiv_rejects_non_flat(capsys):
     code, out, err = run_main(
         capsys, "gauge-equiv", corpus("E3"),

@@ -187,6 +187,9 @@ def test_parse_element_refuses_a_repeated_monomial(variables, terms):
     ('{"degree": 1, "terms": {"t": {"x": 1, "x": 5}}}', "x"),
     ('{"degree": 1, "terms": {"t": {"x": 1}}, "terms": {}}', "terms"),
     ('{"degree": 1, "degree": 1, "terms": {}}', "degree"),
+    # two keys repeated: the one whose repeat comes first is named
+    ('{"degree": 1, "terms": {"t": {"x": 1, "c": 2, "c": 3, "x": 4}}}', "c"),
+    ('{"terms": {}, "degree": 1, "terms": {}, "degree": 1}', "terms"),
 ])
 def test_parse_element_refuses_a_repeated_key(text, key):
     L = builtin_example("E1")
@@ -389,12 +392,15 @@ def test_an_integer_document_loads_without_a_fraction(monkeypatch):
 
 E1_TEXT = json.dumps(doc_e1())
 
-# one fault per document, with the exact message it is reported with
+# one fault per document, with the exact message it is reported with; the
+# coefficient faults come after the d entry's "1" has been parsed (true
+# equals 1, and is still refused)
 SINGLE_FAULTS = [
     ('"coeff": "1"}]}]}', '"coeff": "0.5"}]}]}', "exact rationals only (got '0.5')"),
     ('"coeff": "1"}]}]}', '"coeff": "1/0"}]}]}', "zero denominator in '1/0'"),
     ('"coeff": "1"}]}]}', '"coeff": true}]}]}', "not a rational: True"),
     ('"coeff": "1"}]}]}', '"coeff": null}]}]}', "exact rationals only (got None)"),
+    ('"coeff": "1"}]}]}', '"coeff": ["1"]}]}]}', "exact rationals only (got ['1'])"),
     ('"field": "Q"', '"field": "R"', 'unsupported base field \'R\' (only "Q")'),
     ('"name": "E1"', '"name": 3', "name must be a string"),
     ('{"name": "b", "degree": 2}', '{"name": "b", "degree": "2"}',
@@ -432,16 +438,28 @@ SINGLE_FAULTS = [
      "bracket entry 'right' field must be printable (got '\\xadx')"),
     ('"to": [{"gen": "b"', '"to": [{"gen": "b\\r"',
      "d entry for 'c' 'gen' field must be printable (got 'b\\r')"),
+    # a JSON list or object where a name belongs: refused, never looked up
+    ('"from": "c"', '"from": ["c"]', "d entry needs a nonempty string 'from' field"),
+    ('"left": "x"', '"left": {"x": 1}', "bracket entry needs a nonempty string 'left' field"),
+    ('"right": "x"', '"right": ["x"]', "bracket entry needs a nonempty string 'right' field"),
+    ('"to": [{"gen": "b"', '"to": [{"gen": {"b": 1}',
+     "d entry for 'c' needs a nonempty string 'gen' field"),
+    ('"result": [{"gen": "b"', '"result": [{"gen": ["b"]',
+     "bracket entry (x, x) needs a nonempty string 'gen' field"),
 ]
 
 
 @pytest.mark.parametrize("old, new, message", SINGLE_FAULTS,
                          ids=[m for _, _, m in SINGLE_FAULTS])
-def test_single_fault_messages(old, new, message):
+def test_single_fault_messages(old, new, message, tmp_path, capsys):
     assert E1_TEXT.count(old) == 1
     with pytest.raises(DocumentError) as info:
         document_to_dgla(parse_document(E1_TEXT.replace(old, new)))
     assert str(info.value) == message
+    path = tmp_path / "E1.json"
+    path.write_text(E1_TEXT.replace(old, new), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: load: %s\n" % message
 
 
 @pytest.mark.parametrize("text", [LONG, "-" + LONG, LONG + "/3", "3/" + LONG, " " + LONG],

@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from dgla import DGLA, antisymmetric_closure, check_cartan, validate_dgla
+import dgla.hodge
+from dgla import (DGLA, antisymmetric_closure, build_splitting, builtin_example,
+                  check_cartan, validate_dgla)
+from dgla.docio import document_to_dgla
 from dgla.graded import GradedLinearMap
 from dgla.hodge import hodge_checks
 from dgla.linalg import Matrix, SubspaceBasis, scaled, vec
@@ -17,6 +20,7 @@ from reference import (
     vec_add,
     zero_vec,
 )
+from test_benchmark_pins import workloads
 
 
 def F(x):
@@ -261,6 +265,45 @@ def test_hodge_checks_match_reference_on_cartan_failure():
     assert failed_new == failed_old == {
         "star-involution", "laplacian-identity", "cartan-condition"}
     assert hodge_checks(L, bad)[1] == [(1, 0, 1, 0)]
+
+
+def counted_brackets(monkeypatch):
+    """The list each check_cartan call of bracket_vector is appended to."""
+    calls = []
+    real = dgla.hodge.bracket_vector
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dgla.hodge, "bracket_vector", counting)
+    return calls
+
+
+def twisted_ce4():
+    """The benchmark's ce4_structure DGLA (seed 0), loaded from its document."""
+    return document_to_dgla(workloads.ce4_document(*workloads.ce4_parts(0, "ce4_structure")))
+
+
+@pytest.mark.parametrize("make", [lambda: builtin_example("E2"), twisted_ce4],
+                         ids=["E2", "twisted-CE4"])
+def test_check_cartan_brackets_nothing_where_every_block_is_zero(monkeypatch, make):
+    # every block (pi_B + pi_H) h is zero here, so no pair can be a witness
+    L = make()
+    R = build_contraction(L, build_splitting(L))
+    calls = counted_brackets(monkeypatch)
+    assert check_cartan(L, R) == reference_cartan(L, R) == (True, [])
+    assert calls == []
+
+
+def test_check_cartan_brackets_where_a_block_is_nonzero(monkeypatch):
+    # the hand-built h of the Cartan failure above: the pairs are walked
+    L, R = chain_case()
+    into_H = Matrix.from_columns(3, [vec(1, 0, 0)])
+    bad = perturbed(R, h=R.h + GradedLinearMap(R.dims, R.dims, {(2, 1): into_H}))
+    calls = counted_brackets(monkeypatch)
+    assert check_cartan(L, bad) == reference_cartan(L, bad) == (False, [(1, 0, 1, 0)])
+    assert calls
 
 
 @pytest.mark.parametrize("name, shift", [
