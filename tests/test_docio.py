@@ -19,6 +19,8 @@ from dgla.docio import (
 )
 from dgla.formal import CoefficientRing
 
+from test_benchmark_pins import workloads
+
 
 def F(x):
     return Fraction(x)
@@ -460,6 +462,42 @@ def test_single_fault_messages(old, new, message, tmp_path, capsys):
     path.write_text(E1_TEXT.replace(old, new), encoding="utf-8")
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err == "error: load: %s\n" % message
+
+
+def ce4_doc():
+    """The benchmark's twisted CE_4 document (seed 0): 60 generators and
+    hundreds of "1" and "-1" coefficients."""
+    return workloads.ce4_document(*workloads.ce4_parts(0, "ce4_structure"))
+
+
+# A fault in the last term of the last bracket entry, after every good
+# coefficient and declared name has been read, is reported as in E1.
+@pytest.mark.parametrize("field, value, message", [
+    ("coeff", "1.0", "exact rationals only (got '1.0')"),
+    ("coeff", "1/0", "zero denominator in '1/0'"),
+    ("coeff", True, "not a rational: True"),
+    ("coeff", ["1"], "exact rationals only (got ['1'])"),
+    ("gen", ["e1"], "bracket entry (%s, %s) needs a nonempty string 'gen' field"),
+    ("gen", "zz", "unknown generator 'zz' in bracket"),
+], ids=["decimal", "zero-den", "bool", "list", "gen-list", "gen-unknown"])
+def test_a_fault_after_many_good_entries_is_reported(field, value, message):
+    doc = ce4_doc()
+    last = doc["bracket"][-1]
+    assert sum(ent["coeff"] == "1" for e in doc["bracket"] for ent in e["result"]) > 300
+    last["result"][-1][field] = value
+    with pytest.raises(DocumentError) as info:
+        document_to_dgla(doc)
+    assert str(info.value) == message.replace("%s, %s", "%s, %s" % (last["left"], last["right"]))
+
+
+def test_a_large_document_names_its_first_repeated_key():
+    # gen and coeff are both repeated in the last object; gen repeats first
+    text = json.dumps(ce4_doc())
+    assert text.endswith('"}]}]}')
+    text = text[:-len('}]}]}')] + ', "gen": "e1", "coeff": "1"}]}]}'
+    with pytest.raises(DocumentError) as info:
+        parse_document(text)
+    assert str(info.value) == "key 'gen' is repeated in one object"
 
 
 @pytest.mark.parametrize("text", [LONG, "-" + LONG, LONG + "/3", "3/" + LONG, " " + LONG],
