@@ -4,27 +4,28 @@ A DGLA is presented by structure constants on a finite ordered list of graded
 generators: a differential d of degree +1 and a bracket of degree 0, given as
   d(g_i)      = sum_j  c_ij g_j
   [g_i, g_j]  = sum_k  c^k_ij g_k .
-The constructor stores d and the bracket once each, in linalg's integer
-form (numerators over one denominator), and everything below reads that
-store.  validate_dgla checks every axiom (degrees, d squared, graded
-antisymmetry, graded Jacobi, graded Leibniz) and reports violations with
-witnessing generators instead of raising.  Its cost
+The constructor stores d and the bracket once each, in linalg's integer form
+(numerators over one denominator), and everything below reads that store.
+The stored terms that leave their degree are found once, on first use, by
+DGLA._degree_record: validate_dgla reports them, and the differential and
+the table of a degree pair refuse them.  validate_dgla checks every axiom
+(degrees, d squared, graded antisymmetry, graded Jacobi, graded Leibniz) and
+reports violations with witnessing generators instead of raising.  Its cost
 scales with the nonzero structure constants: it visits only the generator
 pairs and triples that some d or bracket entry touches, and it sums in
-integers, Jacobi each cyclic orbit of triples once, since the signed
-cyclic sum is the same three terms for all three rotations, and, once
-antisymmetry holds, only one of the two cyclic orbits of an unordered
-triple.  Only a failing generator, pair or orbit is turned back into
-Fractions for its report line.  apply_differential, apply_bracket and
-curvature extend the structure constants to FormalElements, with all
-series arithmetic truncated at the ring order by the one series kernel,
-_kernels.bracket_sums, which walks only the monomial pairs within the
-order (bucketed by total degree).  It reads the elements' kernel views
-(FormalElement.view) and, per pair or square, the integer Table of a
-degree pair, cut from the bracket store by _integer_table over the
-store's denominator D, and hands its sum back in lowest terms.
-bracket_sum is its one entry: ordered brackets [u, v] through T,
-symmetric pairs [u, v] + [v, u] and self-brackets [y, y] through T + T^t
+integers, Jacobi each cyclic orbit of triples once, since the signed cyclic
+sum is the same three terms for all three rotations, and, once antisymmetry
+holds, only one of the two cyclic orbits of an unordered triple.  Only a
+failing generator, pair or orbit is turned back into Fractions for its
+report line.  apply_differential, apply_bracket and curvature extend the
+structure constants to FormalElements, with all series arithmetic truncated
+at the ring order by the one series kernel, _kernels.bracket_sums, which
+walks only the monomial pairs within the order (bucketed by total degree).
+It reads the elements' kernel views (FormalElement.view) and, per pair or
+square, the integer Table of a degree pair, cut from the bracket store by
+_integer_table over the store's denominator D, and hands its sum back in
+lowest terms.  bracket_sum is its one entry: ordered brackets [u, v] through
+T, symmetric pairs [u, v] + [v, u] and self-brackets [y, y] through T + T^t
 (cached per degree), over one integer, in one pass.  Every sum of series
 brackets is one bracket_sum: a Maurer-Cartan step, one order of the
 recursion, each sum of one order of the gauge series.  apply_bracket, one
@@ -207,7 +208,7 @@ class DGLA:
             bracket, "bracket", pairs=True)
 
         self._diff = None
-        self._keys_by_pair = None
+        self._record = None
         self._tables = {}
         self._sym_tables = {}
 
@@ -322,27 +323,52 @@ class DGLA:
 
     # structure maps
 
+    def _degree_record(self):
+        """(keys, d, bracket) in store order, built on first use in one pass
+        over both stores: keys buckets the bracket keys by degree pair, d
+        lists the (i, j) with g_j in d(g_i) not of degree |g_i| + 1, bracket
+        maps (p, q) to the (i, j, k) with g_k in [g_i, g_j] not of degree
+        p + q.  The one place that decides which terms leave their degree."""
+        if self._record is None:
+            deg = [g[1] for g in self.generators]
+            keys, bracket = {}, {}
+            for key, ents in self._bracket_nums.items():
+                p, q = pair = (deg[key[0]], deg[key[1]])
+                keys.setdefault(pair, []).append(key)
+                for gk, _ in ents:
+                    if deg[gk] != p + q:
+                        bracket.setdefault(pair, []).append(key + (gk,))
+            d = [(gi, gj) for gi, ents in self._d_nums.items() for gj, _ in ents
+                 if deg[gj] != deg[gi] + 1]
+            self._record = (keys, d, bracket)
+        return self._record
+
+    def _check_degree(self, p, q):
+        """Raise if a stored bracket of g^p x g^q leaves degree p + q."""
+        faults = self._degree_record()[2].get((p, q))
+        if faults:
+            gi, gj, _ = faults[0]
+            raise ValueError(
+                "bracket [%s, %s] does not preserve total degree; run validate_dgla"
+                % (self.generators[gi][0], self.generators[gj][0]))
+
     @property
     def differential(self):
         """d as a GradedLinearMap of degree +1 (raises if degrees are off)."""
         if self._diff is None:
+            faults = self._degree_record()[1]
+            if faults:
+                raise ValueError(
+                    "differential of %s is not homogeneous of degree +1; "
+                    "run validate_dgla" % self.generators[faults[0][0]][0])
             entries = {}
             for gi, ents in self._d_nums.items():
                 sdeg, spos = self._pos[gi]
                 for gj, n in ents:
-                    tdeg, tpos = self._pos[gj]
-                    if tdeg != sdeg + 1:
-                        raise ValueError(
-                            "differential of %s is not homogeneous of degree +1; "
-                            "run validate_dgla" % self.generators[gi][0]
-                        )
-                    entries.setdefault((sdeg, tdeg), {})[(tpos, spos)] = n
-            blocks = {
-                key: Matrix.from_integers(self.dims[key[1]], self.dims[key[0]],
-                                          self._d_den, nums)
-                for key, nums in entries.items()
-            }
-            self._diff = GradedLinearMap(self.dims, self.dims, blocks)
+                    entries.setdefault((sdeg, sdeg + 1), {})[(self._pos[gj][1], spos)] = n
+            self._diff = GradedLinearMap(self.dims, self.dims, {
+                (p, q): Matrix.from_integers(self.dims[q], self.dims[p], self._d_den, nums)
+                for (p, q), nums in entries.items()})
         return self._diff
 
     def _integer_table(self, p, q):
@@ -352,30 +378,18 @@ class DGLA:
         D [e_i, e_j] = sum int e_k.  T is kept, and with it the packed forms
         the kernels build of it, as long as the DGLA.
 
-        The first call buckets every stored key by its degree pair in one
-        pass; each table is then cut from its own bucket, in key order, once.
-        A key that leaves degree p + q makes its own table raise, on every
-        call, and no other.
+        Each table is cut once, in key order, from its bucket of
+        _degree_record; a key that leaves degree p + q makes its own table
+        raise (_check_degree), on every call, and no other.
         """
         table = self._tables.get((p, q))
         if table is None:
+            self._check_degree(p, q)
             pos = self._pos
-            if self._keys_by_pair is None:
-                keys = self._keys_by_pair = {}
-                for gi, gj in self._bracket_nums:
-                    keys.setdefault((pos[gi][0], pos[gj][0]), []).append((gi, gj))
             table = Table()
-            for gi, gj in self._keys_by_pair.get((p, q), ()):
-                ents = []
-                for gk, n in self._bracket_nums[(gi, gj)]:
-                    deg, k = pos[gk]
-                    if deg != p + q:
-                        raise ValueError(
-                            "bracket [%s, %s] does not preserve total degree; "
-                            "run validate_dgla"
-                            % (self.generators[gi][0], self.generators[gj][0]))
-                    ents.append((k, n))
-                table.setdefault(pos[gi][1], {})[pos[gj][1]] = tuple(ents)
+            for gi, gj in self._degree_record()[0].get((p, q), ()):
+                table.setdefault(pos[gi][1], {})[pos[gj][1]] = tuple(
+                    [(pos[gk][1], n) for gk, n in self._bracket_nums[(gi, gj)]])
             self._tables[(p, q)] = table
         return self._bracket_den, table
 
@@ -524,16 +538,11 @@ def validate_dgla(L):
     d, Dd = L._d_nums, L._d_den
     bracket = L._bracket_nums
 
-    for gi in sorted({gi for gi, ents in d.items() for gj, _ in ents
-                      if degs[gj] != degs[gi] + 1}):
-        for gj, _ in d[gi]:
-            if degs[gj] != degs[gi] + 1:
-                issues.append(ValidationIssue(
-                    "differential-degree",
-                    (names[gi],),
-                    "d(%s) hits %s of degree %d, expected degree %d"
-                    % (names[gi], names[gj], degs[gj], degs[gi] + 1),
-                ))
+    _, d_faults, bracket_faults = L._degree_record()
+    for gi, gj in sorted(d_faults):
+        issues.append(ValidationIssue("differential-degree", (names[gi],),
+                                      "d(%s) hits %s of degree %d, expected degree %d"
+                                      % (names[gi], names[gj], degs[gj], degs[gi] + 1)))
 
     for gi, ents in sorted(d.items()):
         dd = _linear(ents, d)
@@ -544,17 +553,11 @@ def validate_dgla(L):
                 "d(d(%s)) = %s, expected 0" % (names[gi], L._combo_str(dd, Dd * Dd)),
             ))
 
-    for gi, gj in sorted({(gi, gj) for (gi, gj), ents in bracket.items() for gk, _ in ents
-                          if degs[gk] != degs[gi] + degs[gj]}):
-        want = degs[gi] + degs[gj]
-        for gk, _ in bracket[(gi, gj)]:
-            if degs[gk] != want:
-                issues.append(ValidationIssue(
-                    "bracket-degree",
-                    (names[gi], names[gj]),
-                    "bracket degree violation at (%s, %s): hits %s of degree %d, "
-                    "expected degree %d" % (names[gi], names[gj], names[gk], degs[gk], want),
-                ))
+    for gi, gj, gk in sorted([f for faults in bracket_faults.values() for f in faults]):
+        issues.append(ValidationIssue(
+            "bracket-degree", (names[gi], names[gj]),
+            "bracket degree violation at (%s, %s): hits %s of degree %d, expected degree %d"
+            % (names[gi], names[gj], names[gk], degs[gk], degs[gi] + degs[gj])))
 
     rows = [[] for _ in gens]
     for (gx, gy), ents in bracket.items():

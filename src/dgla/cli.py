@@ -91,12 +91,14 @@ def _contraction(L, command):
 
 
 def _parse_direction(text, k):
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    """The k comma-separated coefficients; "" is none, an empty field is refused."""
+    parts = [p.strip() for p in text.split(",")] if text.strip() else []
+    if "" in parts:
+        raise CliError("--direction: coefficient %d of %d is empty"
+                       % (parts.index("") + 1, len(parts)))
     if len(parts) != k:
-        raise CliError(
-            "--direction needs %d coefficient(s) over the H^1 basis, got %d"
-            % (k, len(parts))
-        )
+        raise CliError("--direction needs %d coefficient(s) over the H^1 basis, got %d"
+                       % (k, len(parts)))
     try:
         return [parse_rational(p) for p in parts]
     except DocumentError as e:

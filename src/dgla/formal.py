@@ -41,7 +41,7 @@ from operator import add
 
 from ._kernels import KernelView
 from .linalg import lowest_terms, scaled
-from .report import rational_str
+from .report import element_data
 
 _ONE = Fraction(1)
 
@@ -417,14 +417,8 @@ class FormalElement:
         )
 
     def __repr__(self):
-        """Each coefficient rendered from nums / den by report.rational_str,
-        so an integer of any length is written out in full."""
-        ring = self.ring
-        bits = ", ".join(
-            "%s: (%s)"
-            % (ring.mono_str(ring.mono(key)),
-               ", ".join(map(rational_str, self._fractions(vec))))
-            for key, vec in self.graded_nums()
-        )
+        """The terms as report.element_data renders them, each in full."""
+        terms = element_data(self)["terms"] if self.nums else {}
+        bits = ", ".join("%s: (%s)" % (mono, ", ".join(coeffs)) for mono, coeffs in terms.items())
         return "FormalElement(deg=%d, {%s})" % (self.degree, bits)
 

@@ -38,8 +38,8 @@ def check_cartan(L, R):
     and u, v are bracketed through the integer table of L
     (_kernels.bracket_vector): positive scales do not change whether the
     result is zero.  A zero block (every block on E2 and twisted CE_4)
-    admits no witness, so its pairs are not bracketed; their table is still
-    cut, so a bracket that leaves its degree raises all the same.
+    admits no witness, so its table is not cut; L._check_degree still
+    raises on a bracket of the pair that leaves its degree.
 
     Returns (ok, witnesses); each witness is (degree_u, index_u, degree_v,
     index_v) for a failing pair.
@@ -59,9 +59,10 @@ def check_cartan(L, R):
             if rows is None:
                 keep = R.pi_B.block(k, k) + R.pi_H.block(k, k)
                 rows = blocks[k] = (keep @ R.h.block(k + 1, k)).integer_rows()[1]
-            table = L._integer_table(p, q)[1]
+            L._check_degree(p, q)
             if not rows:
                 continue
+            table = L._integer_table(p, q)[1]
             for iu, u in enumerate(reps[p]):
                 for iv, v in enumerate(reps[q]):
                     w = bracket_vector(u, v, table, out_dim)

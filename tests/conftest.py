@@ -36,6 +36,20 @@ def chain_case():
     return L, build_contraction(L, build_splitting(L))
 
 
+def degree_faults_case():
+    """Degree faults in d, at y (d y hits x and a) then a (d a hits b) in
+    store order, and in the bracket pairs (1, 1), at [y, x] then [x, y] (it
+    hits x and a) in store order, and (0, 1), at [a, x]; every other stored
+    term keeps its degree."""
+    gens = [("a", 0), ("x", 1), ("y", 1), ("b", 2), ("c", 2)]
+    return DGLA(gens, d={"y": [("x", 1), ("c", 1), ("a", 3)], "x": [("b", 1)],
+                         "a": [("b", 2)]},
+                bracket={("y", "x"): [("a", 1)], ("x", "y"): [("b", 1), ("x", 2), ("a", 3)],
+                         ("y", "y"): [("c", 1)], ("a", "x"): [("b", 1)],
+                         ("a", "y"): [("y", 1)], ("y", "a"): [("y", -1)],
+                         ("a", "b"): [("c", 1)]}, name="degree-faults")
+
+
 def perturbed(R, **maps):
     fields = dict(splitting=R.splitting, h=R.h, projection=R.projection,
                   inclusion=R.inclusion, pi_B=R.pi_B,

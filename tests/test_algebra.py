@@ -8,12 +8,16 @@ from dgla import (
     BUILTIN_NAMES,
     DGLA,
     antisymmetric_closure,
+    build_contraction,
+    build_splitting,
     builtin_example,
+    check_cartan,
     koszul_sign,
     validate_dgla,
 )
 from dgla.formal import CoefficientRing
 
+from conftest import degree_faults_case
 from reference import reference_store
 
 
@@ -128,6 +132,32 @@ def test_a_bracket_leaving_its_degree_fails_only_its_own_table():
         with pytest.raises(ValueError, match=r"bracket \[x, x\] does not preserve"):
             L._integer_table(1, 1)
     assert L._integer_table(0, 1) == (1, {0: {0: ((0, 1),)}})
+    # faults in d and in two bracket pairs: each faulty pair's table raises
+    # on every call, naming its first faulty key in store order, and no
+    # other pair's table raises
+    L = degree_faults_case()
+    faulty = {(1, 1): "bracket [y, x]", (0, 1): "bracket [a, x]"}
+    for p in L.degrees:
+        for q in L.degrees:
+            for _ in range(2):
+                if (p, q) not in faulty:
+                    L._integer_table(p, q)
+                    continue
+                with pytest.raises(ValueError) as err:
+                    L._integer_table(p, q)
+                assert str(err.value) == (faulty[(p, q)] + " does not preserve total "
+                                          "degree; run validate_dgla")
+    assert L._integer_table(1, 0)[1] == {1: {0: ((1, -1),)}}
+    # d names the first faulty generator in store order, not in sorted order
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^differential of y is not homogeneous"):
+            L.differential
+    # check_cartan meets (0, 1) first and raises its table's message; M has
+    # no d, so every block of h is zero and only the degree guard can raise
+    M = DGLA(L.generators)
+    with pytest.raises(ValueError) as err:
+        check_cartan(L, build_contraction(M, build_splitting(M)))
+    assert str(err.value) == faulty[(0, 1)] + " does not preserve total degree; run validate_dgla"
 
 
 def test_structure_constants_are_stored_canonically():

@@ -597,6 +597,10 @@ def test_direction_count_mismatch(capsys):
         capsys, "mc-solve", corpus("E1"), "--direction", "1,2")
     assert code == 2
     assert "H^1 basis" in err
+    # "" is no coefficients: too few on E0 (H^1 of dimension 2), right on E4 (H^1 = 0)
+    assert run_main(capsys, "mc-solve", corpus("E0"), "--direction", "") == (
+        2, "", "error: --direction needs 2 coefficient(s) over the H^1 basis, got 0\n")
+    assert run_main(capsys, "mc-solve", corpus("E4"), "--direction", "")[0] == 0
 
 
 def test_direction_rational_only(capsys):
@@ -604,6 +608,12 @@ def test_direction_rational_only(capsys):
         capsys, "mc-solve", corpus("E1"), "--direction", "0.5")
     assert code == 2
     assert "exact rationals only" in err
+    # an empty field is refused, never skipped
+    for name, text, k, n in [("E0", "1,,0", 2, 3), ("E0", ",1,0", 1, 3),
+                             ("E0", "1,0,", 3, 3), ("E4", ",", 1, 2)]:
+        for cmd in ("mc-solve", "obstruction"):
+            assert run_main(capsys, cmd, corpus(name), "--direction", text) == (
+                2, "", "error: --direction: coefficient %d of %d is empty\n" % (k, n))
 
 
 @pytest.mark.parametrize("cmd,name", [("mc-solve", "E1"), ("obstruction", "E3")])

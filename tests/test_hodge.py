@@ -288,10 +288,14 @@ def twisted_ce4():
 @pytest.mark.parametrize("make", [lambda: builtin_example("E2"), twisted_ce4],
                          ids=["E2", "twisted-CE4"])
 def test_check_cartan_brackets_nothing_where_every_block_is_zero(monkeypatch, make):
-    # every block (pi_B + pi_H) h is zero here, so no pair can be a witness
+    # every block (pi_B + pi_H) h is zero here, so no pair can be a witness,
+    # and on a fresh L the Hodge checks cut no bracket table
     L = make()
     R = build_contraction(L, build_splitting(L))
     calls = counted_brackets(monkeypatch)
+    checks, witnesses = hodge_checks(L, R)
+    assert all(ok for _, ok in checks) and witnesses == []
+    assert L._tables == {}
     assert check_cartan(L, R) == reference_cartan(L, R) == (True, [])
     assert calls == []
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 from random import Random
 
 from dgla import BUILTIN_NAMES, DGLA, antisymmetric_closure, builtin_example, validate_dgla
+from conftest import degree_faults_case
 from reference import naive_validate
 
 COEFFS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 7))
@@ -74,8 +75,9 @@ def corrupted(seed):
 
 def test_seeded_corruptions_match_reference():
     seen = Counter()
-    for seed in range(300):
-        rep = assert_same_report(corrupted(seed), "seed %d" % seed)
+    cases = [(corrupted(seed), "seed %d" % seed) for seed in range(300)]
+    for L, label in cases + [(degree_faults_case(), "degree faults")]:
+        rep = assert_same_report(L, label)
         seen.update({i.axiom for i in rep.issues} or {"valid"})
     # every axiom fails somewhere, and some corruptions leave a valid DGLA
     assert set(seen) == {"differential-degree", "differential-squared",
