@@ -26,10 +26,12 @@ square, the integer Table of a degree pair, cut from the bracket store by
 _integer_table over the store's denominator D, and hands its sum back in
 lowest terms.  bracket_sum is its one entry: ordered brackets [u, v] through
 T, symmetric pairs [u, v] + [v, u] and self-brackets [y, y] through T + T^t
-(cached per degree), over one integer, in one pass.  Every sum of series
-brackets is one bracket_sum: a Maurer-Cartan step, one order of the
-recursion, each sum of one order of the gauge series.  apply_bracket, one
-bracket, is the pass with the one square u = v or the one pair (u, v).
+(cached per degree), over one integer, in one pass, cut at the ring order
+or at a lower one it is given (the Maurer-Cartan loop runs below the top
+order).  Every sum of series brackets is one bracket_sum: a Maurer-Cartan
+step, one order of the recursion, each sum of one order of the gauge
+series.  apply_bracket, one bracket, is the pass with the one square
+u = v or the one pair (u, v).
 
 Sign conventions (cohomological grading, d of degree +1):
   [x, y] = -(-1)^{|x||y|} [y, x]
@@ -430,10 +432,13 @@ class DGLA:
             return self.bracket_sum(u.ring, 2 * u.degree, squares=(u,))
         return self.bracket_sum(u.ring, u.degree + v.degree, ordered=((u, v),))
 
-    def bracket_sum(self, ring, degree, ordered=(), symmetric=(), squares=(), den=1):
+    def bracket_sum(self, ring, degree, ordered=(), symmetric=(), squares=(), den=1,
+                    top=None):
         """(sum [u, v] over the (u, v) of ordered + sum ([u, v] + [v, u])
         over the (u, v) of symmetric + sum [y, y] over the y of squares)
-        / den, an element of degree `degree` over ring.
+        / den, an element of degree `degree` over ring, every product
+        monomial above the order top dropped: 0 <= top <= ring.order, the
+        ring's order by default, as a key above it may spell another one.
 
         One kernel pass (_kernels.bracket_sums): an ordered pair goes
         through the integer table T of its degree pair, a symmetric pair
@@ -441,7 +446,9 @@ class DGLA:
         scaled by D over its own denominator, D the lcm of the u.den * v.den
         and y.den ** 2, so the sum is over den * D * Dt, Dt the denominator
         of the bracket store.  The kernel hands it back in lowest terms, so
-        it is wrapped as it stands.  Nothing assumes antisymmetry.
+        it is wrapped as it stands.  Nothing assumes antisymmetry.  Nothing
+        lands in a degree with no generators, but a stored bracket that
+        leaves the degree of a summed pair still raises (_check_degree).
         """
         halves = [e for pair in symmetric for e in pair] + list(squares)
         elems = [e for pair in ordered for e in pair] + halves
@@ -452,13 +459,23 @@ class DGLA:
         if (any(u.degree + v.degree != degree for u, v in ordered)
                 or any(2 * e.degree != degree for e in halves)):
             raise ValueError("the bracket sum needs brackets of degree %d" % degree)
+        if top is None:
+            top = ring.order
+        elif not 0 <= top <= ring.order:
+            raise ValueError("the bracket sum is cut at an order in 0..%d" % ring.order)
         out_dim = self.dim(degree)
+        ordered = [(u, v) for u, v in ordered if u.nums and v.nums]
+        symmetric = [(u, v) for u, v in symmetric if u.nums and v.nums]
+        squares = [y for y in squares if y.nums]
         pairs, selfs = [], []
-        if out_dim:
-            pairs = [(u, v, table) for u, v in ordered if u.nums and v.nums
-                     and (table := self._integer_table(u.degree, v.degree)[1])]
-            symmetric = [(u, v) for u, v in symmetric if u.nums and v.nums]
-            squares = [y for y in squares if y.nums]
+        if not out_dim:
+            for u, v in ordered:
+                self._check_degree(u.degree, v.degree)
+            if symmetric or squares:
+                self._check_degree(degree // 2, degree // 2)
+        else:
+            pairs = [(u, v, table) for u, v in ordered
+                     if (table := self._integer_table(u.degree, v.degree)[1])]
             if (symmetric or squares) and (sym := self._symmetric_table(degree // 2)):
                 pairs += [(u, v, sym) for u, v in symmetric]
                 selfs = [(y, sym) for y in squares]
@@ -468,7 +485,7 @@ class DGLA:
         den, nums = bracket_sums(
             [(u.view(), v.view(), table, D // (u.den * v.den)) for u, v, table in pairs],
             [(y.view(), sym, D // y.den ** 2) for y, sym in selfs],
-            ring.order, out_dim, den * D * self._bracket_den)
+            top, out_dim, den * D * self._bracket_den)
         return FormalElement._canonical(ring, degree, out_dim, den, nums)
 
     def curvature(self, A):
@@ -488,10 +505,12 @@ class DGLA:
 
         u and v are scaled to integers (linalg.scaled) and bracketed
         through the integer table (_kernels.bracket_vector); the result is
-        divided once.
+        divided once.  Into a degree with no generators the bracket is (),
+        but a stored bracket of g^p x g^q that leaves its degree raises.
         """
         out_dim = self.dim(p + q)
         if not out_dim:
+            self._check_degree(p, q)
             return ()
         Dt, table = self._integer_table(p, q)
         Du, ui = scaled(u)

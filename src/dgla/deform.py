@@ -6,16 +6,23 @@ Everything runs over a truncated coefficient ring, so the fixed-point map
     C_x(y) = x - 1/2 h[y, y]
 
 is a contraction in the m-adic filtration and stabilizes exactly within the
-truncation order.  The iteration carries S = [y, y] along with the iterate:
-y_n and y_{n+1} agree through order n, so each step brackets only the
-change delta, and the final S gives the residual d tau + 1/2 S without a
-second bracket of tau: each change of S is one kernel pass
+truncation order N.  The iteration carries S = [y, y] along with the
+iterate: y_n and y_{n+1} agree through order n, so each step brackets only
+the change delta, and the final S gives the residual d tau + 1/2 S without
+a second bracket of tau: each change of S is one kernel pass
 (DGLA.bracket_sum) in lowest terms, the changes are summed once, and the
-residual is one pass over d tau and S.  The iterate itself is kept only
-as far as the next bracket reaches (each delta starts at least one order
-above the one before, so the rest of y finds no partner within the
-truncation), and tau is read off the fixed-point equation once it holds:
-tau = x - 1/2 h S.
+residual is one pass over d tau and S.  Elements have no constant term, so
+C_x(y) reads y only below order N: every pass of the loop cuts its
+products at N - 1, and order N is read off once the loop has stopped at
+the first delta zero below N.  There [tau, tau] at order N is one order
+sum of the parts of tau below N (shared with the recursion), and the
+order-N part of the last step, which reads only the pair the loop
+bracketed last, decides whether the last iterate was already fixed, so
+the index of the first fixed iterate is kept exactly (_fixed_point).  The
+iterate itself is kept only as far as the next bracket reaches (each
+delta starts at least one order above the one before, so the rest of y
+finds no partner within the truncation), and tau is read off the
+fixed-point equation: tau = x - 1/2 h S.
 Convention (fixed once, used everywhere): the Maurer-Cartan equation is
 d tau + 1/2 [tau, tau] = 0, the corrective term carries -1/2 h
 (SDRData.correction, one map with the factor in its integer rows, so a
@@ -76,50 +83,97 @@ def contraction_step(L, R, x, y):
     return x + R.correction(L.apply_bracket(y, y))
 
 
+def _order_sum(L, ring, b, parts, symmetric=()):
+    """sum_{i+j=b} [p_i, p_j] over parts, a map i -> p_i of nonzero
+    homogeneous parts of order i, plus [u, v] + [v, u] over the (u, v) of
+    symmetric, in one bracket_sum: each pair (p_i, p_j), i < j, symmetric
+    and p_{b/2} a square.  Homogeneous operands of orders adding up to b
+    make the kernel walk the pairs of order b and no others."""
+    pairs = [(parts[i], parts[b - i]) for i in range(1, (b + 1) // 2)
+             if i in parts and b - i in parts]
+    squares = [parts[b // 2]] if b % 2 == 0 and b // 2 in parts else []
+    return L.bracket_sum(ring, 2, symmetric=pairs + list(symmetric), squares=squares)
+
+
 def _fixed_point(L, R, x):
     """Iterate y_1 = x, y_{n+1} = C_x(y_n) until exact stabilization.
 
     Returns (tau, n, S): the first fixed iterate y_n, its index n and
-    S = [tau, tau].  S_n = [y_n, y_n] is never bracketed whole: by linearity
-    of h the step is delta = y_{n+1} - y_n = -1/2 h(S_n - S_{n-1})
-    (S_0 = 0), and S_{n+1} - S_n = ([y_n, delta] + [delta, y_n])
-    + [delta, delta] is one bracket_sum, the pair (y_n, delta) symmetric
-    and delta a square, so nothing assumes antisymmetry; it leaves the
-    kernel in lowest terms.  The changes are summed into S once, at the
-    end.  delta has no terms below order n + 1, so a step walks only the
-    pairs that can still land within the truncation.
+    S = [tau, tau].  Every pass of the loop runs below the top order N,
+    its products cut at N - 1, and order N is read off once at the end.
+
+    S_n = [y_n, y_n] is never bracketed whole: by linearity of h the step
+    is delta = y_{n+1} - y_n = -1/2 h(S_n - S_{n-1}) (S_0 = 0), and
+    S_{n+1} - S_n = ([y_n, delta] + [delta, y_n]) + [delta, delta] is one
+    bracket_sum, the pair (y_n, delta) symmetric and delta a square, so
+    nothing assumes antisymmetry; it leaves the kernel in lowest terms.
+    The changes are summed into S once, at the end.  delta has no terms
+    below order n + 1, so a step walks only the pairs that can still land
+    within the truncation.
+
+    Elements have no constant term, so C_x(y) mod m^{N+1} reads y only
+    below order N: the loop is the iteration of the induced map on
+    m / m^N, with every product of order N dropped, and it reproduces each
+    iterate below N.  It stops at the first m whose delta is zero below N;
+    then y_m agrees with the fixed point tau below N, S_{<N} = [tau, tau]
+    below N, and tau_{<N} = x - 1/2 h S_{<N} there.  From the homogeneous
+    parts of tau_{<N}, S^N = sum_{i+j=N} [tau^i, tau^j] is one order sum
+    (_order_sum, shared with _recursion), tau = x - 1/2 h(S_{<N} + S^N) and
+    S = S_{<N} + S^N.  As y_{m+1} = C_x(y_m) and C_x(y_m) only reads y_m
+    below N, y_{m+1} = tau.  For n < m the iterate still moved, so the
+    first fixed iterate is y_m if its order-N part agrees, and y_{m+1}
+    otherwise.  tau^N - y_m^N is -1/2 h of the order-N part of
+    S_m - S_{m-1} = [y_{m-1}, delta] + [delta, y_{m-1}] + [delta, delta],
+    delta = delta_{m-1}, which reads y_{m-1} and delta below N only: the
+    pair the loop bracketed last, and for m = 1 (S_0 = 0) the slice is
+    S^N itself.  So n is m when -1/2 h kills that slice and m + 1
+    otherwise, decided by one more order sum.
 
     Nor is y_n kept whole.  y has no constant term, so the next delta
     starts at least one order above this one, low(delta), and a monomial
     of y above the reach N - 1 - low(delta) can pair with no monomial of
-    any later delta within the order N.  So y_{n+1} keeps only the
-    monomials of y_n + delta within the reach: delta adds none once
-    low(delta) is past it, and y stays the same object (with its view and
-    kept rows) when nothing is dropped or added.  The loop stops at
-    delta = 0, which is exactly the test C_x(y_n) == y_n; then the whole
-    fixed iterate is read off the fixed-point equation,
-    tau = y_n = y_{n+1} = x - 1/2 h S_n.
+    any later delta within the order N.  The loop would need less, but the
+    slice reads y_{m-1} up to order N - low(delta_{m-1}), which that reach
+    of the pass before covers.  So y_{n+1} keeps only the monomials of
+    y_n + delta within the reach: delta adds none once low(delta) is past
+    it, and y stays the same object (with its view and kept rows) when
+    nothing is dropped or added.
     """
     ring = x.ring
+    N = ring.order
     y = x
-    step = L.apply_bracket(x, x)
-    steps = [step]  # S_n is their sum, taken once at the end
+    step = L.bracket_sum(ring, 2, squares=[x], top=N - 1)
+    steps = [step]  # S_m below N is their sum, taken once at the end
+    last = None  # the (iterate, delta) of the last pass
     n = 1
     while True:
         delta = R.correction(step)
         if delta.is_zero():
-            S = FormalElement.summed(ring, 2, L.dim(2), steps)
-            return x + R.correction(S), n, S
-        step = L.bracket_sum(ring, 2, symmetric=[(y, delta)], squares=[delta])
+            break
+        step = L.bracket_sum(ring, 2, symmetric=[(y, delta)], squares=[delta], top=N - 1)
         steps.append(step)
+        last = y, delta
         low = delta.view().low  # the view the bracket just took
-        reach = ring.order - 1 - low
+        reach = N - 1 - low
         y = y.truncated(reach)
         if low <= reach:
             y = FormalElement.summed(ring, 1, y.dim, (y, delta.truncated(reach)))
         n += 1
-        if n > ring.order + 1:
+        if n > N + 1:
             raise RuntimeError("fixed point not reached within the truncation order")
+    S_low = FormalElement.summed(ring, 2, L.dim(2), steps)
+    tau_low = x + R.correction(S_low)
+    S_top = _order_sum(L, ring, N, tau_low.homogeneous_parts())
+    tau_top = R.correction(S_top)
+    if last is not None:
+        y_parts, d_parts = last[0].homogeneous_parts(), last[1].homogeneous_parts()
+        moved = R.correction(_order_sum(L, ring, N, d_parts, [
+            (y_parts[i], d_parts[N - i]) for i in y_parts if N - i in d_parts]))
+    else:
+        moved = tau_top
+    if not moved.is_zero():
+        n += 1
+    return tau_low + tau_top, n, S_low + S_top
 
 
 def _check_degree_one(x):
@@ -175,10 +229,7 @@ def _recursion(L, R, x):
     parts = {}
     sums = []
     for b in range(1, ring.order + 1):
-        pairs = [(parts[i], parts[b - i]) for i in range(1, (b + 1) // 2)
-                 if i in parts and b - i in parts]
-        squares = [parts[b // 2]] if b % 2 == 0 and b // 2 in parts else []
-        acc = L.bracket_sum(ring, 2, symmetric=pairs, squares=squares)
+        acc = _order_sum(L, ring, b, parts)
         sums.append(acc)
         tau_b = x.homogeneous_part(b) + R.correction(acc)
         if not tau_b.is_zero():

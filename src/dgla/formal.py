@@ -8,10 +8,11 @@ zero.  Nothing is ever rounded.
 
 Below the public API a monomial is its key, the exponents as the digits
 of one integer in base N + 1, the first variable the most significant
-(CoefficientRing.key and .mono alone encode and decode one).  No digit
-exceeds N, so a key is unique and a product within the order has the sum
-of the keys; as N + 1 = 1 (mod N), the degree 1..N is read off a key as a
-residue (CoefficientRing.degree), and graded lex order is (degree, key).
+(CoefficientRing.key and .mono alone encode and decode one, and .key_str
+names one straight from its digits).  No digit exceeds N, so a key is
+unique and a product within the order has the sum of the keys; as
+N + 1 = 1 (mod N), the degree 1..N is read off a key as a residue
+(CoefficientRing.degree), and graded lex order is (degree, key).
 
 FormalElement is a vector in one graded piece of an algebra whose entries
 are such truncated series.  It is stored in linalg's integer form: one
@@ -107,7 +108,7 @@ class CoefficientRing:
             raise ValueError("truncation order must be at least 1")
         self.variables = variables
         self.order = order
-        # powers[i][e]: the factor variable i to the power e, for mono_str
+        # powers[i][e]: the factor variable i to the power e, for mono_str and key_str
         self.powers = tuple(("", v) + tuple(["%s^%d" % (v, e) for e in range(2, order + 1)])
                             for v in variables)
 
@@ -159,6 +160,19 @@ class CoefficientRing:
             key, e = divmod(key, base)
             digits.append(e)
         return tuple(reversed(digits))
+
+    def key_str(self, key):
+        """mono_str(mono(key)) in one pass over the digits of key, least
+        significant first, each factor read straight from the table of
+        powers: no exponent tuple is built."""
+        base = self.order + 1
+        factors = []
+        for powers in self.powers[::-1]:
+            key, e = divmod(key, base)
+            if e:
+                factors.append(powers[e])
+        factors.reverse()
+        return "*".join(factors)
 
     def degree(self, key):
         """The total degree of the monomial of a key, its residue."""
@@ -325,9 +339,10 @@ class FormalElement:
 
     def graded_nums(self):
         """The (key, numerators) pairs of nums in graded lex order: sorted
-        by (total degree, key)."""
-        degree = self.ring.degree
-        return sorted(self.nums.items(), key=lambda kv: (degree(kv[0]), kv[0]))
+        by (degree residue, key), which is (total degree, key)."""
+        N = self.ring.order
+        nums = self.nums
+        return [(key, nums[key]) for _, key in sorted([((key - 1) % N, key) for key in nums])]
 
     def support(self):
         """Monomials with a nonzero coefficient, in graded lex order."""
@@ -398,6 +413,15 @@ class FormalElement:
         if len(nums) == len(self.nums):
             return self
         return self._with(self.den, nums)
+
+    def homogeneous_parts(self):
+        """{order: the homogeneous part of that order} for every order at
+        which the element has a monomial, in one pass over nums."""
+        N = self.ring.order
+        buckets = {}
+        for key, vec in self.nums.items():
+            buckets.setdefault((key - 1) % N + 1, {})[key] = vec
+        return {b: self._with(self.den, nums) for b, nums in buckets.items()}
 
     def homogeneous_part(self, order):
         """Keep only the monomials of total degree exactly order."""

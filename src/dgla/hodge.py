@@ -38,8 +38,9 @@ def check_cartan(L, R):
     and u, v are bracketed through the integer table of L
     (_kernels.bracket_vector): positive scales do not change whether the
     result is zero.  A zero block (every block on E2 and twisted CE_4)
-    admits no witness, so its table is not cut; L._check_degree still
-    raises on a bracket of the pair that leaves its degree.
+    admits no witness, so its table is not cut, and a pair into a degree
+    with no generators is skipped; L._check_degree still raises on a
+    bracket of the pair that leaves its degree, before either skip.
 
     Returns (ok, witnesses); each witness is (degree_u, index_u, degree_v,
     index_v) for a failing pair.
@@ -51,6 +52,7 @@ def check_cartan(L, R):
     blocks = {}
     for p in degrees:
         for q in degrees:
+            L._check_degree(p, q)
             out_dim = L.dim(p + q)
             if not out_dim:
                 continue
@@ -59,7 +61,6 @@ def check_cartan(L, R):
             if rows is None:
                 keep = R.pi_B.block(k, k) + R.pi_H.block(k, k)
                 rows = blocks[k] = (keep @ R.h.block(k + 1, k)).integer_rows()[1]
-            L._check_degree(p, q)
             if not rows:
                 continue
             table = L._integer_table(p, q)[1]

@@ -51,14 +51,33 @@ def _ratio_str(p, q):
 
 def element_data(elem):
     """FormalElement -> "0" or {"degree": d, "terms": {mono: [coeffs]}},
-    each coefficient rendered from the element's integers num / den."""
+    each monomial named from its key (CoefficientRing.key_str) and each
+    vector rendered over the element's den as _ratio_str would: the "/q"
+    text of each reduced denominator q is made once per element."""
     if elem.is_zero():
         return "0"
     den = elem.den
-    mono_str, mono = elem.ring.mono_str, elem.ring.mono
+    key_str = elem.ring.key_str
+    over = {}  # gcd(num, den) -> "/q"
+
+    def vector(vec):
+        out = []
+        for c in vec:
+            if not c:
+                out.append("0")
+                continue
+            g = gcd(c, den)
+            if g == den:
+                out.append(int_str(c // den))
+                continue
+            q = over.get(g)
+            if q is None:
+                q = over[g] = "/" + int_str(den // g)
+            out.append(int_str(c // g) + q)
+        return out
+
     return {"degree": elem.degree,
-            "terms": {mono_str(mono(key)): [_ratio_str(c, den) for c in vec]
-                      for key, vec in elem.graded_nums()}}
+            "terms": {key_str(key): vector(vec) for key, vec in elem.graded_nums()}}
 
 
 def matrix_data(mat):

@@ -160,6 +160,48 @@ def test_a_bracket_leaving_its_degree_fails_only_its_own_table():
     assert str(err.value) == faulty[(0, 1)] + " does not preserve total degree; run validate_dgla"
 
 
+def test_a_bracket_into_an_empty_degree_is_refused():
+    # x in degree 1 with [x, x] = x and no generator of degree 2: nothing of
+    # the bracket could land, yet every bracket of the pair raises, where a
+    # lawful pair into the empty degree still gives zero
+    L = DGLA([("x", 1), ("a", 0)], bracket={("x", "x"): [("x", 1)]})
+    M = DGLA([("x", 1), ("a", 0)])
+    ring = CoefficientRing.single(3)
+    x = L.generator_element(ring, "x")
+    message = r"^bracket \[x, x\] does not preserve total degree"
+    for call in (lambda: L.bracket_vectors(1, (1,), 1, (1,)),
+                 lambda: L.apply_bracket(x, x),
+                 lambda: L.bracket_sum(ring, 2, ordered=[(x, x)]),
+                 lambda: L.bracket_sum(ring, 2, symmetric=[(x, x)]),
+                 lambda: L.curvature(x),
+                 lambda: check_cartan(L, build_contraction(M, build_splitting(M)))):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert L.bracket_vectors(0, (1,), 1, (1,)) == (0,)
+    assert L.bracket_sum(ring, 2, squares=[x.scale(0)]).is_zero()
+    assert M.bracket_vectors(1, (1,), 1, (1,)) == ()
+    assert M.apply_bracket(x, x).is_zero()
+
+
+def test_bracket_sum_cuts_at_the_order_it_is_given():
+    # top drops every product above it, as truncating the full sum would;
+    # above the ring's order a key could spell another monomial's
+    L = DGLA([("x", 1), ("y", 1), ("b", 2)],
+             bracket={("x", "y"): [("b", 2)], ("y", "x"): [("b", F("1/3"))],
+                      ("y", "y"): [("b", -1)]})
+    ring = CoefficientRing(("s", "t"), 4)
+    u = L.generator_element(ring, "x", (1, 0)) + L.generator_element(ring, "y", (0, 2), 3)
+    v = L.generator_element(ring, "y", (1, 1), F("1/2")) + L.generator_element(ring, "x", (0, 1))
+    sums = {"ordered": [(u, v)], "symmetric": [(u, v)], "squares": [u, v]}
+    full = L.bracket_sum(ring, 2, **sums)
+    assert full.homogeneous_part(4).nums
+    for top in range(5):
+        assert L.bracket_sum(ring, 2, top=top, **sums) == full.truncated(top)
+    for top in (-1, 5):
+        with pytest.raises(ValueError, match=r"cut at an order in 0\.\.4"):
+            L.bracket_sum(ring, 2, top=top, **sums)
+
+
 def test_structure_constants_are_stored_canonically():
     # the same DGLA given three ways: keys in another order, one term split
     # into two parts, zero sums; fractional constants, so D != 1

@@ -527,22 +527,32 @@ def test_contraction_error_names_the_subcommand(capsys, tmp_path, cmd, extra):
 ONE_X = '{"degree": 1, "terms": {"t": {"x": "1"}}}'
 
 
-@pytest.mark.parametrize("cmd, extra", [
+LEAVING_ITS_DEGREE = [
     ("hodge", ()),
     ("gauge-equiv", ("--order", "3", "--a", ONE_X, "--b", ONE_X)),
     ("universal", ()),
     ("mc-solve", ("--direction", "1")),
     ("obstruction", ("--direction", "1")),
     ("kuranishi", ("--input", ONE_X)),
-], ids=["hodge", "gauge-equiv", "universal", "mc-solve", "obstruction",
-        "kuranishi"])
-def test_bracket_leaving_its_degree_exit_two(capsys, tmp_path, cmd, extra):
+]
+WITH_B = [{"name": "x", "degree": 1}, {"name": "b", "degree": 2}]
+ONLY_X = [{"name": "x", "degree": 1}]
+
+
+@pytest.mark.parametrize(
+    "cmd, extra, generators",
+    [pytest.param(cmd, extra, WITH_B, id=cmd) for cmd, extra in LEAVING_ITS_DEGREE]
+    + [pytest.param(cmd, extra, ONLY_X, id=cmd + "-empty-degree")
+       for cmd, extra in LEAVING_ITS_DEGREE])
+def test_bracket_leaving_its_degree_exit_two(capsys, tmp_path, cmd, extra,
+                                             generators):
     # x in degree 1 with [x, x] = x: loads under --allow-invalid, then the
-    # first bracket evaluation refuses it as bad input
+    # first bracket evaluation refuses it as bad input, also where degree 2
+    # has no generators and nothing of the bracket could land
     path = tmp_path / "degree.json"
     path.write_text(json.dumps({
         "name": "degree", "field": "Q",
-        "generators": [{"name": "x", "degree": 1}, {"name": "b", "degree": 2}],
+        "generators": generators,
         "d": [],
         "bracket": [{"left": "x", "right": "x",
                      "result": [{"gen": "x", "coeff": "1"}]}],

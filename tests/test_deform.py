@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dgla._kernels
+import dgla.algebra
 from dgla import (
     BUILTIN_NAMES,
     DGLA,
@@ -264,11 +265,11 @@ def test_universal_solution_fractional_bytes_pinned():
 
 def test_universal_solve_encodes_only_the_direction(monkeypatch):
     # below the public API a monomial is its key: a whole solve encodes the
-    # direction's monomials and decodes none, and rendering tau decodes
-    # each of its monomials once
+    # direction's monomials and decodes or names no key, and rendering tau
+    # names each of its keys once, straight from the key
     L = universal_dgla()
     R = build_contraction(L, build_splitting(L))
-    calls = {"key": [], "mono": []}
+    calls = {"key": [], "mono": [], "key_str": []}
     for name, log in calls.items():
         def counted(self, arg, fn=getattr(CoefficientRing, name), log=log):
             log.append(arg)
@@ -276,14 +277,16 @@ def test_universal_solve_encodes_only_the_direction(monkeypatch):
 
         monkeypatch.setattr(CoefficientRing, name, counted)
     sol = universal_solution(L, R, 6)
-    encoded, decoded = list(calls["key"]), list(calls["mono"])
-    assert not decoded
+    encoded = list(calls["key"])
+    assert not calls["mono"] and not calls["key_str"]
     assert len(encoded) == 4
     assert sorted(encoded) == sorted(sol.direction.support())
-    calls["mono"].clear()
+    for log in calls.values():
+        log.clear()
     element_data(sol.tau)
     assert len(sol.tau.nums) == 209  # every monomial of degree 1..6
-    assert sorted(calls["mono"]) == sorted(sol.tau.nums)
+    assert sorted(calls["key_str"]) == sorted(sol.tau.nums)
+    assert not calls["mono"] and not calls["key"]
 
 
 def test_universal_solution_no_harmonic_directions():
@@ -472,15 +475,15 @@ def fixed_point_cases(draw):
 
 
 def fixed_point_passes(L, R, x):
-    """_fixed_point(L, R, x) and the (iterate, delta) of each of its
-    kernel passes, in order.  A pass brackets the iterate with delta, so
-    only calls with pairs are passes: a self-bracket alone (apply_bracket
-    of an element with itself) is none."""
+    """_fixed_point(L, R, x) and the (iterate, delta) of each pass of its
+    loop, in order.  A pass brackets the iterate with delta, cut below the
+    top order N, so only calls with pairs and top N - 1 are passes: the
+    self-bracket [x, x] alone is none, nor is an order sum at N."""
     passes = []
     bracket_sum = DGLA.bracket_sum
 
     def recorded(self, ring, degree, **sums):
-        if sums.get("symmetric"):
+        if sums.get("symmetric") and sums.get("top") == ring.order - 1:
             passes.append(sums["symmetric"][0])
         return bracket_sum(self, ring, degree, **sums)
 
@@ -544,10 +547,68 @@ def test_fixed_point_keeps_the_iterate_within_reach(name, order):
     x = universal_solution(L, R, order).direction
     (tau, n, S), passes = fixed_point_passes(L, R, x)
     assert (tau, S) == _recursion(L, R, x)
-    assert len(passes) == n - 1
+    m = len(passes) + 1  # the loop stops at the first delta zero below N
+    assert n in (m, m + 1)
     assert_iterates_within_reach(x, passes)
     if name == "mc_universal":
-        assert n == 9 and max(len(y.nums) for y, _ in passes[3:]) <= 69
+        assert (m, n) == (8, 9) and max(len(y.nums) for y, _ in passes[3:]) <= 69
+
+
+# The loop stops at the first m whose delta is zero below the top order N,
+# and one order-N slice decides whether the first fixed iterate is y_m or
+# y_{m+1}.  Both outcomes with m >= 2, and the m = 1 branch, where the slice
+# is S^N itself: E3's direction has [x, x] zero below order 3, and the
+# mc_universal direction at order 2 has [x, x] only at order 2.
+@pytest.mark.parametrize("name, order, terms, m, n", [
+    ("E1", 5, {(2,): (1, 1), (3,): (F("-1/2"), F("1/2")), (4,): (-2, 2), (5,): (2, 2)},
+     2, 2),
+    ("mc_universal", 9, None, 8, 9),
+    ("E3", 1, None, 1, 1),
+    ("E3", 2, None, 1, 1),
+    ("mc_universal", 2, None, 1, 2),
+])
+def test_fixed_point_decides_the_top_order(name, order, terms, m, n):
+    L, R = case_contraction(name)
+    if terms is None:
+        x = universal_solution(L, R, order).direction
+    else:
+        x = FormalElement(CoefficientRing.single(order), 1, L.dim(1), terms)
+    (tau, iterations, S), passes = fixed_point_passes(L, R, x)
+    assert (len(passes) + 1, iterations) == (m, n)
+    assert (tau, iterations) == reference_fixed_point(L, R, x)
+    assert (tau, S) == _recursion(L, R, x)
+
+
+# On the mc_universal DGLA at order 9 every kernel call of the loop is cut
+# at order 8, and exactly two sums reach order 9: S^9 and the slice.
+def test_fixed_point_reaches_the_top_order_twice(monkeypatch):
+    L, R = case_contraction("mc_universal")
+    x = universal_solution(L, R, 9).direction
+    calls = []
+    kernel = dgla.algebra.bracket_sums
+
+    def recorded(pairs, squares, trunc, out_dim, den):
+        out = kernel(pairs, squares, trunc, out_dim, den)
+        calls.append((trunc, out[1]))
+        return out
+
+    monkeypatch.setattr(dgla.algebra, "bracket_sums", recorded)
+    tau, n, S = _fixed_point(L, R, x)
+    ring = x.ring
+    assert sorted({trunc for trunc, _ in calls}) == [8, 9]
+    assert [trunc for trunc, _ in calls].count(9) == 2
+    assert all(ring.degree(key) < 9 for trunc, nums in calls if trunc == 8
+               for key in nums)
+    assert n == 9 and S.homogeneous_part(9).nums
+
+
+# The two solvers agree at order 13 on the same DGLA.
+def test_fixed_point_agrees_with_the_recursion_at_order_13():
+    L, R = case_contraction("mc_universal")
+    x = universal_solution(L, R, 13).direction
+    tau, n, S = _fixed_point(L, R, x)
+    assert (tau, S) == _recursion(L, R, x)
+    assert n == 13
 
 
 # kuranishi_inverse and obstruction run the order-by-order recursion, which

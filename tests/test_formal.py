@@ -178,6 +178,26 @@ def test_monomial_keys(nvars, order):
             if sum(product) <= order:
                 assert k1 + k2 == r.key(product)
     assert sorted(keys, key=lambda k: (r.degree(k), k)) == keys
+    assert [r.key_str(k) for k in keys] == [r.mono_str(m) for m in monos]
+
+
+# graded_nums and homogeneous_parts read the degree off the key's residue;
+# both must agree with the monomials' own total degrees.
+@pytest.mark.parametrize("nvars, order", [(1, 1), (1, 6), (2, 4), (3, 5)])
+def test_graded_nums_and_homogeneous_parts(nvars, order):
+    r = CoefficientRing(["t%d" % i for i in range(1, nvars + 1)], order)
+    rng = Random(nvars * 10 + order)
+    monos = r.all_monomials()
+    rng.shuffle(monos)
+    terms = {m: (F(rng.randint(-3, 3)) / rng.choice((1, 2, 4)), F(rng.randint(1, 3)))
+             for m in monos if rng.random() < 0.6}
+    e = FormalElement(r, 1, 2, terms)
+    assert [r.mono(k) for k, _ in e.graded_nums()] == \
+        sorted(terms, key=lambda m: (sum(m), m))
+    parts = e.homogeneous_parts()
+    assert parts == {b: e.homogeneous_part(b) for b in range(1, order + 1)
+                     if not e.homogeneous_part(b).is_zero()}
+    assert FormalElement.summed(r, 1, 2, parts.values()) == e
 
 
 # A monomial above the order has no key: in base 3, t2^3 = (0, 3) would

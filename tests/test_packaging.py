@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import os
 import re
 
@@ -207,3 +209,19 @@ def test_reference_oracle_imports_only_types_and_constants():
             imported |= {alias.name for alias in node.names
                          if alias.name.split(".")[0] == "dgla"}
     assert imported == REFERENCE_IMPORTS
+
+
+def test_readme_python_quick_start_prints_what_its_comments_say():
+    # the fenced block under "Quick start (Python)" runs as written, and each
+    # print prints the value its comment opens with
+    with open(os.path.join(REPO_DIR, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = re.search(r"^## Quick start \(Python\)\n\n```python\n(.*?)^```",
+                      readme, re.S | re.M).group(1)
+    heads = [re.match(r"\{[^}]*\}|\w+", comment).group(0)
+             for comment in re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)]
+    assert heads == ["{t: (1, 0), t^2: (0, -1/2)}", "True", "True"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == ["FormalElement(deg=1, %s)" % heads[0]] + heads[1:]
