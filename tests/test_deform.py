@@ -557,8 +557,9 @@ def test_fixed_point_keeps_the_iterate_within_reach(name, order):
 # The loop stops at the first m whose delta is zero below the top order N,
 # and one order-N slice decides whether the first fixed iterate is y_m or
 # y_{m+1}.  Both outcomes with m >= 2, and the m = 1 branch, where the slice
-# is S^N itself: E3's direction has [x, x] zero below order 3, and the
-# mc_universal direction at order 2 has [x, x] only at order 2.
+# is S^N itself: at N <= 2 an order-1 direction has [x, x] zero below N, so
+# the loop makes no pass; E3's [x, x] is harmonic, which h kills (n = 1),
+# and mc_universal's is b, with h(b) = c (n = 2).
 @pytest.mark.parametrize("name, order, terms, m, n", [
     ("E1", 5, {(2,): (1, 1), (3,): (F("-1/2"), F("1/2")), (4,): (-2, 2), (5,): (2, 2)},
      2, 2),
